@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 import time
+from fractions import Fraction
 from typing import Optional
 
 from .algebra import (
@@ -148,6 +149,26 @@ def _expect(obj, types, what: str):
     return obj
 
 
+class _Inputs:
+    """The positional input files of a command, consumed in order."""
+
+    def __init__(self, paths):
+        self._paths = list(paths)
+
+    def __bool__(self) -> bool:
+        return bool(self._paths)
+
+    def take(self, what: str) -> str:
+        if not self._paths:
+            raise DocumentError(f"missing input file for {what}")
+        return self._paths.pop(0)
+
+    def done(self) -> None:
+        """Surplus inputs are an input error, never silently ignored."""
+        if self._paths:
+            raise DocumentError(f"unexpected extra input(s): {' '.join(self._paths)}")
+
+
 def _context_from(alg: Algebra, spec: str) -> BimodNov:
     """A context token: 'regular', 'dual', or a path to a module document."""
     if spec == "regular":
@@ -211,27 +232,28 @@ def cmd_verify(args) -> int:
 
 
 def cmd_check(args) -> int:
+    inputs = _Inputs(args.files)
+    report, flag = _check(args, inputs)
+    inputs.done()
+    return _emit(report, flag)
+
+
+def _check(args, inputs: _Inputs) -> tuple[dict, bool]:
     t0 = time.perf_counter()
     kind = args.kind
-    files = list(args.files)
-
-    def take(what: str):
-        if not files:
-            raise DocumentError(f"missing input file for {what}")
-        return files.pop(0)
-
+    take = inputs.take
     if kind in ("ext-o", "o-op"):
         alg = _expect(_load_object(take("algebra")), Algebra, "algebra")
         ctx = _context_from(alg, take("context"))
         alpha = _expect(_load_object(take("alpha")), LinMap, "alpha")
         beta = None
-        if kind == "ext-o" and files:
+        if kind == "ext-o" and inputs:
             beta = _expect(_load_object(take("beta")), LinMap, "beta")
         params = MassParams(args.weight, args.kappa, args.mu, args.epsilon)
         rep = ext_o_residual(ctx, alpha, beta, params, equation_only=args.equation_only)
         merged = rep.merged()
         report = _report(kind, rep.is_zero, _residual_witness(merged, alg.field, args.verbose), t0)
-        return _emit(report, rep.is_zero)
+        return report, rep.is_zero
     if kind in ("rota-baxter", "baxter"):
         alg = _expect(_load_object(take("algebra")), Algebra, "algebra")
         t = _expect(_load_object(take("t")), LinMap, "t")
@@ -240,7 +262,7 @@ def cmd_check(args) -> int:
             if kind == "rota-baxter"
             else baxter_residual(alg, t)
         )
-        return _emit(_report(kind, rep.is_zero, _residual_witness(rep, alg.field, args.verbose), t0), rep.is_zero)
+        return _report(kind, rep.is_zero, _residual_witness(rep, alg.field, args.verbose), t0), rep.is_zero
     if kind in ("balanced", "invariant", "equivalent"):
         alg = _expect(_load_object(take("algebra")), Algebra, "algebra")
         ctx = _context_from(alg, take("context"))
@@ -251,7 +273,7 @@ def cmd_check(args) -> int:
             rep = invariant_residual(ctx, beta, args.kappa)
         else:
             rep = equivalent_residual(ctx, beta, args.mu)
-        return _emit(_report(kind, rep.is_zero, _residual_witness(rep, alg.field, args.verbose), t0), rep.is_zero)
+        return _report(kind, rep.is_zero, _residual_witness(rep, alg.field, args.verbose), t0), rep.is_zero
     if kind in ("nybe", "enybe", "o-nybe", "gnybe", "bialgebra-extra", "invariance"):
         alg = _expect(_load_object(take("algebra")), Algebra, "algebra")
         r = _expect(_load_object(take("tensor")), Tensor2, "tensor")
@@ -288,20 +310,20 @@ def cmd_check(args) -> int:
             rep = invariance_residual(alg, r)
             flag = rep.is_zero
             witness = _residual_witness(rep, fld, args.verbose)
-        return _emit(_report(kind, flag, witness, t0), flag)
+        return _report(kind, flag, witness, t0), flag
     if kind == "adjoint":
         form = _expect(_load_object(take("form")), BilForm, "form")
         t = _expect(_load_object(take("t")), LinMap, "t")
         sign = 1 if args.sign != "minus" else -1
         rep = adjoint_residual(form, t, sign)
-        return _emit(_report(kind, rep.is_zero, _residual_witness(rep, form.field, args.verbose), t0), rep.is_zero)
+        return _report(kind, rep.is_zero, _residual_witness(rep, form.field, args.verbose), t0), rep.is_zero
     if kind == "generalized-o":
         alg = _expect(_load_object(take("algebra")), Algebra, "algebra")
         ctx = _context_from(alg, take("context"))
         alpha = _expect(_load_object(take("alpha")), LinMap, "alpha")
         bim = Bimodule(ctx.alg, ctx.mdim, ctx.l_mats, ctx.r_mats)
         rep = generalized_o_residual(bim, alpha)
-        return _emit(_report(kind, rep.is_zero, _residual_witness(rep, alg.field, args.verbose), t0), rep.is_zero)
+        return _report(kind, rep.is_zero, _residual_witness(rep, alg.field, args.verbose), t0), rep.is_zero
     raise DocumentError(f"unknown check kind {kind!r}")
 
 
@@ -325,13 +347,8 @@ def _tensor3_entries(t3, verbose: bool):
 
 
 def cmd_derive(args) -> int:
-    files = list(args.inputs)
-
-    def take(what: str):
-        if not files:
-            raise DocumentError(f"missing input file for {what}")
-        return files.pop(0)
-
+    inputs = _Inputs(args.inputs)
+    take = inputs.take
     name = args.construction
     if name == "star":
         alg = _expect(_load_object(take("algebra")), Algebra, "algebra")
@@ -479,6 +496,7 @@ def cmd_derive(args) -> int:
         )
     else:
         raise DocumentError(f"unknown construction {name!r}")
+    inputs.done()
 
     text = dumps(doc)
     if args.out:
@@ -496,11 +514,10 @@ def cmd_derive(args) -> int:
 def cmd_prop(args) -> int:
     if args.property not in PROPERTY_IDS:
         raise DocumentError(f"unknown property id {args.property!r}")
-    fld = field_by_name(args.field) if args.field else None
-    dims = tuple(int(d) for d in args.dims.split(",")) if args.dims else None
-    res = run_property(
-        args.property, trials=args.trials, seed=args.seed, field=fld, dims=dims, jobs=args.jobs
-    )
+    if args.trials is not None and args.trials < 0:
+        raise DocumentError(f"--trials must be at least 0, got {args.trials}")
+    fld = _field(args.field) if args.field else None
+    res = run_property(args.property, trials=args.trials, seed=args.seed, field=fld)
     print(json.dumps(res.to_json(), sort_keys=True))
     _human(
         f"{args.property}: {'pass' if res.passed else 'FAIL'} "
@@ -520,60 +537,35 @@ _SOLVE_KINDS = {
 }
 
 
-def _run_shard(spec: SearchSpec) -> list:
-    return enumerate_search(spec).solutions
-
-
 def cmd_solve(args) -> int:
     kind = _SOLVE_KINDS.get(args.kind, args.kind)
-    fld = field_by_name(args.field)
-    alg = None
-    if args.context:
-        alg = _expect(_load_object(args.context), Algebra, "context algebra")
-    dim = args.dim if args.dim else (alg.dim if alg is not None else 2)
+    alg = _expect(_load_object(args.context), Algebra, "context algebra") if args.context else None
+    beta = _expect(_load_object(args.beta), LinMap, "beta") if args.beta else None
+    dim = args.dim if args.dim is not None else (alg.dim if alg is not None else 2)
     shard_index, shard_count = 0, 1
     if args.shard:
-        parts = args.shard.split("/")
-        if len(parts) != 2:
-            raise DocumentError("--shard wants i/k")
-        shard_index, shard_count = int(parts[0]), int(parts[1])
-    beta = None
-    if args.beta:
-        beta = _expect(_load_object(args.beta), LinMap, "beta")
-    spec = SearchSpec(
-        kind,
-        fld,
-        dim,
-        algebra=alg,
-        weight=fld.coerce(args.weight),
-        kappa=fld.coerce(args.kappa),
-        mu=fld.coerce(args.mu),
-        epsilon=fld.coerce(args.epsilon),
-        beta=beta,
-        shard_index=shard_index,
-        shard_count=shard_count,
-    )
-    if args.jobs > 1 and shard_count == 1:
-        import multiprocessing as mp
-
-        shards = [
-            SearchSpec(
-                kind, fld, dim, algebra=alg, weight=spec.weight, kappa=spec.kappa, mu=spec.mu,
-                epsilon=spec.epsilon, beta=beta, shard_index=i, shard_count=args.jobs,
-            )
-            for i in range(args.jobs)
-        ]
-        with mp.Pool(args.jobs) as pool:
-            chunks = pool.map(_run_shard, shards)
-        # lexicographic coefficient order equals candidate-index order
-        solutions = sorted(sol for chunk in chunks for sol in chunk)
-        from .solver import SearchResult
-        import hashlib, json as _json
-
-        blob = _json.dumps([list(s) for s in solutions]).encode()
-        res = SearchResult(spec, solutions, spec.candidate_total(), 0, hashlib.sha256(blob).hexdigest())
-    else:
-        res = enumerate_search(spec)
+        try:
+            shard_index, shard_count = map(int, args.shard.split("/"))
+        except ValueError as exc:
+            raise DocumentError(f"--shard wants i/k, got {args.shard!r}") from exc
+    fld = _field(args.field)
+    try:
+        spec = SearchSpec(
+            kind,
+            fld,
+            dim,
+            algebra=alg,
+            weight=fld.coerce(args.weight),
+            kappa=fld.coerce(args.kappa),
+            mu=fld.coerce(args.mu),
+            epsilon=fld.coerce(args.epsilon),
+            beta=beta,
+            shard_index=shard_index,
+            shard_count=shard_count,
+        )
+    except NovikovError as exc:
+        raise DocumentError(f"bad search: {exc}") from exc
+    res = enumerate_search(spec, jobs=args.jobs)
     if args.count_only:
         print(json.dumps({"kind": kind, "count": len(res.solutions), "hash": res.check_hash}, sort_keys=True))
         _human(f"{kind}: {len(res.solutions)} solutions out of {res.candidate_count} candidates")
@@ -592,113 +584,96 @@ def cmd_solve(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="nova", description="Exact checks for Novikov-algebra operator identities")
-    sub = ap.add_subparsers(dest="command", required=True)
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are input errors: one line on stderr and exit 2."""
 
-    p_verify = sub.add_parser("verify", help="verify the defining identities of an object")
+    def error(self, message):
+        raise DocumentError(f"{self.prog}: {message}")
+
+
+def _scalar(text: str) -> Fraction:
+    """A scalar option: an integer or a fraction a/b, read exactly."""
+    try:
+        return Fraction(text.strip())
+    except (ValueError, ZeroDivisionError) as exc:
+        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
+
+
+def _field(name: str) -> Field:
+    try:
+        return field_by_name(name)
+    except NovikovError as exc:
+        raise DocumentError(f"--field: {exc}") from exc
+
+
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and the parser of each command."""
+    ap = _Parser(prog="nova", description="Exact checks for Novikov-algebra operator identities")
+    sub = ap.add_subparsers(dest="command", required=True)
+    commands = {}
+
+    def command(name: str, fn, summary: str) -> argparse.ArgumentParser:
+        commands[name] = sub.add_parser(name, help=summary)
+        commands[name].set_defaults(fn=fn)
+        return commands[name]
+
+    p_verify = command("verify", cmd_verify, "verify the defining identities of an object")
     p_verify.add_argument("kind", choices=VERIFY_KINDS)
     p_verify.add_argument("input")
     p_verify.add_argument("--verbose", action="store_true")
-    p_verify.set_defaults(fn=cmd_verify)
 
-    p_check = sub.add_parser("check", help="check an operator / tensor identity")
+    p_check = command("check", cmd_check, "check an operator / tensor identity")
     p_check.add_argument("kind", choices=CHECK_KINDS)
     p_check.add_argument("files", nargs="*")
-    p_check.add_argument("--weight", default="0")
-    p_check.add_argument("--kappa", default="0")
-    p_check.add_argument("--mu", default="0")
-    p_check.add_argument("--epsilon", default="0")
+    p_check.add_argument("--weight", type=_scalar, default=0)
+    p_check.add_argument("--kappa", type=_scalar, default=0)
+    p_check.add_argument("--mu", type=_scalar, default=0)
+    p_check.add_argument("--epsilon", type=_scalar, default=0)
     p_check.add_argument("--sign", choices=("plus", "minus"), default="plus")
     p_check.add_argument("--equation-only", action="store_true")
     p_check.add_argument("--verbose", action="store_true")
-    p_check.set_defaults(fn=cmd_check)
 
-    p_derive = sub.add_parser("derive", help="derive a construction and emit its document")
+    p_derive = command("derive", cmd_derive, "derive a construction and emit its document")
     p_derive.add_argument("construction")
     p_derive.add_argument("inputs", nargs="*")
-    p_derive.add_argument("--weight", default="0")
+    p_derive.add_argument("--weight", type=_scalar, default=0)
     p_derive.add_argument("--sign", choices=("plus", "minus", "both"), default="both")
     p_derive.add_argument("--compatible", action="store_true")
     p_derive.add_argument("--out")
-    p_derive.set_defaults(fn=cmd_derive)
 
-    p_prop = sub.add_parser("prop", help="run a named property check")
+    p_prop = command("prop", cmd_prop, "run a named property check")
     p_prop.add_argument("property")
     p_prop.add_argument("--trials", type=int, default=None)
     p_prop.add_argument("--seed", type=int, default=7)
     p_prop.add_argument("--field", default=None)
-    p_prop.add_argument("--dims", default=None)
-    p_prop.add_argument("--jobs", type=int, default=1)
-    p_prop.set_defaults(fn=cmd_prop)
 
-    p_solve = sub.add_parser("solve", help="brute-force enumeration over a small prime field")
+    p_solve = command("solve", cmd_solve, "brute-force enumeration over a small prime field")
     p_solve.add_argument("kind")
     p_solve.add_argument("context", nargs="?")
-    p_solve.add_argument("--dim", type=int, default=0)
+    p_solve.add_argument("--dim", type=int, default=None)
     p_solve.add_argument("--field", required=True)
-    p_solve.add_argument("--weight", default="0")
-    p_solve.add_argument("--kappa", default="0")
-    p_solve.add_argument("--mu", default="0")
-    p_solve.add_argument("--epsilon", default="0")
+    p_solve.add_argument("--weight", type=_scalar, default=0)
+    p_solve.add_argument("--kappa", type=_scalar, default=0)
+    p_solve.add_argument("--mu", type=_scalar, default=0)
+    p_solve.add_argument("--epsilon", type=_scalar, default=0)
     p_solve.add_argument("--beta")
     p_solve.add_argument("--count-only", action="store_true")
     p_solve.add_argument("--shard")
     p_solve.add_argument("--jobs", type=int, default=1)
     p_solve.add_argument("--out")
-    p_solve.set_defaults(fn=cmd_solve)
 
-    return ap
-
-
-_VALUE_FLAGS = {
-    "--weight", "--kappa", "--mu", "--epsilon", "--sign", "--out", "--field",
-    "--dims", "--dim", "--trials", "--seed", "--jobs", "--shard", "--beta",
-}
-_BOOL_FLAGS = {"--verbose", "--equation-only", "--count-only", "--compatible", "-h", "--help"}
-
-
-def _reorder(argv: list) -> list:
-    """Group positionals together so options may appear anywhere.
-
-    argparse finalizes a trailing nargs='*' positional at the first
-    positional chunk; reordering to [command, positionals..., options...]
-    sidesteps that while keeping both option orders working.
-    """
-    if not argv:
-        return argv
-    head, rest = argv[0], argv[1:]
-    positionals, options = [], []
-    i = 0
-    while i < len(rest):
-        tok = rest[i]
-        if tok.startswith("--") and "=" in tok:
-            options.append(tok)
-        elif tok in _VALUE_FLAGS:
-            options.append(tok)
-            if i + 1 < len(rest):
-                options.append(rest[i + 1])
-                i += 1
-        elif tok in _BOOL_FLAGS or tok.startswith("-") and not _looks_positional(tok):
-            options.append(tok)
-        else:
-            positionals.append(tok)
-        i += 1
-    return [head] + positionals + options
-
-
-def _looks_positional(tok: str) -> bool:
-    # bare negative numbers are option values handled above; file paths and
-    # context tokens never start with '-'
-    return False
+    return ap, commands
 
 
 def main(argv: Optional[list] = None) -> int:
-    ap = build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
-    args = ap.parse_args(_reorder(list(argv)))
+    ap, commands = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
+        if not argv or argv[0] not in commands:
+            ap.parse_args(argv)  # --help, or the error for a missing or unknown command
+            ap.error("the command must come first")
+        # options may come before, between or after the positionals
+        args = commands[argv[0]].parse_intermixed_args(argv[1:])
         return args.fn(args)
     except (DocumentError, SpaceTooLarge) as exc:
         _human(f"input error: {exc}")

@@ -96,11 +96,11 @@ def balanced_residual(ctx: BimodNov, beta: LinMap) -> Residual:
     m = ctx.mdim
     col = ResidualCollector(f, "balanced")
     imgs = [beta(ctx.module_basis(i)) for i in range(m)]
+    r_imgs = [ctx.r_of(img) for img in imgs]
     for u in range(m):
         lu = ctx.l_of(imgs[u])
         for v in range(m):
-            rv = ctx.r_of(imgs[v])
-            val = vsub(f, lu.col(v), rv.col(u))
+            val = vsub(f, lu.col(v), r_imgs[v].col(u))
             col.record("balanced", (u, v), val)
     return col.done()
 
@@ -128,12 +128,13 @@ def bimodule_hom_residual(ctx: BimodNov, beta: LinMap) -> Residual:
     n = ctx.alg.dim
     m = ctx.mdim
     col = ResidualCollector(f, "bimodule-hom")
+    imgs = [beta(ctx.module_basis(u)) for u in range(m)]
     for x in range(n):
         ex = ctx.alg.basis_vec(x)
         lx = ctx.l_mats[x]
         rx = ctx.r_mats[x]
         for u in range(m):
-            bu = beta(ctx.module_basis(u))
+            bu = imgs[u]
             left = vsub(f, ctx.alg.product(ex, bu), beta(lx.col(u)))
             col.record("hom-left", (x, u), left)
             right = vsub(f, ctx.alg.product(bu, ex), beta(rx.col(u)))
@@ -156,20 +157,21 @@ def equivalent_residual(ctx: BimodNov, beta: LinMap, mu) -> Residual:
     m = ctx.mdim
     mb = [ctx.module_basis(i) for i in range(m)]
     imgs = [beta(mb[i]) for i in range(m)]
+    l_imgs = [ctx.l_of(img) for img in imgs]
+    r_imgs = [ctx.r_of(img) for img in imgs]
+    rb = [[ctx.r_of(beta(ctx.mul[v][w])) for w in range(m)] for v in range(m)]
     for u in range(m):
         for v in range(m):
             uv = ctx.mul[u][v]
             lb_uv = ctx.l_of(beta(uv))
-            lu_v = ctx.l_of(imgs[u]).col(v)
+            lu_v = l_imgs[u].col(v)
             for w in range(m):
                 # l(beta(u·v))w = (l(beta(u))v)·w
                 e1 = vsub(f, lb_uv.col(w), ctx.module_product(lu_v, mb[w]))
                 col.record("equiv-left", (u, v, w), tuple(f.mul(mu, c) for c in e1))
                 # r(beta(v·w))u = u·(r(beta(w))v)
-                vw = ctx.mul[v][w]
-                rb_vw = ctx.r_of(beta(vw))
-                rw_v = ctx.r_of(imgs[w]).col(v)
-                e2 = vsub(f, rb_vw.col(u), ctx.module_product(mb[u], rw_v))
+                rw_v = r_imgs[w].col(v)
+                e2 = vsub(f, rb[v][w].col(u), ctx.module_product(mb[u], rw_v))
                 col.record("equiv-right", (u, v, w), tuple(f.mul(mu, c) for c in e2))
     return col.done()
 

@@ -31,7 +31,7 @@ from .algebra import (
 from .errors import NovikovError
 from .fields import Field, GF, PrimeField, QQ
 from .fixtures import example_algebra, example_beta, example_t
-from .linalg import Matrix, kernel_basis, vadd, vsub
+from .linalg import Matrix, vadd, vsub
 from .operators import (
     LinMap,
     MassParams,
@@ -81,7 +81,10 @@ from .solver import (
     hom_map_basis,
     invariant_form_basis,
     invariant_symmetric_basis,
+    linear_combination,
+    map_space,
     random_matrix,
+    residual_space,
     sample_from_basis,
     trunc_poly_algebra,
 )
@@ -181,8 +184,6 @@ class Options:
     trials: int = 25
     seed: int = 7
     field: Optional[Field] = None
-    dims: tuple = (2,)
-    jobs: int = 1
 
     def fld(self, default: Field) -> Field:
         return self.field if self.field is not None else default
@@ -200,17 +201,10 @@ def _register(prop_id: str):
 
 
 def run_property(prop_id: str, trials: Optional[int] = None, seed: int = 7,
-                 field: Optional[Field] = None, dims: Optional[tuple] = None,
-                 jobs: int = 1) -> PropertyRun:
+                 field: Optional[Field] = None) -> PropertyRun:
     if prop_id not in _REGISTRY:
         raise NovikovError(f"unknown property id {prop_id!r}")
-    opts = Options(
-        trials=25 if trials is None else trials,
-        seed=seed,
-        field=field,
-        dims=tuple(dims) if dims else (2,),
-        jobs=jobs,
-    )
+    opts = Options(trials=25 if trials is None else trials, seed=seed, field=field)
     run = PropertyRun(prop_id)
     t0 = time.perf_counter()
     _REGISTRY[prop_id](run, opts)
@@ -268,31 +262,6 @@ def _field_elements(field: Field, rng: random.Random, count: int) -> list:
     while len(vals) < count:
         vals.append(field.sample(rng))
     return vals[:count]
-
-
-def _linmap_space(field: Field, rows: int, cols: int, conditions) -> list[LinMap]:
-    """Basis of the space of rows x cols matrices killed by the given
-    matrix-valued linear conditions."""
-    unknowns = rows * cols
-    cond_cols = []
-    for i in range(rows):
-        for j in range(cols):
-            unit = Matrix(
-                field,
-                rows,
-                cols,
-                tuple(
-                    field.one() if (a == i and b == j) else field.zero()
-                    for a in range(rows)
-                    for b in range(cols)
-                ),
-            )
-            stacked = []
-            for cond in conditions:
-                stacked.extend(cond(unit).entries)
-            cond_cols.append(stacked)
-    mat = Matrix.from_cols(field, cond_cols)
-    return [LinMap(Matrix(field, rows, cols, vec.coords)) for vec in kernel_basis(mat)]
 
 
 # ---------------------------------------------------------------------------
@@ -955,24 +924,6 @@ def _quadratic_pool(field: Field, rng: random.Random, count: int):
     return out
 
 
-def _restrict_basis(field: Field, basis: list[LinMap], cond) -> list[LinMap]:
-    """Sub-basis of span(basis) on which the matrix-valued linear condition
-    vanishes (solved in the coefficient space of the span)."""
-    if not basis:
-        return []
-    cols = [cond(b.mat).entries for b in basis]
-    mat = Matrix.from_cols(field, cols)
-    out = []
-    for vec in kernel_basis(mat):
-        acc = None
-        for c, b in zip(vec.coords, basis):
-            term = b.scale(c)
-            acc = term if acc is None else acc + term
-        if acc is not None and not acc.is_zero():
-            out.append(acc)
-    return out
-
-
 @_register("P-DUAL-EXO")
 def _p_dual_exo(run: PropertyRun, opts: Options) -> None:
     field = opts.fld(GF(5))
@@ -985,10 +936,10 @@ def _p_dual_exo(run: PropertyRun, opts: Options) -> None:
         ctx_dual = dual_context(alg, validate=False)
         phi = form.phi()
         phi_inv = inverse_of(phi)
-        selfadj_homs = _restrict_basis(
-            field, balanced_hom_basis(reg), lambda x: (phi @ x) - (x.transpose() @ phi)
-        )
-        skewadj = _linmap_space(field, n, n, [lambda x: (phi @ x) + (x.transpose() @ phi)])
+        homs = balanced_hom_basis(reg)
+        selfadj_coords = residual_space(field, homs, lambda x: adjoint_residual(form, x, +1))
+        selfadj_homs = [b for b in (linear_combination(homs, c) for c in selfadj_coords) if not b.is_zero()]
+        skewadj = map_space(field, n, n, lambda x: adjoint_residual(form, x, -1))
         for _ in range(max(2, opts.trials // 4)):
             beta = sample_from_basis(selfadj_homs, rng, field)
             if beta is None or not adjoint_residual(form, beta, +1).is_zero:

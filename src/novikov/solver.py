@@ -7,15 +7,25 @@ import hashlib
 import json
 import random
 import time
-from dataclasses import dataclass, field as dc_field
-from typing import Iterator, Optional, Sequence
+from dataclasses import dataclass, replace
+from functools import partial
+from typing import Callable, Iterator, Optional, Sequence
 
 from . import _kernels as kernels
 from .algebra import Algebra, BimodNov, novikov_residual, regular
 from .errors import NovikovError, SpaceTooLarge
 from .fields import Field, GF, PrimeField, QQ
-from .linalg import Matrix
-from .operators import LinMap, MassParams, ext_o_equation_residual, rota_baxter_residual
+from .linalg import Matrix, kernel_basis
+from .operators import (
+    LinMap,
+    MassParams,
+    balanced_residual,
+    bimodule_hom_residual,
+    equivalent_residual,
+    ext_o_equation_residual,
+    rota_baxter_residual,
+)
+from .residual import Residual
 from .tensors import Tensor2
 from .ybe import enybe_residual, invariance_residual, nybe_residual, bilform_invariance, BilForm
 
@@ -55,8 +65,15 @@ class SearchSpec:
             raise NovikovError(f"unknown search kind {self.kind!r}")
         if not isinstance(self.field, PrimeField) or self.field.p not in ALLOWED_PRIMES:
             raise NovikovError("searches run over F_p with p in {2, 3, 5, 7}")
+        if self.dim < 1:
+            raise NovikovError(f"dimension must be at least 1, got {self.dim}")
         if not (0 <= self.shard_index < self.shard_count):
             raise NovikovError("bad shard layout")
+        if self.kind != "novikov-algebra":
+            if self.algebra is None:
+                raise NovikovError(f"search kind {self.kind!r} needs a context algebra")
+            if self.algebra.dim != self.dim or self.algebra.field != self.field:
+                raise NovikovError("context algebra does not match the search spec")
 
     @property
     def p(self) -> int:
@@ -147,13 +164,19 @@ def _sym_unpack(coeffs: tuple, n: int) -> tuple:
     return tuple(grid)
 
 
+def _sym_grid(coeffs: Sequence, n: int) -> tuple:
+    """Upper-triangle coefficients to a nested symmetric n x n grid."""
+    flat = _sym_unpack(coeffs, n)
+    return tuple(flat[i * n : (i + 1) * n] for i in range(n))
+
+
 def _accepts(spec: SearchSpec):
     """Returns the kernel-backed predicate for one flat candidate."""
     p = spec.p
     n = spec.dim
     if spec.kind == "novikov-algebra":
         return lambda c: kernels.novikov_ok(c, n, p)
-    mul = tuple(_alg_flat(_require_algebra(spec)))
+    mul = tuple(_alg_flat(spec.algebra))
     if spec.kind == "nybe-solution":
         return lambda c: kernels.nybe_ok(mul, n, p, c)
     if spec.kind == "enybe-solution":
@@ -182,26 +205,31 @@ def _accepts(spec: SearchSpec):
     raise NovikovError(spec.kind)
 
 
-def _require_algebra(spec: SearchSpec) -> Algebra:
-    if spec.algebra is None:
-        raise NovikovError(f"search kind {spec.kind!r} needs a context algebra")
-    if spec.algebra.dim != spec.dim or spec.algebra.field != spec.field:
-        raise NovikovError("context algebra does not match the search spec")
-    return spec.algebra
+def enumerate_search(spec: SearchSpec, jobs: int = 1) -> SearchResult:
+    """Exhaustive lexicographic scan of the coefficient space.
 
-
-def enumerate_search(spec: SearchSpec) -> SearchResult:
-    """Exhaustive lexicographic scan of the coefficient space."""
+    With ``jobs`` > 1 an unsharded scan is split into that many shards, each
+    scanned in its own worker process, and the shards are merged back.
+    """
     total = spec.candidate_total()
     if total > CANDIDATE_BOUND:
         raise SpaceTooLarge(f"{total} candidates exceed the {CANDIDATE_BOUND} bound")
     t0 = time.perf_counter()
-    solutions = []
     if spec.kind == "novikov-algebra" and spec.dim == 2 and spec.shard_count == 1:
         solutions = [tuple(s) for s in kernels.enumerate_novikov_dim2(spec.p)]
         count = total
+    elif jobs > 1 and spec.shard_count == 1:
+        import multiprocessing  # imported here: it adds ~10% to every cold start
+
+        shards = [replace(spec, shard_index=i, shard_count=jobs) for i in range(jobs)]
+        with multiprocessing.get_context("spawn").Pool(jobs) as pool:
+            parts = pool.map(enumerate_search, shards)
+        # lexicographic coefficient order equals candidate-index order
+        solutions = sorted(sol for part in parts for sol in part.solutions)
+        count = sum(part.candidate_count for part in parts)
     else:
         accept = _accepts(spec)
+        solutions = []
         count = 0
         for _idx, cand in _candidates(spec):
             count += 1
@@ -228,8 +256,7 @@ def solution_to_object(spec: SearchSpec, coeffs: Sequence):
     if spec.kind in ("rota-baxter", "ext-o-operator"):
         return LinMap(Matrix(f, n, n, tuple(coeffs)))
     if spec.kind in ("invariant-symmetric-tensor", "quadratic-form"):
-        flat = _sym_unpack(tuple(coeffs), n)
-        grid = tuple(tuple(flat[i * n + j] for j in range(n)) for i in range(n))
+        grid = _sym_grid(coeffs, n)
         if spec.kind == "quadratic-form":
             return BilForm(f, grid)
         return Tensor2(f, grid)
@@ -242,7 +269,7 @@ def reverify(spec: SearchSpec, coeffs: Sequence) -> bool:
     obj = solution_to_object(spec, coeffs)
     if spec.kind == "novikov-algebra":
         return novikov_residual(obj).is_zero
-    alg = _require_algebra(spec)
+    alg = spec.algebra
     if spec.kind == "nybe-solution":
         return nybe_residual(alg, obj).is_zero()
     if spec.kind == "enybe-solution":
@@ -314,242 +341,96 @@ def random_instance(seed: int, family: str, field: Field = QQ, n: int = 2, shape
 
 
 # ---------------------------------------------------------------------------
-# linear subspaces of maps and tensors (constraint solving, not enumeration)
+# linear solution spaces, derived from the residuals by probing unit inputs
 
 
-def _map_space_basis(ctx: BimodNov, row_builders) -> list[LinMap]:
-    """Basis of the space of maps M -> A cut out by linear conditions.
+def residual_space(field: Field, units: Sequence, *residuals: Callable[[object], Residual]) -> list[tuple]:
+    """Basis, as coordinate vectors over ``units``, of the inputs on which
+    every residual (each linear in its input) vanishes.
 
-    ``row_builders`` yields constraint rows as functions of the flat map
-    coefficients c[i*mdim + u] = coefficient of e_i in beta(e_u).
+    Each unit is probed once.  Every nonzero coordinate of a reported failure,
+    keyed by (residual, identity, indices, coordinate), is one entry of the
+    constraint matrix; a coordinate no probe reports is zero.  The reduced
+    echelon form depends only on the row space and the unit order, so the
+    basis does not depend on the order in which failures are reported.
     """
-    f = ctx.field
-    n = ctx.alg.dim
-    m = ctx.mdim
-    unknowns = n * m
-    rows = []
-    for build in row_builders:
-        rows.extend(build(n, m))
-    if not rows:
-        mat = Matrix.zeros(f, 1, unknowns)
-    else:
-        mat = Matrix.from_rows(f, rows)
-    from .linalg import kernel_basis
+    rows: dict = {}
+    for col, unit in enumerate(units):
+        for which, residual in enumerate(residuals):
+            for fail in residual(unit).failures:
+                for k, c in enumerate(fail.value):
+                    if not field.is_zero(c):
+                        key = (which, fail.identity, fail.indices, k)
+                        rows.setdefault(key, [field.zero()] * len(units))[col] = c
+    mat = Matrix.from_rows(field, rows.values()) if rows else Matrix.zeros(field, 1, len(units))
+    return [vec.coords for vec in kernel_basis(mat)]
 
-    basis = []
-    for vec in kernel_basis(mat):
-        entries = vec.coords
-        basis.append(LinMap(Matrix(f, n, m, entries)))
-    return basis
+
+def map_space(field: Field, rows: int, cols: int, *residuals) -> list[LinMap]:
+    """Basis of the rows x cols maps on which every residual vanishes; the
+    unknowns are the matrix entries in row-major order."""
+    k = rows * cols
+    units = [LinMap(Matrix(field, rows, cols, tuple(int(t == s) for t in range(k)))) for s in range(k)]
+    return [LinMap(Matrix(field, rows, cols, c)) for c in residual_space(field, units, *residuals)]
+
+
+def _symmetric_space(field: Field, n: int, make, *residuals) -> list:
+    """Basis of the symmetric objects ``make(field, grid)`` on which every
+    residual vanishes; the unknowns are the upper-triangle entries (i <= j)."""
+    k = n * (n + 1) // 2
+    units = [make(field, _sym_grid(tuple(int(t == s) for t in range(k)), n)) for s in range(k)]
+    return [make(field, _sym_grid(c, n)) for c in residual_space(field, units, *residuals)]
 
 
 def balanced_hom_basis(ctx: BimodNov) -> list[LinMap]:
-    """Basis of balanced module homomorphisms M -> A (linear conditions)."""
-    f = ctx.field
-
-    def balanced_rows(nn, mm):
-        rows = []
-        for u in range(mm):
-            for v in range(mm):
-                for k in range(mm):
-                    row = [f.zero()] * (nn * mm)
-                    for i in range(nn):
-                        lcol = ctx.l_mats[i].col(v)
-                        rcol = ctx.r_mats[i].col(u)
-                        row[i * mm + u] = f.add(row[i * mm + u], lcol[k])
-                        row[i * mm + v] = f.sub(row[i * mm + v], rcol[k])
-                    rows.append(row)
-        return rows
-
-    return _map_space_basis(ctx, [balanced_rows, _hom_row_builder(ctx)])
-
-
-def _hom_row_builder(ctx: BimodNov):
-    f = ctx.field
-
-    def hom_rows(nn, mm):
-        rows = []
-        for x in range(nn):
-            lx = ctx.l_mats[x]
-            rx = ctx.r_mats[x]
-            for u in range(mm):
-                lxu = lx.col(u)
-                rxu = rx.col(u)
-                for k in range(nn):
-                    # x∘beta(e_u) - beta(l(x)e_u) = 0, coordinate k
-                    row = [f.zero()] * (nn * mm)
-                    for i in range(nn):
-                        row[i * mm + u] = f.add(row[i * mm + u], ctx.alg.mul[x][i][k])
-                    for w in range(mm):
-                        if not f.is_zero(lxu[w]):
-                            row[k * mm + w] = f.sub(row[k * mm + w], lxu[w])
-                    rows.append(row)
-                    # beta(e_u)∘x - beta(r(x)e_u) = 0, coordinate k
-                    row2 = [f.zero()] * (nn * mm)
-                    for i in range(nn):
-                        row2[i * mm + u] = f.add(row2[i * mm + u], ctx.alg.mul[i][x][k])
-                    for w in range(mm):
-                        if not f.is_zero(rxu[w]):
-                            row2[k * mm + w] = f.sub(row2[k * mm + w], rxu[w])
-                    rows.append(row2)
-        return rows
-
-    return hom_rows
+    """Basis of balanced module homomorphisms M -> A."""
+    return map_space(
+        ctx.field, ctx.alg.dim, ctx.mdim, partial(balanced_residual, ctx), partial(bimodule_hom_residual, ctx)
+    )
 
 
 def hom_map_basis(ctx: BimodNov) -> list[LinMap]:
     """Basis of module homomorphisms M -> A (no balance condition)."""
-    return _map_space_basis(ctx, [_hom_row_builder(ctx)])
-
-
-def _equivalent_row_builder(ctx: BimodNov):
-    f = ctx.field
-
-    def rows_fn(nn, mm):
-        mb = [ctx.module_basis(i) for i in range(mm)]
-        rows = []
-        for u in range(mm):
-            for v in range(mm):
-                uv = ctx.mul[u][v]
-                for w in range(mm):
-                    # l(beta(u·v))w - (l(beta(u))v)·w = 0; unknowns b[i, q]
-                    for k in range(mm):
-                        row = [f.zero()] * (nn * mm)
-                        for i in range(nn):
-                            licol_w = ctx.l_mats[i].col(w)
-                            for q in range(mm):
-                                if not f.is_zero(uv[q]):
-                                    row[i * mm + q] = f.add(
-                                        row[i * mm + q], f.mul(uv[q], licol_w[k])
-                                    )
-                            liv = ctx.l_mats[i].col(v)
-                            prod = ctx.module_product(liv, mb[w])
-                            row[i * mm + u] = f.sub(row[i * mm + u], prod[k])
-                        rows.append(row)
-                    # r(beta(v·w))u - u·(r(beta(w))v) = 0
-                    vw = ctx.mul[v][w]
-                    for k in range(mm):
-                        row = [f.zero()] * (nn * mm)
-                        for i in range(nn):
-                            ricol_u = ctx.r_mats[i].col(u)
-                            for q in range(mm):
-                                if not f.is_zero(vw[q]):
-                                    row[i * mm + q] = f.add(
-                                        row[i * mm + q], f.mul(vw[q], ricol_u[k])
-                                    )
-                            riv = ctx.r_mats[i].col(v)
-                            prod = ctx.module_product(mb[u], riv)
-                            row[i * mm + w] = f.sub(row[i * mm + w], prod[k])
-                        rows.append(row)
-        return rows
-
-    return rows_fn
+    return map_space(ctx.field, ctx.alg.dim, ctx.mdim, partial(bimodule_hom_residual, ctx))
 
 
 def balanced_hom_equivalent_basis(ctx: BimodNov) -> list[LinMap]:
     """Basis of maps that are balanced homomorphisms and satisfy the
     (unscaled) equivalence identities."""
-    f = ctx.field
-
-    def balanced_rows(nn, mm):
-        rows = []
-        for u in range(mm):
-            for v in range(mm):
-                for k in range(mm):
-                    row = [f.zero()] * (nn * mm)
-                    for i in range(nn):
-                        lcol = ctx.l_mats[i].col(v)
-                        rcol = ctx.r_mats[i].col(u)
-                        row[i * mm + u] = f.add(row[i * mm + u], lcol[k])
-                        row[i * mm + v] = f.sub(row[i * mm + v], rcol[k])
-                    rows.append(row)
-        return rows
-
-    return _map_space_basis(ctx, [balanced_rows, _hom_row_builder(ctx), _equivalent_row_builder(ctx)])
+    return map_space(
+        ctx.field,
+        ctx.alg.dim,
+        ctx.mdim,
+        partial(balanced_residual, ctx),
+        partial(bimodule_hom_residual, ctx),
+        lambda beta: equivalent_residual(ctx, beta, 1),
+    )
 
 
 def invariant_symmetric_basis(alg: Algebra) -> list[Tensor2]:
-    """Basis of invariant symmetric 2-tensors (a linear condition)."""
-    f = alg.field
-    n = alg.dim
-    pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    unknowns = len(pairs)
-    rows = []
-    for x in range(n):
-        for i in range(n):
-            for j in range(n):
-                row = [f.zero()] * unknowns
-                for t, (a, b) in enumerate(pairs):
-                    coeff = f.zero()
-                    for (aa, bb) in ((a, b), (b, a)) if a != b else ((a, b),):
-                        # s_{aa,bb} contributes via (L(x)⊗id + id⊗Lstar(x))
-                        if bb == j:
-                            coeff = f.add(coeff, alg.mul[x][aa][i])
-                        if aa == i:
-                            star = f.add(alg.mul[x][bb][j], alg.mul[bb][x][j])
-                            coeff = f.add(coeff, star)
-                    row[t] = coeff
-                rows.append(row)
-    mat = Matrix.from_rows(f, rows) if rows else Matrix.zeros(f, 1, unknowns)
-    from .linalg import kernel_basis
-
-    out = []
-    for vec in kernel_basis(mat):
-        grid = [[f.zero()] * n for _ in range(n)]
-        for t, (a, b) in enumerate(pairs):
-            grid[a][b] = vec.coords[t]
-            grid[b][a] = vec.coords[t]
-        out.append(Tensor2(f, tuple(tuple(r) for r in grid)))
-    return out
+    """Basis of invariant symmetric 2-tensors."""
+    return _symmetric_space(alg.field, alg.dim, Tensor2, lambda s: invariance_residual(alg, s, cross_check=False))
 
 
 def invariant_form_basis(alg: Algebra) -> list[BilForm]:
-    """Basis of invariant symmetric bilinear forms (linear condition)."""
-    f = alg.field
-    n = alg.dim
-    pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    unknowns = len(pairs)
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            ij = alg.mul[i][j]
-            for k in range(n):
-                star_ik = alg.basis_star(i, k)
-                row = [f.zero()] * unknowns
-                for t, (a, b) in enumerate(pairs):
-                    coeff = f.zero()
-                    for (aa, bb) in ((a, b), (b, a)) if a != b else ((a, b),):
-                        # B(e_i∘e_j, e_k): picks B[aa][bb] when bb == k
-                        if bb == k:
-                            coeff = f.add(coeff, ij[aa])
-                        # B(e_j, e_i⋆e_k): picks B[aa][bb] when aa == j
-                        if aa == j:
-                            coeff = f.add(coeff, star_ik[bb])
-                    row[t] = coeff
-                rows.append(row)
-    mat = Matrix.from_rows(f, rows) if rows else Matrix.zeros(f, 1, unknowns)
-    from .linalg import kernel_basis
+    """Basis of invariant symmetric bilinear forms."""
+    return _symmetric_space(alg.field, alg.dim, BilForm, lambda form: bilform_invariance(alg, form)[0])
 
-    out = []
-    for vec in kernel_basis(mat):
-        grid = [[f.zero()] * n for _ in range(n)]
-        for t, (a, b) in enumerate(pairs):
-            grid[a][b] = vec.coords[t]
-            grid[b][a] = vec.coords[t]
-        out.append(BilForm(f, tuple(tuple(r) for r in grid)))
-    return out
+
+def linear_combination(basis: list, coeffs: Sequence):
+    """sum c_k * b_k over a nonempty basis."""
+    acc = None
+    for b, c in zip(basis, coeffs):
+        term = b.scale(c)
+        acc = term if acc is None else acc + term
+    return acc
 
 
 def sample_from_basis(basis: list, rng: random.Random, field: Field):
     """Seeded random combination of basis elements (None for empty bases)."""
     if not basis:
         return None
-    acc = None
-    for b in basis:
-        c = field.sample(rng)
-        term = b.scale(c)
-        acc = term if acc is None else acc + term
-    return acc
+    return linear_combination(basis, [field.sample(rng) for _ in basis])
 
 
 def golden_counts() -> dict:

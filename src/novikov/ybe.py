@@ -89,7 +89,8 @@ def invariance_residual(alg: Algebra, s: Tensor2, cross_check: bool = True) -> R
     col = ResidualCollector(f, "invariance")
     for x in range(n):
         ex = alg.basis_vec(x)
-        moved = s.apply_slot(0, alg.left_mul(ex)) + s.apply_slot(1, alg.star_mul(ex))
+        lx = alg.left_mul(ex)
+        moved = s.apply_slot(0, lx) + s.apply_slot(1, lx + alg.right_mul(ex))  # L_star = L + R
         for i in range(n):
             row = moved.grid[i]
             if any(not f.is_zero(c) for c in row):

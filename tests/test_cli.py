@@ -290,6 +290,34 @@ def test_solve_jobs_pool(capsys, fixture_path):
     _, seq, _ = run(capsys, "solve", "nybe", fixture_path("a2_f3.json"), "--field", "F3")
     _, par, _ = run(capsys, "solve", "nybe", fixture_path("a2_f3.json"), "--field", "F3", "--jobs", "2")
     assert seq == par
+    counts = [
+        json.loads(run(capsys, "solve", "nybe", fixture_path("a2_f3.json"), "--field", "F3", "--count-only", *jobs)[1])
+        for jobs in ([], ["--jobs", "2"])
+    ]
+    assert counts[0] == counts[1] and counts[0]["count"] > 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["check", "ext-o", "--weight", "1/0", "a2.json", "regular", "t2.json", "beta2.json"], id="zero-denominator"),
+        pytest.param(["solve", "novikov", "--field", "F2", "--shard", "a/2"], id="shard-not-a-number"),
+        pytest.param(["solve", "novikov", "--field", "F2", "--shard", "3/2"], id="shard-out-of-range"),
+        pytest.param(["solve", "novikov", "--field", "F11"], id="field-not-searchable"),
+        pytest.param(["solve", "novikov", "--field", "F2", "--dim", "0"], id="dim-zero"),
+        pytest.param(["solve", "nybe", "--field", "F3"], id="missing-context"),
+        pytest.param(["prop", "P-SEMI", "--trials", "-5"], id="negative-trials"),
+        pytest.param(["prop", "P-SEMI", "--dims", "9,9"], id="unknown-option"),
+        pytest.param(["derive", "circ-t", "a2.json", "t2.json", "beta2.json"], id="surplus-derive-input"),
+        pytest.param(["check", "nybe", "a2.json", "r_e2e2.json", "t2.json"], id="surplus-check-input"),
+        pytest.param([], id="no-command"),
+    ],
+)
+def test_input_errors_exit_2_with_one_line(capsys, fixture_path, argv):
+    code, out, err = run(capsys, *[fixture_path(a) if a.endswith(".json") else a for a in argv])
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("input error: ")
 
 
 def test_solve_more_kinds(capsys, fixture_path):

@@ -1,13 +1,16 @@
+import itertools
 import json
 import os
+import random
 
 import pytest
 
-from novikov.algebra import novikov_residual, regular
+from novikov.algebra import dual_context, novikov_residual, regular
 from novikov.errors import NovikovError, SpaceTooLarge
 from novikov.fields import GF, QQ
 from novikov.fixtures import example_algebra
-from novikov.operators import balanced_residual, bimodule_hom_residual, equivalent_residual
+from novikov.linalg import Matrix
+from novikov.operators import LinMap, balanced_residual, bimodule_hom_residual, equivalent_residual
 from novikov.solver import (
     SearchSpec,
     balanced_hom_basis,
@@ -15,6 +18,7 @@ from novikov.solver import (
     enumerate_search,
     enumerated_dim2,
     golden_counts,
+    hom_map_basis,
     invariant_form_basis,
     invariant_symmetric_basis,
     random_instance,
@@ -23,7 +27,8 @@ from novikov.solver import (
     solution_to_object,
     trunc_poly_algebra,
 )
-from novikov.ybe import bilform_invariance, invariance_residual
+from novikov.tensors import Tensor2
+from novikov.ybe import BilForm, bilform_invariance, invariance_residual
 
 
 def test_goldens_match_enumeration():
@@ -132,6 +137,57 @@ def test_invariant_space_size_matches_bruteforce(a2_f3):
     spec = SearchSpec("invariant-symmetric-tensor", GF(3), 2, algebra=a2_f3)
     res = enumerate_search(spec)
     assert 3 ** len(basis) == len(res.solutions)
+
+
+def _all_maps(ctx):
+    f, n, m = ctx.field, ctx.alg.dim, ctx.mdim
+    for coeffs in itertools.product(range(f.p), repeat=n * m):
+        yield LinMap(Matrix(f, n, m, coeffs))
+
+
+def _all_symmetric(alg, make):
+    n = alg.dim
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    for coeffs in itertools.product(range(alg.field.p), repeat=len(pairs)):
+        grid = [[0] * n for _ in range(n)]
+        for (i, j), c in zip(pairs, coeffs):
+            grid[i][j] = grid[j][i] = c
+        yield make(alg.field, tuple(tuple(row) for row in grid))
+
+
+MAP_SPACES = {
+    "hom": (hom_map_basis, (bimodule_hom_residual,)),
+    "balanced-hom": (balanced_hom_basis, (balanced_residual, bimodule_hom_residual)),
+    "balanced-hom-equivalent": (
+        balanced_hom_equivalent_basis,
+        (balanced_residual, bimodule_hom_residual, lambda ctx, beta: equivalent_residual(ctx, beta, 1)),
+    ),
+}
+
+
+def _space_cases(space, alg):
+    """(basis, every candidate object, object-path predicate) per context."""
+    if space == "invariant-symmetric":
+        yield invariant_symmetric_basis(alg), _all_symmetric(alg, Tensor2), lambda s: invariance_residual(alg, s).is_zero
+    elif space == "invariant-form":
+        yield invariant_form_basis(alg), _all_symmetric(alg, BilForm), lambda b: bilform_invariance(alg, b)[0].is_zero
+    else:
+        basis_fn, residuals = MAP_SPACES[space]
+        for ctx in (regular(alg, validate=False), dual_context(alg, validate=False)):
+            yield basis_fn(ctx), _all_maps(ctx), lambda beta, ctx=ctx: all(r(ctx, beta).is_zero for r in residuals)
+
+
+@pytest.mark.parametrize("space", ["invariant-symmetric", "invariant-form", *MAP_SPACES])
+@pytest.mark.parametrize("p", [2, 3])
+def test_linear_space_sizes_match_bruteforce(p, space):
+    # completeness, not just membership: the span of the basis holds every
+    # object on which the object-path residuals vanish, and nothing else
+    algs = enumerated_dim2(GF(p))
+    if p != 2:
+        algs = random.Random(5).sample(algs, 4)
+    for alg in algs:
+        for basis, candidates, holds in _space_cases(space, alg):
+            assert sum(map(holds, candidates)) == p ** len(basis), (space, alg.mul)
 
 
 def test_golden_dir_override(tmp_path, monkeypatch):
