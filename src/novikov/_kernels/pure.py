@@ -1,4 +1,6 @@
-"""Pure-Python mod-p kernels for the brute-force sweeps.
+"""Pure-Python mod-p kernels: hand-written identity predicates for the random
+checks, and the independent oracle the residual-derived search is tested
+against.
 
 Everything here works on flat int tuples: a multiplication table is
 ``mul[(i*n + j)*n + k]`` = coefficient of e_k in e_i∘e_j, a matrix is

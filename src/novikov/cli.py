@@ -163,6 +163,18 @@ class _Inputs:
             raise DocumentError(f"missing input file for {what}")
         return self._paths.pop(0)
 
+    def algebra(self, args) -> Algebra:
+        """The next input as an algebra.  The scalar options must exist in its
+        field (1/3 has no value in F_3): one that does not is an input error."""
+        alg = _expect(_load_object(self.take("algebra")), Algebra, "algebra")
+        for name in ("weight", "kappa", "mu", "epsilon"):
+            value = getattr(args, name, 0)
+            try:
+                alg.field.coerce(value)
+            except NovikovError as exc:
+                raise DocumentError(f"--{name} {value} has no value in {alg.field}: {exc}") from exc
+        return alg
+
     def done(self) -> None:
         """Surplus inputs are an input error, never silently ignored."""
         if self._paths:
@@ -243,7 +255,7 @@ def _check(args, inputs: _Inputs) -> tuple[dict, bool]:
     kind = args.kind
     take = inputs.take
     if kind in ("ext-o", "o-op"):
-        alg = _expect(_load_object(take("algebra")), Algebra, "algebra")
+        alg = inputs.algebra(args)
         ctx = _context_from(alg, take("context"))
         alpha = _expect(_load_object(take("alpha")), LinMap, "alpha")
         beta = None
@@ -255,7 +267,7 @@ def _check(args, inputs: _Inputs) -> tuple[dict, bool]:
         report = _report(kind, rep.is_zero, _residual_witness(merged, alg.field, args.verbose), t0)
         return report, rep.is_zero
     if kind in ("rota-baxter", "baxter"):
-        alg = _expect(_load_object(take("algebra")), Algebra, "algebra")
+        alg = inputs.algebra(args)
         t = _expect(_load_object(take("t")), LinMap, "t")
         rep = (
             rota_baxter_residual(alg, t, args.weight)
@@ -264,7 +276,7 @@ def _check(args, inputs: _Inputs) -> tuple[dict, bool]:
         )
         return _report(kind, rep.is_zero, _residual_witness(rep, alg.field, args.verbose), t0), rep.is_zero
     if kind in ("balanced", "invariant", "equivalent"):
-        alg = _expect(_load_object(take("algebra")), Algebra, "algebra")
+        alg = inputs.algebra(args)
         ctx = _context_from(alg, take("context"))
         beta = _expect(_load_object(take("beta")), LinMap, "beta")
         if kind == "balanced":
@@ -275,7 +287,7 @@ def _check(args, inputs: _Inputs) -> tuple[dict, bool]:
             rep = equivalent_residual(ctx, beta, args.mu)
         return _report(kind, rep.is_zero, _residual_witness(rep, alg.field, args.verbose), t0), rep.is_zero
     if kind in ("nybe", "enybe", "o-nybe", "gnybe", "bialgebra-extra", "invariance"):
-        alg = _expect(_load_object(take("algebra")), Algebra, "algebra")
+        alg = inputs.algebra(args)
         r = _expect(_load_object(take("tensor")), Tensor2, "tensor")
         fld = alg.field
         if kind == "nybe":
@@ -318,7 +330,7 @@ def _check(args, inputs: _Inputs) -> tuple[dict, bool]:
         rep = adjoint_residual(form, t, sign)
         return _report(kind, rep.is_zero, _residual_witness(rep, form.field, args.verbose), t0), rep.is_zero
     if kind == "generalized-o":
-        alg = _expect(_load_object(take("algebra")), Algebra, "algebra")
+        alg = inputs.algebra(args)
         ctx = _context_from(alg, take("context"))
         alpha = _expect(_load_object(take("alpha")), LinMap, "alpha")
         bim = Bimodule(ctx.alg, ctx.mdim, ctx.l_mats, ctx.r_mats)
@@ -351,7 +363,7 @@ def cmd_derive(args) -> int:
     take = inputs.take
     name = args.construction
     if name == "star":
-        alg = _expect(_load_object(take("algebra")), Algebra, "algebra")
+        alg = inputs.algebra(args)
         doc = to_document(star_algebra(alg))
     elif name == "dual-bimodule":
         obj = _load_object(take("bimodule"))
@@ -366,18 +378,18 @@ def cmd_derive(args) -> int:
             ctx = _expect(alg_or_ctx, BimodNov, "context")
         doc = to_document(semidirect(ctx))
     elif name == "double":
-        alg = _expect(_load_object(take("algebra")), Algebra, "algebra")
+        alg = inputs.algebra(args)
         tok = take("bimodule")
         bim = regular_bimodule(alg) if tok == "regular" else _expect(_load_object(tok), (Bimodule, BimodNov), "bimodule")
         if isinstance(bim, BimodNov):
             bim = Bimodule(bim.alg, bim.mdim, bim.l_mats, bim.r_mats)
         doc = to_document(double(alg, bim).algebra)
     elif name == "circ-t":
-        alg = _expect(_load_object(take("algebra")), Algebra, "algebra")
+        alg = inputs.algebra(args)
         t = _expect(_load_object(take("t")), LinMap, "t")
         doc = to_document(circ_t(alg, t, args.weight))
     elif name == "circ-pm":
-        alg = _expect(_load_object(take("algebra")), Algebra, "algebra")
+        alg = inputs.algebra(args)
         beta = _expect(_load_object(take("beta")), LinMap, "beta")
         plus, minus = pm_products(regular(alg, validate=False), beta, args.weight)
         f = alg.field
@@ -392,7 +404,7 @@ def cmd_derive(args) -> int:
         else:
             doc = bundle_document(docs)
     elif name == "star-product":
-        alg = _expect(_load_object(take("algebra")), Algebra, "algebra")
+        alg = inputs.algebra(args)
         ctx = _context_from(alg, take("context"))
         alpha = _expect(_load_object(take("alpha")), LinMap, "alpha")
         grid, closure = star_product(ctx, alpha, args.weight)
@@ -400,7 +412,7 @@ def cmd_derive(args) -> int:
             raise NovikovError("closure identities fail; the product is not Novikov")
         doc = to_document(Algebra(alg.field, ctx.mdim, grid))
     elif name == "diamond-product":
-        alg = _expect(_load_object(take("algebra")), Algebra, "algebra")
+        alg = inputs.algebra(args)
         ctx = _context_from(alg, take("context"))
         dplus = _expect(_load_object(take("delta-plus")), LinMap, "delta-plus")
         dminus = _expect(_load_object(take("delta-minus")), LinMap, "delta-minus")
@@ -413,12 +425,12 @@ def cmd_derive(args) -> int:
             }
         )
     elif name == "post-from-o":
-        alg = _expect(_load_object(take("algebra")), Algebra, "algebra")
+        alg = inputs.algebra(args)
         ctx = _context_from(alg, take("context"))
         alpha = _expect(_load_object(take("alpha")), LinMap, "alpha")
         doc = to_document(post_from_o(ctx, alpha, args.weight))
     elif name == "post-from-rb":
-        alg = _expect(_load_object(take("algebra")), Algebra, "algebra")
+        alg = inputs.algebra(args)
         t = _expect(_load_object(take("t")), LinMap, "t")
         if args.compatible:
             doc = to_document(compatible_from_rb(alg, t, args.weight))
@@ -428,7 +440,7 @@ def cmd_derive(args) -> int:
         tri = bundle_to_trialgebra(_expect(_load_object(take("trialgebra")), dict, "trialgebra"))
         doc = to_document(post_from_trialgebra(tri))
     elif name == "post-from-nybe":
-        alg = _expect(_load_object(take("algebra")), Algebra, "algebra")
+        alg = inputs.algebra(args)
         r = _expect(_load_object(take("tensor")), Tensor2, "tensor")
         dual_post, compat = post_from_nybe(alg, r)
         docs = {"dual": to_document(dual_post)}
@@ -436,14 +448,14 @@ def cmd_derive(args) -> int:
             docs["compatible"] = to_document(compat)
         doc = bundle_document(docs)
     elif name == "post-on-image":
-        alg = _expect(_load_object(take("algebra")), Algebra, "algebra")
+        alg = inputs.algebra(args)
         ctx = _context_from(alg, take("context"))
         alpha = _expect(_load_object(take("alpha")), LinMap, "alpha")
         image = post_on_image(ctx, alpha, args.weight)
         doc = to_document(image.post)
         doc["pivot_columns"] = list(image.pivot_cols)
     elif name == "dual-pm":
-        alg = _expect(_load_object(take("algebra")), Algebra, "algebra")
+        alg = inputs.algebra(args)
         r = _expect(_load_object(take("tensor")), Tensor2, "tensor")
         rt = RTensor.build(alg, r)
         plus, minus = dual_pm_products(alg, rt)
@@ -454,18 +466,18 @@ def cmd_derive(args) -> int:
             }
         )
     elif name == "circ-delta":
-        alg = _expect(_load_object(take("algebra")), Algebra, "algebra")
+        alg = inputs.algebra(args)
         r = _expect(_load_object(take("tensor")), Tensor2, "tensor")
         doc = to_document(circ_delta_algebra(alg, r))
     elif name == "delta-r":
-        alg = _expect(_load_object(take("algebra")), Algebra, "algebra")
+        alg = inputs.algebra(args)
         r = _expect(_load_object(take("tensor")), Tensor2, "tensor")
         docs = {
             f"e{s}": to_document(delta_r(alg, r, alg.basis_vec(s))) for s in range(alg.dim)
         }
         doc = bundle_document(docs)
     elif name == "lift-map":
-        alg = _expect(_load_object(take("algebra")), Algebra, "algebra")
+        alg = inputs.algebra(args)
         tok = take("bimodule")
         bim = regular_bimodule(alg) if tok == "regular" else _expect(_load_object(tok), (Bimodule, BimodNov), "bimodule")
         if isinstance(bim, BimodNov):
@@ -481,7 +493,7 @@ def cmd_derive(args) -> int:
             }
         )
     elif name == "quad-transport":
-        alg = _expect(_load_object(take("algebra")), Algebra, "algebra")
+        alg = inputs.algebra(args)
         form = _expect(_load_object(take("form")), BilForm, "form")
         t = _expect(_load_object(take("t")), LinMap, "t")
         beta = _expect(_load_object(take("beta")), LinMap, "beta")
@@ -647,7 +659,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p_prop.add_argument("--seed", type=int, default=7)
     p_prop.add_argument("--field", default=None)
 
-    p_solve = command("solve", cmd_solve, "brute-force enumeration over a small prime field")
+    p_solve = command("solve", cmd_solve, "exhaustive search over a small prime field")
     p_solve.add_argument("kind")
     p_solve.add_argument("context", nargs="?")
     p_solve.add_argument("--dim", type=int, default=None)

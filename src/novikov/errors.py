@@ -78,7 +78,7 @@ class BetaNotSelfAdjoint(NovikovError):
 
 
 class SpaceTooLarge(NovikovError):
-    """The brute-force candidate space exceeds the configured bound."""
+    """The search's candidate space exceeds the configured bound."""
 
 
 class DocumentError(NovikovError):

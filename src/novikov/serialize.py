@@ -11,7 +11,7 @@ import json
 from typing import Optional
 
 from .algebra import Algebra, BimodNov, Bimodule
-from .errors import DocumentError
+from .errors import DocumentError, NovikovError
 from .fields import Field, field_from_json
 from .linalg import Matrix
 from .operators import LinMap
@@ -167,10 +167,14 @@ def from_document(doc: dict):
     if kind not in KINDS:
         raise DocumentError(f"unknown kind {kind!r}")
     try:
-        field = field_from_json(doc["field"])
+        field_doc = doc["field"]
         payload = doc["payload"]
     except KeyError as exc:
         raise DocumentError(f"missing envelope key {exc}") from exc
+    try:
+        field = field_from_json(field_doc)
+    except (NovikovError, AttributeError, KeyError, TypeError, ValueError) as exc:  # e.g. "p": 4
+        raise DocumentError(f"bad field {field_doc!r}: {exc}") from exc
     try:
         return _decode_payload(kind, field, payload)
     except DocumentError:

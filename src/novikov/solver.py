@@ -1,5 +1,10 @@
-"""Brute-force enumeration over small prime fields and seeded random
-instance generation: the independent oracle behind the property sweeps."""
+"""Exhaustive search over small prime fields, linear solution spaces and
+seeded random instance generation: the oracle behind the property sweeps.
+
+Every search kind is one depth-first search whose constraints are derived
+from the kind's object-path residual by polarization, and the linear
+spaces come from the same residuals probed on unit inputs; no identity is
+written here a second time."""
 
 from __future__ import annotations
 
@@ -9,9 +14,9 @@ import random
 import time
 from dataclasses import dataclass, replace
 from functools import partial
+from math import prod
 from typing import Callable, Iterator, Optional, Sequence
 
-from . import _kernels as kernels
 from .algebra import Algebra, BimodNov, novikov_residual, regular
 from .errors import NovikovError, SpaceTooLarge
 from .fields import Field, GF, PrimeField, QQ
@@ -25,8 +30,8 @@ from .operators import (
     ext_o_equation_residual,
     rota_baxter_residual,
 )
-from .residual import Residual
-from .tensors import Tensor2
+from .residual import Residual, ResidualCollector
+from .tensors import Tensor2, Tensor3
 from .ybe import enybe_residual, invariance_residual, nybe_residual, bilform_invariance, BilForm
 
 SEARCH_KINDS = (
@@ -41,6 +46,7 @@ SEARCH_KINDS = (
 
 ALLOWED_PRIMES = (2, 3, 5, 7)
 CANDIDATE_BOUND = 2**32
+GUARD_POINTS = 3  # seeded points at which polarize checks its result, beside all-ones
 
 
 @dataclass(frozen=True)
@@ -134,91 +140,31 @@ def _alg_flat(alg: Algebra) -> list:
     return [int(alg.mul[i][j][k]) for i in range(n) for j in range(n) for k in range(n)]
 
 
-def _digits(idx: int, count: int, p: int) -> tuple:
-    out = [0] * count
-    for m in range(count - 1, -1, -1):
-        out[m] = idx % p
-        idx //= p
-    return tuple(out)
-
-
-def _candidates(spec: SearchSpec) -> Iterator[tuple[int, tuple]]:
-    total = spec.candidate_total()
-    count = spec.coeff_count()
-    p = spec.p
-    for idx in range(total):
-        if idx % spec.shard_count != spec.shard_index:
-            continue
-        yield idx, _digits(idx, count, p)
-
-
-def _sym_unpack(coeffs: tuple, n: int) -> tuple:
-    """Upper-triangle coefficients to a flat symmetric n*n grid."""
-    grid = [0] * (n * n)
-    t = 0
-    for i in range(n):
-        for j in range(i, n):
-            grid[i * n + j] = coeffs[t]
-            grid[j * n + i] = coeffs[t]
-            t += 1
-    return tuple(grid)
-
-
 def _sym_grid(coeffs: Sequence, n: int) -> tuple:
     """Upper-triangle coefficients to a nested symmetric n x n grid."""
-    flat = _sym_unpack(coeffs, n)
-    return tuple(flat[i * n : (i + 1) * n] for i in range(n))
-
-
-def _accepts(spec: SearchSpec):
-    """Returns the kernel-backed predicate for one flat candidate."""
-    p = spec.p
-    n = spec.dim
-    if spec.kind == "novikov-algebra":
-        return lambda c: kernels.novikov_ok(c, n, p)
-    mul = tuple(_alg_flat(spec.algebra))
-    if spec.kind == "nybe-solution":
-        return lambda c: kernels.nybe_ok(mul, n, p, c)
-    if spec.kind == "enybe-solution":
-        eps = spec.field.coerce(spec.epsilon)
-        return lambda c: kernels.enybe_ok(mul, n, p, c, eps)
-    if spec.kind == "rota-baxter":
-        lam = spec.field.coerce(spec.weight)
-        return lambda c: kernels.rb_ok(mul, n, p, c, lam)
-    if spec.kind == "ext-o-operator":
-        lam = spec.field.coerce(spec.weight)
-        kap = spec.field.coerce(spec.kappa)
-        m = spec.field.coerce(spec.mu)
-        beta_flat = tuple(int(x) for x in spec.beta.mat.entries) if spec.beta is not None else None
-        return lambda c: kernels.ext_o_regular_ok(mul, n, p, c, beta_flat, lam, kap, m)
-    if spec.kind == "invariant-symmetric-tensor":
-        return lambda c: kernels.invariant_symmetric_ok(mul, n, p, _sym_unpack(c, n))
-    if spec.kind == "quadratic-form":
-        def accept(c):
-            grid = _sym_unpack(c, n)
-            if not kernels.bilform_invariant_ok(mul, n, p, grid):
-                return False
-            form = BilForm(spec.field, tuple(tuple(grid[i * n + j] for j in range(n)) for i in range(n)))
-            return form.is_nondegenerate()
-
-        return accept
-    raise NovikovError(spec.kind)
+    grid = [[0] * n for _ in range(n)]
+    upper = iter(coeffs)
+    for i in range(n):
+        for j in range(i, n):
+            grid[i][j] = grid[j][i] = next(upper)
+    return tuple(map(tuple, grid))
 
 
 def enumerate_search(spec: SearchSpec, jobs: int = 1) -> SearchResult:
-    """Exhaustive lexicographic scan of the coefficient space.
+    """Every solution of the spec, in lexicographic coefficient order.
 
-    With ``jobs`` > 1 an unsharded scan is split into that many shards, each
-    scanned in its own worker process, and the shards are merged back.
+    The coefficient space is searched depth first (see ``_search``).  A shard
+    keeps the candidates whose lexicographic index is ``shard_index`` modulo
+    ``shard_count``; ``candidate_count`` is the size of that share of the
+    space.  With ``jobs`` > 1 an unsharded search is split into that many
+    shards, each searched in its own worker process, and the shards are
+    merged back.
     """
     total = spec.candidate_total()
     if total > CANDIDATE_BOUND:
         raise SpaceTooLarge(f"{total} candidates exceed the {CANDIDATE_BOUND} bound")
     t0 = time.perf_counter()
-    if spec.kind == "novikov-algebra" and spec.dim == 2 and spec.shard_count == 1:
-        solutions = [tuple(s) for s in kernels.enumerate_novikov_dim2(spec.p)]
-        count = total
-    elif jobs > 1 and spec.shard_count == 1:
+    if jobs > 1 and spec.shard_count == 1:
         import multiprocessing  # imported here: it adds ~10% to every cold start
 
         shards = [replace(spec, shard_index=i, shard_count=jobs) for i in range(jobs)]
@@ -228,17 +174,204 @@ def enumerate_search(spec: SearchSpec, jobs: int = 1) -> SearchResult:
         solutions = sorted(sol for part in parts for sol in part.solutions)
         count = sum(part.candidate_count for part in parts)
     else:
-        accept = _accepts(spec)
-        solutions = []
-        count = 0
-        for _idx, cand in _candidates(spec):
-            count += 1
-            if accept(cand):
-                solutions.append(cand)
+        solutions = _search(spec)
+        count = len(range(spec.shard_index, total, spec.shard_count))
     elapsed = int((time.perf_counter() - t0) * 1000)
     blob = json.dumps([list(s) for s in solutions]).encode()
     h = hashlib.sha256(blob).hexdigest()
     return SearchResult(spec, solutions, count, elapsed, h)
+
+
+# ---------------------------------------------------------------------------
+# constraint-propagating search, its constraints derived from the residuals
+
+
+def _tensor_residual(identity: str, t: Tensor3) -> Residual:
+    """A tensor-valued residual as a report: one failure per nonzero row t[i][j]."""
+    col = ResidualCollector(t.field, identity)
+    for i, plane in enumerate(t.grid):
+        for j, row in enumerate(plane):
+            col.record(identity, (i, j), row)
+    return col.done()
+
+
+def _nonzero_coords(field: Field, report: Residual) -> Iterator[tuple]:
+    """(key, value) for each nonzero coordinate of a report, keyed by
+    (identity, indices, coordinate); a coordinate not reported is zero."""
+    for fail in report.failures:
+        for k, c in enumerate(fail.value):
+            if not field.is_zero(c):
+                yield (fail.identity, fail.indices, k), c
+
+
+def _residual_coords(spec: SearchSpec) -> Callable[[Sequence], dict]:
+    """The object-path residual of the spec's kind, as a function from a
+    flat candidate to its nonzero residual coordinates.  The search derives
+    its constraints from it and ``reverify`` re-checks solutions with it."""
+    alg = spec.algebra
+    kind = spec.kind
+    if kind == "novikov-algebra":
+        residual = novikov_residual
+    elif kind == "nybe-solution":
+        residual = lambda r: _tensor_residual("nybe", nybe_residual(alg, r))
+    elif kind == "enybe-solution":
+        residual = lambda r: _tensor_residual("enybe", enybe_residual(alg, r, spec.epsilon))
+    elif kind == "rota-baxter":
+        residual = lambda t: rota_baxter_residual(alg, t, spec.weight)
+    elif kind == "ext-o-operator":
+        ctx = regular(alg, validate=False)
+        params = MassParams(spec.weight, spec.kappa, spec.mu)
+        residual = lambda t: ext_o_equation_residual(ctx, t, spec.beta, params)
+    elif kind == "invariant-symmetric-tensor":
+        residual = lambda s: invariance_residual(alg, s, cross_check=False)
+    elif kind == "quadratic-form":
+        residual = lambda form: bilform_invariance(alg, form)[0]
+    else:
+        raise NovikovError(kind)
+    return lambda coeffs: dict(_nonzero_coords(spec.field, residual(solution_to_object(spec, coeffs))))
+
+
+def polarize(residual: Callable[[tuple], dict], k: int, p: int) -> dict:
+    """The coordinates of a residual that has degree <= 2 in k unknowns over
+    F_p, as sparse polynomials: key -> {monomial: coefficient}, a monomial
+    being (), (u,) or (u, v) with u <= v.
+
+    With R(x) = c + sum a_u x_u + sum b_uv x_u x_v, the probes are R(0),
+    R(±e_u) and R(e_u + e_v): a_u and b_uu are the odd and even parts of
+    R(±e_u) - R(0), and b_uv = R(e_u + e_v) - R(e_u) - R(e_v) + R(0).  Over
+    F_2, x^2 = x, so R(e_u) - R(0) is a_u + b_uu, kept as the linear term.
+    The result is checked against the residual at the all-ones point and at
+    ``GUARD_POINTS`` seeded points; a residual of higher degree fails there.
+    """
+
+    def probe(*terms) -> dict:
+        x = [0] * k
+        for u, c in terms:
+            x[u] = c % p
+        return residual(tuple(x))
+
+    polys: dict = {}
+
+    def put(key, mono, c) -> None:
+        if c % p:
+            polys.setdefault(key, {})[mono] = c % p
+
+    zero = probe()
+    for key, c in zero.items():
+        put(key, (), c)
+    plus = [probe((u, 1)) for u in range(k)]
+    half = (p + 1) // 2
+    for u in range(k):
+        if p == 2:
+            for key in plus[u].keys() | zero.keys():
+                put(key, (u,), plus[u].get(key, 0) - zero.get(key, 0))
+            continue
+        minus = probe((u, -1))
+        for key in plus[u].keys() | minus.keys() | zero.keys():
+            a, b = plus[u].get(key, 0), minus.get(key, 0)
+            put(key, (u,), (a - b) * half)
+            put(key, (u, u), (a + b) * half - zero.get(key, 0))
+    for u in range(k):
+        for v in range(u + 1, k):
+            both = probe((u, 1), (v, 1))
+            for key in both.keys() | plus[u].keys() | plus[v].keys() | zero.keys():
+                c = both.get(key, 0) - plus[u].get(key, 0) - plus[v].get(key, 0) + zero.get(key, 0)
+                put(key, (u, v), c)
+
+    rng = random.Random(0)
+    for x in [(1,) * k] + [tuple(rng.randrange(p) for _ in range(k)) for _ in range(GUARD_POINTS)]:
+        derived = {}
+        for key, poly in polys.items():
+            value = sum(c * prod(x[u] for u in mono) for mono, c in poly.items()) % p
+            if value:
+                derived[key] = value
+        if derived != {key: c % p for key, c in residual(x).items()}:
+            raise AssertionError(f"the residual is not of degree <= 2 in its unknowns: polarization differs at {x}")
+    return polys
+
+
+def _constraint_levels(polys, k: int, p: int) -> list[list]:
+    """Each distinct constraint polynomial (up to a scalar), filed under the
+    unknown it ends with, as it is checked in ``_search``: after x_0..x_{d-1}
+    are assigned it reads A + B x_d + C x_d^2, with A and B polynomials in
+    the assigned unknowns.  A is kept as terms (u, v, c) and B as terms
+    (u, c), where the index k stands for the constant 1; C selects the table
+    of root masks [B][A] -> bitmask of the roots x_d."""
+    roots = [
+        [[sum(1 << x for x in range(p) if (a + b * x + cc * x * x) % p == 0) for a in range(p)] for b in range(p)]
+        for cc in range(p)
+    ]
+    levels = [[] for _ in range(k)]
+    seen = set()
+    for poly in polys:
+        monos = sorted(poly)
+        scale = pow(poly[monos[0]], p - 2, p)
+        norm = tuple((mono, poly[mono] * scale % p) for mono in monos)
+        if norm in seen:
+            continue
+        seen.add(norm)
+        d = max((u for mono in monos for u in mono), default=0)
+        a_terms, b_terms, square = [], [], 0
+        for mono, c in norm:
+            others = [u for u in mono if u != d]
+            power = len(mono) - len(others)  # the degree in x_d
+            others += [k] * (2 - power - len(others))
+            if power == 0:
+                a_terms.append((*others, c))
+            elif power == 1:
+                b_terms.append((*others, c))
+            else:
+                square = c
+        levels[d].append((tuple(a_terms), tuple(b_terms), roots[square]))
+    return levels
+
+
+def _search(spec: SearchSpec) -> list[tuple]:
+    """Depth-first search over the coefficients in index order, each tried
+    0..p-1 in ascending order, so solutions come out lexicographically.
+
+    The constraints are the residual's coordinates, polarized into
+    polynomials of degree <= 2; each is checked at the depth where its last
+    unknown is assigned, which gives the allowed values of that unknown as a
+    bitmask.  Finished candidates are filtered by shard and, for quadratic
+    forms, by nondegeneracy.
+    """
+    p, k = spec.p, spec.coeff_count()
+    levels = _constraint_levels(polarize(_residual_coords(spec), k, p).values(), k, p)
+    values = [tuple(v for v in range(p) if mask >> v & 1) for mask in range(1 << p)]
+    full = (1 << p) - 1
+    last = k - 1
+    shard_index, shard_count = spec.shard_index, spec.shard_count
+    if spec.kind == "quadratic-form":
+        keep = lambda coeffs: BilForm(spec.field, _sym_grid(coeffs, spec.dim)).is_nondegenerate()
+    else:
+        keep = lambda coeffs: True
+    x = [0] * k + [1]  # x[k] = 1 carries the constant and linear terms
+    out = []
+
+    def visit(d: int, idx: int) -> None:
+        mask = full
+        for a_terms, b_terms, table in levels[d]:
+            a = 0
+            for u, v, c in a_terms:
+                a += c * x[u] * x[v]
+            b = 0
+            for u, c in b_terms:
+                b += c * x[u]
+            mask &= table[b % p][a % p]
+            if not mask:
+                return
+        for val in values[mask]:
+            x[d] = val
+            if d < last:
+                visit(d + 1, idx * p + val)
+            elif (idx * p + val) % shard_count == shard_index:
+                coeffs = tuple(x[:k])
+                if keep(coeffs):
+                    out.append(coeffs)
+
+    visit(0, 0)
+    return out
 
 
 def solution_to_object(spec: SearchSpec, coeffs: Sequence):
@@ -266,26 +399,9 @@ def solution_to_object(spec: SearchSpec, coeffs: Sequence):
 def reverify(spec: SearchSpec, coeffs: Sequence) -> bool:
     """Re-check one solution through the generic object-path residual ops
     (the independent route; never the kernels)."""
-    obj = solution_to_object(spec, coeffs)
-    if spec.kind == "novikov-algebra":
-        return novikov_residual(obj).is_zero
-    alg = spec.algebra
-    if spec.kind == "nybe-solution":
-        return nybe_residual(alg, obj).is_zero()
-    if spec.kind == "enybe-solution":
-        return enybe_residual(alg, obj, spec.epsilon).is_zero()
-    if spec.kind == "rota-baxter":
-        return rota_baxter_residual(alg, obj, spec.weight).is_zero
-    if spec.kind == "ext-o-operator":
-        ctx = regular(alg, validate=False)
-        params = MassParams(spec.weight, spec.kappa, spec.mu)
-        return ext_o_equation_residual(ctx, obj, spec.beta, params).is_zero
-    if spec.kind == "invariant-symmetric-tensor":
-        return invariance_residual(alg, obj, cross_check=False).is_zero
-    if spec.kind == "quadratic-form":
-        rep, quad = bilform_invariance(alg, obj)
-        return rep.is_zero and quad
-    raise NovikovError(spec.kind)
+    if _residual_coords(spec)(coeffs):
+        return False
+    return spec.kind != "quadratic-form" or solution_to_object(spec, coeffs).is_nondegenerate()
 
 
 # ---------------------------------------------------------------------------
@@ -357,11 +473,8 @@ def residual_space(field: Field, units: Sequence, *residuals: Callable[[object],
     rows: dict = {}
     for col, unit in enumerate(units):
         for which, residual in enumerate(residuals):
-            for fail in residual(unit).failures:
-                for k, c in enumerate(fail.value):
-                    if not field.is_zero(c):
-                        key = (which, fail.identity, fail.indices, k)
-                        rows.setdefault(key, [field.zero()] * len(units))[col] = c
+            for key, c in _nonzero_coords(field, residual(unit)):
+                rows.setdefault((which, *key), [field.zero()] * len(units))[col] = c
     mat = Matrix.from_rows(field, rows.values()) if rows else Matrix.zeros(field, 1, len(units))
     return [vec.coords for vec in kernel_basis(mat)]
 

@@ -297,6 +297,12 @@ def test_solve_jobs_pool(capsys, fixture_path):
     assert counts[0] == counts[1] and counts[0]["count"] > 0
 
 
+def _document(kind: str, p: int) -> dict:
+    """A 2x2 identity map or a one-dimensional zero algebra over field.p = p."""
+    payload = {"rows": 2, "cols": 2, "entries": [[1, 0], [0, 1]]} if kind == "linmap" else {"dim": 1, "mul": [[[0]]]}
+    return {"format": 1, "kind": kind, "field": {"kind": "prime", "p": p}, "payload": payload}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -311,10 +317,23 @@ def test_solve_jobs_pool(capsys, fixture_path):
         pytest.param(["derive", "circ-t", "a2.json", "t2.json", "beta2.json"], id="surplus-derive-input"),
         pytest.param(["check", "nybe", "a2.json", "r_e2e2.json", "t2.json"], id="surplus-check-input"),
         pytest.param([], id="no-command"),
+        pytest.param(["check", "rota-baxter", "--weight", "1/3", "a2_f3.json", _document("linmap", 3)], id="scalar-not-in-field"),
+        pytest.param(["verify", "algebra", _document("algebra", 4)], id="field-p-4"),
+        pytest.param(["verify", "algebra", _document("algebra", 9)], id="field-p-9"),
     ],
 )
-def test_input_errors_exit_2_with_one_line(capsys, fixture_path, argv):
-    code, out, err = run(capsys, *[fixture_path(a) if a.endswith(".json") else a for a in argv])
+def test_input_errors_exit_2_with_one_line(capsys, fixture_path, tmp_path, argv):
+    # a dict argument is a document, written to a file first
+    paths = []
+    for n, arg in enumerate(argv):
+        if isinstance(arg, dict):
+            path = tmp_path / f"doc{n}.json"
+            path.write_text(json.dumps(arg))
+            arg = str(path)
+        elif arg.endswith(".json"):
+            arg = fixture_path(arg)
+        paths.append(arg)
+    code, out, err = run(capsys, *paths)
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("input error: ")

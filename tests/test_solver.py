@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from novikov._kernels import pure
 from novikov.algebra import dual_context, novikov_residual, regular
 from novikov.errors import NovikovError, SpaceTooLarge
 from novikov.fields import GF, QQ
@@ -12,6 +13,7 @@ from novikov.fixtures import example_algebra
 from novikov.linalg import Matrix
 from novikov.operators import LinMap, balanced_residual, bimodule_hom_residual, equivalent_residual
 from novikov.solver import (
+    SEARCH_KINDS,
     SearchSpec,
     balanced_hom_basis,
     balanced_hom_equivalent_basis,
@@ -21,6 +23,7 @@ from novikov.solver import (
     hom_map_basis,
     invariant_form_basis,
     invariant_symmetric_basis,
+    polarize,
     random_instance,
     reverify,
     sample_from_basis,
@@ -31,11 +34,20 @@ from novikov.tensors import Tensor2
 from novikov.ybe import BilForm, bilform_invariance, invariance_residual
 
 
+def _golden_spec(key: str) -> SearchSpec:
+    """'kind/context/Fp[/name=value...]': context 'dimN' (no algebra) or 'a2'."""
+    kind, context, field_name, *params = key.split("/")
+    field = GF(int(field_name[1:]))
+    scalars = {name: int(value) for name, value in (param.split("=") for param in params)}
+    if context == "a2":
+        return SearchSpec(kind, field, 2, algebra=example_algebra(field), **scalars)
+    return SearchSpec(kind, field, int(context.removeprefix("dim")), **scalars)
+
+
 def test_goldens_match_enumeration():
     counts = golden_counts()
-    for p in (2, 3):
-        res = enumerate_search(SearchSpec("novikov-algebra", GF(p), 2))
-        assert len(res.solutions) == counts[f"novikov-algebra/dim2/F{p}"]
+    for key, count in counts.items():
+        assert len(enumerate_search(_golden_spec(key)).solutions) == count, key
 
 
 def test_solutions_reverify_object_path():
@@ -195,3 +207,115 @@ def test_golden_dir_override(tmp_path, monkeypatch):
     custom.write_text(json.dumps({"novikov-algebra/dim2/F2": 52}))
     monkeypatch.setenv("NOVA_GOLDEN_DIR", str(tmp_path))
     assert golden_counts() == {"novikov-algebra/dim2/F2": 52}
+
+
+# ---------------------------------------------------------------------------
+# the search against a brute-force scan with the hand-written pure kernels
+
+
+def _pure_accepts(spec: SearchSpec):
+    """The scan's predicate for one flat candidate (dim 2)."""
+    f, n, p = spec.field, spec.dim, spec.p
+    if spec.kind == "novikov-algebra":
+        return lambda c: pure.novikov_ok(c, n, p)
+    alg = spec.algebra
+    mul = tuple(int(alg.mul[i][j][k]) for i in range(n) for j in range(n) for k in range(n))
+    beta = tuple(int(c) for c in spec.beta.mat.entries) if spec.beta is not None else None
+    lam, kappa, mu, eps = (f.coerce(c) for c in (spec.weight, spec.kappa, spec.mu, spec.epsilon))
+
+    def sym(c):  # upper triangle (b00, b01, b11) to the symmetric grid
+        return (c[0], c[1], c[1], c[2])
+
+    return {
+        "nybe-solution": lambda c: pure.nybe_ok(mul, n, p, c),
+        "enybe-solution": lambda c: pure.enybe_ok(mul, n, p, c, eps),
+        "rota-baxter": lambda c: pure.rb_ok(mul, n, p, c, lam),
+        "ext-o-operator": lambda c: pure.ext_o_regular_ok(mul, n, p, c, beta, lam, kappa, mu),
+        "invariant-symmetric-tensor": lambda c: pure.invariant_symmetric_ok(mul, n, p, sym(c)),
+        "quadratic-form": lambda c: pure.bilform_invariant_ok(mul, n, p, sym(c)) and (c[0] * c[2] - c[1] * c[1]) % p != 0,
+    }[spec.kind]
+
+
+def _scan(spec: SearchSpec) -> list:
+    accepts = _pure_accepts(spec)
+    candidates = itertools.product(range(spec.p), repeat=spec.coeff_count())  # lexicographic = index order
+    return [c for idx, c in enumerate(candidates) if idx % spec.shard_count == spec.shard_index and accepts(c)]
+
+
+def _differential_specs(kind: str, p: int):
+    """The kind over F_p, dim 2, on a2 and three enumerated contexts, every
+    scalar parameter and beta nonzero, unsharded and in 2 and 3 shards."""
+    f = GF(p)
+    rng = random.Random(100 * p + SEARCH_KINDS.index(kind))
+    if kind == "novikov-algebra":
+        contexts = [{}]
+    else:
+        contexts = [{"algebra": alg} for alg in [example_algebra(f), *rng.sample(enumerated_dim2(f), 3)]]
+    for context in contexts:
+        scalars = {name: rng.randrange(1, p) for name in ("weight", "kappa", "mu", "epsilon")}
+        beta = Matrix(f, 2, 2, (rng.randrange(1, p), rng.randrange(p), rng.randrange(p), rng.randrange(p)))
+        for shards in (1, 2, 3):
+            for i in range(shards):
+                yield SearchSpec(kind, f, 2, beta=LinMap(beta), shard_index=i, shard_count=shards, **scalars, **context)
+
+
+@pytest.mark.parametrize("kind", SEARCH_KINDS)
+@pytest.mark.parametrize("p", [2, 3])
+def test_search_matches_pure_scan(p, kind):
+    for spec in _differential_specs(kind, p):
+        res = enumerate_search(spec)
+        assert res.solutions == _scan(spec), spec
+        assert res.candidate_count == len(range(spec.shard_index, spec.candidate_total(), spec.shard_count))
+
+
+def test_polarization_recovers_quadratic_and_rejects_cubic():
+    def quadratic(x):  # 2 + x0 + x1^2 + 2 x0 x2
+        value = (2 + x[0] + x[1] * x[1] + 2 * x[0] * x[2]) % p
+        return {("q", (), 0): value} if value else {}
+
+    p = 3
+    assert polarize(quadratic, 3, p) == {("q", (), 0): {(): 2, (0,): 1, (1, 1): 1, (0, 2): 2}}
+    p = 2  # x1^2 = x1 over F_2, kept as the linear term
+    assert polarize(quadratic, 3, p) == {("q", (), 0): {(0,): 1, (1,): 1}}
+
+    def cubic(x):
+        value = x[0] * x[1] * x[2] % 3
+        return {("cubic", (), 0): value} if value else {}
+
+    with pytest.raises(AssertionError, match="degree"):
+        polarize(cubic, 3, 3)
+
+
+def _mat_mul(a, b):
+    return tuple(tuple(sum(a[i][t] * b[t][j] for t in range(3)) % 2 for j in range(3)) for i in range(3))
+
+
+def _change_basis(table, g, g_inv):
+    """Structure constants in the basis f_a = sum_i g[i][a] e_i."""
+    n = 3
+    mul = [[[table[(i * n + j) * n + k] for k in range(n)] for j in range(n)] for i in range(n)]
+    return tuple(
+        sum(g[i][a] * g[j][b] * mul[i][j][k] * g_inv[c][k] for i in range(n) for j in range(n) for k in range(n)) % 2
+        for a in range(n)
+        for b in range(n)
+        for c in range(n)
+    )
+
+
+def test_novikov_dim3_f2_reverify_and_gl3_closure():
+    # No golden: closure under GL_3(F_2) does not prove the list complete.
+    spec = SearchSpec("novikov-algebra", GF(2), 3)
+    solutions = enumerate_search(spec).solutions
+    assert solutions and all(reverify(spec, s) for s in solutions)
+    transvection = ((1, 1, 0), (0, 1, 0), (0, 0, 1))
+    cycle = ((0, 0, 1), (1, 0, 0), (0, 1, 0))
+    group, frontier = {transvection, cycle}, [transvection, cycle]
+    while frontier:
+        frontier = [h for h in {_mat_mul(g, t) for g in frontier for t in (transvection, cycle)} if h not in group]
+        group.update(frontier)
+    assert len(group) == 168  # the two generators span GL_3(F_2)
+    identity = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    found = set(solutions)
+    for g in (transvection, cycle):
+        g_inv = next(h for h in group if _mat_mul(g, h) == identity)
+        assert all(_change_basis(s, g, g_inv) in found for s in solutions)
