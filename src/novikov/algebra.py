@@ -9,7 +9,7 @@ from typing import Optional, Sequence
 
 from .errors import DimMismatch, FieldMismatch, ModuleNotNovikov, NotABimodule, NotNovikov
 from .fields import Field
-from .linalg import Matrix, vadd, vzero
+from .linalg import Matrix, vadd
 from .residual import Residual, ResidualCollector
 
 Grid = tuple  # grid[i][j] = coordinate tuple of e_i * e_j
@@ -178,10 +178,6 @@ def novikov_residual(alg: Algebra) -> Residual:
     return col.done()
 
 
-def is_novikov(alg: Algebra) -> bool:
-    return novikov_residual(alg).is_zero
-
-
 @dataclass(frozen=True)
 class Bimodule:
     """Linear actions l, r of an algebra on a module, stored as matrices of
@@ -217,6 +213,9 @@ class Bimodule:
     def r_act(self, a: Sequence, v: Sequence) -> tuple:
         return self.r_of(a).apply(v)
 
+    def module_basis(self, i: int) -> tuple:
+        return tuple(self.field.one() if k == i else self.field.zero() for k in range(self.mdim))
+
     def with_product(self, mul: Grid) -> "BimodNov":
         return BimodNov(self.alg, self.mdim, self.l_mats, self.r_mats, mul)
 
@@ -248,9 +247,6 @@ class BimodNov(Bimodule):
 
     def module_algebra(self) -> Algebra:
         return Algebra(self.field, self.mdim, self.mul)
-
-    def module_basis(self, i: int) -> tuple:
-        return tuple(self.field.one() if k == i else self.field.zero() for k in range(self.mdim))
 
 
 def bimodule_residual(b: Bimodule) -> Residual:
@@ -318,7 +314,6 @@ def abnova_residual(b: BimodNov, require_pre: bool = True) -> Residual:
                     la.apply(vw),
                     b.module_product(rav, mb[w]),
                     b.module_product(mb[v], law),
-                    "balanced-action",
                 )
                 col.record("action-vs-product", (a, v, w), e1)
                 # r(a)(v·w) - v·(r(a)w) = r(a)(w·v) - w·(r(a)v)
@@ -328,7 +323,6 @@ def abnova_residual(b: BimodNov, require_pre: bool = True) -> Residual:
                     b.module_product(mb[v], raw_),
                     ra.apply(wv),
                     b.module_product(mb[w], rav),
-                    "",
                 )
                 col.record("right-action-symmetry", (a, v, w), e2)
                 # (l(a)v)·w = (l(a)w)·v
@@ -346,7 +340,7 @@ def abnova_residual(b: BimodNov, require_pre: bool = True) -> Residual:
     return Residual("abnova", base.failures + mod_nov.failures + rep.failures)
 
 
-def _sub4(f, t1, t2, t3, t4, _name):
+def _sub4(f, t1, t2, t3, t4):
     # t1 - t2 - t3 + t4
     return tuple(f.add(f.sub(f.sub(a, b), c), d) for a, b, c, d in zip(t1, t2, t3, t4))
 
@@ -355,10 +349,7 @@ def regular(alg: Algebra, validate: bool = True) -> BimodNov:
     """The regular bimodule Novikov algebra (A, ∘, L, R)."""
     if validate and not novikov_residual(alg).is_zero:
         raise NotNovikov("base algebra fails the Novikov identities")
-    n = alg.dim
-    l_mats = tuple(alg.left_mul(alg.basis_vec(i)) for i in range(n))
-    r_mats = tuple(alg.right_mul(alg.basis_vec(i)) for i in range(n))
-    return BimodNov(alg, n, l_mats, r_mats, alg.mul)
+    return regular_bimodule(alg).with_product(alg.mul)
 
 
 def regular_bimodule(alg: Algebra) -> Bimodule:

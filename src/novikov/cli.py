@@ -28,7 +28,7 @@ from .algebra import (
     semidirect,
     star_algebra,
 )
-from .errors import DocumentError, NovikovError, SpaceTooLarge
+from .errors import DimMismatch, DocumentError, FieldMismatch, NovikovError, SpaceTooLarge
 from .fields import Field, field_by_name
 from .lift import (
     bialgebra_extra_residuals,
@@ -75,7 +75,7 @@ from .serialize import (
     load_path,
     to_document,
 )
-from .solver import SearchSpec, enumerate_search, reverify
+from .solver import SearchSpec, enumerate_search
 from .tensors import Tensor2
 from .ybe import (
     BilForm,
@@ -687,7 +687,7 @@ def main(argv: Optional[list] = None) -> int:
         # options may come before, between or after the positionals
         args = commands[argv[0]].parse_intermixed_args(argv[1:])
         return args.fn(args)
-    except (DocumentError, SpaceTooLarge) as exc:
+    except (DocumentError, SpaceTooLarge, DimMismatch, FieldMismatch) as exc:
         _human(f"input error: {exc}")
         return 2
     except NovikovError as exc:

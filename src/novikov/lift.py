@@ -13,13 +13,15 @@ from .algebra import (
     Grid,
     bimodule_residual,
     dual_bimodule,
+    dual_context,
+    grid_product,
+    grids_equal,
     novikov_residual,
     semidirect,
 )
 from .errors import DimMismatch, NotABimodule
-from .fields import Field
 from .linalg import Matrix, vadd, vsub
-from .operators import LinMap
+from .operators import LinMap, equation_grid, induced_product
 from .residual import Residual, ResidualCollector
 from .tensors import Tensor2, Tensor3, flip, tensor3_combine
 
@@ -150,33 +152,16 @@ def delta_r(alg: Algebra, r: Tensor2, a: Sequence) -> Tensor2:
 
 def circ_delta(alg: Algebra, r: Tensor2, cross_validate: bool = True) -> Grid:
     """The induced product on the dual: closed form
-    a* ∘ b* = -(Lstar*(hat(a*))b* + R*(hat_t(b*))a*),
-    cross-validated entry-by-entry against the pairing definition."""
+    a* ∘ b* = -(Lstar*(hat(a*))b* + R*(hat_t(b*))a*), the product -hat and
+    hat_t induce on the dual context, cross-validated entry-by-entry against
+    the pairing definition."""
     from .ybe import hat_matrices
 
-    f = alg.field
-    n = alg.dim
     hat, hat_t = hat_matrices(r)
-    grid = []
-    for i in range(n):
-        li = alg.star_mul(hat.col(i)).transpose()  # Lstar*(hat a*) = -Lstar(.)^T
-        row = []
-        for j in range(n):
-            rj = alg.right_mul(hat_t.col(j)).transpose()
-            dual_j = tuple(f.one() if k == j else f.zero() for k in range(n))
-            dual_i = tuple(f.one() if k == i else f.zero() for k in range(n))
-            val = vadd(f, li.apply(dual_j), rj.apply(dual_i))  # -(-(L*) - (-R*)) folded below
-            row.append(val)
-        grid.append(tuple(row))
-    # The transposes above are +Lstar^T and +R^T; the dual maps carry the
-    # minus sign, and the product carries another one, so they cancel.
-    result = tuple(grid)
-    if cross_validate:
-        pairing = circ_delta_pairing(alg, r)
-        from .algebra import grids_equal
-
-        if not grids_equal(f, result, pairing):
-            raise AssertionError("closed form and pairing definition of the dual product disagree")
+    ctx = dual_context(alg, validate=False)  # l = Lstar*, r = -R*
+    result = induced_product(ctx, LinMap(-hat), LinMap(hat_t), 0)
+    if cross_validate and not grids_equal(alg.field, result, circ_delta_pairing(alg, r)):
+        raise AssertionError("closed form and pairing definition of the dual product disagree")
     return result
 
 
@@ -238,84 +223,74 @@ def bialgebra_extra_residuals(alg: Algebra, r: Tensor2) -> Residual:
 
 def b_alpha(ctx: Bimodule, alpha: LinMap) -> Grid:
     """The weight-0 obstruction grid B(u,v) = alpha(u)∘alpha(v)
-    - alpha(l(alpha(u))v + r(alpha(v))u) on module basis pairs."""
-    if alpha.mat.rows != ctx.alg.dim or alpha.mat.cols != ctx.mdim:
-        raise DimMismatch("map shape does not match the bimodule")
+    - alpha(l(alpha(u))v + r(alpha(v))u) on module basis pairs: the operator
+    equation's value on the trivial module product."""
+    triv = ctx.trivial()
+    return equation_grid(triv, alpha, induced_product(triv, alpha, alpha, 0))
+
+
+def module_closure(ctx: Bimodule, b: Grid, col: ResidualCollector) -> None:
+    """Record the two module-product closure families of a bilinear
+    B: M×M -> A (grid on module basis pairs) on basis triples:
+    vcon-1: l(B(u,v))w = l(B(u,w))v,
+    vcon-2: l(B(u,v))w - l(B(v,u))w = r(B(v,w))u - r(B(u,w))v."""
     f = ctx.field
     m = ctx.mdim
-    imgs = [alpha.mat.col(i) for i in range(m)]
-    grid = []
+    lb = [[ctx.l_of(b[u][v]) for v in range(m)] for u in range(m)]
+    rb = [[ctx.r_of(b[u][v]) for v in range(m)] for u in range(m)]
     for u in range(m):
-        lu = ctx.l_of(imgs[u])
-        row = []
         for v in range(m):
-            val = ctx.alg.product(imgs[u], imgs[v])
-            inner = vadd(f, lu.col(v), ctx.r_of(imgs[v]).col(u))
-            row.append(vsub(f, val, alpha(inner)))
-        grid.append(tuple(row))
-    return tuple(grid)
+            for w in range(m):
+                col.record("vcon-1", (u, v, w), vsub(f, lb[u][v].col(w), lb[u][w].col(v)))
+                e2 = vsub(f, lb[u][v].col(w), lb[v][u].col(w))
+                e2 = vsub(f, e2, rb[v][w].col(u))
+                col.record("vcon-2", (u, v, w), vadd(f, e2, rb[u][w].col(v)))
 
 
-def generalized_o_residual(ctx: Bimodule, alpha: LinMap) -> Residual:
-    """The six identity families whose joint vanishing makes the lifted
-    tensor a skew solution of the generalized equations."""
-    from .algebra import grid_product
-
+def closure_residual(ctx: Bimodule, b: Grid) -> Residual:
+    """The six closure families of a bilinear B: M×M -> A: the two
+    module-product families, then con-3..6 on (x, u, w) for every algebra
+    basis element x."""
     f = ctx.field
-    n = ctx.alg.dim
     m = ctx.mdim
-    obstruction = b_alpha(ctx, alpha)
+    col = ResidualCollector(f, "generalized-o")
+    module_closure(ctx, b, col)
+    mb = [ctx.module_basis(i) for i in range(m)]
 
     def b_of(u_coords, v_coords) -> tuple:
-        return grid_product(f, obstruction, u_coords, v_coords)
+        return grid_product(f, b, u_coords, v_coords)
 
-    mb = [tuple(f.one() if k == i else f.zero() for k in range(m)) for i in range(m)]
-    col = ResidualCollector(f, "generalized-o")
-    # module-product closure identities
-    for u in range(m):
-        for v in range(m):
-            buv = obstruction[u][v]
-            l_buv = ctx.l_of(buv)
-            for w in range(m):
-                e1 = vsub(f, l_buv.col(w), ctx.l_of(obstruction[u][w]).col(v))
-                col.record("vcon-1", (u, v, w), e1)
-                e2 = vsub(f, l_buv.col(w), ctx.l_of(obstruction[v][u]).col(w))
-                e2 = vsub(f, e2, ctx.r_of(obstruction[v][w]).col(u))
-                e2 = vadd(f, e2, ctx.r_of(obstruction[u][w]).col(v))
-                col.record("vcon-2", (u, v, w), e2)
-    for x in range(n):
+    for x in range(ctx.alg.dim):
         ex = ctx.alg.basis_vec(x)
-        lx = ctx.l_mats[x]
-        rx = ctx.r_mats[x]
+        lx = [ctx.l_mats[x].col(w) for w in range(m)]
+        rx = [ctx.r_mats[x].col(w) for w in range(m)]
+        # B with l(x) or r(x) of one basis vector in its left or right slot:
+        # left_l[w][u] = B(l(x)w, u), right_l[u][w] = B(u, l(x)w),
+        # left_r[u][w] = B(r(x)u, w), right_r[w][u] = B(w, r(x)u)
+        left_l = [[b_of(lx[w], mb[u]) for u in range(m)] for w in range(m)]
+        right_l = [[b_of(mb[u], lx[w]) for w in range(m)] for u in range(m)]
+        left_r = [[b_of(rx[u], mb[w]) for w in range(m)] for u in range(m)]
+        right_r = [[b_of(mb[w], rx[u]) for u in range(m)] for w in range(m)]
         for u in range(m):
             for w in range(m):
-                lxw = lx.col(w)
+                xb = ctx.alg.product(ex, b[u][w])
                 # x ⋆ B(u,w) = B(l(x)w, u) + B(u, l(x)w)
-                e3 = ctx.alg.star(ex, obstruction[u][w])
-                e3 = vsub(f, e3, b_of(lxw, mb[u]))
-                e3 = vsub(f, e3, b_of(mb[u], lxw))
+                e3 = vadd(f, xb, ctx.alg.product(b[u][w], ex))
+                e3 = vsub(f, vsub(f, e3, left_l[w][u]), right_l[u][w])
                 col.record("con-3", (x, u, w), e3)
                 # B(l(x)w, v) = B(l(x)v, w)   (v := u here)
-                e4 = vsub(f, b_of(lxw, mb[u]), b_of(lx.col(u), mb[w]))
-                col.record("con-4", (x, u, w), e4)
+                col.record("con-4", (x, u, w), vsub(f, left_l[w][u], left_l[u][w]))
                 # B(l(x)w, u) + B(u, l(x)w) = x∘B(u,w) + B(r(x)u, w)
-                e5 = vadd(f, b_of(lxw, mb[u]), b_of(mb[u], lxw))
-                e5 = vsub(f, e5, ctx.alg.product(ex, obstruction[u][w]))
-                e5 = vsub(f, e5, b_of(rx.col(u), mb[w]))
+                e5 = vsub(f, vsub(f, vadd(f, left_l[w][u], right_l[u][w]), xb), left_r[u][w])
                 col.record("con-5", (x, u, w), e5)
                 # B(r(x)u, v) + B(v, r(x)u) = B(r(x)v, u) + B(u, r(x)v)
-                rxu = rx.col(u)
-                rxw = rx.col(w)
-                e6 = vadd(f, b_of(rxu, mb[w]), b_of(mb[w], rxu))
-                e6 = vsub(f, e6, b_of(rxw, mb[u]))
-                e6 = vsub(f, e6, b_of(mb[u], rxw))
+                e6 = vsub(f, vsub(f, vadd(f, left_r[u][w], right_r[w][u]), left_r[w][u]), right_r[u][w])
                 col.record("con-6", (x, u, w), e6)
     return col.done()
 
 
-def lifted_skew_gnybe_flag(alg: Algebra, b: Bimodule, alpha: LinMap) -> bool:
-    """Whether the lifted tensor's skew part solves the generalized
-    equations in the double (the brute-force side of the equivalence)."""
-    d = double(alg, b, validate=False)
-    lifted = lift_map(d, alpha)
-    return gnybe_flag(d.algebra, lifted.tensor_minus)
+def generalized_o_residual(ctx: Bimodule, alpha: LinMap) -> Residual:
+    """The six identity families whose joint vanishing makes the lifted
+    tensor a skew solution of the generalized equations: the closure
+    families of the obstruction grid."""
+    return closure_residual(ctx, b_alpha(ctx, alpha))

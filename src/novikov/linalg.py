@@ -80,18 +80,6 @@ def vsub(field: Field, u: Sequence, v: Sequence) -> tuple:
     return tuple(field.sub(a, b) for a, b in zip(u, v))
 
 
-def vneg(field: Field, u: Sequence) -> tuple:
-    return tuple(field.neg(a) for a in u)
-
-
-def vscale(field: Field, c, u: Sequence) -> tuple:
-    return tuple(field.mul(c, a) for a in u)
-
-
-def vzero(field: Field, u: Sequence) -> bool:
-    return all(field.is_zero(a) for a in u)
-
-
 @dataclass(frozen=True, eq=False)
 class Matrix:
     """Dense exact matrix; column j is the image of the j-th domain basis

@@ -7,8 +7,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .algebra import Algebra, BimodNov, Grid, grid_product, regular
-from .errors import DimMismatch, NoHalf
+from .algebra import Algebra, BimodNov, Grid, regular
+from .errors import DimMismatch, FieldMismatch, NoHalf
 from .fields import Field
 from .linalg import Matrix, vadd, vsub
 from .residual import Residual, ResidualCollector
@@ -83,6 +83,8 @@ class MassParams:
 
 
 def _check_ctx_map(ctx: BimodNov, m: LinMap) -> None:
+    if m.field != ctx.field:
+        raise FieldMismatch(f"map is over {m.field}, context over {ctx.field}")
     if m.mat.rows != ctx.alg.dim or m.mat.cols != ctx.mdim:
         raise DimMismatch(
             f"map is {m.mat.rows}x{m.mat.cols}, context wants {ctx.alg.dim}x{ctx.mdim}"
@@ -176,35 +178,68 @@ def equivalent_residual(ctx: BimodNov, beta: LinMap, mu) -> Residual:
     return col.done()
 
 
+def induced_product(ctx: BimodNov, left: LinMap, right: LinMap, weight) -> Grid:
+    """u⋄v = l(left(u))v + r(right(v))u + weight·u·v on module basis pairs.
+
+    With left = right = alpha this is the product a weight-lambda operator
+    induces on M; the star, diamond, ± and shifted products and the dual
+    product of a tensor are all instances."""
+    _check_ctx_map(ctx, left)
+    _check_ctx_map(ctx, right)
+    f = ctx.field
+    weight = f.coerce(weight)
+    m = ctx.mdim
+    l_imgs = [ctx.l_of(left.mat.col(u)) for u in range(m)]
+    r_imgs = [ctx.r_of(right.mat.col(v)) for v in range(m)]
+    return tuple(
+        tuple(
+            vadd(
+                f,
+                vadd(f, l_imgs[u].col(v), r_imgs[v].col(u)),
+                tuple(f.mul(weight, c) for c in ctx.mul[u][v]),
+            )
+            for v in range(m)
+        )
+        for u in range(m)
+    )
+
+
+def equation_grid(ctx: BimodNov, alpha: LinMap, product: Grid) -> Grid:
+    """alpha(u)∘alpha(v) - alpha(u⋄v) on module basis pairs, for a product ⋄
+    on M given by its grid: the operator equation's value when ⋄ is the
+    induced product."""
+    f = ctx.field
+    m = ctx.mdim
+    imgs = [alpha.mat.col(u) for u in range(m)]
+    return tuple(
+        tuple(vsub(f, ctx.alg.product(imgs[u], imgs[v]), alpha(product[u][v])) for v in range(m))
+        for u in range(m)
+    )
+
+
 def ext_o_equation_residual(ctx: BimodNov, alpha: LinMap, beta: Optional[LinMap], params: MassParams) -> Residual:
     """Residual of the extended operator equation alone, on module basis pairs:
 
     alpha(u)∘alpha(v) - alpha(l(alpha(u))v + r(alpha(v))u + weight·u·v)
         - kappa·beta(u)∘beta(v) - mu·beta(u·v)
     """
-    _check_ctx_map(ctx, alpha)
     f = ctx.field
     p = params.coerced(f)
     m = ctx.mdim
     col = ResidualCollector(f, "ext-o-equation")
-    mb = [ctx.module_basis(i) for i in range(m)]
-    a_imgs = [alpha(mb[i]) for i in range(m)]
-    b_imgs = None
-    if beta is not None and not beta.is_zero():
+    eq = equation_grid(ctx, alpha, induced_product(ctx, alpha, alpha, p.weight))
+    extended = beta is not None and not beta.is_zero()
+    if extended:
         _check_ctx_map(ctx, beta)
-        b_imgs = [beta(mb[i]) for i in range(m)]
+        b_imgs = [beta.mat.col(u) for u in range(m)]
     for u in range(m):
         for v in range(m):
-            lhs = ctx.alg.product(a_imgs[u], a_imgs[v])
-            inner = vadd(f, ctx.l_of(a_imgs[u]).col(v), ctx.r_of(a_imgs[v]).col(u))
-            uv = ctx.mul[u][v]
-            inner = vadd(f, inner, tuple(f.mul(p.weight, c) for c in uv))
-            lhs = vsub(f, lhs, alpha(inner))
-            if b_imgs is not None:
+            val = eq[u][v]
+            if extended:
                 bb = ctx.alg.product(b_imgs[u], b_imgs[v])
-                lhs = vsub(f, lhs, tuple(f.mul(p.kappa, c) for c in bb))
-                lhs = vsub(f, lhs, tuple(f.mul(p.mu, c) for c in beta(uv)))
-            col.record("ext-o", (u, v), lhs)
+                val = vsub(f, val, tuple(f.mul(p.kappa, c) for c in bb))
+                val = vsub(f, val, tuple(f.mul(p.mu, c) for c in beta(ctx.mul[u][v])))
+            col.record("ext-o", (u, v), val)
     return col.done()
 
 
@@ -280,40 +315,17 @@ def is_rota_baxter(alg: Algebra, t: LinMap, weight) -> bool:
 
 def star_product(ctx: BimodNov, alpha: LinMap, weight) -> tuple[Grid, Residual]:
     """u*v = l(alpha(u))v + r(alpha(v))u + weight·u·v, with the two closure
-    identities whose vanishing makes the product Novikov."""
-    _check_ctx_map(ctx, alpha)
-    f = ctx.field
-    weight = f.coerce(weight)
-    m = ctx.mdim
-    mb = [ctx.module_basis(i) for i in range(m)]
-    imgs = [alpha(mb[i]) for i in range(m)]
-    grid = []
-    for u in range(m):
-        row = []
-        lu = ctx.l_of(imgs[u])
-        for v in range(m):
-            val = vadd(f, lu.col(v), ctx.r_of(imgs[v]).col(u))
-            val = vadd(f, val, tuple(f.mul(weight, c) for c in ctx.mul[u][v]))
-            row.append(val)
-        grid.append(tuple(row))
-    grid = tuple(grid)
+    identities whose vanishing makes the product Novikov: the module-product
+    closure families of the defect alpha(u*v) - alpha(u)∘alpha(v)."""
+    from .lift import module_closure  # lift builds on this module
 
-    # defect D(u,v) = alpha(u*v) - alpha(u)∘alpha(v)
-    defect = [
-        [vsub(f, alpha(grid[u][v]), ctx.alg.product(imgs[u], imgs[v])) for v in range(m)]
-        for u in range(m)
-    ]
+    f = ctx.field
+    grid = induced_product(ctx, alpha, alpha, weight)
+    defect = tuple(
+        tuple(tuple(f.neg(c) for c in cell) for cell in row) for row in equation_grid(ctx, alpha, grid)
+    )
     col = ResidualCollector(f, "star-closure")
-    for u in range(m):
-        for v in range(m):
-            lduv = ctx.l_of(defect[u][v])
-            for w in range(m):
-                e1 = vsub(f, lduv.col(w), ctx.l_of(defect[u][w]).col(v))
-                col.record("closure-1", (u, v, w), e1)
-                e2 = vsub(f, lduv.col(w), ctx.l_of(defect[v][u]).col(w))
-                e2 = vsub(f, e2, ctx.r_of(defect[v][w]).col(u))
-                e2 = vadd(f, e2, ctx.r_of(defect[u][w]).col(v))
-                col.record("closure-2", (u, v, w), e2)
+    module_closure(ctx, defect, col)
     return grid, col.done()
 
 
@@ -324,25 +336,11 @@ def diamond_product(
     symmetrizer/antisymmetrizer pair ((δ+ + δ-)/2, (δ+ - δ-)/2)."""
     _check_ctx_map(ctx, delta_plus)
     _check_ctx_map(ctx, delta_minus)
-    f = ctx.field
-    half = f.half()  # raises NoHalf over F_2
-    weight = f.coerce(weight)
-    m = ctx.mdim
-    mb = [ctx.module_basis(i) for i in range(m)]
-    plus_imgs = [delta_plus(mb[i]) for i in range(m)]
-    minus_imgs = [delta_minus(mb[i]) for i in range(m)]
-    grid = []
-    for u in range(m):
-        lu = ctx.l_of(plus_imgs[u])
-        row = []
-        for v in range(m):
-            val = vadd(f, lu.col(v), ctx.r_of(minus_imgs[v]).col(u))
-            val = vadd(f, val, tuple(f.mul(weight, c) for c in ctx.mul[u][v]))
-            row.append(val)
-        grid.append(tuple(row))
+    half = ctx.field.half()  # raises NoHalf over F_2
+    grid = induced_product(ctx, delta_plus, delta_minus, weight)
     alpha = (delta_plus + delta_minus).scale(half)
     beta = (delta_plus - delta_minus).scale(half)
-    return tuple(grid), alpha, beta
+    return grid, alpha, beta
 
 
 def pm_products(ctx: BimodNov, beta: LinMap, weight) -> tuple[Grid, Grid]:
@@ -351,24 +349,11 @@ def pm_products(ctx: BimodNov, beta: LinMap, weight) -> tuple[Grid, Grid]:
     f = ctx.field
     if f.char == 2:
         raise NoHalf("the ± products degenerate in characteristic 2")
-    weight = f.coerce(weight)
-    two = f.coerce(2)
-    m = ctx.mdim
-    mb = [ctx.module_basis(i) for i in range(m)]
-    plus = []
-    minus = []
-    for u in range(m):
-        lbu = ctx.l_of(beta(mb[u]))
-        prow = []
-        mrow = []
-        for v in range(m):
-            base = tuple(f.mul(weight, c) for c in ctx.mul[u][v])
-            shift = tuple(f.mul(two, c) for c in lbu.col(v))
-            prow.append(vsub(f, base, shift))
-            mrow.append(vadd(f, base, shift))
-        plus.append(tuple(prow))
-        minus.append(tuple(mrow))
-    return tuple(plus), tuple(minus)
+    zero = LinMap.zero(f, ctx.alg.dim, ctx.mdim)
+    return (
+        induced_product(ctx, beta.scale(-2), zero, weight),
+        induced_product(ctx, beta.scale(2), zero, weight),
+    )
 
 
 def pm_contexts(ctx: BimodNov, beta: LinMap, weight) -> tuple[BimodNov, BimodNov]:
@@ -378,23 +363,9 @@ def pm_contexts(ctx: BimodNov, beta: LinMap, weight) -> tuple[BimodNov, BimodNov
 
 
 def circ_t(alg: Algebra, t: LinMap, weight) -> Algebra:
-    """The candidate product x∘_T y = T(x)∘y + x∘T(y) + weight·x∘y."""
-    if t.mat.rows != alg.dim or t.mat.cols != alg.dim:
-        raise DimMismatch("endomorphism of A expected")
-    f = alg.field
-    weight = f.coerce(weight)
-    n = alg.dim
-    basis = [alg.basis_vec(i) for i in range(n)]
-    imgs = [t(basis[i]) for i in range(n)]
-    grid = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            val = vadd(f, alg.product(imgs[i], basis[j]), alg.product(basis[i], imgs[j]))
-            val = vadd(f, val, tuple(f.mul(weight, c) for c in alg.mul[i][j]))
-            row.append(val)
-        grid.append(tuple(row))
-    return Algebra(f, n, tuple(grid))
+    """The candidate product x∘_T y = T(x)∘y + x∘T(y) + weight·x∘y: the
+    product T induces on the regular context."""
+    return Algebra(alg.field, alg.dim, induced_product(regular(alg, validate=False), t, t, weight))
 
 
 def baxter_residual(alg: Algebra, t: LinMap) -> Residual:

@@ -4,26 +4,31 @@ derivation, and every construction producing post-Novikov structures."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .algebra import (
     Algebra,
     BimodNov,
     Grid,
     coerce_grid,
+    dual_context,
     grid_product,
     grids_equal,
     novikov_residual,
+    regular,
     zero_grid,
 )
 from .errors import (
     KernelNotIdeal,
     NotDerivation,
+    NotNYBESolution,
     NotOOperator,
+    NotPostNovikov,
     NotRotaBaxter,
     NotTrialgebra,
     NovikovError,
     SingularT,
+    SymPartNotInvariant,
 )
 from .fields import Field
 from .linalg import Matrix, column_space_pivots, inverse, kernel_basis, rank, solve_right, vadd, vsub
@@ -135,14 +140,8 @@ def post_residual(p: PostNov) -> Residual:
     return Residual("post-novikov", base.failures + col.done().failures)
 
 
-def is_post_novikov(p: PostNov) -> bool:
-    return post_residual(p).is_zero
-
-
 def lr_bimodule(p: PostNov, validate: bool = True) -> BimodNov:
     """(A, ∘, L_▷, R_◁) as a bimodule Novikov algebra over the associated algebra."""
-    from .errors import NotPostNovikov
-
     if validate and not post_residual(p).is_zero:
         raise NotPostNovikov("the triple of products is not post-Novikov")
     base = associated(p)
@@ -267,8 +266,10 @@ def post_from_o(ctx: BimodNov, alpha: LinMap, weight, validate: bool = True) -> 
     circ = tuple(
         tuple(tuple(f.mul(weight, c) for c in ctx.mul[u][v]) for v in range(m)) for u in range(m)
     )
-    tri_r = tuple(tuple(ctx.l_of(imgs[u]).col(v) for v in range(m)) for u in range(m))
-    tri_l = tuple(tuple(ctx.r_of(imgs[v]).col(u) for v in range(m)) for u in range(m))
+    l_imgs = [ctx.l_of(img) for img in imgs]
+    r_imgs = [ctx.r_of(img) for img in imgs]
+    tri_r = tuple(tuple(l_imgs[u].col(v) for v in range(m)) for u in range(m))
+    tri_l = tuple(tuple(r_imgs[v].col(u) for v in range(m)) for u in range(m))
     p = PostNov(f, m, circ, tri_l, tri_r)
     if validate:
         hom = hom_residual(associated(p), ctx.alg, alpha)
@@ -356,39 +357,34 @@ def post_on_image(ctx: BimodNov, alpha: LinMap, weight, alt_preimage_check: bool
 
 
 def post_from_rb(alg: Algebra, t: LinMap, weight, validate: bool = True) -> PostNov:
-    """x ⊙ y = weight·x∘y, x▷y = T(x)∘y, x◁y = x∘T(y) for a Rota-Baxter T."""
-    f = alg.field
-    weight = f.coerce(weight)
+    """x ⊙ y = weight·x∘y, x▷y = T(x)∘y, x◁y = x∘T(y) for a Rota-Baxter T:
+    the operator construction on the regular context."""
     if validate and not rota_baxter_residual(alg, t, weight).is_zero:
         raise NotRotaBaxter("T fails the Rota-Baxter identity at this weight")
-    n = alg.dim
-    basis = [alg.basis_vec(i) for i in range(n)]
-    imgs = [t(basis[i]) for i in range(n)]
-    circ = tuple(tuple(tuple(f.mul(weight, c) for c in alg.mul[i][j]) for j in range(n)) for i in range(n))
-    tri_r = tuple(tuple(alg.product(imgs[i], basis[j]) for j in range(n)) for i in range(n))
-    tri_l = tuple(tuple(alg.product(basis[i], imgs[j]) for j in range(n)) for i in range(n))
-    return PostNov(f, n, circ, tri_l, tri_r)
+    return post_from_o(regular(alg, validate=False), t, weight, validate=False)
+
+
+def transport(p: PostNov, m: Matrix) -> PostNov:
+    """The structure pushed forward along an invertible map m: each product
+    becomes x ⋄' y = m(m^{-1}(x) ⋄ m^{-1}(y)).  Raises SingularT when m is
+    singular."""
+    f = p.field
+    n = p.dim
+    m_inv = inverse(m)
+    pre = [m_inv.col(i) for i in range(n)]
+
+    def push(grid: Grid) -> Grid:
+        return tuple(tuple(m.apply(grid_product(f, grid, pre[i], pre[j])) for j in range(n)) for i in range(n))
+
+    return PostNov(f, n, push(p.circ), push(p.tri_l), push(p.tri_r))
 
 
 def compatible_from_rb(alg: Algebra, t: LinMap, weight) -> PostNov:
-    """Invertible variant: the push-forward structure whose associated
-    algebra is the original product.  Raises SingularT when T is singular."""
-    f = alg.field
-    weight = f.coerce(weight)
-    if not rota_baxter_residual(alg, t, weight).is_zero:
-        raise NotRotaBaxter("T fails the Rota-Baxter identity at this weight")
-    tinv = inverse(t.mat)  # SingularT if not invertible
-    n = alg.dim
-    basis = [alg.basis_vec(i) for i in range(n)]
-    pre = [tinv.col(i) for i in range(n)]
-    circ = tuple(
-        tuple(tuple(f.mul(weight, c) for c in t(alg.product(pre[i], pre[j]))) for j in range(n))
-        for i in range(n)
-    )
-    tri_r = tuple(tuple(t(alg.product(basis[i], pre[j])) for j in range(n)) for i in range(n))
-    tri_l = tuple(tuple(t(alg.product(pre[i], basis[j])) for j in range(n)) for i in range(n))
-    p = PostNov(f, n, circ, tri_l, tri_r)
-    if not grids_equal(f, associated(p).mul, alg.mul):
+    """Invertible variant: the Rota-Baxter structure pushed forward along T,
+    whose associated algebra is the original product.  Raises SingularT when
+    T is singular."""
+    p = transport(post_from_rb(alg, t, weight), t.mat)
+    if not grids_equal(alg.field, associated(p).mul, alg.mul):
         raise NovikovError("push-forward failed to recover the original product")
     return p
 
@@ -396,14 +392,13 @@ def compatible_from_rb(alg: Algebra, t: LinMap, weight) -> PostNov:
 def post_from_nybe(alg: Algebra, r, validate: bool = True):
     """Post-Novikov structure on the dual space from a Yang-Baxter solution
     with invariant symmetric part; when the tensor map is invertible the
-    compatible structure on A is returned as well.
+    compatible structure on A, its push-forward along the tensor map, is
+    returned as well.
 
     Returns (PostNov on A*, PostNov on A or None).
     """
-    from .errors import NotNYBESolution, SymPartNotInvariant
     from .ybe import RTensor, dual_pm_products, invariance_residual, nybe_residual
 
-    f = alg.field
     rt = RTensor.build(alg, r)
     if validate:
         if not nybe_residual(alg, r).is_zero():
@@ -411,32 +406,10 @@ def post_from_nybe(alg: Algebra, r, validate: bool = True):
         if not invariance_residual(alg, rt.r_plus).is_zero:
             raise SymPartNotInvariant("symmetric part is not invariant")
     plus_grid, _ = dual_pm_products(alg, rt)
-    from .algebra import dual_context
-
     ctx_plus = dual_context(alg, validate=False).with_product(plus_grid)
-    alpha = LinMap(rt.hat)
-    dual_post = post_from_o(ctx_plus, alpha, 1, validate=validate)
-    compat = None
+    dual_post = post_from_o(ctx_plus, LinMap(rt.hat), 1, validate=validate)
     try:
-        hat_inv = inverse(rt.hat)
+        compat = transport(dual_post, rt.hat)
     except SingularT:
-        hat_inv = None
-    if hat_inv is not None:
-        n = alg.dim
-        basis = [alg.basis_vec(i) for i in range(n)]
-        pre = [hat_inv.col(i) for i in range(n)]
-        ctxp = ctx_plus
-        circ = tuple(
-            tuple(rt.hat.apply(ctxp.module_product(pre[i], pre[j])) for j in range(n))
-            for i in range(n)
-        )
-        tri_r = tuple(
-            tuple(rt.hat.apply(ctxp.l_of(basis[i]).apply(pre[j])) for j in range(n))
-            for i in range(n)
-        )
-        tri_l = tuple(
-            tuple(rt.hat.apply(ctxp.r_of(basis[j]).apply(pre[i])) for j in range(n))
-            for i in range(n)
-        )
-        compat = PostNov(f, n, circ, tri_l, tri_r)
+        compat = None
     return dual_post, compat

@@ -26,25 +26,21 @@ from .algebra import (
     regular,
     regular_bimodule,
     semidirect,
-    star_algebra,
 )
 from .errors import NovikovError
 from .fields import Field, GF, PrimeField, QQ
 from .fixtures import example_algebra, example_beta, example_t
-from .linalg import Matrix, vadd, vsub
+from .linalg import Matrix, inverse
 from .operators import (
     LinMap,
     MassParams,
-    balanced_residual,
     baxter_residual,
     bimodule_hom_residual,
     circ_t,
-    diamond_product,
     equivalent_residual,
     ext_o_equation_residual,
     ext_o_residual,
     hom_residual,
-    invariant_residual,
     is_balanced_hom,
     o_operator_residual,
     pm_contexts,
@@ -64,16 +60,16 @@ from .postnov import (
     trialgebra_residual,
 )
 from .lift import (
-    b_alpha,
-    bialgebra_extra_residuals,
     circ_delta,
     circ_delta_algebra,
     circ_delta_pairing,
+    closure_residual,
     double,
     generalized_o_residual,
     gnybe_flag,
     lift_map,
 )
+from .residual import Residual
 from .solver import (
     balanced_hom_basis,
     balanced_hom_equivalent_basis,
@@ -88,12 +84,11 @@ from .solver import (
     sample_from_basis,
     trunc_poly_algebra,
 )
-from .tensors import Tensor2, flip
+from .tensors import Tensor2
 from .ybe import (
     BilForm,
     RTensor,
     adjoint_residual,
-    bilform_invariance,
     dual_pm_products,
     enybe_residual,
     hat_matrices,
@@ -102,7 +97,6 @@ from .ybe import (
     o_nybe_residual,
     quad_transport,
     skew_nybe_operator_residual,
-    tensor_of_map,
 )
 
 PROPERTY_IDS = (
@@ -935,7 +929,7 @@ def _p_dual_exo(run: PropertyRun, opts: Options) -> None:
         reg = regular(alg, validate=False)
         ctx_dual = dual_context(alg, validate=False)
         phi = form.phi()
-        phi_inv = inverse_of(phi)
+        phi_inv = inverse(phi)
         homs = balanced_hom_basis(reg)
         selfadj_coords = residual_space(field, homs, lambda x: adjoint_residual(form, x, +1))
         selfadj_homs = [b for b in (linear_combination(homs, c) for c in selfadj_coords) if not b.is_zero()]
@@ -971,12 +965,6 @@ def _p_dual_exo(run: PropertyRun, opts: Options) -> None:
                     run.checked += 1
                     if enybe_residual(alg, tens, eps).is_zero() != ext_ok:
                         run.fail("transport direction (ii) mismatch", algebra=alg, kappa=kap)
-
-
-def inverse_of(m: Matrix) -> Matrix:
-    from .linalg import inverse
-
-    return inverse(m)
 
 
 # ---------------------------------------------------------------------------
@@ -1261,79 +1249,16 @@ def _p_goper(run: PropertyRun, opts: Options) -> None:
                     run.fail("generalized operator vs lifted verdict mismatch", algebra=alg, alpha=alpha)
 
 
-def cor_a_residual(ctx: BimodNov, alpha: LinMap, weight):
+def cor_a_residual(ctx: BimodNov, alpha: LinMap, weight) -> Residual:
     """The six weight-scaled module-product identities of the final
-    corollary, evaluated on basis tuples."""
-    from .residual import ResidualCollector
-
+    corollary: the closure families of B(u,v) = weight·alpha(u·v)."""
     f = ctx.field
     lam = f.coerce(weight)
-    n = ctx.alg.dim
     m = ctx.mdim
-    col = ResidualCollector(f, "cor-a")
-    mb = [ctx.module_basis(i) for i in range(m)]
-
-    def a_of(mod_vec):
-        return alpha(mod_vec)
-
-    for u in range(m):
-        for v in range(m):
-            uv = ctx.mul[u][v]
-            la_uv = ctx.l_of(a_of(uv))
-            for w in range(m):
-                uw = ctx.mul[u][w]
-                # a1
-                e1 = vsub(f, la_uv.col(w), ctx.l_of(a_of(uw)).col(v))
-                col.record("a1", (u, v, w), tuple(f.mul(lam, c) for c in e1))
-                # a2
-                vu = ctx.mul[v][u]
-                vw = ctx.mul[v][w]
-                e2 = vsub(f, la_uv.col(w), ctx.l_of(a_of(vu)).col(w))
-                e2 = vsub(f, e2, ctx.r_of(a_of(vw)).col(u))
-                e2 = vadd(f, e2, ctx.r_of(a_of(uw)).col(v))
-                col.record("a2", (u, v, w), tuple(f.mul(lam, c) for c in e2))
-    for x in range(n):
-        ex = ctx.alg.basis_vec(x)
-        lx = ctx.l_mats[x]
-        rx = ctx.r_mats[x]
-        for u in range(m):
-            for w in range(m):
-                lxw = lx.col(w)
-                uw = ctx.mul[u][w]
-                # a3: x ⋆ alpha(u·w) = alpha((l(x)w)·u) + alpha(u·(l(x)w))
-                e3 = ctx.alg.star(ex, a_of(uw))
-                e3 = vsub(f, e3, a_of(ctx.module_product(lxw, mb[u])))
-                e3 = vsub(f, e3, a_of(ctx.module_product(mb[u], lxw)))
-                col.record("a3", (x, u, w), tuple(f.mul(lam, c) for c in e3))
-                # a4: alpha((l(x)w)·v) = alpha((l(x)v)·w)   (v := u)
-                lxu = lx.col(u)
-                e4 = vsub(
-                    f,
-                    a_of(ctx.module_product(lxw, mb[u])),
-                    a_of(ctx.module_product(lxu, mb[w])),
-                )
-                col.record("a4", (x, u, w), tuple(f.mul(lam, c) for c in e4))
-                # a5
-                e5 = vadd(
-                    f,
-                    a_of(ctx.module_product(lxw, mb[u])),
-                    a_of(ctx.module_product(mb[u], lxw)),
-                )
-                e5 = vsub(f, e5, ctx.alg.product(ex, a_of(uw)))
-                e5 = vsub(f, e5, a_of(ctx.module_product(rx.col(u), mb[w])))
-                col.record("a5", (x, u, w), tuple(f.mul(lam, c) for c in e5))
-                # a6
-                rxu = rx.col(u)
-                rxw = rx.col(w)
-                e6 = vadd(
-                    f,
-                    a_of(ctx.module_product(rxu, mb[w])),
-                    a_of(ctx.module_product(mb[w], rxu)),
-                )
-                e6 = vsub(f, e6, a_of(ctx.module_product(rxw, mb[u])))
-                e6 = vsub(f, e6, a_of(ctx.module_product(mb[u], rxw)))
-                col.record("a6", (x, u, w), tuple(f.mul(lam, c) for c in e6))
-    return col.done()
+    b = tuple(
+        tuple(tuple(f.mul(lam, c) for c in alpha(ctx.mul[u][v])) for v in range(m)) for u in range(m)
+    )
+    return closure_residual(ctx, b)
 
 
 @_register("P-GOPER-COR")

@@ -19,7 +19,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 from .algebra import Algebra, BimodNov, novikov_residual, regular
 from .errors import NovikovError, SpaceTooLarge
-from .fields import Field, GF, PrimeField, QQ
+from .fields import Field, PrimeField, QQ
 from .linalg import Matrix, kernel_basis
 from .operators import (
     LinMap,

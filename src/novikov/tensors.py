@@ -4,7 +4,7 @@ seven slot contractions used by the tensor Yang-Baxter machinery."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import BadContraction, DimMismatch, FieldMismatch
 from .fields import Field

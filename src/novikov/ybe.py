@@ -5,13 +5,13 @@ equivalences, and quadratic (invariant-form) transport."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
-from .algebra import Algebra, BimodNov, Grid, dual_context, regular_bimodule
-from .errors import BetaNotSelfAdjoint, DegenerateForm, DimMismatch, NoHalf, SymPartNotInvariant
+from .algebra import Algebra, Grid, dual_context
+from .errors import BetaNotSelfAdjoint, DegenerateForm, DimMismatch, FieldMismatch, NoHalf, SymPartNotInvariant
 from .fields import Field
-from .linalg import Matrix, inverse, vadd, vsub
-from .operators import LinMap, MassParams, ext_o_residual, o_operator_residual
+from .linalg import Matrix, inverse
+from .operators import LinMap, equation_grid, induced_product, o_operator_residual, pm_products
 from .residual import Residual, ResidualCollector
 from .tensors import Tensor2, Tensor3, flip, tensor3_combine
 
@@ -56,8 +56,6 @@ class RTensor:
     def build(cls, alg: Algebra, r: Tensor2) -> "RTensor":
         f = alg.field
         if r.field != f:
-            from .errors import FieldMismatch
-
             raise FieldMismatch("tensor and algebra over different fields")
         if r.dim != alg.dim:
             raise DimMismatch("tensor dimension does not match the algebra")
@@ -135,22 +133,18 @@ def enybe_residual(alg: Algebra, r: Tensor2, epsilon) -> Tensor3:
 def o_nybe_residual(alg: Algebra, r: Tensor2) -> Residual:
     """Operator form of the tensor equation, on dual basis pairs:
 
-    hat(a*)∘hat(b*) - hat(Lstar*(hat(a*))b* - (-R)*(hat_t(b*))a*).
+    hat(a*)∘hat(b*) - hat(Lstar*(hat(a*))b* - (-R)*(hat_t(b*))a*),
+    the equation of hat for the product hat and -hat_t induce on the dual
+    context.
     """
-    f = alg.field
-    n = alg.dim
     hat, hat_t = hat_matrices(r)
     ctx = dual_context(alg, validate=False)  # l = Lstar*, r = -R*
-    col = ResidualCollector(f, "o-nybe")
-    dual_basis = [tuple(f.one() if k == i else f.zero() for k in range(n)) for i in range(n)]
-    for i in range(n):
-        ha = hat.col(i)
-        for j in range(n):
-            hb = hat.col(j)
-            lhs = alg.product(ha, hb)
-            inner = ctx.l_of(ha).col(j)
-            inner = vsub(f, inner, ctx.r_of(hat_t.col(j)).col(i))
-            col.record("o-nybe", (i, j), vsub(f, lhs, hat.apply(inner)))
+    alpha = LinMap(hat)
+    eq = equation_grid(ctx, alpha, induced_product(ctx, alpha, LinMap(-hat_t), 0))
+    col = ResidualCollector(alg.field, "o-nybe")
+    for i in range(alg.dim):
+        for j in range(alg.dim):
+            col.record("o-nybe", (i, j), eq[i][j])
     return col.done()
 
 
@@ -161,22 +155,7 @@ def dual_pm_products(alg: Algebra, rt: RTensor) -> tuple[Grid, Grid]:
     """
     if not invariance_residual(alg, rt.r_plus, cross_check=False).is_zero:
         raise SymPartNotInvariant("symmetric part is not invariant")
-    f = alg.field
-    n = alg.dim
-    ctx = dual_context(alg, validate=False)
-    two = f.coerce(2)
-    plus_rows, minus_rows = [], []
-    for i in range(n):
-        bi = rt.beta.mat.col(i)
-        li = ctx.l_of(bi)
-        prow, mrow = [], []
-        for j in range(n):
-            val = tuple(f.mul(two, c) for c in li.col(j))
-            prow.append(tuple(f.neg(c) for c in val))
-            mrow.append(val)
-        plus_rows.append(tuple(prow))
-        minus_rows.append(tuple(mrow))
-    return tuple(plus_rows), tuple(minus_rows)
+    return pm_products(dual_context(alg, validate=False), rt.beta, 0)
 
 
 @dataclass(frozen=True)
@@ -232,6 +211,10 @@ class BilForm:
 def bilform_invariance(alg: Algebra, form: BilForm) -> tuple[Residual, bool]:
     """Invariance B(a∘b, c) + B(b, a⋆c) on basis triples, plus the full
     quadratic verdict (symmetric + nondegenerate + invariant)."""
+    if form.field != alg.field:
+        raise FieldMismatch(f"form is over {form.field}, algebra over {alg.field}")
+    if form.dim != alg.dim:
+        raise DimMismatch(f"form is {form.dim}x{form.dim}, algebra has dimension {alg.dim}")
     f = alg.field
     n = alg.dim
     col = ResidualCollector(f, "bilform-invariance")

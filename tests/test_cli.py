@@ -303,6 +303,26 @@ def _document(kind: str, p: int) -> dict:
     return {"format": 1, "kind": kind, "field": {"kind": "prime", "p": p}, "payload": payload}
 
 
+def _rational(kind: str, payload: dict) -> dict:
+    return {"format": 1, "kind": kind, "field": {"kind": "rational"}, "payload": payload}
+
+
+def _identity(n: int) -> list:
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def _map(n: int) -> dict:
+    """The n x n identity map over Q."""
+    return _rational("linmap", {"rows": n, "cols": n, "entries": _identity(n)})
+
+
+def _bilform_bundle(n: int) -> dict:
+    """The 2-dim worked algebra bundled with the n x n identity form."""
+    a2 = {"dim": 2, "mul": [[[1, 0], [0, 1]], [[0, 1], [0, 0]]]}
+    form = {"dim": n, "entries": _identity(n)}
+    return _rational("doc-bundle", {"documents": {"algebra": _rational("algebra", a2), "form": _rational("bilform", form)}})
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -320,6 +340,13 @@ def _document(kind: str, p: int) -> dict:
         pytest.param(["check", "rota-baxter", "--weight", "1/3", "a2_f3.json", _document("linmap", 3)], id="scalar-not-in-field"),
         pytest.param(["verify", "algebra", _document("algebra", 4)], id="field-p-4"),
         pytest.param(["verify", "algebra", _document("algebra", 9)], id="field-p-9"),
+        pytest.param(["verify", "bilform", _bilform_bundle(1)], id="form-smaller-than-algebra"),
+        pytest.param(["verify", "bilform", _bilform_bundle(3)], id="form-larger-than-algebra"),
+        pytest.param(["check", "rota-baxter", "a2.json", _document("linmap", 3)], id="map-over-other-field"),
+        pytest.param(["check", "rota-baxter", "a2.json", _map(3)], id="rota-baxter-map-3x3"),
+        pytest.param(["check", "ext-o", "a2.json", "regular", _map(3)], id="ext-o-map-3x3"),
+        pytest.param(["derive", "circ-t", "a2.json", _map(3)], id="circ-t-map-3x3"),
+        pytest.param(["check", "nybe", "a2.json", _rational("tensor2", {"dim": 3, "entries": _identity(3)})], id="tensor-dim-3"),
     ],
 )
 def test_input_errors_exit_2_with_one_line(capsys, fixture_path, tmp_path, argv):

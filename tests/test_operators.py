@@ -1,6 +1,8 @@
+from fractions import Fraction
+
 import pytest
 
-from novikov.algebra import Algebra, abnova_residual, grids_equal, novikov_residual, regular
+from novikov.algebra import Algebra, abnova_residual, dual_context, grids_equal, novikov_residual, regular
 from novikov.errors import NoHalf
 from novikov.fields import GF, QQ
 from novikov.fixtures import example_algebra, example_beta, example_t
@@ -131,6 +133,36 @@ def test_star_product_trivial():
     grid, closure = star_product(reg, LinMap.zero(QQ, 2, 2), 0)
     assert closure.is_zero
     assert all(all(c == 0 for c in cell) for row in grid for cell in row)
+
+
+def test_star_product_values(a2, a2_regular, t2):
+    # on A: e1*e1 = T(e1)∘e1 + e1∘T(e1) + e1∘e1 = 2(-2e1 + 4e2) + e1
+    grid, _ = star_product(a2_regular, t2, 1)
+    assert grid[0][0] == (-3, 8)
+    # on the dual context l = -(L+R)^T, r = R^T: with T(e1*) = (-2, 4),
+    # l(T(e1*)) = [[4, -8], [0, 4]] and r(T(e1*)) = [[-2, 4], [0, -2]], so
+    # e1* * e1* = (4, 0) + (-2, 0); the module product is trivial
+    grid, closure = star_product(dual_context(a2), t2, 1)
+    assert grid == (((2, 0), (-8, 4)), ((4, -2), (-1, 0)))
+    assert [(fail.indices, fail.value) for fail in closure.failures] == [
+        ((0, 0, 1), (-16, 16)),
+        ((0, 1, 0), (16, -16)),
+        ((0, 1, 0), (-16, -8)),
+        ((0, 1, 1), (56, -32)),
+        ((1, 0, 0), (16, 8)),
+        ((1, 0, 1), (-28, 16)),
+        ((1, 0, 1), (-56, 32)),
+        ((1, 1, 0), (28, -16)),
+    ]
+
+
+def test_diamond_values_with_distinct_deltas(a2, t2, beta2):
+    # e2* ⋄ e1* = l(T(e2*))e1* + r(beta(e1*))e2* = (0, 0) + column 1 of
+    # r(e1* + 3e2*) = [[1, 3], [0, 1]]
+    grid, alpha, beta = diamond_product(dual_context(a2), t2, beta2, 1)
+    assert grid == (((5, 0), (-8, 4)), ((3, 1), (-1, 0)))
+    assert alpha.mat.row_list() == [(Fraction(-1, 2), 0), (Fraction(7, 2), 1)]
+    assert beta.mat.row_list() == [(Fraction(-3, 2), 0), (Fraction(1, 2), 0)]
 
 
 def test_diamond_recovers_parts(a2_regular, t2, beta2):

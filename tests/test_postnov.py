@@ -128,6 +128,31 @@ def test_compatible_from_rb(a2):
     assert post_residual(p).is_zero
 
 
+def test_compatible_from_rb_values(a2):
+    # T = 2 id is Rota-Baxter of weight -2; pushed forward along T the
+    # products become -x∘y, x∘y and x∘y, which sum to the original product
+    two = LinMap(Matrix.identity(QQ, 2).scale(2))
+    p = compatible_from_rb(a2, two, -2)
+    assert p.circ == (((-1, 0), (0, -1)), ((0, -1), (0, 0)))
+    assert p.tri_l == a2.mul and p.tri_r == a2.mul
+
+
+def test_post_from_nybe_compatible_values():
+    # e2∘e2 = e1 over F3; r = e1⊗e1 + e1⊗e2 + 2e2⊗e1 solves the equation
+    # with invariant symmetric part and invertible hat = [[1, 2], [1, 0]].
+    # hat^{-1}(e2) = e1* + e2* and l(e2) = -(L+R)(e2)^T = [[0, 0], [1, 0]], so
+    # e2 ▷ e2 = hat(l(e2)(e1* + e2*)) = hat(e2*) = 2e1
+    f3 = GF(3)
+    alg = Algebra.from_table(f3, {(1, 1): (1, 0)}, 2)
+    dual_post, compat = post_from_nybe(alg, Tensor2(f3, ((1, 1), (2, 0))))
+    zero = (((0, 0), (0, 0)), ((0, 0), (0, 0)))
+    assert dual_post.circ == zero
+    assert dual_post.tri_l == dual_post.tri_r == (((0, 1), (0, 0)), ((0, 0), (0, 0)))
+    assert compat.circ == zero
+    assert compat.tri_l == compat.tri_r == (((0, 0), (0, 0)), ((0, 0), (2, 0)))
+    assert associated(compat).mul == alg.mul
+
+
 def test_post_on_image_invertible_matches_pushforward(a2, a2_regular):
     ident = LinMap.identity(QQ, 2)
     image = post_on_image(a2_regular, ident, -1)

@@ -115,6 +115,30 @@ def test_dual_pm_products(a2):
             assert tuple(f3.neg(c) for c in p3[i][j]) == m3[i][j]
 
 
+def test_dual_pm_products_values_with_nonzero_beta():
+    # s = e1⊗e2 + e2⊗e1 over F3, beta = [[0, 1], [1, 0]]: a* ·+ b* = -2 l(beta(a*))b*
+    # with l(e2) = -(L+R)(e2)^T = [[0, -2], [0, 0]], so e1* ·+ e2* = -2(-2, 0) = (1, 0)
+    f3 = GF(3)
+    a2m = example_algebra(f3)
+    rt = RTensor.build(a2m, invariant_symmetric_basis(a2m)[0])
+    assert rt.beta.mat.row_list() == [(0, 1), (1, 0)]
+    plus, minus = dual_pm_products(a2m, rt)
+    assert plus == (((0, 0), (1, 0)), ((1, 0), (0, 1)))
+    assert minus == (((0, 0), (2, 0)), ((2, 0), (0, 2)))
+
+
+def test_o_nybe_failure_values(a2):
+    # r = e1⊗e2 - e2⊗e1: hat(e2*) = -e1, hat_t(e2*) = e1, so at (e2*, e2*)
+    # hat(e2*)∘hat(e2*) - hat(l(-e1)e2* - r(e1)e2*) = e1 - hat((0, 2) - (0, 1)) = e1 + e1
+    skew = tensor2_from_pairs(QQ, 2, [(0, 1, 1), (1, 0, -1)])
+    rep = o_nybe_residual(a2, skew)
+    assert [(fail.identity, fail.indices, fail.value) for fail in rep.failures] == [
+        ("o-nybe", (0, 1), (0, 2)),
+        ("o-nybe", (1, 0), (0, -4)),
+        ("o-nybe", (1, 1), (2, 0)),
+    ]
+
+
 def test_bilform_examples(a2):
     ident = BilForm(QQ, ((1, 0), (0, 1)))
     triv = Algebra.zero(QQ, 2)
