@@ -58,6 +58,4 @@ from .lift import circ_delta, delta_r, double, generalized_o_residual, gnybe_res
 from .properties import PROPERTY_IDS, run_property
 from .solver import SearchSpec, enumerate_search, random_instance
 
-from ._kernels import BACKEND as KERNEL_BACKEND
-
 __version__ = "0.1.0"

@@ -1,36 +1,21 @@
-"""Kernel backend selection: the compiled extension when it imported
-cleanly, the pure-Python implementation otherwise.
+"""The mod-p kernels: the hand-written pure-Python predicates of ``pure``,
+re-exported.  No library module imports them; they are the independent
+oracle the object path and the search are tested against."""
 
-Set ``NOVIKOV_KERNELS=pure`` to force the fallback (used by the benchmark
-and the differential tests).
-"""
+from . import pure
+from .pure import (
+    bilform_invariant_ok,
+    enumerate_novikov_dim2,
+    enybe_ok,
+    ext_o_regular_ok,
+    hkappa_ok,
+    invariant_symmetric_ok,
+    novikov_ok,
+    nybe_ok,
+    o_nybe_ok,
+    product,
+    rb_ok,
+)
 
-import os
-
-from . import pure as _pure
-
-_forced = os.environ.get("NOVIKOV_KERNELS", "").strip().lower()
-
-if _forced == "pure":
-    impl = _pure
-else:
-    try:
-        from . import _fast as impl  # type: ignore[attr-defined]
-    except ImportError:
-        impl = _pure
-
-BACKEND = impl.BACKEND_NAME
-
-novikov_ok = impl.novikov_ok
-enumerate_novikov_dim2 = impl.enumerate_novikov_dim2
-product = impl.product
-ext_o_regular_ok = impl.ext_o_regular_ok
-rb_ok = impl.rb_ok
-hkappa_ok = impl.hkappa_ok
-nybe_ok = impl.nybe_ok
-enybe_ok = impl.enybe_ok
-o_nybe_ok = impl.o_nybe_ok
-invariant_symmetric_ok = impl.invariant_symmetric_ok
-bilform_invariant_ok = impl.bilform_invariant_ok
-
-pure = _pure
+BACKEND = "pure"
+impl = pure  # the module behind the re-exports; perfbench's tracer wraps its functions

@@ -4,13 +4,10 @@ against.
 
 Everything here works on flat int tuples: a multiplication table is
 ``mul[(i*n + j)*n + k]`` = coefficient of e_k in e_i∘e_j, a matrix is
-row-major ``t[i*n + j]``, a 2-tensor is ``r[i*n + j]``.  The compiled
-backend mirrors this module function-for-function.
+row-major ``t[i*n + j]``, a 2-tensor is ``r[i*n + j]``.
 """
 
 from __future__ import annotations
-
-BACKEND_NAME = "pure"
 
 
 def _prod(mul, n, p, a, b, out):

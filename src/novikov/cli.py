@@ -208,7 +208,7 @@ def cmd_verify(args) -> int:
         rep = novikov_residual(alg)
         fld = alg.field
     elif kind == "bimodule":
-        b = _expect(obj, (Bimodule, BimodNov), args.input)
+        b = _expect(obj, Bimodule, args.input)
         rep = bimodule_residual(b)
         fld = b.field
     elif kind == "bimodnov":
@@ -290,12 +290,8 @@ def _check(args, inputs: _Inputs) -> tuple[dict, bool]:
         alg = inputs.algebra(args)
         r = _expect(_load_object(take("tensor")), Tensor2, "tensor")
         fld = alg.field
-        if kind == "nybe":
-            t3 = nybe_residual(alg, r)
-            flag = t3.is_zero()
-            witness = None if flag else _tensor3_entries(t3, args.verbose)
-        elif kind == "enybe":
-            t3 = enybe_residual(alg, r, args.epsilon)
+        if kind in ("nybe", "enybe"):
+            t3 = nybe_residual(alg, r) if kind == "nybe" else enybe_residual(alg, r, args.epsilon)
             flag = t3.is_zero()
             witness = None if flag else _tensor3_entries(t3, args.verbose)
         elif kind == "o-nybe":
@@ -333,8 +329,7 @@ def _check(args, inputs: _Inputs) -> tuple[dict, bool]:
         alg = inputs.algebra(args)
         ctx = _context_from(alg, take("context"))
         alpha = _expect(_load_object(take("alpha")), LinMap, "alpha")
-        bim = Bimodule(ctx.alg, ctx.mdim, ctx.l_mats, ctx.r_mats)
-        rep = generalized_o_residual(bim, alpha)
+        rep = generalized_o_residual(ctx, alpha)
         return _report(kind, rep.is_zero, _residual_witness(rep, alg.field, args.verbose), t0), rep.is_zero
     raise DocumentError(f"unknown check kind {kind!r}")
 
@@ -369,7 +364,7 @@ def cmd_derive(args) -> int:
         obj = _load_object(take("bimodule"))
         if isinstance(obj, Algebra):
             obj = regular_bimodule(obj)
-        doc = to_document(dual_bimodule(_expect(obj, (Bimodule, BimodNov), "bimodule")))
+        doc = to_document(dual_bimodule(_expect(obj, Bimodule, "bimodule")))
     elif name == "semidirect":
         alg_or_ctx = _load_object(take("context"))
         if isinstance(alg_or_ctx, Algebra):
@@ -380,9 +375,7 @@ def cmd_derive(args) -> int:
     elif name == "double":
         alg = inputs.algebra(args)
         tok = take("bimodule")
-        bim = regular_bimodule(alg) if tok == "regular" else _expect(_load_object(tok), (Bimodule, BimodNov), "bimodule")
-        if isinstance(bim, BimodNov):
-            bim = Bimodule(bim.alg, bim.mdim, bim.l_mats, bim.r_mats)
+        bim = regular_bimodule(alg) if tok == "regular" else _expect(_load_object(tok), Bimodule, "bimodule")
         doc = to_document(double(alg, bim).algebra)
     elif name == "circ-t":
         alg = inputs.algebra(args)
@@ -479,9 +472,7 @@ def cmd_derive(args) -> int:
     elif name == "lift-map":
         alg = inputs.algebra(args)
         tok = take("bimodule")
-        bim = regular_bimodule(alg) if tok == "regular" else _expect(_load_object(tok), (Bimodule, BimodNov), "bimodule")
-        if isinstance(bim, BimodNov):
-            bim = Bimodule(bim.alg, bim.mdim, bim.l_mats, bim.r_mats)
+        bim = regular_bimodule(alg) if tok == "regular" else _expect(_load_object(tok), Bimodule, "bimodule")
         gamma = _expect(_load_object(take("gamma")), LinMap, "gamma")
         lifted = lift_map(double(alg, bim), gamma)
         doc = bundle_document(

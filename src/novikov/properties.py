@@ -1219,34 +1219,26 @@ def _p_goper(run: PropertyRun, opts: Options) -> None:
     field = opts.fld(GF(2))
     rng = random.Random(opts.seed)
     if isinstance(field, PrimeField) and field.p == 2:
-        for alg in _enumerated_pool(field):
-            bim = regular_bimodule(alg)
-            d = double(alg, bim, validate=False)
-            for idx in range(16):
-                bits = [(idx >> s) & 1 for s in range(4)]
-                alpha = LinMap(Matrix(field, 2, 2, tuple(bits)))
-                lhs = generalized_o_residual(bim, alpha).is_zero
-                lifted = lift_map(d, alpha)
-                rhs = gnybe_flag(d.algebra, lifted.tensor_minus)
-                run.checked += 1
-                if lhs:
-                    run.hypothesis_hits += 1
-                if lhs != rhs:
-                    run.fail("generalized operator vs lifted verdict mismatch", algebra=alg, alpha=alpha)
+        # exhaustive: all 16 maps on the dim-2 algebras
+        every = [LinMap(Matrix(field, 2, 2, tuple((idx >> s) & 1 for s in range(4)))) for idx in range(16)]
+        cases = ((alg, every) for alg in _enumerated_pool(field))
     else:
-        for alg in _algebra_pool(field, rng, 3):
-            bim = regular_bimodule(alg)
-            d = double(alg, bim, validate=False)
-            for _ in range(max(4, opts.trials // 3)):
-                alpha = LinMap(random_matrix(field, alg.dim, alg.dim, rng))
-                lhs = generalized_o_residual(bim, alpha).is_zero
-                lifted = lift_map(d, alpha)
-                rhs = gnybe_flag(d.algebra, lifted.tensor_minus)
-                run.checked += 1
-                if lhs:
-                    run.hypothesis_hits += 1
-                if lhs != rhs:
-                    run.fail("generalized operator vs lifted verdict mismatch", algebra=alg, alpha=alpha)
+        draws = max(4, opts.trials // 3)
+        cases = (
+            (alg, [LinMap(random_matrix(field, alg.dim, alg.dim, rng)) for _ in range(draws)])
+            for alg in _algebra_pool(field, rng, 3)
+        )
+    for alg, alphas in cases:
+        bim = regular_bimodule(alg)
+        d = double(alg, bim, validate=False)
+        for alpha in alphas:
+            lhs = generalized_o_residual(bim, alpha).is_zero
+            rhs = gnybe_flag(d.algebra, lift_map(d, alpha).tensor_minus)
+            run.checked += 1
+            if lhs:
+                run.hypothesis_hits += 1
+            if lhs != rhs:
+                run.fail("generalized operator vs lifted verdict mismatch", algebra=alg, alpha=alpha)
 
 
 def cor_a_residual(ctx: BimodNov, alpha: LinMap, weight) -> Residual:

@@ -243,11 +243,13 @@ def loads(text: str) -> dict:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise DocumentError("invalid JSON: nested too deeply") from exc
 
 
 def load_path(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return loads(fh.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from exc

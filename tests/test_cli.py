@@ -347,15 +347,20 @@ def _bilform_bundle(n: int) -> dict:
         pytest.param(["check", "ext-o", "a2.json", "regular", _map(3)], id="ext-o-map-3x3"),
         pytest.param(["derive", "circ-t", "a2.json", _map(3)], id="circ-t-map-3x3"),
         pytest.param(["check", "nybe", "a2.json", _rational("tensor2", {"dim": 3, "entries": _identity(3)})], id="tensor-dim-3"),
+        pytest.param(["verify", "algebra", b"[" * 100000 + b"]" * 100000], id="json-nested-too-deeply"),
+        pytest.param(["verify", "algebra", b"\xff\xfe{\x00"], id="file-not-utf8"),
     ],
 )
 def test_input_errors_exit_2_with_one_line(capsys, fixture_path, tmp_path, argv):
-    # a dict argument is a document, written to a file first
+    # a dict argument is a document and a bytes argument a file's raw
+    # contents, written to a file first
     paths = []
     for n, arg in enumerate(argv):
         if isinstance(arg, dict):
+            arg = json.dumps(arg).encode()
+        if isinstance(arg, bytes):
             path = tmp_path / f"doc{n}.json"
-            path.write_text(json.dumps(arg))
+            path.write_bytes(arg)
             arg = str(path)
         elif arg.endswith(".json"):
             arg = fixture_path(arg)

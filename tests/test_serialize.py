@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from novikov import cli
 from novikov.algebra import BimodNov, regular, regular_bimodule
 from novikov.errors import DocumentError
 from novikov.fields import GF, QQ
@@ -10,6 +14,7 @@ from novikov.linalg import Matrix
 from novikov.operators import LinMap
 from novikov.postnov import PostNov, post_from_rb
 from novikov.serialize import (
+    KINDS,
     bundle_document,
     bundle_to_trialgebra,
     dumps,
@@ -104,3 +109,75 @@ def test_prime_scalars_reduced():
     doc["payload"]["mul"][0][0][0] = -1
     back = from_document(doc)
     assert back.mul[0][0][0] == 4
+
+
+# Loader fuzz: random JSON values, about half of them in a plausible envelope
+# whose payload is either random or carries every key a payload kind reads.
+_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+_KEYS = st.text(max_size=6) | st.sampled_from(
+    ("dim", "mul", "labels", "algebra", "mdim", "l", "r", "rows", "cols", "entries", "circ", "tri_l", "tri_r", "documents")
+)
+_JSON = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_KEYS, inner, max_size=4),
+    max_leaves=20,
+)
+
+
+def _cube(n: int, depth: int):
+    """An n×…×n nested list (depth levels) of small integers."""
+    if depth == 0:
+        return st.integers(-2, 2)
+    return st.lists(_cube(n, depth - 1), min_size=n, max_size=n)
+
+
+# the right dim most of the time, so that some documents decode and reach the
+# residual check
+_SHAPED = st.sampled_from((2, 1, 3, 0)).flatmap(
+    lambda n: st.fixed_dictionaries(
+        {"dim": st.sampled_from((n, n, n, n + 1, str(n), None)), "rows": st.just(n), "cols": st.just(n)}
+        | {key: _cube(n, 3) for key in ("mul", "circ", "tri_l", "tri_r")}
+        | {"entries": _cube(n, 2)}
+    )
+)
+_FIELDS = st.sampled_from(({"kind": "rational"}, *({"kind": "prime", "p": p} for p in (2, 3, 5, 7))))
+_ENVELOPE = st.fixed_dictionaries(
+    {"format": st.just(1), "kind": st.sampled_from(KINDS), "field": _FIELDS, "payload": _JSON | _SHAPED}
+)
+
+
+# too_slow is a timing check: suppressed so that the derandomized run does not
+# depend on the host's speed
+def _algebra_doc(field: dict, dim, mul) -> dict:
+    return {"format": 1, "kind": "algebra", "field": field, "payload": {"dim": dim, "mul": mul}}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
+@given(doc=_JSON | _ENVELOPE)
+# one document for each exception class the payload decoder must map
+@example(doc=_algebra_doc({"kind": "rational"}, 2, [[[0]]]))  # DimMismatch
+@example(doc=_algebra_doc({"kind": "rational"}, 1, [[["1/0"]]]))  # ZeroDivisionError
+@example(doc=_algebra_doc({"kind": "rational"}, 1, [[[None]]]))  # NovikovError
+@example(doc=_algebra_doc({"kind": "prime", "p": 3}, 1, [[["x"]]]))  # ValueError
+@example(doc=_algebra_doc({"kind": "rational"}, float("inf"), []))  # OverflowError
+@example(doc=_algebra_doc({"kind": "prime", "p": [3]}, 1, [[[0]]]))  # TypeError in the field
+def test_loader_fuzz_decodes_or_rejects(tmp_path_factory, doc):
+    """Every JSON value decodes or raises DocumentError, and ``nova verify
+    algebra`` on it exits 0, 1 or 2, with 2 and one stderr line for every
+    document the loader rejects."""
+    try:
+        from_document(doc)
+        rejected = False
+    except DocumentError:
+        rejected = True
+    path = tmp_path_factory.getbasetemp() / "fuzz.json"
+    path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["verify", "algebra", str(path)])
+    assert code in (0, 1, 2)
+    if rejected:
+        assert code == 2
+    if code == 2:
+        assert out.getvalue() == ""
+        assert len(err.getvalue().splitlines()) == 1 and err.getvalue().startswith("input error: ")
