@@ -5,6 +5,7 @@ dual bimodule, semidirect product)."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .errors import DimMismatch, FieldMismatch, ModuleNotNovikov, NotABimodule, NotNovikov
@@ -122,16 +123,29 @@ class Algebra:
 
     def left_mul(self, a: Sequence) -> Matrix:
         """L(a): b -> a∘b."""
-        cols = [self.product(a, self.basis_vec(j)) for j in range(self.dim)]
-        return Matrix.from_cols(self.field, cols, "A", "A")
+        return self._regular_bimodule.l_of(a)
 
     def right_mul(self, a: Sequence) -> Matrix:
         """R(a): b -> b∘a."""
-        cols = [self.product(self.basis_vec(j), a) for j in range(self.dim)]
-        return Matrix.from_cols(self.field, cols, "A", "A")
+        return self._regular_bimodule.r_of(a)
 
     def star_mul(self, a: Sequence) -> Matrix:
         return self.left_mul(a) + self.right_mul(a)
+
+    # The instance is frozen, so these caches cannot go stale; they are not
+    # fields, so equality, hashing and repr ignore them.
+    @cached_property
+    def _regular_bimodule(self) -> "Bimodule":
+        """L(e_i) and R(e_i), read off the product grid: column j of L(e_i)
+        is e_i∘e_j, column j of R(e_i) is e_j∘e_i."""
+        n, f, mul = self.dim, self.field, self.mul
+        l_mats = tuple(Matrix.from_cols(f, [mul[i][j] for j in range(n)], "A", "A") for i in range(n))
+        r_mats = tuple(Matrix.from_cols(f, [mul[j][i] for j in range(n)], "A", "A") for i in range(n))
+        return Bimodule(self, n, l_mats, r_mats)
+
+    @cached_property
+    def _dual_context(self) -> "BimodNov":
+        return dual_bimodule(self._regular_bimodule, validate=False).trivial()
 
 
 def star(alg: Algebra) -> Grid:
@@ -224,11 +238,15 @@ class Bimodule:
 
 
 def _combine_mats(field: Field, mats: tuple, a: Sequence, mdim: int) -> Matrix:
-    out = Matrix.zeros(field, mdim, mdim)
+    """Σ a_i·mats[i], accumulated in one flat list."""
+    acc = [field.zero()] * (mdim * mdim)
     for i, c in enumerate(a):
-        if not field.is_zero(c):
-            out = out + mats[i].scale(c)
-    return out
+        if field.is_zero(c):
+            continue
+        c = field.coerce(c)
+        for k, x in enumerate(mats[i].entries):
+            acc[k] = field.add(acc[k], field.mul(c, x))
+    return Matrix(field, mdim, mdim, tuple(acc))
 
 
 @dataclass(frozen=True)
@@ -353,10 +371,8 @@ def regular(alg: Algebra, validate: bool = True) -> BimodNov:
 
 
 def regular_bimodule(alg: Algebra) -> Bimodule:
-    n = alg.dim
-    l_mats = tuple(alg.left_mul(alg.basis_vec(i)) for i in range(n))
-    r_mats = tuple(alg.right_mul(alg.basis_vec(i)) for i in range(n))
-    return Bimodule(alg, n, l_mats, r_mats)
+    """(A, L, R), built once per algebra."""
+    return alg._regular_bimodule
 
 
 def dual_bimodule(b: Bimodule, validate: bool = True) -> Bimodule:
@@ -369,8 +385,11 @@ def dual_bimodule(b: Bimodule, validate: bool = True) -> Bimodule:
 
 
 def dual_context(alg: Algebra, validate: bool = True) -> BimodNov:
-    """(A*, L_star-dual, -R-dual) with the trivial module product."""
-    return dual_bimodule(regular_bimodule(alg), validate=validate).trivial()
+    """(A*, L_star-dual, -R-dual) with the trivial module product, built once
+    per algebra; ``validate`` checks the regular bimodule identities first."""
+    if validate and not bimodule_residual(regular_bimodule(alg)).is_zero:
+        raise NotABimodule("dual construction needs a valid bimodule")
+    return alg._dual_context
 
 
 def semidirect(b: BimodNov) -> Algebra:

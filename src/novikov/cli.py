@@ -29,7 +29,7 @@ from .algebra import (
     star_algebra,
 )
 from .errors import DimMismatch, DocumentError, FieldMismatch, NovikovError, SpaceTooLarge
-from .fields import Field, field_by_name
+from .fields import Field, field_by_name, parse_scalar
 from .lift import (
     bialgebra_extra_residuals,
     circ_delta_algebra,
@@ -597,8 +597,8 @@ class _Parser(argparse.ArgumentParser):
 def _scalar(text: str) -> Fraction:
     """A scalar option: an integer or a fraction a/b, read exactly."""
     try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
+        return parse_scalar(text)
+    except (NovikovError, ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
 
 

@@ -8,11 +8,28 @@ keep a reference to their field and refuse to mix fields.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .errors import FieldMismatch, NoHalf, NovikovError
 
 _PRIME_CACHE: dict[int, "PrimeField"] = {}
+
+# The one scalar grammar for documents and options: an integer or p/q, with an
+# optional sign and surrounding whitespace.  Decimal points, exponents and
+# digit separators are rejected: "1e3000000" is nine bytes but a
+# three-million-digit integer.
+_SCALAR = re.compile(r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*")
+
+
+def parse_scalar(text: str) -> Fraction:
+    """Read a scalar string exactly; raises NovikovError outside the grammar
+    and ZeroDivisionError for a zero denominator."""
+    m = _SCALAR.fullmatch(text)
+    if m is None:
+        raise NovikovError(f"not an integer or p/q: {text!r}")
+    num, den = m.groups()
+    return Fraction(int(num), int(den or 1))
 
 
 def _is_prime(n: int) -> bool:
@@ -118,7 +135,7 @@ class Rationals(Field):
         if isinstance(x, int):
             return Fraction(x)
         if isinstance(x, str):
-            return Fraction(x.strip())
+            return parse_scalar(x)
         raise NovikovError(f"cannot coerce {x!r} into Q")
 
     def is_zero(self, a) -> bool:
@@ -130,7 +147,7 @@ class Rationals(Field):
         return f"{a.numerator}/{a.denominator}"
 
     def scalar_from_json(self, obj):
-        if isinstance(obj, (int, str)):
+        if isinstance(obj, (int, str)) and not isinstance(obj, bool):
             return self.coerce(obj)
         raise NovikovError(f"bad rational scalar {obj!r}")
 
@@ -191,7 +208,7 @@ class PrimeField(Field):
         if isinstance(x, int):
             return x % self.p
         if isinstance(x, str):
-            return int(x.strip()) % self.p
+            x = parse_scalar(x)
         if isinstance(x, Fraction):
             if x.denominator % self.p == 0:
                 raise NovikovError(f"denominator divisible by {self.p}")
@@ -205,10 +222,8 @@ class PrimeField(Field):
         return int(a)
 
     def scalar_from_json(self, obj):
-        if isinstance(obj, int):
-            return obj % self.p
-        if isinstance(obj, str):
-            return int(obj) % self.p
+        if isinstance(obj, (int, str)) and not isinstance(obj, bool):
+            return self.coerce(obj)
         raise NovikovError(f"bad prime-field scalar {obj!r}")
 
     def to_json(self) -> dict:

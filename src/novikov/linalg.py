@@ -110,6 +110,16 @@ class Matrix:
         object.__setattr__(self, "entries", tuple(self.field.coerce(c) for c in self.entries))
 
     @classmethod
+    def _canonical(cls, field: Field, rows: int, cols: int, entries: tuple, domain=None, codomain=None) -> "Matrix":
+        """Wrap a row-major tuple that is already canonical for ``field`` and
+        ``rows * cols`` long: the result of field operations on the entries
+        of canonical matrices.  Skips the shape check and ``coerce``; only the
+        arithmetic in this module may call it."""
+        m = object.__new__(cls)
+        m.__dict__.update(field=field, rows=rows, cols=cols, entries=entries, domain=domain, codomain=codomain)
+        return m
+
+    @classmethod
     def from_rows(cls, field: Field, rows: Iterable[Sequence], domain=None, codomain=None) -> "Matrix":
         rows = [tuple(r) for r in rows]
         nr = len(rows)
@@ -158,22 +168,24 @@ class Matrix:
         self._compat(other)
         f = self.field
         flat = tuple(f.add(a, b) for a, b in zip(self.entries, other.entries))
-        return Matrix(f, self.rows, self.cols, flat, self.domain, self.codomain)
+        return Matrix._canonical(f, self.rows, self.cols, flat, self.domain, self.codomain)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._compat(other)
         f = self.field
         flat = tuple(f.sub(a, b) for a, b in zip(self.entries, other.entries))
-        return Matrix(f, self.rows, self.cols, flat, self.domain, self.codomain)
+        return Matrix._canonical(f, self.rows, self.cols, flat, self.domain, self.codomain)
 
     def __neg__(self) -> "Matrix":
         f = self.field
-        return Matrix(f, self.rows, self.cols, tuple(f.neg(a) for a in self.entries), self.domain, self.codomain)
+        flat = tuple(f.neg(a) for a in self.entries)
+        return Matrix._canonical(f, self.rows, self.cols, flat, self.domain, self.codomain)
 
     def scale(self, c) -> "Matrix":
         f = self.field
         c = f.coerce(c)
-        return Matrix(f, self.rows, self.cols, tuple(f.mul(c, a) for a in self.entries), self.domain, self.codomain)
+        flat = tuple(f.mul(c, a) for a in self.entries)
+        return Matrix._canonical(f, self.rows, self.cols, flat, self.domain, self.codomain)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.field != other.field:
@@ -189,25 +201,25 @@ class Matrix:
                 for k in range(self.cols):
                     acc = f.add(acc, f.mul(ri[k], other.entries[k * other.cols + j]))
                 out.append(acc)
-        return Matrix(f, self.rows, other.cols, tuple(out), other.domain, self.codomain)
+        return Matrix._canonical(f, self.rows, other.cols, tuple(out), other.domain, self.codomain)
 
     def apply(self, coords: Sequence) -> tuple:
-        """Matrix times coordinate tuple."""
+        """Matrix times coordinate tuple, skipping zero coordinates."""
         if len(coords) != self.cols:
             raise DimMismatch(f"matrix has {self.cols} columns, vector has {len(coords)}")
         f = self.field
-        out = []
-        for i in range(self.rows):
-            ri = self.row(i)
-            acc = f.zero()
-            for k in range(self.cols):
-                acc = f.add(acc, f.mul(ri[k], coords[k]))
-            out.append(acc)
+        nc = self.cols
+        out = [f.zero()] * self.rows
+        for k, c in enumerate(coords):
+            if f.is_zero(c):
+                continue
+            for i in range(self.rows):
+                out[i] = f.add(out[i], f.mul(self.entries[i * nc + k], c))
         return tuple(out)
 
     def transpose(self) -> "Matrix":
         flat = tuple(self.entries[i * self.cols + j] for j in range(self.cols) for i in range(self.rows))
-        return Matrix(self.field, self.cols, self.rows, flat, self.codomain, self.domain)
+        return Matrix._canonical(self.field, self.cols, self.rows, flat, self.codomain, self.domain)
 
     def _compat(self, other: "Matrix"):
         if self.field != other.field:

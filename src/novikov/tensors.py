@@ -27,6 +27,16 @@ class Tensor2:
         object.__setattr__(self, "grid", tuple(rows))
 
     @classmethod
+    def _canonical(cls, field: Field, grid: tuple) -> "Tensor2":
+        """Wrap a square grid of tuples already canonical for ``field``: the
+        result of field operations on canonical tensors and matrices.  Skips
+        the shape check and ``coerce``; only the arithmetic in this module
+        may call it."""
+        t = object.__new__(cls)
+        t.__dict__.update(field=field, grid=grid)
+        return t
+
+    @classmethod
     def zeros(cls, field: Field, n: int) -> "Tensor2":
         z = field.zero()
         return cls(field, tuple((z,) * n for _ in range(n)))
@@ -59,21 +69,23 @@ class Tensor2:
     def __add__(self, other: "Tensor2") -> "Tensor2":
         self._compat(other)
         f = self.field
-        return Tensor2(f, tuple(tuple(f.add(a, b) for a, b in zip(r1, r2)) for r1, r2 in zip(self.grid, other.grid)))
+        grid = tuple(tuple(f.add(a, b) for a, b in zip(r1, r2)) for r1, r2 in zip(self.grid, other.grid))
+        return Tensor2._canonical(f, grid)
 
     def __sub__(self, other: "Tensor2") -> "Tensor2":
         self._compat(other)
         f = self.field
-        return Tensor2(f, tuple(tuple(f.sub(a, b) for a, b in zip(r1, r2)) for r1, r2 in zip(self.grid, other.grid)))
+        grid = tuple(tuple(f.sub(a, b) for a, b in zip(r1, r2)) for r1, r2 in zip(self.grid, other.grid))
+        return Tensor2._canonical(f, grid)
 
     def __neg__(self) -> "Tensor2":
         f = self.field
-        return Tensor2(f, tuple(tuple(f.neg(a) for a in row) for row in self.grid))
+        return Tensor2._canonical(f, tuple(tuple(f.neg(a) for a in row) for row in self.grid))
 
     def scale(self, c) -> "Tensor2":
         f = self.field
         c = f.coerce(c)
-        return Tensor2(f, tuple(tuple(f.mul(c, a) for a in row) for row in self.grid))
+        return Tensor2._canonical(f, tuple(tuple(f.mul(c, a) for a in row) for row in self.grid))
 
     def is_symmetric(self) -> bool:
         n = self.dim
@@ -91,6 +103,7 @@ class Tensor2:
 
     def apply_slot(self, slot: int, mat) -> "Tensor2":
         """Apply a linear map (square Matrix) to one tensor slot (0 or 1)."""
+        _check_slot_map(self, mat)
         n = self.dim
         f = self.field
         out = [[f.zero()] * n for _ in range(n)]
@@ -109,7 +122,7 @@ class Tensor2:
                         out[i][k] = f.add(out[i][k], f.mul(c, img[k]))
                 else:
                     raise DimMismatch("Tensor2 has slots 0 and 1")
-        return Tensor2(f, tuple(tuple(r) for r in out))
+        return Tensor2._canonical(f, tuple(tuple(r) for r in out))
 
     def _compat(self, other: "Tensor2"):
         if self.field != other.field:
@@ -118,10 +131,19 @@ class Tensor2:
             raise DimMismatch(f"{self.dim} vs {other.dim}")
 
 
+def _check_slot_map(t, mat) -> None:
+    """A slot map must be square over the tensor's field and dimension, so
+    that ``apply_slot``'s output is canonical."""
+    if mat.field != t.field:
+        raise FieldMismatch(f"map over {mat.field}, tensor over {t.field}")
+    if (mat.rows, mat.cols) != (t.dim, t.dim):
+        raise DimMismatch(f"{mat.rows}x{mat.cols} map on a dimension-{t.dim} slot")
+
+
 def flip(r: Tensor2) -> Tensor2:
     """The flip a⊗b -> b⊗a: transpose of the coefficient grid."""
     n = r.dim
-    return Tensor2(r.field, tuple(tuple(r.grid[j][i] for j in range(n)) for i in range(n)))
+    return Tensor2._canonical(r.field, tuple(tuple(r.grid[j][i] for j in range(n)) for i in range(n)))
 
 
 @dataclass(frozen=True)
@@ -146,6 +168,14 @@ class Tensor3:
         object.__setattr__(self, "grid", tuple(planes))
 
     @classmethod
+    def _canonical(cls, field: Field, grid: tuple) -> "Tensor3":
+        """Wrap a cubical grid of tuples already canonical for ``field``, as
+        ``Tensor2._canonical`` does."""
+        t = object.__new__(cls)
+        t.__dict__.update(field=field, grid=grid)
+        return t
+
+    @classmethod
     def zeros(cls, field: Field, n: int) -> "Tensor3":
         z = field.zero()
         return cls(field, tuple(tuple((z,) * n for _ in range(n)) for _ in range(n)))
@@ -165,7 +195,7 @@ class Tensor3:
     def __add__(self, other: "Tensor3") -> "Tensor3":
         self._compat(other)
         f = self.field
-        return Tensor3(
+        return Tensor3._canonical(
             f,
             tuple(
                 tuple(tuple(f.add(a, b) for a, b in zip(r1, r2)) for r1, r2 in zip(p1, p2))
@@ -176,7 +206,7 @@ class Tensor3:
     def __sub__(self, other: "Tensor3") -> "Tensor3":
         self._compat(other)
         f = self.field
-        return Tensor3(
+        return Tensor3._canonical(
             f,
             tuple(
                 tuple(tuple(f.sub(a, b) for a, b in zip(r1, r2)) for r1, r2 in zip(p1, p2))
@@ -186,12 +216,13 @@ class Tensor3:
 
     def __neg__(self) -> "Tensor3":
         f = self.field
-        return Tensor3(f, tuple(tuple(tuple(f.neg(a) for a in row) for row in plane) for plane in self.grid))
+        return Tensor3._canonical(f, tuple(tuple(tuple(f.neg(a) for a in row) for row in plane) for plane in self.grid))
 
     def scale(self, c) -> "Tensor3":
         f = self.field
         c = f.coerce(c)
-        return Tensor3(f, tuple(tuple(tuple(f.mul(c, a) for a in row) for row in plane) for plane in self.grid))
+        grid = tuple(tuple(tuple(f.mul(c, a) for a in row) for row in plane) for plane in self.grid)
+        return Tensor3._canonical(f, grid)
 
     def swap_slots(self, a: int, b: int) -> "Tensor3":
         """Exchange two of the three tensor slots."""
@@ -204,10 +235,11 @@ class Tensor3:
                     idx = [i, j, k]
                     idx[a], idx[b] = idx[b], idx[a]
                     out[idx[0]][idx[1]][idx[2]] = self.grid[i][j][k]
-        return Tensor3(f, tuple(tuple(tuple(r) for r in p) for p in out))
+        return Tensor3._canonical(f, tuple(tuple(tuple(r) for r in p) for p in out))
 
     def apply_slot(self, slot: int, mat) -> "Tensor3":
         """Apply a linear map (square Matrix on A) to one slot (0, 1 or 2)."""
+        _check_slot_map(self, mat)
         n = self.dim
         f = self.field
         out = [[[f.zero()] * n for _ in range(n)] for _ in range(n)]
@@ -227,7 +259,7 @@ class Tensor3:
                             out[i][t][k] = f.add(out[i][t][k], ct)
                         else:
                             out[i][j][t] = f.add(out[i][j][t], ct)
-        return Tensor3(f, tuple(tuple(tuple(r) for r in p) for p in out))
+        return Tensor3._canonical(f, tuple(tuple(tuple(r) for r in p) for p in out))
 
     def _compat(self, other: "Tensor3"):
         if self.field != other.field:
@@ -297,7 +329,7 @@ def tensor3_combine(alg, r: Tensor2, s: Tensor2, kind: str) -> Tensor3:
                             out[i1][t][i2] = f.add(out[i1][t][i2], val)
                         else:
                             out[i1][i2][t] = f.add(out[i1][i2][t], val)
-    return Tensor3(f, tuple(tuple(tuple(row) for row in plane) for plane in out))
+    return Tensor3._canonical(f, tuple(tuple(tuple(row) for row in plane) for plane in out))
 
 
 def tensor2_from_pairs(field: Field, n: int, pairs: Sequence[tuple[int, int, object]]) -> Tensor2:

@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .algebra import Algebra, Grid, dual_context
+from .algebra import Algebra, Grid, dual_context, regular_bimodule
 from .errors import BetaNotSelfAdjoint, DegenerateForm, DimMismatch, FieldMismatch, NoHalf, SymPartNotInvariant
 from .fields import Field
 from .linalg import Matrix, inverse
@@ -85,10 +85,10 @@ def invariance_residual(alg: Algebra, s: Tensor2, cross_check: bool = True) -> R
     f = alg.field
     n = alg.dim
     col = ResidualCollector(f, "invariance")
+    reg = regular_bimodule(alg)
     for x in range(n):
-        ex = alg.basis_vec(x)
-        lx = alg.left_mul(ex)
-        moved = s.apply_slot(0, lx) + s.apply_slot(1, lx + alg.right_mul(ex))  # L_star = L + R
+        lx = reg.l_mats[x]
+        moved = s.apply_slot(0, lx) + s.apply_slot(1, lx + reg.r_mats[x])  # L_star = L + R
         for i in range(n):
             row = moved.grid[i]
             if any(not f.is_zero(c) for c in row):

@@ -323,6 +323,15 @@ def _bilform_bundle(n: int) -> dict:
     return _rational("doc-bundle", {"documents": {"algebra": _rational("algebra", a2), "form": _rational("bilform", form)}})
 
 
+def _a2_with(field: dict, coefficient) -> dict:
+    """The worked 2-dim algebra with e1∘e1's first coordinate replaced."""
+    mul = [[[coefficient, 0], [0, 1]], [[0, 1], [0, 0]]]
+    return {"format": 1, "kind": "algebra", "field": field, "payload": {"dim": 2, "mul": mul}}
+
+
+_Q, _F3 = {"kind": "rational"}, {"kind": "prime", "p": 3}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -349,6 +358,14 @@ def _bilform_bundle(n: int) -> dict:
         pytest.param(["check", "nybe", "a2.json", _rational("tensor2", {"dim": 3, "entries": _identity(3)})], id="tensor-dim-3"),
         pytest.param(["verify", "algebra", b"[" * 100000 + b"]" * 100000], id="json-nested-too-deeply"),
         pytest.param(["verify", "algebra", b"\xff\xfe{\x00"], id="file-not-utf8"),
+        pytest.param(["verify", "algebra", _a2_with(_Q, "1e30")], id="scalar-exponent"),
+        pytest.param(["verify", "algebra", _a2_with(_Q, "1_0")], id="scalar-digit-separator"),
+        pytest.param(["verify", "algebra", _a2_with(_Q, "0.5")], id="scalar-decimal-point"),
+        pytest.param(["verify", "algebra", _a2_with(_F3, "1_0")], id="scalar-digit-separator-f3"),
+        pytest.param(["verify", "algebra", _a2_with(_Q, True)], id="scalar-boolean"),
+        pytest.param(["verify", "algebra", _a2_with(_F3, True)], id="scalar-boolean-f3"),
+        pytest.param(["check", "rota-baxter", "--weight", "1e3000000", "a2.json", "t2.json"], id="weight-exponent"),
+        pytest.param(["check", "rota-baxter", "--weight", "0.5", "a2.json", "t2.json"], id="weight-decimal-point"),
     ],
 )
 def test_input_errors_exit_2_with_one_line(capsys, fixture_path, tmp_path, argv):

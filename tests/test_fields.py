@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from novikov.errors import FieldMismatch, NoHalf, NovikovError
-from novikov.fields import GF, QQ, check_same_field, field_by_name, field_from_json
+from novikov.fields import GF, QQ, check_same_field, field_by_name, field_from_json, parse_scalar
 
 
 def test_rational_coercion_lowest_terms():
@@ -20,6 +20,32 @@ def test_prime_field_canonical_range():
     assert f5.coerce(12) == 2
     assert f5.inv(2) == 3
     assert f5.coerce(Fraction(1, 2)) == 3
+
+
+@pytest.mark.parametrize("text, value", [("7", 7), (" -3/4 ", Fraction(-3, 4)), ("+6/4", Fraction(3, 2)), ("0/5", 0)])
+def test_scalar_grammar_accepts_integers_and_fractions(text, value):
+    assert parse_scalar(text) == value
+    assert QQ.coerce(text) == value
+    assert GF(5).coerce(text) == GF(5).coerce(Fraction(value))
+
+
+@pytest.mark.parametrize(
+    "text", ["1e30", "1E3000000", "1_0", "0.5", ".5", "1/", "/2", "1 / 2", "1/-2", "", "inf", "nan", "٣"]
+)
+def test_scalar_grammar_rejects_everything_else(text):
+    for field in (QQ, GF(3)):
+        with pytest.raises(NovikovError):
+            field.coerce(text)
+        with pytest.raises(NovikovError):
+            field.scalar_from_json(text)
+
+
+def test_json_booleans_are_not_scalars():
+    for field in (QQ, GF(3)):
+        for value in (True, False):
+            with pytest.raises(NovikovError):
+                field.scalar_from_json(value)
+    assert QQ.scalar_from_json(1) == 1 and GF(3).scalar_from_json(-1) == 2
 
 
 def test_prime_validation():

@@ -161,6 +161,14 @@ def _algebra_doc(field: dict, dim, mul) -> dict:
 @example(doc=_algebra_doc({"kind": "prime", "p": 3}, 1, [[["x"]]]))  # ValueError
 @example(doc=_algebra_doc({"kind": "rational"}, float("inf"), []))  # OverflowError
 @example(doc=_algebra_doc({"kind": "prime", "p": [3]}, 1, [[[0]]]))  # TypeError in the field
+# scalars outside the one grammar (an integer or p/q) and JSON booleans
+@example(doc=_algebra_doc({"kind": "rational"}, 1, [[["1e30"]]]))
+@example(doc=_algebra_doc({"kind": "rational"}, 1, [[["1_0"]]]))
+@example(doc=_algebra_doc({"kind": "rational"}, 1, [[["0.5"]]]))
+@example(doc=_algebra_doc({"kind": "rational"}, 1, [[[True]]]))
+@example(doc=_algebra_doc({"kind": "prime", "p": 3}, 1, [[["1_0"]]]))
+@example(doc=_algebra_doc({"kind": "prime", "p": 3}, 1, [[[False]]]))
+@example(doc=_algebra_doc({"kind": "prime", "p": 3}, 1, [[[" -1/2 "]]]))  # decodes: 1 in F_3
 def test_loader_fuzz_decodes_or_rejects(tmp_path_factory, doc):
     """Every JSON value decodes or raises DocumentError, and ``nova verify
     algebra`` on it exits 0, 1 or 2, with 2 and one stderr line for every
