@@ -10,7 +10,7 @@ from typing import Optional, Sequence
 
 from .errors import DimMismatch, FieldMismatch, ModuleNotNovikov, NotABimodule, NotNovikov
 from .fields import Field
-from .linalg import Matrix, vadd
+from .linalg import Matrix, combine_mats, vadd
 from .residual import Residual, ResidualCollector
 
 Grid = tuple  # grid[i][j] = coordinate tuple of e_i * e_j
@@ -47,18 +47,14 @@ def grid_product(field: Field, grid: Grid, u: Sequence, v: Sequence) -> tuple:
     dim_out = len(grid[0][0]) if grid and grid[0] else 0
     out = [field.zero()] * dim_out
     for i, cu in enumerate(u):
-        if field.is_zero(cu):
+        if not cu:
             continue
         row = grid[i]
         for j, cv in enumerate(v):
-            if field.is_zero(cv):
-                continue
-            c = field.mul(cu, cv)
-            cell = row[j]
-            for k in range(dim_out):
-                if not field.is_zero(cell[k]):
-                    out[k] = field.add(out[k], field.mul(c, cell[k]))
-    return tuple(out)
+            if cv:
+                c = cu * cv
+                out = [o + c * x if x else o for o, x in zip(out, row[j])]
+    return field.reduce(out)
 
 
 def grids_equal(field: Field, g1: Grid, g2: Grid) -> bool:
@@ -165,30 +161,43 @@ def lr_matrices(alg: Algebra, a: Sequence) -> tuple[Matrix, Matrix, Matrix]:
     return left, right, left + right
 
 
+def _associator_tables(alg: Algebra) -> tuple[list, list]:
+    """T1[a][b][c] = (e_a∘e_b)∘e_c and T2[a][b][c] = e_a∘(e_b∘e_c), as
+    unreduced coordinate lists."""
+    n, mul = alg.dim, alg.mul
+    z = alg.field.zero()
+
+    def combine(coeffs, cells):  # Σ coeffs[k]·cells[k]
+        out = [z] * n
+        for x, cell in zip(coeffs, cells):
+            if x:
+                out = [o + x * y if y else o for o, y in zip(out, cell)]
+        return out
+
+    right = [[mul[k][c] for k in range(n)] for c in range(n)]  # e_k∘e_c over k
+    t1 = [[[combine(mul[a][b], right[c]) for c in range(n)] for b in range(n)] for a in range(n)]
+    t2 = [[[combine(mul[b][c], mul[a]) for c in range(n)] for b in range(n)] for a in range(n)]
+    return t1, t2
+
+
 def novikov_residual(alg: Algebra) -> Residual:
     """Left-symmetry and right-commutativity residuals on all basis triples."""
     f = alg.field
     n = alg.dim
     col = ResidualCollector(f, "novikov")
-    basis = [alg.basis_vec(i) for i in range(n)]
+    t1, t2 = _associator_tables(alg)
     for i in range(n):
         for j in range(n):
-            ij = alg.mul[i][j]
-            ji = alg.mul[j][i]
             for k in range(n):
-                ek = basis[k]
                 # (a∘b)∘c - a∘(b∘c) - (b∘a)∘c + b∘(a∘c)
-                lhs = alg.product(ij, ek)
-                lhs = tuple(f.sub(x, y) for x, y in zip(lhs, alg.product(basis[i], alg.mul[j][k])))
-                lhs = tuple(f.sub(x, y) for x, y in zip(lhs, alg.product(ji, ek)))
-                lhs = tuple(f.add(x, y) for x, y in zip(lhs, alg.product(basis[j], alg.mul[i][k])))
-                col.record("left-symmetry", (i, j, k), lhs)
+                terms = zip(t1[i][j][k], t2[i][j][k], t1[j][i][k], t2[j][i][k])
+                lhs = f.reduce([w - x - y + z for w, x, y, z in terms])
+                if any(lhs):
+                    col.record("left-symmetry", (i, j, k), lhs)
                 # (a∘b)∘c - (a∘c)∘b
-                rc = tuple(
-                    f.sub(x, y)
-                    for x, y in zip(alg.product(ij, ek), alg.product(alg.mul[i][k], basis[j]))
-                )
-                col.record("right-commutativity", (i, j, k), rc)
+                rc = f.reduce([x - y for x, y in zip(t1[i][j][k], t1[i][k][j])])
+                if any(rc):
+                    col.record("right-commutativity", (i, j, k), rc)
     return col.done()
 
 
@@ -216,10 +225,10 @@ class Bimodule:
         return self.alg.field
 
     def l_of(self, a: Sequence) -> Matrix:
-        return _combine_mats(self.field, self.l_mats, a, self.mdim)
+        return combine_mats(self.field, self.l_mats, a, self.mdim)
 
     def r_of(self, a: Sequence) -> Matrix:
-        return _combine_mats(self.field, self.r_mats, a, self.mdim)
+        return combine_mats(self.field, self.r_mats, a, self.mdim)
 
     def l_act(self, a: Sequence, v: Sequence) -> tuple:
         return self.l_of(a).apply(v)
@@ -235,18 +244,6 @@ class Bimodule:
 
     def trivial(self) -> "BimodNov":
         return self.with_product(zero_grid(self.field, self.mdim))
-
-
-def _combine_mats(field: Field, mats: tuple, a: Sequence, mdim: int) -> Matrix:
-    """Σ a_i·mats[i], accumulated in one flat list."""
-    acc = [field.zero()] * (mdim * mdim)
-    for i, c in enumerate(a):
-        if field.is_zero(c):
-            continue
-        c = field.coerce(c)
-        for k, x in enumerate(mats[i].entries):
-            acc[k] = field.add(acc[k], field.mul(c, x))
-    return Matrix(field, mdim, mdim, tuple(acc))
 
 
 @dataclass(frozen=True)

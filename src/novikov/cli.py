@@ -541,6 +541,13 @@ _SOLVE_KINDS = {
 
 
 def cmd_solve(args) -> int:
+    # an option the search would ignore is an input error, not a no-op
+    if args.jobs < 1:
+        raise DocumentError(f"--jobs must be at least 1, got {args.jobs}")
+    if args.jobs > 1 and args.shard:
+        raise DocumentError("--jobs splits an unsharded search and cannot be combined with --shard")
+    if args.out and args.count_only:
+        raise DocumentError("--count-only writes no solutions, so it cannot be combined with --out")
     kind = _SOLVE_KINDS.get(args.kind, args.kind)
     alg = _expect(_load_object(args.context), Algebra, "context algebra") if args.context else None
     beta = _expect(_load_object(args.beta), LinMap, "beta") if args.beta else None

@@ -4,6 +4,15 @@ Scalars are plain Python values (``fractions.Fraction`` over Q, canonical
 ``int`` in ``[0, p)`` over F_p).  A ``Field`` object carries the arithmetic
 and the canonicalization; containers (vectors, matrices, tensors, algebras)
 keep a reference to their field and refuse to mix fields.
+
+The inner loops of the object path (product grids, vector, matrix and
+tensor arithmetic, tensor contractions) use only Python's own ``+``, ``-``
+and ``*`` on canonical scalars, truthiness as the zero test, and
+``Field.reduce`` once on each finished output.  An accumulator starts at
+``zero()``, so an empty sum over Q is still a ``Fraction``.  A field added
+later (for example polynomials over F_p) must therefore supply scalars that
+overload these operators and are falsy exactly when zero; bare tuples, on
+which ``+`` concatenates, do not qualify.
 """
 
 from __future__ import annotations
@@ -78,6 +87,11 @@ class Field:
         """Turn an int / string / exact value into a canonical scalar."""
         raise NotImplementedError
 
+    def reduce(self, values) -> tuple:
+        """Canonical scalars for values that ``+``, ``-`` and ``*`` made from
+        canonical (or integer) scalars."""
+        raise NotImplementedError
+
     def is_zero(self, a) -> bool:
         raise NotImplementedError
 
@@ -137,6 +151,9 @@ class Rationals(Field):
         if isinstance(x, str):
             return parse_scalar(x)
         raise NovikovError(f"cannot coerce {x!r} into Q")
+
+    def reduce(self, values) -> tuple:
+        return tuple(values)
 
     def is_zero(self, a) -> bool:
         return a == 0
@@ -214,6 +231,10 @@ class PrimeField(Field):
                 raise NovikovError(f"denominator divisible by {self.p}")
             return (x.numerator * self.inv(x.denominator % self.p)) % self.p
         raise NovikovError(f"cannot coerce {x!r} into F_{self.p}")
+
+    def reduce(self, values) -> tuple:
+        p = self.p
+        return tuple([x % p for x in values])
 
     def is_zero(self, a) -> bool:
         return a % self.p == 0

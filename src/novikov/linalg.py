@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .errors import DimMismatch, FieldMismatch, SingularT
@@ -73,11 +74,11 @@ def _zeros(field: Field, n: int) -> tuple:
 
 
 def vadd(field: Field, u: Sequence, v: Sequence) -> tuple:
-    return tuple(field.add(a, b) for a, b in zip(u, v))
+    return field.reduce([a + b for a, b in zip(u, v)])
 
 
 def vsub(field: Field, u: Sequence, v: Sequence) -> tuple:
-    return tuple(field.sub(a, b) for a, b in zip(u, v))
+    return field.reduce([a - b for a, b in zip(u, v)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,36 +157,34 @@ class Matrix:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
     def col(self, j: int) -> tuple:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
+        if not 0 <= j < self.cols:
+            raise IndexError(f"column {j} of a {self.rows}x{self.cols} matrix")
+        return self.entries[j :: self.cols]
 
     def row_list(self) -> list[tuple]:
         return [self.row(i) for i in range(self.rows)]
 
     def is_zero(self) -> bool:
-        return all(self.field.is_zero(c) for c in self.entries)
+        return not any(self.entries)
+
+    def _like(self, flat: list) -> "Matrix":
+        """This shape and these tags, with ``flat`` reduced as the entries."""
+        return Matrix._canonical(self.field, self.rows, self.cols, self.field.reduce(flat), self.domain, self.codomain)
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._compat(other)
-        f = self.field
-        flat = tuple(f.add(a, b) for a, b in zip(self.entries, other.entries))
-        return Matrix._canonical(f, self.rows, self.cols, flat, self.domain, self.codomain)
+        return self._like([a + b for a, b in zip(self.entries, other.entries)])
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._compat(other)
-        f = self.field
-        flat = tuple(f.sub(a, b) for a, b in zip(self.entries, other.entries))
-        return Matrix._canonical(f, self.rows, self.cols, flat, self.domain, self.codomain)
+        return self._like([a - b for a, b in zip(self.entries, other.entries)])
 
     def __neg__(self) -> "Matrix":
-        f = self.field
-        flat = tuple(f.neg(a) for a in self.entries)
-        return Matrix._canonical(f, self.rows, self.cols, flat, self.domain, self.codomain)
+        return self._like([-a for a in self.entries])
 
     def scale(self, c) -> "Matrix":
-        f = self.field
-        c = f.coerce(c)
-        flat = tuple(f.mul(c, a) for a in self.entries)
-        return Matrix._canonical(f, self.rows, self.cols, flat, self.domain, self.codomain)
+        c = self.field.coerce(c)
+        return self._like([c * a for a in self.entries])
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.field != other.field:
@@ -193,29 +192,22 @@ class Matrix:
         if self.cols != other.rows:
             raise DimMismatch(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         f = self.field
-        out = []
-        for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(other.cols):
-                acc = f.zero()
-                for k in range(self.cols):
-                    acc = f.add(acc, f.mul(ri[k], other.entries[k * other.cols + j]))
-                out.append(acc)
-        return Matrix._canonical(f, self.rows, other.cols, tuple(out), other.domain, self.codomain)
+        z = f.zero()
+        rows = self.row_list()
+        cols = [other.col(j) for j in range(other.cols)]
+        flat = [sum(map(mul, ri, cj), z) for ri in rows for cj in cols]
+        return Matrix._canonical(f, self.rows, other.cols, f.reduce(flat), other.domain, self.codomain)
 
     def apply(self, coords: Sequence) -> tuple:
         """Matrix times coordinate tuple, skipping zero coordinates."""
         if len(coords) != self.cols:
             raise DimMismatch(f"matrix has {self.cols} columns, vector has {len(coords)}")
         f = self.field
-        nc = self.cols
         out = [f.zero()] * self.rows
         for k, c in enumerate(coords):
-            if f.is_zero(c):
-                continue
-            for i in range(self.rows):
-                out[i] = f.add(out[i], f.mul(self.entries[i * nc + k], c))
-        return tuple(out)
+            if c:
+                out = [o + x * c if x else o for o, x in zip(out, self.col(k))]
+        return f.reduce(out)
 
     def transpose(self) -> "Matrix":
         flat = tuple(self.entries[i * self.cols + j] for j in range(self.cols) for i in range(self.rows))
@@ -226,6 +218,16 @@ class Matrix:
             raise FieldMismatch(f"{self.field} vs {other.field}")
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimMismatch("shape mismatch")
+
+
+def combine_mats(field: Field, mats: Sequence, coeffs: Sequence, mdim: int) -> Matrix:
+    """Σ coeffs[i]·mats[i] over mdim x mdim matrices, in one flat pass."""
+    acc = [field.zero()] * (mdim * mdim)
+    for i, c in enumerate(coeffs):
+        if c:
+            c = field.coerce(c)
+            acc = [x + c * y if y else x for x, y in zip(acc, mats[i].entries)]
+    return Matrix._canonical(field, mdim, mdim, field.reduce(acc))
 
 
 def rref(m: Matrix) -> tuple[Matrix, list[int]]:

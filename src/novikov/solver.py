@@ -45,7 +45,8 @@ SEARCH_KINDS = (
 )
 
 ALLOWED_PRIMES = (2, 3, 5, 7)
-CANDIDATE_BOUND = 2**32
+BOUND_EXPONENT = 32
+CANDIDATE_BOUND = 2**BOUND_EXPONENT
 GUARD_POINTS = 3  # seeded points at which polarize checks its result, beside all-ones
 
 
@@ -160,9 +161,12 @@ def enumerate_search(spec: SearchSpec, jobs: int = 1) -> SearchResult:
     shards, each searched in its own worker process, and the shards are
     merged back.
     """
+    # p >= 2, so an exponent past the bound's is too large before p^k is
+    # computed (or printed: 2^970299 has 292,089 digits)
+    k = spec.coeff_count()
+    if k > BOUND_EXPONENT or spec.p**k > CANDIDATE_BOUND:
+        raise SpaceTooLarge(f"{spec.p}^{k} candidates exceed the 2^{BOUND_EXPONENT} bound")
     total = spec.candidate_total()
-    if total > CANDIDATE_BOUND:
-        raise SpaceTooLarge(f"{total} candidates exceed the {CANDIDATE_BOUND} bound")
     t0 = time.perf_counter()
     if jobs > 1 and spec.shard_count == 1:
         import multiprocessing  # imported here: it adds ~10% to every cold start

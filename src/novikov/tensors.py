@@ -63,66 +63,49 @@ class Tensor2:
         return tuple(self.grid[i][j] for i in range(self.dim))
 
     def is_zero(self) -> bool:
-        f = self.field
-        return all(f.is_zero(c) for row in self.grid for c in row)
+        return not any(c for row in self.grid for c in row)
+
+    def flat(self) -> list:
+        """The coefficients in row-major order."""
+        return [c for row in self.grid for c in row]
+
+    @classmethod
+    def _from_flat(cls, field: Field, n: int, flat: list) -> "Tensor2":
+        """Reduce a row-major list that ``+``, ``-`` and ``*`` made from
+        canonical scalars, and nest it as an n x n grid."""
+        vals = field.reduce(flat)
+        return cls._canonical(field, tuple(vals[i : i + n] for i in range(0, n * n, n)))
 
     def __add__(self, other: "Tensor2") -> "Tensor2":
         self._compat(other)
-        f = self.field
-        grid = tuple(tuple(f.add(a, b) for a, b in zip(r1, r2)) for r1, r2 in zip(self.grid, other.grid))
-        return Tensor2._canonical(f, grid)
+        return Tensor2._from_flat(self.field, self.dim, [a + b for a, b in zip(self.flat(), other.flat())])
 
     def __sub__(self, other: "Tensor2") -> "Tensor2":
         self._compat(other)
-        f = self.field
-        grid = tuple(tuple(f.sub(a, b) for a, b in zip(r1, r2)) for r1, r2 in zip(self.grid, other.grid))
-        return Tensor2._canonical(f, grid)
+        return Tensor2._from_flat(self.field, self.dim, [a - b for a, b in zip(self.flat(), other.flat())])
 
     def __neg__(self) -> "Tensor2":
-        f = self.field
-        return Tensor2._canonical(f, tuple(tuple(f.neg(a) for a in row) for row in self.grid))
+        return Tensor2._from_flat(self.field, self.dim, [-a for a in self.flat()])
 
     def scale(self, c) -> "Tensor2":
-        f = self.field
-        c = f.coerce(c)
-        return Tensor2._canonical(f, tuple(tuple(f.mul(c, a) for a in row) for row in self.grid))
+        c = self.field.coerce(c)
+        return Tensor2._from_flat(self.field, self.dim, [c * a for a in self.flat()])
 
     def is_symmetric(self) -> bool:
-        n = self.dim
-        f = self.field
-        return all(f.is_zero(f.sub(self.grid[i][j], self.grid[j][i])) for i in range(n) for j in range(i + 1, n))
+        g, n = self.grid, self.dim
+        return not any(self.field.reduce([g[i][j] - g[j][i] for i in range(n) for j in range(i + 1, n)]))
 
     def is_skew(self) -> bool:
-        n = self.dim
-        f = self.field
-        if any(not f.is_zero(f.add(self.grid[i][i], self.grid[i][i])) for i in range(n)):
-            return False
-        return all(
-            f.is_zero(f.add(self.grid[i][j], self.grid[j][i])) for i in range(n) for j in range(i + 1, n)
-        )
+        g, n = self.grid, self.dim
+        return not any(self.field.reduce([g[i][j] + g[j][i] for i in range(n) for j in range(i, n)]))
 
     def apply_slot(self, slot: int, mat) -> "Tensor2":
         """Apply a linear map (square Matrix) to one tensor slot (0 or 1)."""
+        if slot not in (0, 1):
+            raise DimMismatch("Tensor2 has slots 0 and 1")
         _check_slot_map(self, mat)
         n = self.dim
-        f = self.field
-        out = [[f.zero()] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                c = self.grid[i][j]
-                if f.is_zero(c):
-                    continue
-                if slot == 0:
-                    img = mat.col(i)
-                    for k in range(n):
-                        out[k][j] = f.add(out[k][j], f.mul(c, img[k]))
-                elif slot == 1:
-                    img = mat.col(j)
-                    for k in range(n):
-                        out[i][k] = f.add(out[i][k], f.mul(c, img[k]))
-                else:
-                    raise DimMismatch("Tensor2 has slots 0 and 1")
-        return Tensor2._canonical(f, tuple(tuple(r) for r in out))
+        return Tensor2._from_flat(self.field, n, _apply_slot(self.field, self.flat(), n, n ** (1 - slot), mat))
 
     def _compat(self, other: "Tensor2"):
         if self.field != other.field:
@@ -138,6 +121,23 @@ def _check_slot_map(t, mat) -> None:
         raise FieldMismatch(f"map over {mat.field}, tensor over {t.field}")
     if (mat.rows, mat.cols) != (t.dim, t.dim):
         raise DimMismatch(f"{mat.rows}x{mat.cols} map on a dimension-{t.dim} slot")
+
+
+def _apply_slot(field: Field, flat: list, n: int, stride: int, mat) -> list:
+    """The map applied to the slot whose index has ``stride`` in the
+    row-major ``flat``: each nonzero coefficient moves along the column of
+    its index in that slot.  Unreduced."""
+    cols = [mat.col(i) for i in range(n)]
+    out = [field.zero()] * len(flat)
+    for idx, c in enumerate(flat):
+        if c:
+            src = idx // stride % n
+            at = idx - src * stride
+            for x in cols[src]:
+                if x:
+                    out[at] += c * x
+                at += stride
+    return out
 
 
 def flip(r: Tensor2) -> Tensor2:
@@ -189,40 +189,34 @@ class Tensor3:
         return self.grid[i][j][k]
 
     def is_zero(self) -> bool:
-        f = self.field
-        return all(f.is_zero(c) for plane in self.grid for row in plane for c in row)
+        return not any(c for plane in self.grid for row in plane for c in row)
+
+    def flat(self) -> list:
+        """The coefficients in row-major order."""
+        return [c for plane in self.grid for row in plane for c in row]
+
+    @classmethod
+    def _from_flat(cls, field: Field, n: int, flat: list) -> "Tensor3":
+        """Reduce a row-major list as ``Tensor2._from_flat`` does, and nest
+        it as an n x n x n grid."""
+        vals = field.reduce(flat)
+        rows = [vals[i : i + n] for i in range(0, n * n * n, n)]
+        return cls._canonical(field, tuple(tuple(rows[i : i + n]) for i in range(0, n * n, n)))
 
     def __add__(self, other: "Tensor3") -> "Tensor3":
         self._compat(other)
-        f = self.field
-        return Tensor3._canonical(
-            f,
-            tuple(
-                tuple(tuple(f.add(a, b) for a, b in zip(r1, r2)) for r1, r2 in zip(p1, p2))
-                for p1, p2 in zip(self.grid, other.grid)
-            ),
-        )
+        return Tensor3._from_flat(self.field, self.dim, [a + b for a, b in zip(self.flat(), other.flat())])
 
     def __sub__(self, other: "Tensor3") -> "Tensor3":
         self._compat(other)
-        f = self.field
-        return Tensor3._canonical(
-            f,
-            tuple(
-                tuple(tuple(f.sub(a, b) for a, b in zip(r1, r2)) for r1, r2 in zip(p1, p2))
-                for p1, p2 in zip(self.grid, other.grid)
-            ),
-        )
+        return Tensor3._from_flat(self.field, self.dim, [a - b for a, b in zip(self.flat(), other.flat())])
 
     def __neg__(self) -> "Tensor3":
-        f = self.field
-        return Tensor3._canonical(f, tuple(tuple(tuple(f.neg(a) for a in row) for row in plane) for plane in self.grid))
+        return Tensor3._from_flat(self.field, self.dim, [-a for a in self.flat()])
 
     def scale(self, c) -> "Tensor3":
-        f = self.field
-        c = f.coerce(c)
-        grid = tuple(tuple(tuple(f.mul(c, a) for a in row) for row in plane) for plane in self.grid)
-        return Tensor3._canonical(f, grid)
+        c = self.field.coerce(c)
+        return Tensor3._from_flat(self.field, self.dim, [c * a for a in self.flat()])
 
     def swap_slots(self, a: int, b: int) -> "Tensor3":
         """Exchange two of the three tensor slots."""
@@ -239,27 +233,11 @@ class Tensor3:
 
     def apply_slot(self, slot: int, mat) -> "Tensor3":
         """Apply a linear map (square Matrix on A) to one slot (0, 1 or 2)."""
+        if slot not in (0, 1, 2):
+            raise DimMismatch("Tensor3 has slots 0, 1 and 2")
         _check_slot_map(self, mat)
         n = self.dim
-        f = self.field
-        out = [[[f.zero()] * n for _ in range(n)] for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    c = self.grid[i][j][k]
-                    if f.is_zero(c):
-                        continue
-                    src = (i, j, k)[slot]
-                    img = mat.col(src)
-                    for t in range(n):
-                        ct = f.mul(c, img[t])
-                        if slot == 0:
-                            out[t][j][k] = f.add(out[t][j][k], ct)
-                        elif slot == 1:
-                            out[i][t][k] = f.add(out[i][t][k], ct)
-                        else:
-                            out[i][j][t] = f.add(out[i][j][t], ct)
-        return Tensor3._canonical(f, tuple(tuple(tuple(r) for r in p) for p in out))
+        return Tensor3._from_flat(self.field, n, _apply_slot(self.field, self.flat(), n, n ** (2 - slot), mat))
 
     def _compat(self, other: "Tensor3"):
         if self.field != other.field:
@@ -289,6 +267,9 @@ def tensor3_combine(alg, r: Tensor2, s: Tensor2, kind: str) -> Tensor3:
 
     ``alg`` supplies the bilinear products: ``alg.basis_product(i, j)`` for ∘
     and ``alg.basis_star(i, j)`` for ⋆, both returning coordinate tuples.
+    Each pair of nonzero terms of r and s adds its coefficient times one
+    basis product, whose nonzero coordinates are listed once per call, the
+    first time a pair needs them.
     """
     if kind not in _CONTRACTIONS:
         raise BadContraction(f"unknown contraction kind {kind!r}")
@@ -298,38 +279,30 @@ def tensor3_combine(alg, r: Tensor2, s: Tensor2, kind: str) -> Tensor3:
     if r.dim != n or s.dim != n:
         raise DimMismatch("tensor dimension does not match the algebra")
     (p1, p2), star, prod_slot, (o1, o2) = _CONTRACTIONS[kind]
+    p1, p2, o1, o2 = ("abcd".index(x) for x in (p1, p2, o1, o2))
+    # the product lands in prod_slot, the other two indices in the other
+    # two slots in order; row-major strides of A⊗A⊗A
+    stride = (n * n, n, 1)
+    st, s1, s2 = stride[prod_slot], *(stride[q] for q in range(3) if q != prod_slot)
+    basis = alg.basis_star if star else alg.basis_product
+    # basis products as their nonzero (offset in the product slot, coordinate)
+    prods = {}
+    rs = [(a, b, x) for a, row in enumerate(r.grid) for b, x in enumerate(row) if x]
+    ss = [(c, d, x) for c, row in enumerate(s.grid) for d, x in enumerate(row) if x]
     f = alg.field
-    out = [[[f.zero()] * n for _ in range(n)] for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            cr = r.grid[a][b]
-            if f.is_zero(cr):
-                continue
-            for c in range(n):
-                for d in range(n):
-                    cs = s.grid[c][d]
-                    if f.is_zero(cs):
-                        continue
-                    coeff = f.mul(cr, cs)
-                    src = {"a": a, "b": b, "c": c, "d": d}
-                    prod = (
-                        alg.basis_star(src[p1], src[p2])
-                        if star
-                        else alg.basis_product(src[p1], src[p2])
-                    )
-                    i1, i2 = src[o1], src[o2]
-                    for t in range(n):
-                        pt = prod[t]
-                        if f.is_zero(pt):
-                            continue
-                        val = f.mul(coeff, pt)
-                        if prod_slot == 0:
-                            out[t][i1][i2] = f.add(out[t][i1][i2], val)
-                        elif prod_slot == 1:
-                            out[i1][t][i2] = f.add(out[i1][t][i2], val)
-                        else:
-                            out[i1][i2][t] = f.add(out[i1][i2][t], val)
-    return Tensor3._canonical(f, tuple(tuple(tuple(row) for row in plane) for plane in out))
+    out = [f.zero()] * (n * n * n)
+    for a, b, cr in rs:
+        for c, d, cs in ss:
+            src = (a, b, c, d)
+            pair = (src[p1], src[p2])
+            prod = prods.get(pair)
+            if prod is None:
+                prod = prods[pair] = [(t * st, x) for t, x in enumerate(basis(*pair)) if x]
+            coeff = cr * cs
+            base = src[o1] * s1 + src[o2] * s2
+            for off, x in prod:
+                out[base + off] += coeff * x
+    return Tensor3._from_flat(f, n, out)
 
 
 def tensor2_from_pairs(field: Field, n: int, pairs: Sequence[tuple[int, int, object]]) -> Tensor2:

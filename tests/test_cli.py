@@ -366,6 +366,16 @@ _Q, _F3 = {"kind": "rational"}, {"kind": "prime", "p": 3}
         pytest.param(["verify", "algebra", _a2_with(_F3, True)], id="scalar-boolean-f3"),
         pytest.param(["check", "rota-baxter", "--weight", "1e3000000", "a2.json", "t2.json"], id="weight-exponent"),
         pytest.param(["check", "rota-baxter", "--weight", "0.5", "a2.json", "t2.json"], id="weight-decimal-point"),
+        pytest.param(["solve", "novikov", "--dim", "99", "--field", "F2", "--count-only"], id="space-exponent-too-large"),
+        pytest.param(["solve", "novikov", "--dim", "1000", "--field", "F3", "--count-only"], id="space-exponent-huge"),
+        pytest.param(["solve", "novikov", "--dim", "2", "--field", "F2", "--jobs", "0"], id="jobs-zero"),
+        pytest.param(["solve", "novikov", "--dim", "2", "--field", "F2", "--jobs", "-3"], id="jobs-negative"),
+        pytest.param(["solve", "novikov", "--dim", "2", "--field", "F2", "--jobs", "2", "--shard", "0/2"], id="jobs-with-shard"),
+        pytest.param(["solve", "novikov", "--dim", "2", "--field", "F2", "--count-only", "--out", "sols.jsonl"], id="out-with-count-only"),
+        pytest.param(
+            ["solve", "novikov", "--dim", "2", "--field", "F2", "--count-only", "--out", "no/such/dir/sols.jsonl"],
+            id="out-with-count-only-missing-dir",
+        ),
     ],
 )
 def test_input_errors_exit_2_with_one_line(capsys, fixture_path, tmp_path, argv):

@@ -4,6 +4,7 @@ import os
 import random
 
 import pytest
+from conftest import commuting_novikov_tables
 
 from novikov._kernels import pure
 from novikov.algebra import dual_context, novikov_residual, regular
@@ -302,11 +303,24 @@ def _change_basis(table, g, g_inv):
     )
 
 
-def test_novikov_dim3_f2_reverify_and_gl3_closure():
-    # No golden: closure under GL_3(F_2) does not prove the list complete.
+def test_commuting_tuple_oracle_matches_the_search(novikov_dim3_f2):
+    """The commuting-tuple oracle (no search, no polarization) gives the
+    golden Novikov counts and the search's very tables."""
+    counts = golden_counts()
+    for p, right_commutative in ((2, 88), (3, 945)):
+        rc, tables = commuting_novikov_tables(2, p)
+        assert rc == right_commutative and len(tables) == counts[f"novikov-algebra/dim2/F{p}"]
+        assert tables == enumerate_search(SearchSpec("novikov-algebra", GF(p), 2)).solutions
+    rc, tables = novikov_dim3_f2
+    assert rc == 75776 and len(tables) == counts["novikov-algebra/dim3/F2"] == 3984
+
+
+def test_novikov_dim3_f2_reverify_and_gl3_closure(novikov_dim3_f2):
     spec = SearchSpec("novikov-algebra", GF(2), 3)
     solutions = enumerate_search(spec).solutions
-    assert solutions and all(reverify(spec, s) for s in solutions)
+    assert len(solutions) == golden_counts()["novikov-algebra/dim3/F2"]
+    assert solutions == novikov_dim3_f2[1]
+    assert all(reverify(spec, s) for s in solutions)
     transvection = ((1, 1, 0), (0, 1, 0), (0, 0, 1))
     cycle = ((0, 0, 1), (1, 0, 0), (0, 1, 0))
     group, frontier = {transvection, cycle}, [transvection, cycle]
