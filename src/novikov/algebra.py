@@ -143,6 +143,20 @@ class Algebra:
     def _dual_context(self) -> "BimodNov":
         return dual_bimodule(self._regular_bimodule, validate=False).trivial()
 
+    @cached_property
+    def sparse_products(self) -> tuple:
+        """(circ, star): circ[i][j] lists the nonzero (coordinate, value)
+        pairs of e_i∘e_j, star[i][j] those of e_i⋆e_j.  The tensor
+        contractions read it; the operator route reads the action matrices."""
+        n = self.dim
+
+        def nonzero(cell):
+            return tuple((t, x) for t, x in enumerate(cell) if x)
+
+        circ = tuple(tuple(nonzero(self.mul[i][j]) for j in range(n)) for i in range(n))
+        star = tuple(tuple(nonzero(self.basis_star(i, j)) for j in range(n)) for i in range(n))
+        return circ, star
+
 
 def star(alg: Algebra) -> Grid:
     """The symmetrized product grid s[i][j] = mul[i][j] + mul[j][i]."""

@@ -23,7 +23,7 @@ from .errors import DimMismatch, NotABimodule
 from .linalg import Matrix, vadd, vsub
 from .operators import LinMap, equation_grid, induced_product
 from .residual import Residual, ResidualCollector
-from .tensors import Tensor2, Tensor3, flip, tensor3_combine
+from .tensors import Tensor2, Tensor3, flip, tensor3_sum
 
 
 @dataclass(frozen=True)
@@ -108,31 +108,24 @@ def gnybe_residuals(alg: Algebra, r: Tensor2) -> tuple[list[Tensor3], list[Tenso
     basis element; the second is the flip-corrected single bracket.  Both
     vanish exactly when the induced dual product is Novikov.
     """
-    f = alg.field
     n = alg.dim
     tau_r = flip(r)
     sum_r = r + tau_r
-    base_a = tensor3_combine(alg, tau_r, r, "12o13")
-    base_a = base_a + tensor3_combine(alg, r, r, "12o23")
-    base_a = base_a + tensor3_combine(alg, r, r, "13s23")
+    base_a = tensor3_sum(alg, [(1, tau_r, r, "12o13"), (1, r, r, "12o23"), (1, r, r, "13s23")])
     # r23∘r13 - r13∘r23 - (id - tau⊗id)(r13∘r12 + r12⋆r23)
-    inner = tensor3_combine(alg, r, r, "13o12") + tensor3_combine(alg, r, r, "12s23")
-    base_b = tensor3_combine(alg, r, r, "23o13") - tensor3_combine(alg, r, r, "13o23")
+    inner = tensor3_sum(alg, [(1, r, r, "13o12"), (1, r, r, "12s23")])
+    base_b = tensor3_sum(alg, [(1, r, r, "23o13"), (-1, r, r, "13o23")])
     base_b = base_b - (inner - inner.swap_slots(0, 1))
-    bracket7 = (
-        tensor3_combine(alg, r, tau_r, "13o23")
-        - tensor3_combine(alg, r, r, "12s23")
-        - tensor3_combine(alg, r, r, "13o12")
-    )
+    bracket7 = tensor3_sum(alg, [(1, r, tau_r, "13o23"), (-1, r, r, "12s23"), (-1, r, r, "13o12")])
     first, second = [], []
     for s in range(n):
         es = alg.basis_vec(s)
         left = alg.left_mul(es)
         lstar = alg.star_mul(es)
         t = base_a.apply_slot(0, left) - base_a.apply_slot(1, left)
-        mid = tensor3_combine(alg, sum_r.apply_slot(1, left), r, "12o23")
-        t = t + mid
-        t = t - tensor3_combine(alg, r.apply_slot(0, left), sum_r, "13o12")
+        t = t + tensor3_sum(
+            alg, [(1, sum_r.apply_slot(1, left), r, "12o23"), (-1, r.apply_slot(0, left), sum_r, "13o12")]
+        )
         t = t + base_b.apply_slot(2, lstar)
         first.append(t)
         u = bracket7.apply_slot(2, lstar)

@@ -10,7 +10,7 @@ from typing import Optional, Sequence
 from .algebra import Algebra, BimodNov, Grid, regular
 from .errors import DimMismatch, FieldMismatch, NoHalf
 from .fields import Field
-from .linalg import Matrix, vadd, vsub
+from .linalg import Matrix, vsub
 from .residual import Residual, ResidualCollector
 
 
@@ -183,38 +183,58 @@ def induced_product(ctx: BimodNov, left: LinMap, right: LinMap, weight) -> Grid:
 
     With left = right = alpha this is the product a weight-lambda operator
     induces on M; the star, diamond, ± and shifted products and the dual
-    product of a tensor are all instances."""
+    product of a tensor are all instances.  Each cell is one pass over the
+    action-matrix columns, reduced once."""
     _check_ctx_map(ctx, left)
     _check_ctx_map(ctx, right)
     f = ctx.field
     weight = f.coerce(weight)
     m = ctx.mdim
-    l_imgs = [ctx.l_of(left.mat.col(u)) for u in range(m)]
-    r_imgs = [ctx.r_of(right.mat.col(v)) for v in range(m)]
-    return tuple(
-        tuple(
-            vadd(
-                f,
-                vadd(f, l_imgs[u].col(v), r_imgs[v].col(u)),
-                tuple(f.mul(weight, c) for c in ctx.mul[u][v]),
-            )
-            for v in range(m)
-        )
-        for u in range(m)
-    )
+    z = f.zero()
+    # column v of l(e_i) and of r(e_i)
+    l_cols = [[lm.col(v) for v in range(m)] for lm in ctx.l_mats]
+    r_cols = [[rm.col(v) for v in range(m)] for rm in ctx.r_mats]
+    # the nonzero coordinates of left(u) and right(v)
+    lefts = [[(i, c) for i, c in enumerate(left.mat.col(u)) if c] for u in range(m)]
+    rights = [[(i, c) for i, c in enumerate(right.mat.col(v)) if c] for v in range(m)]
+
+    def cell(u, v):
+        out = [z] * m
+        for i, c in lefts[u]:  # l(left(u))v
+            out = [o + c * x if x else o for o, x in zip(out, l_cols[i][v])]
+        for i, c in rights[v]:  # r(right(v))u
+            out = [o + c * x if x else o for o, x in zip(out, r_cols[i][u])]
+        if weight:
+            out = [o + weight * x if x else o for o, x in zip(out, ctx.mul[u][v])]
+        return f.reduce(out)
+
+    return tuple(tuple(cell(u, v) for v in range(m)) for u in range(m))
 
 
 def equation_grid(ctx: BimodNov, alpha: LinMap, product: Grid) -> Grid:
     """alpha(u)∘alpha(v) - alpha(u⋄v) on module basis pairs, for a product ⋄
     on M given by its grid: the operator equation's value when ⋄ is the
-    induced product."""
+    induced product.  Each cell is one pass, reduced once."""
     f = ctx.field
     m = ctx.mdim
-    imgs = [alpha.mat.col(u) for u in range(m)]
-    return tuple(
-        tuple(vsub(f, ctx.alg.product(imgs[u], imgs[v]), alpha(product[u][v])) for v in range(m))
-        for u in range(m)
-    )
+    mul = ctx.alg.mul
+    z = f.zero()
+    cols = [alpha.mat.col(u) for u in range(m)]
+    imgs = [[(i, c) for i, c in enumerate(col) if c] for col in cols]
+
+    def cell(u, v):
+        out = [z] * alpha.dim
+        for i, cu in imgs[u]:  # alpha(u)∘alpha(v)
+            row = mul[i]
+            for j, cv in imgs[v]:
+                c = cu * cv
+                out = [o + c * x if x else o for o, x in zip(out, row[j])]
+        for k, c in enumerate(product[u][v]):  # - alpha(u⋄v)
+            if c:
+                out = [o - c * x if x else o for o, x in zip(out, cols[k])]
+        return f.reduce(out)
+
+    return tuple(tuple(cell(u, v) for v in range(m)) for u in range(m))
 
 
 def ext_o_equation_residual(ctx: BimodNov, alpha: LinMap, beta: Optional[LinMap], params: MassParams) -> Residual:

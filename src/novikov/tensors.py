@@ -262,47 +262,69 @@ _CONTRACTIONS = {
 CONTRACTION_KINDS = tuple(sorted(_CONTRACTIONS))
 
 
-def tensor3_combine(alg, r: Tensor2, s: Tensor2, kind: str) -> Tensor3:
-    """Contract two 2-tensors into A⊗A⊗A using one of the seven named patterns.
+def _plan(spec) -> tuple:
+    """(leg of r in the product, leg of s in the product, star?, product
+    slot, slot of r's other leg, slot of s's other leg).  Every kind takes
+    the product of one leg of r with one leg of s."""
+    (p1, p2), star, prod_slot, outs = spec
+    r_leg, s_leg = "ab".index(p1), "cd".index(p2)
+    slot_of = dict(zip(outs, (q for q in range(3) if q != prod_slot)))
+    return r_leg, s_leg, star, prod_slot, slot_of["ba"[r_leg]], slot_of["dc"[s_leg]]
 
-    ``alg`` supplies the bilinear products: ``alg.basis_product(i, j)`` for ∘
-    and ``alg.basis_star(i, j)`` for ⋆, both returning coordinate tuples.
-    Each pair of nonzero terms of r and s adds its coefficient times one
-    basis product, whose nonzero coordinates are listed once per call, the
-    first time a pair needs them.
+
+_PLANS = {kind: _plan(spec) for kind, spec in _CONTRACTIONS.items()}
+
+
+def tensor3_sum(alg, terms) -> Tensor3:
+    """Σ c·contract(r, s, kind) over the (c, r, s, kind) terms, added into one
+    unreduced buffer and reduced once; an empty sum is the zero tensor.
+
+    ``alg.sparse_products`` supplies the bilinear products as the nonzero
+    coordinates of each e_i∘e_j and e_i⋆e_j.  Each pair of nonzero terms
+    of r and s whose basis product is nonzero adds its coefficient times
+    that product.
     """
-    if kind not in _CONTRACTIONS:
-        raise BadContraction(f"unknown contraction kind {kind!r}")
-    if r.field != s.field or r.field != alg.field:
-        raise FieldMismatch("contraction operands over different fields")
-    n = alg.dim
-    if r.dim != n or s.dim != n:
-        raise DimMismatch("tensor dimension does not match the algebra")
-    (p1, p2), star, prod_slot, (o1, o2) = _CONTRACTIONS[kind]
-    p1, p2, o1, o2 = ("abcd".index(x) for x in (p1, p2, o1, o2))
-    # the product lands in prod_slot, the other two indices in the other
-    # two slots in order; row-major strides of A⊗A⊗A
-    stride = (n * n, n, 1)
-    st, s1, s2 = stride[prod_slot], *(stride[q] for q in range(3) if q != prod_slot)
-    basis = alg.basis_star if star else alg.basis_product
-    # basis products as their nonzero (offset in the product slot, coordinate)
-    prods = {}
-    rs = [(a, b, x) for a, row in enumerate(r.grid) for b, x in enumerate(row) if x]
-    ss = [(c, d, x) for c, row in enumerate(s.grid) for d, x in enumerate(row) if x]
-    f = alg.field
+    f, n = alg.field, alg.dim
+    circ, star = alg.sparse_products
     out = [f.zero()] * (n * n * n)
-    for a, b, cr in rs:
-        for c, d, cs in ss:
-            src = (a, b, c, d)
-            pair = (src[p1], src[p2])
-            prod = prods.get(pair)
-            if prod is None:
-                prod = prods[pair] = [(t * st, x) for t, x in enumerate(basis(*pair)) if x]
-            coeff = cr * cs
-            base = src[o1] * s1 + src[o2] * s2
-            for off, x in prod:
-                out[base + off] += coeff * x
+    for c, r, s, kind in terms:
+        if kind not in _PLANS:
+            raise BadContraction(f"unknown contraction kind {kind!r}")
+        if r.field != s.field or r.field != f:
+            raise FieldMismatch("contraction operands over different fields")
+        if r.dim != n or s.dim != n:
+            raise DimMismatch("tensor dimension does not match the algebra")
+        c = f.coerce(c)
+        if not c:
+            continue
+        r_leg, s_leg, is_star, prod_slot, r_slot, s_slot = _PLANS[kind]
+        table = star if is_star else circ
+        # row-major strides of A⊗A⊗A
+        st, r_st, s_st = n ** (2 - prod_slot), n ** (2 - r_slot), n ** (2 - s_slot)
+        # nonzero terms of r as (their row of the table, offset, coefficient),
+        # of s as (their column of that row, offset, coefficient)
+        rs = [
+            (table[(a, b)[r_leg]], (b, a)[r_leg] * r_st, x if c == 1 else c * x)
+            for a, row in enumerate(r.grid)
+            for b, x in enumerate(row)
+            if x
+        ]
+        ss = [((i, j)[s_leg], (j, i)[s_leg] * s_st, y) for i, row in enumerate(s.grid) for j, y in enumerate(row) if y]
+        for prods, r_off, cr in rs:
+            for j, s_off, cs in ss:
+                prod = prods[j]
+                if prod:
+                    coeff = cr * cs
+                    base = r_off + s_off
+                    for t, x in prod:
+                        out[base + t * st] += coeff * x
     return Tensor3._from_flat(f, n, out)
+
+
+def tensor3_combine(alg, r: Tensor2, s: Tensor2, kind: str) -> Tensor3:
+    """Contract two 2-tensors into A⊗A⊗A using one of the seven named
+    patterns: the one-term ``tensor3_sum``."""
+    return tensor3_sum(alg, ((1, r, s, kind),))
 
 
 def tensor2_from_pairs(field: Field, n: int, pairs: Sequence[tuple[int, int, object]]) -> Tensor2:

@@ -13,7 +13,7 @@ from .fields import Field
 from .linalg import Matrix, inverse
 from .operators import LinMap, equation_grid, induced_product, o_operator_residual, pm_products
 from .residual import Residual, ResidualCollector
-from .tensors import Tensor2, Tensor3, flip, tensor3_combine
+from .tensors import Tensor2, Tensor3, flip, tensor3_sum
 
 
 def hat_matrices(r: Tensor2) -> tuple[Matrix, Matrix]:
@@ -22,11 +22,8 @@ def hat_matrices(r: Tensor2) -> tuple[Matrix, Matrix]:
     Column i of the first is row i of the coefficient grid; the second is
     the hat of the flipped tensor, i.e. the plain grid read column-wise.
     """
-    n = r.dim
-    f = r.field
-    hat = Matrix.from_cols(f, [r.grid[i] for i in range(n)], "A*", "A")
-    hat_t = Matrix.from_cols(f, [r.col_of(j) for j in range(n)], "A*", "A")
-    return hat, hat_t
+    hat_t = Matrix.from_rows(r.field, r.grid, "A*", "A")
+    return hat_t.transpose(), hat_t
 
 
 def tensor_of_map(m: Matrix) -> Tensor2:
@@ -109,12 +106,13 @@ def invariance_residual(alg: Algebra, s: Tensor2, cross_check: bool = True) -> R
     return report
 
 
+def _nybe_terms(r: Tensor2) -> list:
+    return [(1, r, r, "13o23"), (1, r, r, "12s23"), (1, r, r, "13o12")]
+
+
 def nybe_residual(alg: Algebra, r: Tensor2) -> Tensor3:
     """r13∘r23 + r12⋆r23 + r13∘r12."""
-    t = tensor3_combine(alg, r, r, "13o23")
-    t = t + tensor3_combine(alg, r, r, "12s23")
-    t = t + tensor3_combine(alg, r, r, "13o12")
-    return t
+    return tensor3_sum(alg, _nybe_terms(r))
 
 
 def enybe_residual(alg: Algebra, r: Tensor2, epsilon) -> Tensor3:
@@ -122,12 +120,11 @@ def enybe_residual(alg: Algebra, r: Tensor2, epsilon) -> Tensor3:
     residual when epsilon = 0 or r is skew."""
     f = alg.field
     epsilon = f.coerce(epsilon)
-    lhs = nybe_residual(alg, r)
-    if f.is_zero(epsilon):
-        return lhs
-    s = r + flip(r)
-    rhs = tensor3_combine(alg, s, s, "13o23").scale(epsilon)
-    return lhs - rhs
+    terms = _nybe_terms(r)
+    if epsilon:
+        s = r + flip(r)
+        terms.append((-epsilon, s, s, "13o23"))
+    return tensor3_sum(alg, terms)
 
 
 def o_nybe_residual(alg: Algebra, r: Tensor2) -> Residual:
@@ -180,24 +177,17 @@ class BilForm:
         return len(self.grid)
 
     def is_symmetric(self) -> bool:
-        f = self.field
-        n = self.dim
-        return all(
-            f.is_zero(f.sub(self.grid[i][j], self.grid[j][i]))
-            for i in range(n)
-            for j in range(i + 1, n)
-        )
+        g, n = self.grid, self.dim
+        return all(g[i][j] == g[j][i] for i in range(n) for j in range(i + 1, n))
 
     def value(self, a: Sequence, b: Sequence) -> object:
-        f = self.field
-        acc = f.zero()
-        for i, ca in enumerate(a):
-            if f.is_zero(ca):
-                continue
-            row = self.grid[i]
-            for j, cb in enumerate(b):
-                acc = f.add(acc, f.mul(f.mul(ca, cb), row[j]))
-        return acc
+        acc = self.field.zero()
+        for ca, row in zip(a, self.grid):
+            if ca:
+                for cb, x in zip(b, row):
+                    if cb and x:
+                        acc += ca * cb * x
+        return self.field.reduce((acc,))[0]
 
     def phi(self) -> Matrix:
         return Matrix.from_rows(self.field, self.grid, "A", "A*")

@@ -1,7 +1,8 @@
 """Arithmetic results are canonical by construction, the native-operator
 inner loops equal folds written with field methods, the per-algebra action
-caches equal freshly built contexts, and only the arithmetic modules may
-skip coercion."""
+and product-table caches equal freshly built ones, the one-pass induced
+product and the summed contractions equal the code they replaced, and only
+the arithmetic modules may skip coercion."""
 
 import ast
 import hashlib
@@ -10,14 +11,19 @@ import pathlib
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from novikov import tensors
 from novikov.algebra import Algebra, dual_context, grid_product, novikov_residual, regular, regular_bimodule, semidirect
+from novikov.errors import BadContraction
 from novikov.fields import GF, QQ
-from novikov.linalg import Matrix, combine_mats
+from novikov.lift import gnybe_residuals
+from novikov.linalg import Matrix, combine_mats, vadd, vsub
+from novikov.operators import LinMap, equation_grid, induced_product
 from novikov.solver import enumerated_dim2, trunc_poly_algebra
-from novikov.tensors import CONTRACTION_KINDS, Tensor2, Tensor3, flip, tensor3_combine
-from novikov.ybe import invariance_residual, o_nybe_residual
+from novikov.tensors import CONTRACTION_KINDS, Tensor2, Tensor3, flip, tensor3_combine, tensor3_sum
+from novikov.ybe import BilForm, enybe_residual, invariance_residual, nybe_residual, o_nybe_residual
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "novikov"
 
@@ -389,6 +395,250 @@ def test_residual_failures_match_the_uncached_code():
 
 
 # ---------------------------------------------------------------------------
+# the one-pass induced product and the summed contractions against the code
+# they replaced
+
+
+def _ref_induced_product(ctx, left, right, weight):
+    """``induced_product`` before the one-pass cells: the action matrices
+    combined once per module basis vector, each cell added with ``vadd``."""
+    f = ctx.field
+    weight = f.coerce(weight)
+    m = ctx.mdim
+    l_imgs = [ctx.l_of(left.mat.col(u)) for u in range(m)]
+    r_imgs = [ctx.r_of(right.mat.col(v)) for v in range(m)]
+    return tuple(
+        tuple(
+            vadd(f, vadd(f, l_imgs[u].col(v), r_imgs[v].col(u)), tuple(f.mul(weight, c) for c in ctx.mul[u][v]))
+            for v in range(m)
+        )
+        for u in range(m)
+    )
+
+
+def _ref_equation_grid(ctx, alpha, product):
+    """``equation_grid`` before the one-pass cells: a product, a map
+    application and a subtraction, each reduced on its own."""
+    f, m = ctx.field, ctx.mdim
+    imgs = [alpha.mat.col(u) for u in range(m)]
+    return tuple(
+        tuple(vsub(f, ctx.alg.product(imgs[u], imgs[v]), alpha(product[u][v])) for v in range(m)) for u in range(m)
+    )
+
+
+def _ref_combine(alg, r, s, kind):
+    """``tensor3_combine`` before the product tables: the basis products
+    listed once per call through ``basis_product`` / ``basis_star``."""
+    (p1, p2), star, prod_slot, (o1, o2) = tensors._CONTRACTIONS[kind]
+    p1, p2, o1, o2 = ("abcd".index(x) for x in (p1, p2, o1, o2))
+    n, f = alg.dim, alg.field
+    stride = (n * n, n, 1)
+    st, s1, s2 = stride[prod_slot], *(stride[q] for q in range(3) if q != prod_slot)
+    basis = alg.basis_star if star else alg.basis_product
+    prods = {}
+    rs = [(a, b, x) for a, row in enumerate(r.grid) for b, x in enumerate(row) if x]
+    ss = [(c, d, x) for c, row in enumerate(s.grid) for d, x in enumerate(row) if x]
+    out = [f.zero()] * (n * n * n)
+    for a, b, cr in rs:
+        for c, d, cs in ss:
+            src = (a, b, c, d)
+            pair = (src[p1], src[p2])
+            prod = prods.get(pair)
+            if prod is None:
+                prod = prods[pair] = [(t * st, x) for t, x in enumerate(basis(*pair)) if x]
+            coeff = cr * cs
+            base = src[o1] * s1 + src[o2] * s2
+            for off, x in prod:
+                out[base + off] += coeff * x
+    return Tensor3._from_flat(f, n, out)
+
+
+def _ref_nybe(alg, r):
+    return _ref_combine(alg, r, r, "13o23") + _ref_combine(alg, r, r, "12s23") + _ref_combine(alg, r, r, "13o12")
+
+
+def _ref_enybe(alg, r, epsilon):
+    epsilon = alg.field.coerce(epsilon)
+    if alg.field.is_zero(epsilon):
+        return _ref_nybe(alg, r)
+    s = r + flip(r)
+    return _ref_nybe(alg, r) - _ref_combine(alg, s, s, "13o23").scale(epsilon)
+
+
+def _ref_gnybe(alg, r):
+    """``lift.gnybe_residuals`` written with one ``_ref_combine`` per
+    contraction, as before ``tensor3_sum``."""
+    n = alg.dim
+    tau_r = flip(r)
+    sum_r = r + tau_r
+    base_a = _ref_combine(alg, tau_r, r, "12o13") + _ref_combine(alg, r, r, "12o23") + _ref_combine(alg, r, r, "13s23")
+    inner = _ref_combine(alg, r, r, "13o12") + _ref_combine(alg, r, r, "12s23")
+    base_b = _ref_combine(alg, r, r, "23o13") - _ref_combine(alg, r, r, "13o23")
+    base_b = base_b - (inner - inner.swap_slots(0, 1))
+    bracket7 = _ref_combine(alg, r, tau_r, "13o23") - _ref_combine(alg, r, r, "12s23")
+    bracket7 = bracket7 - _ref_combine(alg, r, r, "13o12")
+    first, second = [], []
+    for s in range(n):
+        es = alg.basis_vec(s)
+        left = alg.left_mul(es)
+        lstar = alg.star_mul(es)
+        t = base_a.apply_slot(0, left) - base_a.apply_slot(1, left)
+        t = t + _ref_combine(alg, sum_r.apply_slot(1, left), r, "12o23")
+        t = t - _ref_combine(alg, r.apply_slot(0, left), sum_r, "13o12")
+        first.append(t + base_b.apply_slot(2, lstar))
+        u = bracket7.apply_slot(2, lstar)
+        second.append(u - u.swap_slots(1, 2))
+    return first, second
+
+
+def _random_algebra(f, n, rng) -> Algebra:
+    return Algebra(f, n, tuple(tuple(tuple(f.sample(rng) for _ in range(n)) for _ in range(n)) for _ in range(n)))
+
+
+def _seeded_q_algebras() -> list:
+    rng = random.Random(17)
+    return [_random_algebra(QQ, n, rng) for n in (1, 2, 3) for _ in range(4)] + [trunc_poly_algebra(QQ, 3)]
+
+
+def _context_pool() -> list:
+    """The 52 dimension-2 tables over F_2, the 177 over F_3 and seeded Q
+    algebras of dimension 1-3, each as its regular context, its dual context
+    and the regular context of its semidirect product with itself."""
+    algs = [*enumerated_dim2(GF(2)), *enumerated_dim2(GF(3)), *_seeded_q_algebras()]
+    assert len(algs) == 52 + 177 + 13
+    return [
+        ctx
+        for alg in algs
+        for ctx in (
+            regular(alg, validate=False),
+            dual_context(alg, validate=False),
+            regular(semidirect(regular(alg, validate=False)), validate=False),
+        )
+    ]
+
+
+def _typed_grid(grid) -> list:
+    return [_typed(cell) for row in grid for cell in row]
+
+
+def test_one_pass_induced_product_and_equation_grid_match_the_reference():
+    weights_met = set()
+    for idx, ctx in enumerate(_context_pool()):
+        f, n, m = ctx.field, ctx.alg.dim, ctx.mdim
+        rng = random.Random(idx)
+
+        def linmap():
+            return LinMap(Matrix(f, n, m, tuple(f.sample(rng) for _ in range(n * m))))
+
+        left, right = linmap(), linmap()
+        nonzero = f.sample(rng) or 1
+        for weight in (0, nonzero):
+            weights_met.add(bool(weight))
+            for lhs, rhs in ((left, right), (left, left), (left, LinMap.zero(f, n, m))):
+                got = induced_product(ctx, lhs, rhs, weight)
+                want = _ref_induced_product(ctx, lhs, rhs, weight)
+                assert _typed_grid(got) == _typed_grid(want)
+                assert _typed_grid(equation_grid(ctx, lhs, got)) == _typed_grid(_ref_equation_grid(ctx, lhs, want))
+    assert weights_met == {False, True}
+
+
+def _tensor_pool() -> list:
+    """(algebra, r, s) over the 52 F_2 and 177 F_3 dimension-2 tables and the
+    seeded Q algebras, with seeded r and s, one of them often zero."""
+    algs = [*enumerated_dim2(GF(2)), *enumerated_dim2(GF(3)), *_seeded_q_algebras()]
+    rng = random.Random(23)
+    out = []
+    for alg in algs:
+        f, n = alg.field, alg.dim
+
+        def tensor():
+            return Tensor2(f, tuple(tuple(f.sample(rng) for _ in range(n)) for _ in range(n)))
+
+        out.append((alg, tensor(), tensor()))
+        out.append((alg, tensor(), Tensor2.zeros(f, n) if rng.random() < 0.3 else tensor()))
+    return out
+
+
+def test_summed_contractions_match_the_per_call_reference():
+    pool = _tensor_pool()
+    for alg, r, s in pool:
+        f = alg.field
+        for kind in CONTRACTION_KINDS:
+            assert _typed(_flat(tensor3_combine(alg, r, s, kind))) == _typed(_flat(_ref_combine(alg, r, s, kind)))
+        # a coefficient 0 term adds nothing; the others are scaled
+        c = f.coerce(2) if f.char != 2 else f.one()
+        terms = [(c, r, s, "12o23"), (0, s, r, "13s23"), (-1, s, s, "23o13"), (1, r, r, "12s23")]
+        want = _ref_combine(alg, r, s, "12o23").scale(c) - _ref_combine(alg, s, s, "23o13")
+        want = want + _ref_combine(alg, r, r, "12s23")
+        assert _typed(_flat(tensor3_sum(alg, terms))) == _typed(_flat(want))
+        zero = _flat(tensor3_sum(alg, [(0, r, s, kind) for kind in CONTRACTION_KINDS]))
+        assert _typed(zero) == _typed([f.zero()] * alg.dim**3)
+        assert _typed(_flat(nybe_residual(alg, r))) == _typed(_flat(_ref_nybe(alg, r)))
+        for epsilon in (0, 1, c):
+            assert _typed(_flat(enybe_residual(alg, r, epsilon))) == _typed(_flat(_ref_enybe(alg, r, epsilon)))
+    for alg, r, s in pool[::5]:
+        got, want = gnybe_residuals(alg, r), _ref_gnybe(alg, r)
+        assert [[_typed(_flat(t)) for t in family] for family in got] == [
+            [_typed(_flat(t)) for t in family] for family in want
+        ]
+
+
+def test_empty_and_zero_tensor_sums():
+    a3 = trunc_poly_algebra(QQ, 3)
+    r = Tensor2(QQ, ((1, 2, 0), (0, 1, 3), (5, 0, 1)))
+    for total in (tensor3_sum(a3, []), tensor3_sum(a3, [(0, r, r, "13o23")])):
+        assert total.dim == 3 and all(type(c) is Fraction and c == 0 for c in _flat(total))
+    # every term is checked, also one whose coefficient is 0
+    with pytest.raises(BadContraction):
+        tensor3_sum(a3, [(1, r, r, "13o23"), (0, r, r, "11o22")])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
+@given(ops=_raw_operands())
+def test_bilform_matches_field_method_folds(ops):
+    f, n, grid, u, v, mat, r, s = ops
+    form = BilForm(f, mat.row_list())
+    fold = f.zero()
+    for i, cu in enumerate(u):
+        for j, cv in enumerate(v):
+            fold = f.add(fold, f.mul(f.mul(f.coerce(cu), f.coerce(cv)), form.grid[i][j]))
+    assert _typed([form.value(u, v)]) == _typed([fold])
+    want = all(f.is_zero(f.sub(form.grid[i][j], form.grid[j][i])) for i in range(n) for j in range(n))
+    assert form.is_symmetric() == want
+    sym = BilForm(f, [[f.add(form.grid[i][j], form.grid[j][i]) for j in range(n)] for i in range(n)])
+    assert sym.is_symmetric()
+
+
+# ---------------------------------------------------------------------------
+# the product tables cached on each algebra
+
+
+def test_product_tables_live_on_their_own_algebra():
+    """Each algebra keeps its own table, which equality, hashing and repr
+    ignore: equal algebras contract alike, and every algebra of one field
+    and dimension contracts with its own products."""
+    pool = [*enumerated_dim2(GF(3)), *_seeded_q_algebras()]
+    rng = random.Random(29)
+    for alg in pool:
+        f, n = alg.field, alg.dim
+        twin = Algebra(f, n, alg.mul)
+        r = Tensor2(f, tuple(tuple(f.sample(rng) for _ in range(n)) for _ in range(n)))
+        s = Tensor2(f, tuple(tuple(f.sample(rng) for _ in range(n)) for _ in range(n)))
+        got = [tensor3_combine(alg, r, s, kind) for kind in CONTRACTION_KINDS]
+        assert "sparse_products" in vars(alg) and "sparse_products" not in vars(twin)
+        assert twin == alg and hash(twin) == hash(alg) and repr(twin) == repr(alg)
+        assert [tensor3_combine(twin, r, s, kind) for kind in CONTRACTION_KINDS] == got
+        assert twin.sparse_products is not alg.sparse_products
+        assert twin.sparse_products == alg.sparse_products
+        assert got == [_ref_combine(alg, r, s, kind) for kind in CONTRACTION_KINDS]
+        circ, star = alg.sparse_products
+        for i in range(n):
+            for j in range(n):
+                assert circ[i][j] == tuple((t, x) for t, x in enumerate(alg.mul[i][j]) if x)
+                assert star[i][j] == tuple((t, x) for t, x in enumerate(alg.basis_star(i, j)) if x)
+
+
+# ---------------------------------------------------------------------------
 # the coercing path
 
 
@@ -402,11 +652,8 @@ def _private_constructor_uses(tree) -> list:
     return lines
 
 
-def test_tensor_contractions_stay_independent_of_the_operator_route():
-    """``tensor3_combine`` is the oracle P-TENSOR-OP compares
-    ``operators.induced_product`` against, so ``tensors`` imports nothing
-    from ``operators``, ``lift`` or ``ybe``."""
-    tree = ast.parse((SRC / "tensors.py").read_text())
+def _imported_names(module: str) -> set:
+    tree = ast.parse((SRC / module).read_text())
     imported = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
@@ -415,8 +662,26 @@ def test_tensor_contractions_stay_independent_of_the_operator_route():
         elif isinstance(node, ast.Import):
             imported.update(alias.name for alias in node.names)
     assert imported  # the walk sees the module's imports
-    banned = {"operators", "lift", "ybe"}
-    assert not {name for name in imported if set(name.split(".")) & banned}
+    return imported
+
+
+def _imports_any(module: str, banned: set) -> set:
+    return {name for name in _imported_names(module) if set(name.split(".")) & banned}
+
+
+def test_tensor_contractions_stay_independent_of_the_operator_route():
+    """``tensor3_combine`` is the oracle P-TENSOR-OP compares
+    ``operators.induced_product`` against, so ``tensors`` imports nothing
+    from ``operators``, ``lift`` or ``ybe``."""
+    assert not _imports_any("tensors.py", {"operators", "lift", "ybe"})
+
+
+def test_operator_route_stays_independent_of_the_tensor_contractions():
+    """The other side of the same guard: ``operators`` and ``algebra``, the
+    route P-TENSOR-OP checks, import nothing from ``tensors``, so they never
+    read the contraction code."""
+    for module in ("operators.py", "algebra.py"):
+        assert not _imports_any(module, {"tensors"})
 
 
 def test_only_arithmetic_modules_skip_coercion():
