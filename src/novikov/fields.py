@@ -9,15 +9,16 @@ The inner loops of the object path (product grids, vector, matrix and
 tensor arithmetic, tensor contractions) use only Python's own ``+``, ``-``
 and ``*`` on canonical scalars, truthiness as the zero test, and
 ``Field.reduce`` once on each finished output.  An accumulator starts at
-``zero()``, so an empty sum over Q is still a ``Fraction``.  A field added
-later (for example polynomials over F_p) must therefore supply scalars that
-overload these operators and are falsy exactly when zero; bare tuples, on
-which ``+`` concatenates, do not qualify.
+``zero()``, so an empty sum over Q is still a ``Fraction``.  ``PolyRing``,
+over which the search evaluates each residual once, symbolically, keeps the
+same contract: its scalars overload these operators and are falsy exactly
+when zero (bare tuples, on which ``+`` concatenates, would not qualify).
 """
 
 from __future__ import annotations
 
 import re
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import FieldMismatch, NoHalf, NovikovError
@@ -55,33 +56,31 @@ def _is_prime(n: int) -> bool:
 
 
 class Field:
-    """Abstract field descriptor; scalars are plain values canonical for it."""
+    """Abstract field descriptor; scalars are plain values canonical for it.
+    The arithmetic defaults to ``coerce``, Python's operators and ``reduce``."""
 
     char: int
 
     def zero(self):
-        raise NotImplementedError
+        return self.coerce(0)
 
     def one(self):
-        raise NotImplementedError
+        return self.coerce(1)
 
     def add(self, a, b):
-        raise NotImplementedError
+        return self.reduce((a + b,))[0]
 
     def sub(self, a, b):
-        raise NotImplementedError
+        return self.reduce((a - b,))[0]
 
     def mul(self, a, b):
-        raise NotImplementedError
+        return self.reduce((a * b,))[0]
 
     def neg(self, a):
-        raise NotImplementedError
+        return self.reduce((-a,))[0]
 
     def inv(self, a):
         raise NotImplementedError
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
 
     def coerce(self, x):
         """Turn an int / string / exact value into a canonical scalar."""
@@ -93,7 +92,7 @@ class Field:
         raise NotImplementedError
 
     def is_zero(self, a) -> bool:
-        raise NotImplementedError
+        return not self.reduce((a,))[0]
 
     def half(self):
         """Return 1/2, raising NoHalf in characteristic 2."""
@@ -122,9 +121,6 @@ class Rationals(Field):
 
     def zero(self):
         return Fraction(0)
-
-    def one(self):
-        return Fraction(1)
 
     def add(self, a, b):
         return a + b
@@ -200,9 +196,6 @@ class PrimeField(Field):
     def zero(self):
         return 0
 
-    def one(self):
-        return 1 % self.p
-
     def add(self, a, b):
         return (a + b) % self.p
 
@@ -261,6 +254,65 @@ class PrimeField(Field):
 
     def __hash__(self) -> int:
         return hash(("GF", self.p))
+
+
+class Poly(dict):
+    """{monomial: coefficient} with integer coefficients, a monomial being
+    the sorted tuple of its unknowns' indices; exact zeros are dropped, so a
+    polynomial is falsy exactly when every coefficient is 0."""
+
+    def __add__(self, other):
+        out = Poly(self)
+        for m, c in _terms(other).items():
+            c += out.pop(m, 0)
+            if c:
+                out[m] = c
+        return out
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __neg__(self):
+        return Poly({m: -c for m, c in self.items()})
+
+    def __mul__(self, other):
+        out = Poly()
+        for n, d in _terms(other).items():  # m -> m + n is one to one
+            out += Poly({tuple(sorted(m + n)): c * d for m, c in self.items()})
+        return out
+
+    __rmul__ = __mul__
+
+
+def _terms(x) -> dict:
+    return x if isinstance(x, Poly) else {(): x} if x else {}
+
+
+@dataclass(frozen=True)
+class PolyRing(Field):
+    """Polynomials over F_p, p = ``char``, in unknowns x_0, x_1, ...: scalars
+    are ``Poly`` with coefficients in [1, p), no x^p = x reduction.  ``inv``
+    raises, so a routine that divides or pivots fails loudly."""
+
+    char: int
+
+    def variables(self, k: int) -> list:
+        return [Poly({(u,): 1}) for u in range(k)]
+
+    def inv(self, a):
+        raise NovikovError(f"{self} has no inverses")
+
+    def coerce(self, x):
+        return self.reduce((x if isinstance(x, Poly) else GF(self.char).coerce(x),))[0]
+
+    def reduce(self, values) -> tuple:
+        p = self.char
+        return tuple([Poly({m: c % p for m, c in _terms(v).items() if c % p}) for v in values])
 
 
 QQ = Rationals()

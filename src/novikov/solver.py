@@ -1,10 +1,10 @@
 """Exhaustive search over small prime fields, linear solution spaces and
 seeded random instance generation: the oracle behind the property sweeps.
 
-Every search kind is one depth-first search whose constraints are derived
-from the kind's object-path residual by polarization, and the linear
-spaces come from the same residuals probed on unit inputs; no identity is
-written here a second time."""
+Every search kind is one depth-first search whose constraints are the kind's
+object-path residual, evaluated once over a polynomial ring in the unknowns;
+the linear spaces come from the same residuals, probed on unit inputs (exact
+for a linear residual).  No identity is written here a second time."""
 
 from __future__ import annotations
 
@@ -14,12 +14,11 @@ import random
 import time
 from dataclasses import dataclass, replace
 from functools import partial
-from math import prod
 from typing import Callable, Iterator, Optional, Sequence
 
 from .algebra import Algebra, BimodNov, novikov_residual, regular
 from .errors import NovikovError, SpaceTooLarge
-from .fields import Field, PrimeField, QQ
+from .fields import Field, PolyRing, PrimeField, QQ
 from .linalg import Matrix, kernel_basis
 from .operators import (
     LinMap,
@@ -32,7 +31,7 @@ from .operators import (
 )
 from .residual import Residual, ResidualCollector
 from .tensors import Tensor2, Tensor3
-from .ybe import enybe_residual, invariance_residual, nybe_residual, bilform_invariance, BilForm
+from .ybe import enybe_residual, invariance_residual, invariant_form_residual, nybe_residual, BilForm
 
 SEARCH_KINDS = (
     "novikov-algebra",
@@ -47,7 +46,6 @@ SEARCH_KINDS = (
 ALLOWED_PRIMES = (2, 3, 5, 7)
 BOUND_EXPONENT = 32
 CANDIDATE_BOUND = 2**BOUND_EXPONENT
-GUARD_POINTS = 3  # seeded points at which polarize checks its result, beside all-ones
 
 
 @dataclass(frozen=True)
@@ -208,11 +206,15 @@ def _nonzero_coords(field: Field, report: Residual) -> Iterator[tuple]:
                 yield (fail.identity, fail.indices, k), c
 
 
-def _residual_coords(spec: SearchSpec) -> Callable[[Sequence], dict]:
+def _residual_coords(spec: SearchSpec, ring: Optional[PolyRing] = None) -> Callable[[Sequence], dict]:
     """The object-path residual of the spec's kind, as a function from a
-    flat candidate to its nonzero residual coordinates.  The search derives
-    its constraints from it and ``reverify`` re-checks solutions with it."""
-    alg = spec.algebra
+    flat candidate to its nonzero residual coordinates.  ``reverify`` runs it
+    on the spec's context; the search lifts the context into ``ring``."""
+    f, alg, beta = spec.field, spec.algebra, spec.beta
+    if ring is not None:  # lift the context into the ring
+        f = ring
+        alg = alg and Algebra(ring, alg.dim, alg.mul)
+        beta = beta and LinMap(Matrix(ring, beta.dim, beta.mdim, beta.mat.entries))
     kind = spec.kind
     if kind == "novikov-algebra":
         residual = novikov_residual
@@ -225,73 +227,14 @@ def _residual_coords(spec: SearchSpec) -> Callable[[Sequence], dict]:
     elif kind == "ext-o-operator":
         ctx = regular(alg, validate=False)
         params = MassParams(spec.weight, spec.kappa, spec.mu)
-        residual = lambda t: ext_o_equation_residual(ctx, t, spec.beta, params)
+        residual = lambda t: ext_o_equation_residual(ctx, t, beta, params)
     elif kind == "invariant-symmetric-tensor":
         residual = lambda s: invariance_residual(alg, s, cross_check=False)
     elif kind == "quadratic-form":
-        residual = lambda form: bilform_invariance(alg, form)[0]
+        residual = lambda form: invariant_form_residual(alg, form)
     else:
         raise NovikovError(kind)
-    return lambda coeffs: dict(_nonzero_coords(spec.field, residual(solution_to_object(spec, coeffs))))
-
-
-def polarize(residual: Callable[[tuple], dict], k: int, p: int) -> dict:
-    """The coordinates of a residual that has degree <= 2 in k unknowns over
-    F_p, as sparse polynomials: key -> {monomial: coefficient}, a monomial
-    being (), (u,) or (u, v) with u <= v.
-
-    With R(x) = c + sum a_u x_u + sum b_uv x_u x_v, the probes are R(0),
-    R(±e_u) and R(e_u + e_v): a_u and b_uu are the odd and even parts of
-    R(±e_u) - R(0), and b_uv = R(e_u + e_v) - R(e_u) - R(e_v) + R(0).  Over
-    F_2, x^2 = x, so R(e_u) - R(0) is a_u + b_uu, kept as the linear term.
-    The result is checked against the residual at the all-ones point and at
-    ``GUARD_POINTS`` seeded points; a residual of higher degree fails there.
-    """
-
-    def probe(*terms) -> dict:
-        x = [0] * k
-        for u, c in terms:
-            x[u] = c % p
-        return residual(tuple(x))
-
-    polys: dict = {}
-
-    def put(key, mono, c) -> None:
-        if c % p:
-            polys.setdefault(key, {})[mono] = c % p
-
-    zero = probe()
-    for key, c in zero.items():
-        put(key, (), c)
-    plus = [probe((u, 1)) for u in range(k)]
-    half = (p + 1) // 2
-    for u in range(k):
-        if p == 2:
-            for key in plus[u].keys() | zero.keys():
-                put(key, (u,), plus[u].get(key, 0) - zero.get(key, 0))
-            continue
-        minus = probe((u, -1))
-        for key in plus[u].keys() | minus.keys() | zero.keys():
-            a, b = plus[u].get(key, 0), minus.get(key, 0)
-            put(key, (u,), (a - b) * half)
-            put(key, (u, u), (a + b) * half - zero.get(key, 0))
-    for u in range(k):
-        for v in range(u + 1, k):
-            both = probe((u, 1), (v, 1))
-            for key in both.keys() | plus[u].keys() | plus[v].keys() | zero.keys():
-                c = both.get(key, 0) - plus[u].get(key, 0) - plus[v].get(key, 0) + zero.get(key, 0)
-                put(key, (u, v), c)
-
-    rng = random.Random(0)
-    for x in [(1,) * k] + [tuple(rng.randrange(p) for _ in range(k)) for _ in range(GUARD_POINTS)]:
-        derived = {}
-        for key, poly in polys.items():
-            value = sum(c * prod(x[u] for u in mono) for mono, c in poly.items()) % p
-            if value:
-                derived[key] = value
-        if derived != {key: c % p for key, c in residual(x).items()}:
-            raise AssertionError(f"the residual is not of degree <= 2 in its unknowns: polarization differs at {x}")
-    return polys
+    return lambda coeffs: dict(_nonzero_coords(f, residual(solution_to_object(spec, coeffs, f))))
 
 
 def _constraint_levels(polys, k: int, p: int) -> list[list]:
@@ -300,7 +243,7 @@ def _constraint_levels(polys, k: int, p: int) -> list[list]:
     are assigned it reads A + B x_d + C x_d^2, with A and B polynomials in
     the assigned unknowns.  A is kept as terms (u, v, c) and B as terms
     (u, c), where the index k stands for the constant 1; C selects the table
-    of root masks [B][A] -> bitmask of the roots x_d."""
+    of root masks [B][A] -> bitmask of the roots x_d.  Higher degrees raise."""
     roots = [
         [[sum(1 << x for x in range(p) if (a + b * x + cc * x * x) % p == 0) for a in range(p)] for b in range(p)]
         for cc in range(p)
@@ -317,6 +260,8 @@ def _constraint_levels(polys, k: int, p: int) -> list[list]:
         d = max((u for mono in monos for u in mono), default=0)
         a_terms, b_terms, square = [], [], 0
         for mono, c in norm:
+            if len(mono) > 2:
+                raise AssertionError(f"the residual is not of degree <= 2 in its unknowns: monomial {mono}")
             others = [u for u in mono if u != d]
             power = len(mono) - len(others)  # the degree in x_d
             others += [k] * (2 - power - len(others))
@@ -334,14 +279,15 @@ def _search(spec: SearchSpec) -> list[tuple]:
     """Depth-first search over the coefficients in index order, each tried
     0..p-1 in ascending order, so solutions come out lexicographically.
 
-    The constraints are the residual's coordinates, polarized into
-    polynomials of degree <= 2; each is checked at the depth where its last
-    unknown is assigned, which gives the allowed values of that unknown as a
-    bitmask.  Finished candidates are filtered by shard and, for quadratic
-    forms, by nondegeneracy.
+    The constraints are the residual's coordinates as polynomials of degree
+    <= 2, from one evaluation over ``PolyRing``; each is checked at the depth
+    where its last unknown is assigned, which gives the allowed values of
+    that unknown as a bitmask.  Finished candidates are filtered by shard
+    and, for quadratic forms, by nondegeneracy.
     """
     p, k = spec.p, spec.coeff_count()
-    levels = _constraint_levels(polarize(_residual_coords(spec), k, p).values(), k, p)
+    ring = PolyRing(p)
+    levels = _constraint_levels(_residual_coords(spec, ring)(ring.variables(k)).values(), k, p)
     values = [tuple(v for v in range(p) if mask >> v & 1) for mask in range(1 << p)]
     full = (1 << p) - 1
     last = k - 1
@@ -378,9 +324,9 @@ def _search(spec: SearchSpec) -> list[tuple]:
     return out
 
 
-def solution_to_object(spec: SearchSpec, coeffs: Sequence):
-    """Interpret a flat solution vector back into a domain object."""
-    f = spec.field
+def solution_to_object(spec: SearchSpec, coeffs: Sequence, field: Optional[Field] = None):
+    """Interpret a flat solution vector back into a domain object over ``field`` (default: the spec's)."""
+    f = spec.field if field is None else field
     n = spec.dim
     if spec.kind == "novikov-algebra":
         grid = tuple(
@@ -531,7 +477,7 @@ def invariant_symmetric_basis(alg: Algebra) -> list[Tensor2]:
 
 def invariant_form_basis(alg: Algebra) -> list[BilForm]:
     """Basis of invariant symmetric bilinear forms."""
-    return _symmetric_space(alg.field, alg.dim, BilForm, lambda form: bilform_invariance(alg, form)[0])
+    return _symmetric_space(alg.field, alg.dim, BilForm, partial(invariant_form_residual, alg))
 
 
 def linear_combination(basis: list, coeffs: Sequence):

@@ -198,9 +198,8 @@ class BilForm:
         return rank(self.phi()) == self.dim
 
 
-def bilform_invariance(alg: Algebra, form: BilForm) -> tuple[Residual, bool]:
-    """Invariance B(a∘b, c) + B(b, a⋆c) on basis triples, plus the full
-    quadratic verdict (symmetric + nondegenerate + invariant)."""
+def invariant_form_residual(alg: Algebra, form: BilForm) -> Residual:
+    """Invariance B(a∘b, c) + B(b, a⋆c) on basis triples."""
     if form.field != alg.field:
         raise FieldMismatch(f"form is over {form.field}, algebra over {alg.field}")
     if form.dim != alg.dim:
@@ -216,9 +215,13 @@ def bilform_invariance(alg: Algebra, form: BilForm) -> tuple[Residual, bool]:
                 star_ac = alg.basis_star(a, c)
                 val = f.add(form.value(ab, basis[c]), form.value(basis[b], star_ac))
                 col.record("invariant-form", (a, b, c), (val,))
-    report = col.done()
-    quadratic = report.is_zero and form.is_symmetric() and form.is_nondegenerate()
-    return report, quadratic
+    return col.done()
+
+
+def bilform_invariance(alg: Algebra, form: BilForm) -> tuple[Residual, bool]:
+    """The invariance residual plus the quadratic verdict (symmetric, nondegenerate, invariant)."""
+    report = invariant_form_residual(alg, form)
+    return report, report.is_zero and form.is_symmetric() and form.is_nondegenerate()
 
 
 def adjoint_residual(form: BilForm, t: LinMap, sign: int) -> Residual:
@@ -257,8 +260,7 @@ def quad_transport(alg: Algebra, form: BilForm, t: LinMap, beta: LinMap) -> Quad
         raise DegenerateForm("form must be symmetric")
     if not form.is_nondegenerate():
         raise DegenerateForm("form must be nondegenerate")
-    rep, _ = bilform_invariance(alg, form)
-    if not rep.is_zero:
+    if not invariant_form_residual(alg, form).is_zero:
         raise DegenerateForm("form must be invariant")
     if not adjoint_residual(form, beta, +1).is_zero:
         raise BetaNotSelfAdjoint("extension map must be self-adjoint")

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from novikov.errors import FieldMismatch, NoHalf, NovikovError
-from novikov.fields import GF, QQ, check_same_field, field_by_name, field_from_json, parse_scalar
+from novikov.fields import GF, QQ, Poly, PolyRing, check_same_field, field_by_name, field_from_json, parse_scalar
+from novikov.linalg import Matrix
 
 
 def test_rational_coercion_lowest_terms():
@@ -89,3 +90,57 @@ def test_f7_matches_integer_arithmetic(a, b):
 def test_f7_inverse(a):
     f = GF(7)
     assert f.mul(a, f.inv(a)) == 1
+
+
+def test_poly_ring_mixes_ints_and_polynomials():
+    x, y = PolyRing(5).variables(2)
+    assert 2 + x == x + 2 == Poly({(): 2, (0,): 1})
+    assert x - 1 == -(1 - x) == Poly({(0,): 1, (): -1})
+    assert 3 * x * y == y * x * 3 == Poly({(0, 1): 3})
+    assert (x + y) * (x - y) == x * x - y * y == Poly({(0, 0): 1, (1, 1): -1})
+    assert sum([x, y, -x], 0) == y and x - x == Poly() and not x - x and 0 * y == Poly()
+
+
+@given(st.integers(-40, 40), st.integers(-40, 40), st.integers(-40, 40), st.integers(0, 6), st.integers(0, 6))
+def test_poly_ring_evaluates_like_f7(a, b, c, u, v):
+    ring = PolyRing(7)
+    x, y = ring.variables(2)
+    (poly,) = ring.reduce((a * x * x + (b - y) * (x + c) - c,))
+    assert all(0 < coeff < 7 for coeff in poly.values())
+    value = sum(coeff * (u ** mono.count(0)) * (v ** mono.count(1)) for mono, coeff in poly.items())
+    assert value % 7 == (a * u * u + (b - v) * (u + c) - c) % 7
+
+
+def test_poly_ring_reduces_coefficients_mod_p():
+    ring = PolyRing(3)
+    x, y = ring.variables(2)
+    assert ring.reduce((3 * x + 4, 6 * x * y - 3, 5)) == (Poly({(): 1}), Poly(), Poly({(): 2}))
+    assert 3 * x and not ring.reduce((3 * x,))[0] and ring.is_zero(3 * x) and not ring.is_zero(x)
+    assert ring.coerce(-1) == ring.coerce("2") == ring.add(ring.one(), ring.one()) == Poly({(): 2})
+    assert ring.coerce(3) == ring.zero() == ring.mul(x, 3) == ring.sub(y, y) == Poly()
+    assert ring.neg(x) == Poly({(0,): 2}) and ring.coerce(4 * x) == x
+
+
+def test_poly_ring_has_no_inverses():
+    ring = PolyRing(5)
+    for a in (ring.one(), ring.variables(1)[0]):
+        with pytest.raises(NovikovError):
+            ring.inv(a)
+    with pytest.raises(NovikovError):
+        ring.half()
+    with pytest.raises(NoHalf):
+        PolyRing(2).half()
+
+
+def test_poly_ring_matrices_refuse_base_field_operands():
+    ring, f = PolyRing(3), GF(3)
+    assert ring == PolyRing(3) != f and ring != PolyRing(5)
+    symbolic = Matrix(ring, 2, 2, ring.variables(4))
+    concrete = Matrix(f, 2, 2, (1, 0, 0, 1))
+    for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a @ b):
+        with pytest.raises(FieldMismatch):
+            op(symbolic, concrete)
+        with pytest.raises(FieldMismatch):
+            op(concrete, symbolic)
+    lifted = Matrix(ring, 2, 2, concrete.entries)
+    assert symbolic @ lifted == symbolic and (symbolic - symbolic).is_zero()

@@ -2,20 +2,23 @@ import itertools
 import json
 import os
 import random
+from math import prod
 
 import pytest
 from conftest import commuting_novikov_tables
 
 from novikov._kernels import pure
-from novikov.algebra import dual_context, novikov_residual, regular
+from novikov.algebra import Algebra, dual_context, novikov_residual, regular
 from novikov.errors import NovikovError, SpaceTooLarge
-from novikov.fields import GF, QQ
+from novikov.fields import GF, QQ, PolyRing
 from novikov.fixtures import example_algebra
 from novikov.linalg import Matrix
 from novikov.operators import LinMap, balanced_residual, bimodule_hom_residual, equivalent_residual
+from novikov.residual import Failure, Residual
 from novikov.solver import (
     SEARCH_KINDS,
     SearchSpec,
+    _residual_coords,
     balanced_hom_basis,
     balanced_hom_equivalent_basis,
     enumerate_search,
@@ -24,7 +27,6 @@ from novikov.solver import (
     hom_map_basis,
     invariant_form_basis,
     invariant_symmetric_basis,
-    polarize,
     random_instance,
     reverify,
     sample_from_basis,
@@ -244,14 +246,17 @@ def _scan(spec: SearchSpec) -> list:
 
 
 def _differential_specs(kind: str, p: int):
-    """The kind over F_p, dim 2, on a2 and three enumerated contexts, every
-    scalar parameter and beta nonzero, unsharded and in 2 and 3 shards."""
+    """The kind over F_p, dim 2, on a2, three enumerated contexts and the
+    zero algebra (on which every context kind's residual vanishes
+    identically), every scalar parameter and beta nonzero, unsharded and in
+    2 and 3 shards."""
     f = GF(p)
     rng = random.Random(100 * p + SEARCH_KINDS.index(kind))
     if kind == "novikov-algebra":
         contexts = [{}]
     else:
-        contexts = [{"algebra": alg} for alg in [example_algebra(f), *rng.sample(enumerated_dim2(f), 3)]]
+        algebras = [example_algebra(f), *rng.sample(enumerated_dim2(f), 3), Algebra.zero(f, 2)]
+        contexts = [{"algebra": alg} for alg in algebras]
     for context in contexts:
         scalars = {name: rng.randrange(1, p) for name in ("weight", "kappa", "mu", "epsilon")}
         beta = Matrix(f, 2, 2, (rng.randrange(1, p), rng.randrange(p), rng.randrange(p), rng.randrange(p)))
@@ -269,22 +274,58 @@ def test_search_matches_pure_scan(p, kind):
         assert res.candidate_count == len(range(spec.shard_index, spec.candidate_total(), spec.shard_count))
 
 
-def test_polarization_recovers_quadratic_and_rejects_cubic():
-    def quadratic(x):  # 2 + x0 + x1^2 + 2 x0 x2
-        value = (2 + x[0] + x[1] * x[1] + 2 * x[0] * x[2]) % p
-        return {("q", (), 0): value} if value else {}
+def _symbolic_specs():
+    """Every context kind on a2 over F_2 and F_3, every scalar parameter and
+    beta nonzero, and novikov-algebra dim 2 over F_2."""
+    yield SearchSpec("novikov-algebra", GF(2), 2)
+    for p in (2, 3):
+        f = GF(p)
+        beta = LinMap(Matrix(f, 2, 2, (1, 1, 0, p - 1)))
+        for kind in SEARCH_KINDS:
+            if kind == "novikov-algebra":
+                continue
+            yield SearchSpec(kind, f, 2, algebra=example_algebra(f), weight=1, kappa=1, mu=p - 1, epsilon=1, beta=beta)
 
-    p = 3
-    assert polarize(quadratic, 3, p) == {("q", (), 0): {(): 2, (0,): 1, (1, 1): 1, (0, 2): 2}}
-    p = 2  # x1^2 = x1 over F_2, kept as the linear term
-    assert polarize(quadratic, 3, p) == {("q", (), 0): {(0,): 1, (1,): 1}}
 
-    def cubic(x):
-        value = x[0] * x[1] * x[2] % 3
-        return {("cubic", (), 0): value} if value else {}
+@pytest.mark.parametrize("spec", _symbolic_specs(), ids=lambda spec: f"{spec.kind}-F{spec.p}")
+def test_symbolic_residual_equals_the_residual_at_every_point(spec):
+    """The search's constraint polynomials, evaluated at every point of
+    F_p^k, are the object-path residual's coordinates there, and the search
+    keeps exactly the points that reverify."""
+    p, k = spec.p, spec.coeff_count()
+    ring = PolyRing(p)
+    polys = _residual_coords(spec, ring)(ring.variables(k))
+    assert polys and all(all(0 < c < p for c in poly.values()) for poly in polys.values())
+    points = list(itertools.product(range(p), repeat=k))
+    for x in points:
+        values = {key: sum(c * prod(x[u] for u in mono) for mono, c in poly.items()) % p for key, poly in polys.items()}
+        assert {key: v for key, v in values.items() if v} == _residual_coords(spec)(x), x
+    assert enumerate_search(spec).solutions == [x for x in points if reverify(spec, x)]
 
+
+@pytest.mark.parametrize(
+    "cubic",
+    [lambda m: m[0][0][0] * m[0][1][1] * m[1][1][0], lambda m: m[1][1][0] * m[1][1][0] * m[1][1][0]],
+    ids=["x0*x3*x6", "x6^3"],
+)
+def test_search_evaluates_its_residual_once_and_rejects_a_cubic(monkeypatch, cubic):
+    calls = []
+
+    def counted(alg):
+        calls.append(alg.field)
+        return novikov_residual(alg)
+
+    monkeypatch.setattr("novikov.solver.novikov_residual", counted)
+    assert len(enumerate_search(SearchSpec("novikov-algebra", GF(3), 2)).solutions) == 177
+    assert calls == [PolyRing(3)]
+
+    def cubic_residual(alg):  # one coordinate of degree 3 in the structure constants
+        value = alg.field.reduce((cubic(alg.mul),))
+        return Residual("cubic", (Failure("cubic", (), value),) if any(value) else ())
+
+    monkeypatch.setattr("novikov.solver.novikov_residual", cubic_residual)
     with pytest.raises(AssertionError, match="degree"):
-        polarize(cubic, 3, 3)
+        enumerate_search(SearchSpec("novikov-algebra", GF(3), 2))
 
 
 def _mat_mul(a, b):
