@@ -17,7 +17,7 @@ from .algebra import (
     star_algebra,
 )
 from .fields import Field, GF, PrimeField, QQ, Rationals
-from .linalg import Matrix, Vec, kernel_basis
+from .linalg import Matrix, kernel_basis
 from .operators import (
     LinMap,
     MassParams,

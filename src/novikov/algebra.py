@@ -244,12 +244,6 @@ class Bimodule:
     def r_of(self, a: Sequence) -> Matrix:
         return combine_mats(self.field, self.r_mats, a, self.mdim)
 
-    def l_act(self, a: Sequence, v: Sequence) -> tuple:
-        return self.l_of(a).apply(v)
-
-    def r_act(self, a: Sequence, v: Sequence) -> tuple:
-        return self.r_of(a).apply(v)
-
     def module_basis(self, i: int) -> tuple:
         return tuple(self.field.one() if k == i else self.field.zero() for k in range(self.mdim))
 

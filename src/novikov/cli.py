@@ -47,6 +47,7 @@ from .operators import (
     circ_t,
     diamond_product,
     equivalent_residual,
+    ext_o_equation_residual,
     ext_o_residual,
     invariant_residual,
     pm_products,
@@ -75,7 +76,7 @@ from .serialize import (
     load_path,
     to_document,
 )
-from .solver import SearchSpec, enumerate_search
+from .solver import SEARCH_INPUTS, SearchSpec, enumerate_search
 from .tensors import Tensor2
 from .ybe import (
     BilForm,
@@ -182,17 +183,18 @@ class _Inputs:
 
 
 def _context_from(alg: Algebra, spec: str) -> BimodNov:
-    """A context token: 'regular', 'dual', or a path to a module document."""
+    """A context token: 'regular', 'dual', or a path to a module document
+    over ``alg`` (the same field, dimension and product)."""
     if spec == "regular":
         return regular(alg, validate=False)
     if spec == "dual":
         return dual_context(alg, validate=False)
     obj = _load_object(spec)
-    if isinstance(obj, BimodNov):
-        return obj
-    if isinstance(obj, Bimodule):
-        return obj.trivial()
-    raise DocumentError(f"{spec}: not a module context document")
+    if not isinstance(obj, (BimodNov, Bimodule)):
+        raise DocumentError(f"{spec}: not a module context document")
+    if (obj.alg.field, obj.alg.dim, obj.alg.mul) != (alg.field, alg.dim, alg.mul):
+        raise DocumentError(f"{spec}: the context is over another algebra than the one given")
+    return obj if isinstance(obj, BimodNov) else obj.trivial()
 
 
 # ---------------------------------------------------------------------------
@@ -262,10 +264,9 @@ def _check(args, inputs: _Inputs) -> tuple[dict, bool]:
         if kind == "ext-o" and inputs:
             beta = _expect(_load_object(take("beta")), LinMap, "beta")
         params = MassParams(args.weight, args.kappa, args.mu, args.epsilon)
-        rep = ext_o_residual(ctx, alpha, beta, params, equation_only=args.equation_only)
-        merged = rep.merged()
-        report = _report(kind, rep.is_zero, _residual_witness(merged, alg.field, args.verbose), t0)
-        return report, rep.is_zero
+        residual = ext_o_equation_residual if args.equation_only else ext_o_residual
+        rep = residual(ctx, alpha, beta, params)
+        return _report(kind, rep.is_zero, _residual_witness(rep, alg.field, args.verbose), t0), rep.is_zero
     if kind in ("rota-baxter", "baxter"):
         alg = inputs.algebra(args)
         t = _expect(_load_object(take("t")), LinMap, "t")
@@ -549,6 +550,13 @@ def cmd_solve(args) -> int:
     if args.out and args.count_only:
         raise DocumentError("--count-only writes no solutions, so it cannot be combined with --out")
     kind = _SOLVE_KINDS.get(args.kind, args.kind)
+    given = {"algebra": args.context, "beta": args.beta}
+    given.update((name, getattr(args, name)) for name in ("weight", "kappa", "mu", "epsilon"))
+    reads = SEARCH_INPUTS.get(kind, given)  # an unknown kind is SearchSpec's error
+    unread = [name for name, value in given.items() if value is not None and name not in reads]
+    if unread:
+        labels = ("a context algebra" if name == "algebra" else f"--{name}" for name in unread)
+        raise DocumentError(f"a {kind} search reads no {', '.join(labels)}")
     alg = _expect(_load_object(args.context), Algebra, "context algebra") if args.context else None
     beta = _expect(_load_object(args.beta), LinMap, "beta") if args.beta else None
     dim = args.dim if args.dim is not None else (alg.dim if alg is not None else 2)
@@ -565,10 +573,10 @@ def cmd_solve(args) -> int:
             fld,
             dim,
             algebra=alg,
-            weight=fld.coerce(args.weight),
-            kappa=fld.coerce(args.kappa),
-            mu=fld.coerce(args.mu),
-            epsilon=fld.coerce(args.epsilon),
+            weight=fld.coerce(args.weight or 0),
+            kappa=fld.coerce(args.kappa or 0),
+            mu=fld.coerce(args.mu or 0),
+            epsilon=fld.coerce(args.epsilon or 0),
             beta=beta,
             shard_index=shard_index,
             shard_count=shard_count,
@@ -662,10 +670,10 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p_solve.add_argument("context", nargs="?")
     p_solve.add_argument("--dim", type=int, default=None)
     p_solve.add_argument("--field", required=True)
-    p_solve.add_argument("--weight", type=_scalar, default=0)
-    p_solve.add_argument("--kappa", type=_scalar, default=0)
-    p_solve.add_argument("--mu", type=_scalar, default=0)
-    p_solve.add_argument("--epsilon", type=_scalar, default=0)
+    p_solve.add_argument("--weight", type=_scalar)
+    p_solve.add_argument("--kappa", type=_scalar)
+    p_solve.add_argument("--mu", type=_scalar)
+    p_solve.add_argument("--epsilon", type=_scalar)
     p_solve.add_argument("--beta")
     p_solve.add_argument("--count-only", action="store_true")
     p_solve.add_argument("--shard")

@@ -197,8 +197,7 @@ def bialgebra_extra_residuals(alg: Algebra, r: Tensor2) -> Residual:
             # (id⊗(L(b∘a) + L(a)L(b)) + Lstar(a)⊗Lstar(b)) s
             t1 = s.apply_slot(1, l_ba + la @ lb) + s.apply_slot(0, lsa).apply_slot(1, lsb)
             for i in range(n):
-                if any(not f.is_zero(c) for c in t1.grid[i]):
-                    col.record("extra-1", (a, b, i), t1.grid[i])
+                col.record("extra-1", (a, b, i), t1.grid[i])
             comm = la @ lb - lb @ la
             t2 = (
                 -s.apply_slot(0, lsb).apply_slot(1, ra)
@@ -209,8 +208,7 @@ def bialgebra_extra_residuals(alg: Algebra, r: Tensor2) -> Residual:
                 - s.apply_slot(0, comm)
             )
             for i in range(n):
-                if any(not f.is_zero(c) for c in t2.grid[i]):
-                    col.record("extra-2", (a, b, i), t2.grid[i])
+                col.record("extra-2", (a, b, i), t2.grid[i])
     return col.done()
 
 

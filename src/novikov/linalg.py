@@ -10,64 +10,6 @@ from .errors import DimMismatch, FieldMismatch, SingularT
 from .fields import Field
 
 
-@dataclass(frozen=True, eq=False)
-class Vec:
-    """Coordinate vector over a based space.
-
-    ``space`` is an optional tag ("A", "M", "A*", ...) used only for
-    error messages and serialization round-trips; equality ignores it.
-    """
-
-    field: Field
-    coords: tuple
-    space: Optional[str] = None
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Vec)
-            and self.field == other.field
-            and self.coords == other.coords
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.field, self.coords))
-
-    def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(self.field.coerce(c) for c in self.coords))
-
-    @property
-    def dim(self) -> int:
-        return len(self.coords)
-
-    def is_zero(self) -> bool:
-        return all(self.field.is_zero(c) for c in self.coords)
-
-    def __add__(self, other: "Vec") -> "Vec":
-        self._compat(other)
-        f = self.field
-        return Vec(f, tuple(f.add(a, b) for a, b in zip(self.coords, other.coords)), self.space)
-
-    def __sub__(self, other: "Vec") -> "Vec":
-        self._compat(other)
-        f = self.field
-        return Vec(f, tuple(f.sub(a, b) for a, b in zip(self.coords, other.coords)), self.space)
-
-    def __neg__(self) -> "Vec":
-        f = self.field
-        return Vec(f, tuple(f.neg(a) for a in self.coords), self.space)
-
-    def scale(self, c) -> "Vec":
-        f = self.field
-        c = f.coerce(c)
-        return Vec(f, tuple(f.mul(c, a) for a in self.coords), self.space)
-
-    def _compat(self, other: "Vec"):
-        if self.field != other.field:
-            raise FieldMismatch(f"{self.field} vs {other.field}")
-        if len(self.coords) != len(other.coords):
-            raise DimMismatch(f"{len(self.coords)} vs {len(other.coords)}")
-
-
 def _zeros(field: Field, n: int) -> tuple:
     z = field.zero()
     return (z,) * n
@@ -258,8 +200,9 @@ def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     return Matrix.from_rows(f, rows, m.domain, m.codomain), pivots
 
 
-def kernel_basis(m: Matrix, space: Optional[str] = None) -> list[Vec]:
-    """Deterministic basis of the null space via reduced echelon form."""
+def kernel_basis(m: Matrix) -> list[tuple]:
+    """Deterministic basis of the null space via reduced echelon form, as
+    coordinate tuples."""
     f = m.field
     red, pivots = rref(m)
     pivot_set = set(pivots)
@@ -270,7 +213,7 @@ def kernel_basis(m: Matrix, space: Optional[str] = None) -> list[Vec]:
         coords[free] = f.one()
         for r, pc in enumerate(pivots):
             coords[pc] = f.neg(red[r, free])
-        basis.append(Vec(f, tuple(coords), space or m.domain))
+        basis.append(tuple(coords))
     return basis
 
 

@@ -263,56 +263,16 @@ def ext_o_equation_residual(ctx: BimodNov, alpha: LinMap, beta: Optional[LinMap]
     return col.done()
 
 
-@dataclass(frozen=True)
-class ExtOReport:
-    """All four residuals behind the extended-operator verdict."""
-
-    equation: Residual
-    balanced: Residual
-    invariant: Residual
-    equivalent: Residual
-
-    @property
-    def is_zero(self) -> bool:
-        return (
-            self.equation.is_zero
-            and self.balanced.is_zero
-            and self.invariant.is_zero
-            and self.equivalent.is_zero
-        )
-
-    def merged(self) -> Residual:
-        return Residual(
-            "ext-o",
-            self.equation.failures
-            + self.balanced.failures
-            + self.invariant.failures
-            + self.equivalent.failures,
-        )
-
-
-def ext_o_residual(
-    ctx: BimodNov,
-    alpha: LinMap,
-    beta: Optional[LinMap],
-    params: MassParams,
-    equation_only: bool = False,
-) -> ExtOReport:
-    """Extended-operator verdict: the equation residual plus the three
-    side conditions on beta.  ``equation_only`` skips the side conditions
-    (negative-testing mode)."""
-    f = ctx.field
-    p = params.coerced(f)
-    eq = ext_o_equation_residual(ctx, alpha, beta, p)
-    empty = Residual("skipped")
-    if equation_only or beta is None or beta.is_zero():
-        return ExtOReport(eq, empty, empty, empty)
-    return ExtOReport(
-        eq,
-        balanced_residual(ctx, beta),
-        invariant_residual(ctx, beta, p.kappa),
-        equivalent_residual(ctx, beta, p.mu),
-    )
+def ext_o_residual(ctx: BimodNov, alpha: LinMap, beta: Optional[LinMap], params: MassParams) -> Residual:
+    """Extended-operator verdict: the equation residual, then the balanced,
+    invariant and equivalent side conditions on a nonzero beta."""
+    p = params.coerced(ctx.field)
+    failures = ext_o_equation_residual(ctx, alpha, beta, p).failures
+    if beta is not None and not beta.is_zero():
+        failures += balanced_residual(ctx, beta).failures
+        failures += invariant_residual(ctx, beta, p.kappa).failures
+        failures += equivalent_residual(ctx, beta, p.mu).failures
+    return Residual("ext-o", failures)
 
 
 def o_operator_residual(ctx: BimodNov, alpha: LinMap, weight) -> Residual:

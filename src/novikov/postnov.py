@@ -300,14 +300,14 @@ def post_on_image(ctx: BimodNov, alpha: LinMap, weight, alt_preimage_check: bool
         raise NotOOperator("alpha is not an operator of this weight")
     ker = kernel_basis(alpha.mat)
     if ker:
-        kmat = Matrix.from_cols(f, [k.coords for k in ker])
+        kmat = Matrix.from_cols(f, ker)
         base_rank = rank(kmat)
         mb = [ctx.module_basis(i) for i in range(ctx.mdim)]
         for k in ker:
             for i in range(ctx.mdim):
                 for prod in (
-                    ctx.module_product(k.coords, mb[i]),
-                    ctx.module_product(mb[i], k.coords),
+                    ctx.module_product(k, mb[i]),
+                    ctx.module_product(mb[i], k),
                 ):
                     ext = Matrix.from_cols(f, [kmat.col(j) for j in range(kmat.cols)] + [prod])
                     if rank(ext) != base_rank:
@@ -344,7 +344,7 @@ def post_on_image(ctx: BimodNov, alpha: LinMap, weight, alt_preimage_check: bool
     primary = [ctx.module_basis(j) for j in pivots]
     circ, tri_l, tri_r = build(primary)
     if alt_preimage_check and ker:
-        shift = ker[0].coords
+        shift = ker[0]
         shifted = [vadd(f, u, shift) for u in primary]
         circ2, tri_l2, tri_r2 = build(shifted)
         if not (

@@ -3,7 +3,8 @@
 Every property runs on (a) the bundled worked example, (b) enumerated
 instances from the solver, and (c) seeded random instances, and reports
 the serialized counterexample on failure.  Equivalence properties check
-both directions by comparing exact boolean verdicts.
+both directions by comparing exact boolean verdicts.  All counting goes
+through ``PropertyRun``'s methods.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field as dc_field
+from itertools import product
 from typing import Callable, Optional
 
 from .algebra import (
@@ -133,6 +135,10 @@ PROPERTY_IDS = (
 
 @dataclass
 class PropertyRun:
+    """The books of one property run.  ``checked`` counts the instances
+    tested and ``hypothesis_hits`` those whose hypothesis held, so a run
+    with checks but no hits was vacuous; only these methods count."""
+
     prop_id: str
     checked: int = 0
     hypothesis_hits: int = 0
@@ -142,6 +148,24 @@ class PropertyRun:
     @property
     def passed(self) -> bool:
         return not self.failures
+
+    def count(self, checks: int = 0, hits: int = 0) -> None:
+        """The bare counter, for checks and hits that do not come in pairs."""
+        self.checked += checks
+        self.hypothesis_hits += hits
+
+    def expect(self, ok: bool, description: str, hit: bool = False, **context) -> bool:
+        """One check, a hypothesis hit when ``hit``, and a failure unless
+        ``ok``; returns ``ok``."""
+        self.count(1, hit)
+        if not ok:
+            self.fail(description, **context)
+        return ok
+
+    def equivalent(self, lhs: bool, rhs: bool, description: str, **context) -> None:
+        """One check that the hypothesis ``lhs`` and ``rhs`` agree, a hit
+        when ``lhs`` holds."""
+        self.expect(lhs == rhs, description, hit=lhs, **context)
 
     def fail(self, description: str, **context) -> None:
         entry = {"what": description}
@@ -258,6 +282,20 @@ def _field_elements(field: Field, rng: random.Random, count: int) -> list:
     return vals[:count]
 
 
+def _epsilon(field: Field) -> Callable:
+    """kappa -> (kappa + 1)/4: the mass epsilon of the extended tensor
+    equation that matches the extension equation of mass (0, kappa, 0).
+    Raises NoHalf in characteristic 2, where 1/4 does not exist."""
+    half = field.half()
+    quarter = field.mul(half, half)
+    return lambda kappa: field.mul(field.add(kappa, field.one()), quarter)
+
+
+def _one_by_one(field: Field, *scalars) -> tuple:
+    """The 1 x 1 action matrices with these entries."""
+    return tuple(Matrix(field, 1, 1, (c,)) for c in scalars)
+
+
 # ---------------------------------------------------------------------------
 # section-2 properties
 
@@ -269,36 +307,18 @@ def _p_semi(run: PropertyRun, opts: Options) -> None:
     # worked example: the regular context must pass both sides
     reg = regular(example_algebra(QQ))
     both = abnova_residual(reg).is_zero and novikov_residual(semidirect(reg)).is_zero
-    run.checked += 1
-    if not both:
-        run.fail("regular worked example failed", algebra=example_algebra(QQ))
+    run.expect(both, "regular worked example failed", algebra=example_algebra(QQ))
     if isinstance(field, PrimeField) and field.p == 2:
-        algs = _enumerated_pool(field)
-        scalars = list(range(field.p))
-        for alg in algs:
-            for l1 in scalars:
-                for l2 in scalars:
-                    for r1 in scalars:
-                        for r2 in scalars:
-                            for c in scalars:
-                                b = BimodNov(
-                                    alg,
-                                    1,
-                                    (Matrix(field, 1, 1, (l1,)), Matrix(field, 1, 1, (l2,))),
-                                    (Matrix(field, 1, 1, (r1,)), Matrix(field, 1, 1, (r2,))),
-                                    (((c,),),),
-                                )
-                                lhs = abnova_residual(b, require_pre=False).is_zero
-                                rhs = novikov_residual(semidirect(b)).is_zero
-                                run.checked += 1
-                                if lhs:
-                                    run.hypothesis_hits += 1
-                                if lhs != rhs:
-                                    run.fail(
-                                        "module residual and semidirect verdicts disagree",
-                                        algebra=alg,
-                                        actions=(l1, l2, r1, r2, c),
-                                    )
+        for alg in _enumerated_pool(field):
+            for l1, l2, r1, r2, c in product(range(field.p), repeat=5):
+                b = BimodNov(alg, 1, _one_by_one(field, l1, l2), _one_by_one(field, r1, r2), (((c,),),))
+                run.equivalent(
+                    abnova_residual(b, require_pre=False).is_zero,
+                    novikov_residual(semidirect(b)).is_zero,
+                    "module residual and semidirect verdicts disagree",
+                    algebra=alg,
+                    actions=(l1, l2, r1, r2, c),
+                )
     # seeded random contexts over the requested field
     for _ in range(opts.trials):
         alg = rng.choice(_algebra_pool(field, rng, 4))
@@ -313,13 +333,13 @@ def _p_semi(run: PropertyRun, opts: Options) -> None:
                 for _ in range(mdim)
             ),
         )
-        lhs = abnova_residual(b, require_pre=False).is_zero
-        rhs = novikov_residual(semidirect(b)).is_zero
-        run.checked += 1
-        if lhs:
-            run.hypothesis_hits += 1
-        if lhs != rhs:
-            run.fail("random context disagreement", algebra=alg, mdim=mdim)
+        run.equivalent(
+            abnova_residual(b, require_pre=False).is_zero,
+            novikov_residual(semidirect(b)).is_zero,
+            "random context disagreement",
+            algebra=alg,
+            mdim=mdim,
+        )
 
 
 @_register("P-DUAL")
@@ -333,25 +353,19 @@ def _p_dual(run: PropertyRun, opts: Options) -> None:
     if isinstance(field, PrimeField) and field.p == 2:
         # exhaustive mdim-1 action pairs over every enumerated algebra
         for alg in _enumerated_pool(field):
-            for l1 in range(2):
-                for l2 in range(2):
-                    for r1 in range(2):
-                        for r2 in range(2):
-                            b = Bimodule(
-                                alg,
-                                1,
-                                (Matrix(field, 1, 1, (l1,)), Matrix(field, 1, 1, (l2,))),
-                                (Matrix(field, 1, 1, (r1,)), Matrix(field, 1, 1, (r2,))),
-                            )
-                            if bimodule_residual(b).is_zero:
-                                pool.append(b)
+            for l1, l2, r1, r2 in product(range(2), repeat=4):
+                b = Bimodule(alg, 1, _one_by_one(field, l1, l2), _one_by_one(field, r1, r2))
+                if bimodule_residual(b).is_zero:
+                    pool.append(b)
     for b in pool:
-        if not bimodule_residual(b).is_zero:
-            continue
-        run.hypothesis_hits += 1
-        run.checked += 1
-        if not bimodule_residual(dual_bimodule(b)).is_zero:
-            run.fail("dual of a valid bimodule failed", algebra=b.alg, mdim=b.mdim)
+        if bimodule_residual(b).is_zero:
+            run.expect(
+                bimodule_residual(dual_bimodule(b)).is_zero,
+                "dual of a valid bimodule failed",
+                hit=True,
+                algebra=b.alg,
+                mdim=b.mdim,
+            )
 
 
 def _guaranteed_ext_instance(ctx: BimodNov, field: Field, lam, kappa):
@@ -368,11 +382,10 @@ def _p_ext_star(run: PropertyRun, opts: Options) -> None:
     rng = random.Random(opts.seed)
 
     def check(ctx, alpha, beta, params, tag):
-        rep = ext_o_residual(ctx, alpha, beta, params)
-        run.checked += 1
-        if not rep.is_zero:
+        extended = ext_o_residual(ctx, alpha, beta, params).is_zero
+        run.count(checks=1, hits=extended)
+        if not extended:
             return
-        run.hypothesis_hits += 1
         grid, closure = star_product(ctx, alpha, params.weight)
         if not closure.is_zero:
             run.fail(f"closure identities failed ({tag})", algebra=ctx.alg, alpha=alpha)
@@ -414,22 +427,18 @@ def _p_delta_pm(run: PropertyRun, opts: Options) -> None:
             grid, _ = star_product(reg, alpha, lam)
             star_alg = Algebra(field, alg.dim, grid)
             for sign in (1, -1):
-                mu = field.coerce(lam) if sign == 1 else field.neg(field.coerce(lam))
-                eq = ext_o_equation_residual(reg, alpha, beta, MassParams(lam, -1, mu)).is_zero
-                delta = alpha + beta if sign == 1 else alpha - beta
-                mult = hom_residual(star_alg, alg, delta).is_zero
-                run.checked += 1
-                if eq:
-                    run.hypothesis_hits += 1
-                if eq != mult:
-                    run.fail(
-                        "extension equation vs multiplicativity mismatch",
-                        algebra=alg,
-                        alpha=alpha,
-                        beta=beta,
-                        sign=sign,
-                        weight=lam,
-                    )
+                eq = ext_o_equation_residual(reg, alpha, beta, MassParams(lam, -1, field.mul(sign, lam))).is_zero
+                delta = alpha + beta.scale(sign)
+                run.equivalent(
+                    eq,
+                    hom_residual(star_alg, alg, delta).is_zero,
+                    "extension equation vs multiplicativity mismatch",
+                    algebra=alg,
+                    alpha=alpha,
+                    beta=beta,
+                    sign=sign,
+                    weight=lam,
+                )
 
 
 @_register("P-R-PM")
@@ -450,27 +459,27 @@ def _p_r_pm(run: PropertyRun, opts: Options) -> None:
                 and equivalent_residual(reg, beta, lam).is_zero
             ):
                 continue
-            run.hypothesis_hits += 1
+            run.count(hits=1)
             ctx_p, ctx_m = pm_contexts(reg, beta, lam)
             for tag, ctx in (("plus", ctx_p), ("minus", ctx_m)):
-                run.checked += 1
-                if not abnova_residual(ctx, require_pre=False).is_zero:
-                    run.fail(f"twisted context not a module algebra ({tag})", algebra=alg, beta=beta)
+                run.expect(
+                    abnova_residual(ctx, require_pre=False).is_zero,
+                    f"twisted context not a module algebra ({tag})",
+                    algebra=alg,
+                    beta=beta,
+                )
             alpha = LinMap(random_matrix(field, alg.dim, alg.dim, rng))
             for sign, ctx in ((1, ctx_p), (-1, ctx_m)):
-                mu = field.coerce(lam) if sign == 1 else field.neg(field.coerce(lam))
-                eq = ext_o_equation_residual(reg, alpha, beta, MassParams(lam, -1, mu)).is_zero
-                delta = alpha + beta if sign == 1 else alpha - beta
-                oop = o_operator_residual(ctx, delta, 1).is_zero
-                run.checked += 1
-                if eq != oop:
-                    run.fail(
-                        "mass (-1, ±weight) vs weight-1 operator mismatch",
-                        algebra=alg,
-                        alpha=alpha,
-                        beta=beta,
-                        sign=sign,
-                    )
+                eq = ext_o_equation_residual(reg, alpha, beta, MassParams(lam, -1, field.mul(sign, lam))).is_zero
+                delta = alpha + beta.scale(sign)
+                run.expect(
+                    eq == o_operator_residual(ctx, delta, 1).is_zero,
+                    "mass (-1, ±weight) vs weight-1 operator mismatch",
+                    algebra=alg,
+                    alpha=alpha,
+                    beta=beta,
+                    sign=sign,
+                )
 
 
 @_register("P-COR-BAX")
@@ -484,29 +493,20 @@ def _p_cor_bax(run: PropertyRun, opts: Options) -> None:
             t = LinMap(random_matrix(field, 2, 2, rng))
             for lam in lams:
                 for sign in (1, -1):
-                    hk = field.sub(field.coerce(-1), field.neg(lam)) if sign == 1 else field.sub(
-                        field.coerce(-1), lam
-                    )
-                    # hk = -1 ± lam
+                    hk = field.add(field.coerce(-1), field.mul(sign, lam))  # -1 ± lam
                     eq = ext_o_equation_residual(
                         regular(alg, validate=False), t, ident, MassParams(lam, hk, 0)
                     ).is_zero
-                    shifted = t + ident if sign == 1 else t - ident
-                    w = field.sub(lam, field.coerce(2)) if sign == 1 else field.add(
-                        lam, field.coerce(2)
+                    w = field.sub(lam, field.coerce(2 * sign))
+                    run.equivalent(
+                        eq,
+                        rota_baxter_residual(alg, t + ident.scale(sign), w).is_zero,
+                        "combined-mass identity vs shifted Rota-Baxter mismatch",
+                        algebra=alg,
+                        t=t,
+                        weight=lam,
+                        sign=sign,
                     )
-                    rb = rota_baxter_residual(alg, shifted, w).is_zero
-                    run.checked += 1
-                    if eq:
-                        run.hypothesis_hits += 1
-                    if eq != rb:
-                        run.fail(
-                            "combined-mass identity vs shifted Rota-Baxter mismatch",
-                            algebra=alg,
-                            t=t,
-                            weight=lam,
-                            sign=sign,
-                        )
 
 
 @_register("P-BAXTER")
@@ -520,22 +520,14 @@ def _p_baxter(run: PropertyRun, opts: Options) -> None:
             t = LinMap(random_matrix(field, 2, 2, rng))
             bax = baxter_residual(alg, t).is_zero
             for sign in (1, -1):
-                shifted = t + ident if sign == 1 else t - ident
-                w = field.coerce(-2) if sign == 1 else field.coerce(2)
-                rb = rota_baxter_residual(alg, shifted, w).is_zero
-                run.checked += 1
-                if bax != rb:
-                    run.fail("Baxter identity vs shifted Rota-Baxter mismatch", algebra=alg, t=t)
+                rb = rota_baxter_residual(alg, t + ident.scale(sign), field.coerce(-2 * sign)).is_zero
+                run.expect(bax == rb, "Baxter identity vs shifted Rota-Baxter mismatch", algebra=alg, t=t)
             if bax:
-                run.hypothesis_hits += 1
+                run.count(hits=1)
                 for sign in (1, -1):
-                    shifted = t + ident if sign == 1 else t - ident
-                    scale = field.neg(half) if sign == 1 else half
-                    s = shifted.scale(scale)  # (T ± id)/(∓2)
-                    p = post_from_rb(alg, s, 1)
-                    run.checked += 1
-                    if not post_residual(p).is_zero:
-                        run.fail("Baxter-derived triple not post-Novikov", algebra=alg, t=t)
+                    s = (t + ident.scale(sign)).scale(field.mul(-sign, half))  # (T ± id)/(∓2)
+                    ok = post_residual(post_from_rb(alg, s, 1)).is_zero
+                    run.expect(ok, "Baxter-derived triple not post-Novikov", algebra=alg, t=t)
 
 
 @_register("P-CONS")
@@ -560,12 +552,8 @@ def _p_cons(run: PropertyRun, opts: Options) -> None:
             if not is_balanced_hom(reg, beta):
                 continue
             eq = ext_o_equation_residual(reg, t, beta, MassParams(lam2, kap2, 0)).is_zero
-            run.checked += 1
-            if not eq:
-                continue
-            run.hypothesis_hits += 1
-            derived = circ_t(alg, t, lam2)
-            if not novikov_residual(derived).is_zero:
+            run.count(checks=1, hits=eq)
+            if eq and not novikov_residual(circ_t(alg, t, lam2)).is_zero:
                 run.fail("induced product not Novikov", algebra=alg, t=t, weight=lam2, kappa=kap2)
 
 
@@ -605,12 +593,13 @@ def _p_assoc(run: PropertyRun, opts: Options) -> None:
     field = opts.fld(GF(5))
     rng = random.Random(opts.seed)
     for p in _postnov_pool(field, rng, opts.trials):
-        if not post_residual(p).is_zero:
-            continue
-        run.hypothesis_hits += 1
-        run.checked += 1
-        if not novikov_residual(associated(p)).is_zero:
-            run.fail("sum product of a valid triple is not Novikov", dim=p.dim)
+        if post_residual(p).is_zero:
+            run.expect(
+                novikov_residual(associated(p)).is_zero,
+                "sum product of a valid triple is not Novikov",
+                hit=True,
+                dim=p.dim,
+            )
 
 
 @_register("P-LRBIMOD")
@@ -618,12 +607,13 @@ def _p_lrbimod(run: PropertyRun, opts: Options) -> None:
     field = opts.fld(GF(5))
     rng = random.Random(opts.seed)
     for p in _postnov_pool(field, rng, opts.trials):
-        if not post_residual(p).is_zero:
-            continue
-        run.hypothesis_hits += 1
-        run.checked += 1
-        if not abnova_residual(lr_bimodule(p, validate=False), require_pre=False).is_zero:
-            run.fail("left/right actions of a valid triple fail the module identities", dim=p.dim)
+        if post_residual(p).is_zero:
+            run.expect(
+                abnova_residual(lr_bimodule(p, validate=False), require_pre=False).is_zero,
+                "left/right actions of a valid triple fail the module identities",
+                hit=True,
+                dim=p.dim,
+            )
 
 
 @_register("P-COMPAT")
@@ -633,12 +623,14 @@ def _p_compat(run: PropertyRun, opts: Options) -> None:
     for p in _postnov_pool(field, rng, opts.trials):
         if not post_residual(p).is_zero:
             continue
-        run.hypothesis_hits += 1
-        run.checked += 1
         ctx = lr_bimodule(p, validate=False)
         ident = LinMap.identity(field, p.dim)
-        if not o_operator_residual(ctx, ident, 1).is_zero:
-            run.fail("identity is not a weight-1 operator on the associated context", dim=p.dim)
+        if not run.expect(
+            o_operator_residual(ctx, ident, 1).is_zero,
+            "identity is not a weight-1 operator on the associated context",
+            hit=True,
+            dim=p.dim,
+        ):
             continue
         back = post_from_o(ctx, ident, 1, validate=False)
         if not (
@@ -659,46 +651,51 @@ def _p_hom(run: PropertyRun, opts: Options) -> None:
         for _ in range(max(2, opts.trials // 4)):
             cands.append((LinMap(random_matrix(field, alg.dim, alg.dim, rng)), field.sample(rng)))
         for alpha, lam in cands:
-            if not o_operator_residual(reg, alpha, lam).is_zero:
-                continue
-            run.hypothesis_hits += 1
-            p = post_from_o(reg, alpha, lam, validate=False)
-            run.checked += 1
-            if not hom_residual(associated(p), alg, alpha).is_zero:
-                run.fail("operator is not multiplicative for the sum product", algebra=alg, alpha=alpha)
+            if o_operator_residual(reg, alpha, lam).is_zero:
+                p = post_from_o(reg, alpha, lam, validate=False)
+                run.expect(
+                    hom_residual(associated(p), alg, alpha).is_zero,
+                    "operator is not multiplicative for the sum product",
+                    hit=True,
+                    algebra=alg,
+                    alpha=alpha,
+                )
 
 
 @_register("P-TRI")
 def _p_tri(run: PropertyRun, opts: Options) -> None:
     field = opts.fld(QQ)
-    for f in {field, QQ}:
-        tri = _trialgebra_fixture(f)
-        run.checked += 1
-        if not (trialgebra_residual(tri).is_zero and derivation_residual(tri).is_zero):
-            run.fail("fixture is not a trialgebra with derivation")
-            continue
-        run.hypothesis_hits += 1
-        if not post_residual(post_from_trialgebra(tri)).is_zero:
-            run.fail("trialgebra construction gave an invalid triple")
+
+    def construct(tri, rejected, invalid, **context):
+        """One check of tri, a hit when it is a trialgebra with derivation;
+        its construction must then be a post-Novikov triple."""
+        ok = trialgebra_residual(tri).is_zero and derivation_residual(tri).is_zero
+        if run.expect(ok, rejected, hit=ok, **context) and not post_residual(post_from_trialgebra(tri)).is_zero:
+            run.fail(invalid, **context)
+
+    for f in dict.fromkeys((field, QQ)):  # in this order, without repeats
+        construct(
+            _trialgebra_fixture(f),
+            "fixture is not a trialgebra with derivation",
+            "trialgebra construction gave an invalid triple",
+        )
     # one-dimensional cases: axioms force circ ∈ {0, -dot} and c*m = 0
     for c, m, s in (
         (QQ.coerce(3), QQ.zero(), QQ.zero()),
         (QQ.zero(), QQ.coerce(2), QQ.coerce(-2)),
         (QQ.coerce(1), QQ.zero(), QQ.zero()),
     ):
-        tri = CommTrialgebra(QQ, 1, (((m,),),), (((s,),),), Matrix(QQ, 1, 1, (c,)))
-        run.checked += 1
-        if not (trialgebra_residual(tri).is_zero and derivation_residual(tri).is_zero):
-            run.fail("one-dimensional case rejected", c=c, m=m, s=s)
-            continue
-        run.hypothesis_hits += 1
-        if not post_residual(post_from_trialgebra(tri)).is_zero:
-            run.fail("one-dimensional construction invalid", c=c, m=m, s=s)
+        construct(
+            CommTrialgebra(QQ, 1, (((m,),),), (((s,),),), Matrix(QQ, 1, 1, (c,))),
+            "one-dimensional case rejected",
+            "one-dimensional construction invalid",
+            c=c,
+            m=m,
+            s=s,
+        )
     # the zero derivation always yields the zero triple
     tri0 = CommTrialgebra(QQ, 2, _trialgebra_fixture(QQ).dot, _trialgebra_fixture(QQ).dot, Matrix.zeros(QQ, 2, 2))
-    run.checked += 1
-    if not post_residual(post_from_trialgebra(tri0)).is_zero:
-        run.fail("zero derivation should give the zero triple")
+    run.expect(post_residual(post_from_trialgebra(tri0)).is_zero, "zero derivation should give the zero triple")
 
 
 # ---------------------------------------------------------------------------
@@ -710,40 +707,35 @@ def _p_tensor_op(run: PropertyRun, opts: Options) -> None:
     field = opts.fld(GF(2))
     rng = random.Random(opts.seed)
     if isinstance(field, PrimeField) and field.p <= 3:
-        p = field.p
         for alg in _enumerated_pool(field):
-            for idx in range(p ** 4):
-                v = idx
-                cells = []
-                for _ in range(4):
-                    cells.append(v % p)
-                    v //= p
-                r = Tensor2(field, ((cells[0], cells[1]), (cells[2], cells[3])))
-                lhs = nybe_residual(alg, r).is_zero()
-                rhs = o_nybe_residual(alg, r).is_zero
-                run.checked += 1
-                if lhs:
-                    run.hypothesis_hits += 1
-                if lhs != rhs:
-                    run.fail("tensor and operator verdicts disagree", algebra=alg, r=r)
+            for digits in product(range(field.p), repeat=4):
+                cells = digits[::-1]  # the first cell varies fastest
+                r = Tensor2(field, (cells[:2], cells[2:]))
+                run.equivalent(
+                    nybe_residual(alg, r).is_zero(),
+                    o_nybe_residual(alg, r).is_zero,
+                    "tensor and operator verdicts disagree",
+                    algebra=alg,
+                    r=r,
+                )
     for _ in range(opts.trials):
         alg = rng.choice([example_algebra(QQ), trunc_poly_algebra(QQ, 2), trunc_poly_algebra(QQ, 3)])
         r = _random_tensor(QQ, alg.dim, rng)
-        lhs = nybe_residual(alg, r).is_zero()
-        rhs = o_nybe_residual(alg, r).is_zero
-        run.checked += 1
-        if lhs:
-            run.hypothesis_hits += 1
-        if lhs != rhs:
-            run.fail("rational instance disagreement", algebra=alg, r=r)
+        run.equivalent(
+            nybe_residual(alg, r).is_zero(),
+            o_nybe_residual(alg, r).is_zero,
+            "rational instance disagreement",
+            algebra=alg,
+            r=r,
+        )
 
 
 @_register("P-ENYBE-EXT")
 def _p_enybe_ext(run: PropertyRun, opts: Options) -> None:
     field = opts.fld(GF(3))
     rng = random.Random(opts.seed)
+    eps = _epsilon(field)
     kappas = _field_elements(field, rng, 4)
-    quarter = field.inv(field.coerce(4))
     for alg in _algebra_pool(field, rng, 4):
         ctx = dual_context(alg, validate=False)
         for _ in range(max(3, opts.trials // 4)):
@@ -754,21 +746,14 @@ def _p_enybe_ext(run: PropertyRun, opts: Options) -> None:
             if not invariance_residual(alg, rt.r_plus, cross_check=False).is_zero:
                 continue
             for kap in kappas:
-                eps = field.mul(field.add(kap, field.one()), quarter)
-                lhs = enybe_residual(alg, r, eps).is_zero()
-                rhs = ext_o_equation_residual(
-                    ctx, rt.alpha, rt.beta, MassParams(0, kap, 0)
-                ).is_zero
-                run.checked += 1
-                if lhs:
-                    run.hypothesis_hits += 1
-                if lhs != rhs:
-                    run.fail(
-                        "mass-shifted tensor equation vs extension equation mismatch",
-                        algebra=alg,
-                        r=r,
-                        kappa=kap,
-                    )
+                run.equivalent(
+                    enybe_residual(alg, r, eps(kap)).is_zero(),
+                    ext_o_equation_residual(ctx, rt.alpha, rt.beta, MassParams(0, kap, 0)).is_zero,
+                    "mass-shifted tensor equation vs extension equation mismatch",
+                    algebra=alg,
+                    r=r,
+                    kappa=kap,
+                )
 
 
 @_register("P-COR-ENYBE")
@@ -784,7 +769,6 @@ def _p_cor_enybe(run: PropertyRun, opts: Options) -> None:
             rt = RTensor.build(alg, r)
             if not invariance_residual(alg, rt.r_plus, cross_check=False).is_zero:
                 continue
-            run.hypothesis_hits += 1
             s1 = nybe_residual(alg, r).is_zero()
             plus_grid, minus_grid = dual_pm_products(alg, rt)
             hat_map = LinMap(rt.hat)
@@ -803,10 +787,15 @@ def _p_cor_enybe(run: PropertyRun, opts: Options) -> None:
                 hom_residual(star_alg, alg, hat_map).is_zero
                 and hom_residual(star_alg, alg, hat_t_neg).is_zero
             )
-            run.checked += 1
             verdicts = (s1, s2, s3, s4)
-            if len(set(verdicts)) != 1:
-                run.fail("four equivalent statements disagree", algebra=alg, r=r, verdicts=verdicts)
+            run.expect(
+                len(set(verdicts)) == 1,
+                "four equivalent statements disagree",
+                hit=True,
+                algebra=alg,
+                r=r,
+                verdicts=verdicts,
+            )
 
 
 @_register("P-SKEW")
@@ -814,16 +803,15 @@ def _p_skew(run: PropertyRun, opts: Options) -> None:
     field = opts.fld(GF(3))
     rng = random.Random(opts.seed)
     for alg in _algebra_pool(field, rng, 4) + [example_algebra(QQ)]:
-        f = alg.field
         for _ in range(max(3, opts.trials // 3)):
-            r = _skew_tensor(f, alg.dim, rng)
-            lhs = nybe_residual(alg, r).is_zero()
-            rhs = skew_nybe_operator_residual(alg, r).is_zero
-            run.checked += 1
-            if lhs:
-                run.hypothesis_hits += 1
-            if lhs != rhs:
-                run.fail("skew tensor operator form mismatch", algebra=alg, r=r)
+            r = _skew_tensor(alg.field, alg.dim, rng)
+            run.equivalent(
+                nybe_residual(alg, r).is_zero(),
+                skew_nybe_operator_residual(alg, r).is_zero,
+                "skew tensor operator form mismatch",
+                algebra=alg,
+                r=r,
+            )
 
 
 @_register("P-LEM-R")
@@ -833,7 +821,7 @@ def _p_lem_r(run: PropertyRun, opts: Options) -> None:
     for alg in _algebra_pool(field, rng, 4):
         f = alg.field
         n = alg.dim
-        samples = [s for s in invariant_symmetric_basis(alg)]
+        samples = list(invariant_symmetric_basis(alg))
         for _ in range(max(3, opts.trials // 2)):
             grid = [[f.zero()] * n for _ in range(n)]
             for i in range(n):
@@ -844,17 +832,14 @@ def _p_lem_r(run: PropertyRun, opts: Options) -> None:
             samples.append(Tensor2(f, tuple(tuple(row) for row in grid)))
         for s in samples:
             # invariance_residual raises if the three characterizations split
-            rep = invariance_residual(alg, s, cross_check=True)
-            run.checked += 1
-            if rep.is_zero:
-                run.hypothesis_hits += 1
+            run.count(checks=1, hits=invariance_residual(alg, s, cross_check=True).is_zero)
 
 
 @_register("P-QN")
 def _p_qn(run: PropertyRun, opts: Options) -> None:
     field = opts.fld(GF(5))
     rng = random.Random(opts.seed)
-    quarter = field.inv(field.coerce(4))
+    eps = _epsilon(field)
     kappas = _field_elements(field, rng, 4)
     for alg, form in _quadratic_pool(field, rng, 6):
         reg = regular(alg, validate=False)
@@ -866,22 +851,17 @@ def _p_qn(run: PropertyRun, opts: Options) -> None:
             rt = RTensor.build(alg, r)
             if not invariance_residual(alg, rt.r_plus, cross_check=False).is_zero:
                 continue
-            run.hypothesis_hits += 1
+            run.count(hits=1)
             abar = LinMap(rt.alpha.mat @ phi)
             bbar = LinMap(rt.beta.mat @ phi)
             for kap in kappas:
-                eps = field.mul(field.add(kap, field.one()), quarter)
-                lhs = enybe_residual(alg, r, eps).is_zero()
+                lhs = enybe_residual(alg, r, eps(kap)).is_zero()
                 rhs = ext_o_equation_residual(reg, abar, bbar, MassParams(0, kap, 0)).is_zero
-                run.checked += 1
-                if lhs != rhs:
-                    run.fail("quadratic transport mismatch", algebra=alg, r=r, kappa=kap)
+                run.expect(lhs == rhs, "quadratic transport mismatch", algebra=alg, r=r, kappa=kap)
             if rt.r.is_skew():
                 lhs = nybe_residual(alg, r).is_zero()
                 rhs = rota_baxter_residual(alg, abar, 0).is_zero
-                run.checked += 1
-                if lhs != rhs:
-                    run.fail("skew special case mismatch", algebra=alg, r=r)
+                run.expect(lhs == rhs, "skew special case mismatch", algebra=alg, r=r)
 
 
 def _quadratic_pool(field: Field, rng: random.Random, count: int):
@@ -890,29 +870,14 @@ def _quadratic_pool(field: Field, rng: random.Random, count: int):
     out = []
     pool = [Algebra.zero(field, 2), trunc_poly_algebra(field, 2)] + _algebra_pool(field, rng, 8)
     for alg in pool:
-        basis = invariant_form_basis(alg)
+        basis = [Tensor2(field, b.grid) for b in invariant_form_basis(alg)]
         if not basis:
             continue
-        found = None
         for _ in range(24):
-            coeffs = [field.sample(rng) for _ in basis]
-            grid = None
-            for c, b in zip(coeffs, basis):
-                term = tuple(tuple(field.mul(c, x) for x in row) for row in b.grid)
-                if grid is None:
-                    grid = term
-                else:
-                    grid = tuple(
-                        tuple(field.add(a, x) for a, x in zip(r1, r2)) for r1, r2 in zip(grid, term)
-                    )
-            if grid is None:
-                continue
-            form = BilForm(field, grid)
+            form = BilForm(field, sample_from_basis(basis, rng, field).grid)
             if form.is_nondegenerate():
-                found = form
+                out.append((alg, form))
                 break
-        if found is not None:
-            out.append((alg, found))
         if len(out) >= count:
             break
     return out
@@ -922,8 +887,8 @@ def _quadratic_pool(field: Field, rng: random.Random, count: int):
 def _p_dual_exo(run: PropertyRun, opts: Options) -> None:
     field = opts.fld(GF(5))
     rng = random.Random(opts.seed)
+    eps = _epsilon(field)
     kappas = _field_elements(field, rng, 3)
-    quarter = field.inv(field.coerce(4))
     for alg, form in _quadratic_pool(field, rng, 4):
         n = alg.dim
         reg = regular(alg, validate=False)
@@ -940,7 +905,7 @@ def _p_dual_exo(run: PropertyRun, opts: Options) -> None:
                 continue
             if not is_balanced_hom(reg, beta):
                 continue
-            run.hypothesis_hits += 1
+            run.count(hits=1)
             qt = quad_transport(alg, form, LinMap.zero(field, n, n), beta)
             t_any = LinMap(random_matrix(field, n, n, rng))
             for kap in kappas:
@@ -949,22 +914,21 @@ def _p_dual_exo(run: PropertyRun, opts: Options) -> None:
                 rhs = ext_o_equation_residual(
                     ctx_dual, p_t, qt.p_beta, MassParams(0, kap, 0)
                 ).is_zero
-                run.checked += 1
-                if lhs != rhs:
-                    run.fail("transport direction (i) mismatch", algebra=alg, t=t_any, kappa=kap)
+                run.expect(lhs == rhs, "transport direction (i) mismatch", algebra=alg, t=t_any, kappa=kap)
             t_skew = sample_from_basis(skewadj, rng, field)
             if t_skew is None:
                 continue
             qt2 = quad_transport(alg, form, t_skew, beta)
             for kap in kappas:
-                eps = field.mul(field.add(kap, field.one()), quarter)
                 ext_ok = ext_o_equation_residual(reg, t_skew, beta, MassParams(0, kap, 0)).is_zero
-                if ext_ok:
-                    run.hypothesis_hits += 1
+                run.count(hits=ext_ok)
                 for tens in (qt2.delta_plus, qt2.delta_minus):
-                    run.checked += 1
-                    if enybe_residual(alg, tens, eps).is_zero() != ext_ok:
-                        run.fail("transport direction (ii) mismatch", algebra=alg, kappa=kap)
+                    run.expect(
+                        enybe_residual(alg, tens, eps(kap)).is_zero() == ext_ok,
+                        "transport direction (ii) mismatch",
+                        algebra=alg,
+                        kappa=kap,
+                    )
 
 
 # ---------------------------------------------------------------------------
@@ -979,14 +943,11 @@ def _bimodule_pool(field: Field, rng: random.Random, count: int) -> list[Bimodul
     return out[:count]
 
 
-def _lift_plus_map(d, gamma: LinMap) -> LinMap:
+def _lifted_hat(d, gamma: LinMap, sign: int) -> LinMap:
+    """The hat of gamma's lift to the double d: of its ``tensor_plus`` when
+    sign is +1, of its ``tensor_minus`` when sign is -1."""
     lifted = lift_map(d, gamma)
-    return LinMap(hat_matrices(lifted.tensor_plus)[0])
-
-
-def _lift_minus_map(d, gamma: LinMap) -> LinMap:
-    lifted = lift_map(d, gamma)
-    return LinMap(hat_matrices(lifted.tensor_minus)[0])
+    return LinMap(hat_matrices(lifted.tensor_plus if sign == 1 else lifted.tensor_minus)[0])
 
 
 @_register("P-LIFT-BAL")
@@ -1004,14 +965,13 @@ def _p_lift_bal(run: PropertyRun, opts: Options) -> None:
         for beta in cands:
             if beta is None:
                 continue
-            lhs = is_balanced_hom(ctx_v, beta)
-            q_plus = _lift_plus_map(d, beta)
-            rhs = is_balanced_hom(ctx_hat, q_plus)
-            run.checked += 1
-            if lhs:
-                run.hypothesis_hits += 1
-            if lhs != rhs:
-                run.fail("lifted balance verdict mismatch", algebra=alg, beta=beta)
+            run.equivalent(
+                is_balanced_hom(ctx_v, beta),
+                is_balanced_hom(ctx_hat, _lifted_hat(d, beta, +1)),
+                "lifted balance verdict mismatch",
+                algebra=alg,
+                beta=beta,
+            )
 
 
 @_register("P-LIFT-EXT")
@@ -1028,36 +988,28 @@ def _p_lift_ext(run: PropertyRun, opts: Options) -> None:
         for beta in betas:
             if beta is None or not is_balanced_hom(ctx_v, beta):
                 continue
-            q_plus = _lift_plus_map(d, beta)
+            q_plus = _lifted_hat(d, beta, +1)
             for case in range(max(3, opts.trials // 4)):
                 # alpha = beta satisfies the mass (-1, 0) equation outright
                 alpha = beta if case == 0 else LinMap(random_matrix(field, alg.dim, bim.mdim, rng))
-                p_minus = _lift_minus_map(d, alpha)
+                p_minus = _lifted_hat(d, alpha, -1)
                 for kap in kappas:
-                    lhs = ext_o_equation_residual(
-                        ctx_v, alpha, beta, MassParams(0, kap, 0)
-                    ).is_zero
-                    rhs = ext_o_equation_residual(
-                        ctx_hat, p_minus, q_plus, MassParams(0, kap, 0)
-                    ).is_zero
-                    run.checked += 1
-                    if lhs:
-                        run.hypothesis_hits += 1
-                    if lhs != rhs:
-                        run.fail(
-                            "lifted extension equation mismatch",
-                            algebra=alg,
-                            alpha=alpha,
-                            beta=beta,
-                            kappa=kap,
-                        )
+                    run.equivalent(
+                        ext_o_equation_residual(ctx_v, alpha, beta, MassParams(0, kap, 0)).is_zero,
+                        ext_o_equation_residual(ctx_hat, p_minus, q_plus, MassParams(0, kap, 0)).is_zero,
+                        "lifted extension equation mismatch",
+                        algebra=alg,
+                        alpha=alpha,
+                        beta=beta,
+                        kappa=kap,
+                    )
 
 
 @_register("P-COR-GN")
 def _p_cor_gn(run: PropertyRun, opts: Options) -> None:
     field = opts.fld(GF(3))
     rng = random.Random(opts.seed)
-    quarter = field.inv(field.coerce(4))
+    eps = _epsilon(field)
     for bim in _bimodule_pool(field, rng, 3):
         alg = bim.alg
         d = double(alg, bim, validate=False)
@@ -1074,19 +1026,11 @@ def _p_cor_gn(run: PropertyRun, opts: Options) -> None:
             for alpha in cands:
                 p = lift_map(d, alpha)
                 for kap in _field_elements(field, rng, 2):
-                    eps = field.mul(field.add(kap, field.one()), quarter)
                     lhs = ext_o_equation_residual(ctx_v, alpha, beta, MassParams(0, kap, 0)).is_zero
-                    run.checked += 1
-                    if lhs:
-                        run.hypothesis_hits += 1
+                    run.count(checks=1, hits=lhs)
                     for sign in (1, -1):
-                        tens = (
-                            p.tensor_minus + q.tensor_plus
-                            if sign == 1
-                            else p.tensor_minus - q.tensor_plus
-                        )
-                        rhs = enybe_residual(d.algebra, tens, eps).is_zero()
-                        if lhs != rhs:
+                        tens = p.tensor_minus + q.tensor_plus.scale(sign)
+                        if lhs != enybe_residual(d.algebra, tens, eps(kap)).is_zero():
                             run.fail(
                                 "lifted mass-shifted solution mismatch",
                                 algebra=alg,
@@ -1097,18 +1041,16 @@ def _p_cor_gn(run: PropertyRun, opts: Options) -> None:
                 # (b): weight-0 operator iff skew lift solves the plain equation
                 lhs_b = o_operator_residual(ctx_v, alpha, 0).is_zero
                 rhs_b = nybe_residual(d.algebra, p.tensor_minus).is_zero()
-                run.checked += 1
-                if lhs_b != rhs_b:
-                    run.fail("weight-0 operator vs skew lift mismatch", algebra=alg, alpha=alpha)
+                run.expect(lhs_b == rhs_b, "weight-0 operator vs skew lift mismatch", algebra=alg, alpha=alpha)
                 # (c): mass (-1, 0) iff both shifted lifts solve the plain equation
                 lhs_c = ext_o_equation_residual(ctx_v, alpha, beta, MassParams(0, -1, 0)).is_zero
                 both = (
                     nybe_residual(d.algebra, p.tensor_minus + q.tensor_plus).is_zero()
                     and nybe_residual(d.algebra, p.tensor_minus - q.tensor_plus).is_zero()
                 )
-                run.checked += 1
-                if lhs_c != both:
-                    run.fail("mass (-1,0) vs plain lifted solutions mismatch", algebra=alg, alpha=alpha)
+                run.expect(
+                    lhs_c == both, "mass (-1,0) vs plain lifted solutions mismatch", algebra=alg, alpha=alpha
+                )
     # (d): the Rota-Baxter reformulation in the double over the regular module
     for alg in _algebra_pool(field, rng, 2):
         bim = regular_bimodule(alg)
@@ -1127,9 +1069,7 @@ def _p_cor_gn(run: PropertyRun, opts: Options) -> None:
             lhs = rota_baxter_residual(alg, t, lam).is_zero
             rhs_plus = nybe_residual(d.algebra, x_plus).is_zero()
             rhs_minus = nybe_residual(d.algebra, x_minus).is_zero()
-            run.checked += 1
-            if lhs:
-                run.hypothesis_hits += 1
+            run.count(checks=1, hits=lhs)
             if rhs_plus != rhs_minus:
                 run.fail("the two shifted lifts disagree", algebra=alg, t=t, weight=lam)
             if lhs != (rhs_plus and rhs_minus):
@@ -1145,18 +1085,15 @@ def _p_circ_delta(run: PropertyRun, opts: Options) -> None:
     alg = example_algebra(QQ)
     r = Tensor2.basis(QQ, 2, 1, 1)
     grid = circ_delta(alg, r, cross_validate=True)
-    run.checked += 1
-    if tuple(grid[1][1]) != (QQ.coerce(3), QQ.coerce(0)):
-        run.fail("worked dual-product value wrong", got=grid[1][1])
+    worked = tuple(grid[1][1]) == (QQ.coerce(3), QQ.coerce(0))
+    run.expect(worked, "worked dual-product value wrong", got=grid[1][1])
     for a in _algebra_pool(field, rng, 4) + [alg]:
         for _ in range(max(3, opts.trials // 3)):
             rr = _random_tensor(a.field, a.dim, rng)
             closed = circ_delta(a, rr, cross_validate=False)
             paired = circ_delta_pairing(a, rr)
-            run.checked += 1
-            run.hypothesis_hits += 1
-            if not grids_equal(a.field, closed, paired):
-                run.fail("closed form and pairing disagree", algebra=a, r=rr)
+            agree = grids_equal(a.field, closed, paired)
+            run.expect(agree, "closed form and pairing disagree", hit=True, algebra=a, r=rr)
 
 
 @_register("P-GNYBE-PROD")
@@ -1172,13 +1109,13 @@ def _p_gnybe_prod(run: PropertyRun, opts: Options) -> None:
                 for c in range(f.p)
             ]
         for r in samples:
-            lhs = gnybe_flag(alg, r)
-            rhs = novikov_residual(circ_delta_algebra(alg, r)).is_zero
-            run.checked += 1
-            if lhs:
-                run.hypothesis_hits += 1
-            if lhs != rhs:
-                run.fail("generalized residuals vs dual product verdicts disagree", algebra=alg, r=r)
+            run.equivalent(
+                gnybe_flag(alg, r),
+                novikov_residual(circ_delta_algebra(alg, r)).is_zero,
+                "generalized residuals vs dual product verdicts disagree",
+                algebra=alg,
+                r=r,
+            )
 
 
 @_register("P-GNYBE-EXT")
@@ -1195,23 +1132,18 @@ def _p_gnybe_ext(run: PropertyRun, opts: Options) -> None:
             rt = RTensor.build(alg, r)
             if not invariance_residual(alg, rt.r_plus, cross_check=False).is_zero:
                 continue
-            hit = False
-            for kap in kappas:
-                if ext_o_equation_residual(ctx, rt.alpha, rt.beta, MassParams(0, kap, 0)).is_zero:
-                    hit = True
-                    break
-            if not hit:
-                # corollary route: any mass solution of the extended tensor equation
-                for eps in kappas:
-                    if enybe_residual(alg, r, eps).is_zero():
-                        hit = True
-                        break
-            if not hit:
-                continue
-            run.hypothesis_hits += 1
-            run.checked += 1
-            if not gnybe_flag(alg, r):
-                run.fail("hypothesis-satisfying tensor fails the generalized equations", algebra=alg, r=r)
+            # the extension equation for some mass, or (the corollary route)
+            # the extended tensor equation for some epsilon
+            if any(
+                ext_o_equation_residual(ctx, rt.alpha, rt.beta, MassParams(0, kap, 0)).is_zero for kap in kappas
+            ) or any(enybe_residual(alg, r, e).is_zero() for e in kappas):
+                run.expect(
+                    gnybe_flag(alg, r),
+                    "hypothesis-satisfying tensor fails the generalized equations",
+                    hit=True,
+                    algebra=alg,
+                    r=r,
+                )
 
 
 @_register("P-GOPER")
@@ -1219,8 +1151,8 @@ def _p_goper(run: PropertyRun, opts: Options) -> None:
     field = opts.fld(GF(2))
     rng = random.Random(opts.seed)
     if isinstance(field, PrimeField) and field.p == 2:
-        # exhaustive: all 16 maps on the dim-2 algebras
-        every = [LinMap(Matrix(field, 2, 2, tuple((idx >> s) & 1 for s in range(4)))) for idx in range(16)]
+        # exhaustive: all 16 maps on the dim-2 algebras, the first entry varying fastest
+        every = [LinMap(Matrix(field, 2, 2, bits[::-1])) for bits in product((0, 1), repeat=4)]
         cases = ((alg, every) for alg in _enumerated_pool(field))
     else:
         draws = max(4, opts.trials // 3)
@@ -1232,13 +1164,13 @@ def _p_goper(run: PropertyRun, opts: Options) -> None:
         bim = regular_bimodule(alg)
         d = double(alg, bim, validate=False)
         for alpha in alphas:
-            lhs = generalized_o_residual(bim, alpha).is_zero
-            rhs = gnybe_flag(d.algebra, lift_map(d, alpha).tensor_minus)
-            run.checked += 1
-            if lhs:
-                run.hypothesis_hits += 1
-            if lhs != rhs:
-                run.fail("generalized operator vs lifted verdict mismatch", algebra=alg, alpha=alpha)
+            run.equivalent(
+                generalized_o_residual(bim, alpha).is_zero,
+                gnybe_flag(d.algebra, lift_map(d, alpha).tensor_minus),
+                "generalized operator vs lifted verdict mismatch",
+                algebra=alg,
+                alpha=alpha,
+            )
 
 
 def cor_a_residual(ctx: BimodNov, alpha: LinMap, weight) -> Residual:
@@ -1262,29 +1194,23 @@ def _p_goper_cor(run: PropertyRun, opts: Options) -> None:
         if not novikov_residual(alg).is_zero:
             continue
         d = double(alg, regular_bimodule(alg), validate=False)
-        cases = []
-        for lam in _field_elements(field, rng, 3):
-            kap = field.sample(rng)
-            a, b, params = _guaranteed_ext_instance(reg, field, lam, kap)
-            cases.append((a, b, params))
+        cases = [
+            _guaranteed_ext_instance(reg, field, lam, field.sample(rng)) for lam in _field_elements(field, rng, 3)
+        ]
         ident = LinMap.identity(field, alg.dim)
         cases.append((ident, None, MassParams(field.coerce(-1), 0, 0)))  # weight -1 operator
         cases.append((LinMap.zero(field, alg.dim, alg.dim), None, MassParams(0, 0, 0)))
         for alpha, beta, params in cases:
-            rep = ext_o_residual(reg, alpha, beta, params)
-            if not rep.is_zero:
+            if not ext_o_residual(reg, alpha, beta, params).is_zero:
                 continue
-            run.hypothesis_hits += 1
-            lifted = lift_map(d, alpha)
-            lhs = gnybe_flag(d.algebra, lifted.tensor_minus)
-            rhs = cor_a_residual(reg, alpha, params.weight).is_zero
-            run.checked += 1
-            if lhs != rhs:
-                run.fail(
-                    "lifted verdict vs weight-scaled identities mismatch",
-                    algebra=alg,
-                    alpha=alpha,
-                    weight=params.weight,
-                )
+            lhs = gnybe_flag(d.algebra, lift_map(d, alpha).tensor_minus)
+            run.expect(
+                lhs == cor_a_residual(reg, alpha, params.weight).is_zero,
+                "lifted verdict vs weight-scaled identities mismatch",
+                hit=True,
+                algebra=alg,
+                alpha=alpha,
+                weight=params.weight,
+            )
             if field.is_zero(field.coerce(params.weight)) and not lhs:
                 run.fail("weight-0 extended operator must lift to a solution", algebra=alg, alpha=alpha)

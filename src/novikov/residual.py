@@ -56,7 +56,9 @@ class ResidualCollector:
         self.failures: list[Failure] = []
 
     def record(self, identity: str, indices: tuple, value) -> None:
-        if not all(self.field.is_zero(c) for c in value):
+        """File ``value`` as a failure unless it is zero.  Its scalars must be
+        reduced (canonical for the field), so truthiness is the zero test."""
+        if any(value):
             self.failures.append(Failure(identity, indices, tuple(value)))
 
     def done(self) -> Residual:

@@ -33,15 +33,18 @@ from .residual import Residual, ResidualCollector
 from .tensors import Tensor2, Tensor3
 from .ybe import enybe_residual, invariance_residual, invariant_form_residual, nybe_residual, BilForm
 
-SEARCH_KINDS = (
-    "novikov-algebra",
-    "nybe-solution",
-    "enybe-solution",
-    "ext-o-operator",
-    "rota-baxter",
-    "invariant-symmetric-tensor",
-    "quadratic-form",
-)
+# each search kind, with the context fields of ``SearchSpec`` that its
+# residual (``_residual_coords``) reads
+SEARCH_INPUTS = {
+    "novikov-algebra": (),
+    "nybe-solution": ("algebra",),
+    "enybe-solution": ("algebra", "epsilon"),
+    "ext-o-operator": ("algebra", "weight", "kappa", "mu", "beta"),
+    "rota-baxter": ("algebra", "weight"),
+    "invariant-symmetric-tensor": ("algebra",),
+    "quadratic-form": ("algebra",),
+}
+SEARCH_KINDS = tuple(SEARCH_INPUTS)
 
 ALLOWED_PRIMES = (2, 3, 5, 7)
 BOUND_EXPONENT = 32
@@ -74,11 +77,14 @@ class SearchSpec:
             raise NovikovError(f"dimension must be at least 1, got {self.dim}")
         if not (0 <= self.shard_index < self.shard_count):
             raise NovikovError("bad shard layout")
-        if self.kind != "novikov-algebra":
+        if "algebra" in SEARCH_INPUTS[self.kind]:
             if self.algebra is None:
                 raise NovikovError(f"search kind {self.kind!r} needs a context algebra")
             if self.algebra.dim != self.dim or self.algebra.field != self.field:
                 raise NovikovError("context algebra does not match the search spec")
+        beta = self.beta
+        if beta is not None and (beta.field, beta.dim, beta.mdim) != (self.field, self.dim, self.dim):
+            raise NovikovError(f"beta must be a {self.dim}x{self.dim} map over {self.field}")
 
     @property
     def p(self) -> int:
@@ -426,7 +432,7 @@ def residual_space(field: Field, units: Sequence, *residuals: Callable[[object],
             for key, c in _nonzero_coords(field, residual(unit)):
                 rows.setdefault((which, *key), [field.zero()] * len(units))[col] = c
     mat = Matrix.from_rows(field, rows.values()) if rows else Matrix.zeros(field, 1, len(units))
-    return [vec.coords for vec in kernel_basis(mat)]
+    return kernel_basis(mat)
 
 
 def map_space(field: Field, rows: int, cols: int, *residuals) -> list[LinMap]:

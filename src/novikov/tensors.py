@@ -56,12 +56,6 @@ class Tensor2:
         i, j = ij
         return self.grid[i][j]
 
-    def row_of(self, i: int) -> tuple:
-        return self.grid[i]
-
-    def col_of(self, j: int) -> tuple:
-        return tuple(self.grid[i][j] for i in range(self.dim))
-
     def is_zero(self) -> bool:
         return not any(c for row in self.grid for c in row)
 

@@ -2,9 +2,10 @@ import json
 
 import pytest
 
+from novikov.algebra import Algebra, regular, regular_bimodule
 from novikov.cli import main
 from novikov.fields import QQ
-from novikov.serialize import from_document, loads
+from novikov.serialize import from_document, loads, to_document
 
 
 def run(capsys, *argv):
@@ -332,6 +333,13 @@ def _a2_with(field: dict, coefficient) -> dict:
 _Q, _F3 = {"kind": "rational"}, {"kind": "prime", "p": 3}
 
 
+def _zero_context(module: bool = False) -> dict:
+    """The regular context of the zero algebra on Q^2 as a document: the
+    bimodnov, or with ``module`` the bimodule."""
+    zero = Algebra.zero(QQ, 2)
+    return to_document(regular_bimodule(zero) if module else regular(zero))
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -376,6 +384,33 @@ _Q, _F3 = {"kind": "rational"}, {"kind": "prime", "p": 3}
             ["solve", "novikov", "--dim", "2", "--field", "F2", "--count-only", "--out", "no/such/dir/sols.jsonl"],
             id="out-with-count-only-missing-dir",
         ),
+        pytest.param(["check", "o-op", "a2.json", _zero_context(), "t2.json"], id="o-op-context-over-other-algebra"),
+        pytest.param(
+            ["check", "balanced", "a2.json", _zero_context(module=True), "beta2.json"],
+            id="balanced-context-over-other-algebra",
+        ),
+        pytest.param(
+            ["check", "generalized-o", "a2.json", _zero_context(module=True), "t2.json"],
+            id="generalized-o-context-over-other-algebra",
+        ),
+        pytest.param(
+            ["derive", "star-product", "a2.json", _zero_context(), "t2.json"], id="star-product-context-over-other-algebra"
+        ),
+        pytest.param(["derive", "semidirect", "a2.json", _zero_context()], id="semidirect-context-over-other-algebra"),
+        pytest.param(["solve", "ext-o", "a2_f3.json", "--field", "F3", "--beta", "beta2.json"], id="solve-beta-over-q"),
+        pytest.param(
+            ["solve", "ext-o", "a2_f3.json", "--field", "F3", "--beta", "beta2.json", "--count-only"],
+            id="solve-beta-over-q-count-only",
+        ),
+        pytest.param(["solve", "novikov", "a2_f3.json", "--field", "F3", "--count-only"], id="solve-novikov-with-context"),
+        pytest.param(["solve", "novikov", "--field", "F2", "--weight", "1"], id="solve-novikov-with-weight"),
+        pytest.param(
+            ["solve", "rota-baxter", "a2_f3.json", "--field", "F3", "--beta", _document("linmap", 3)],
+            id="solve-rota-baxter-with-beta",
+        ),
+        pytest.param(
+            ["solve", "nybe", "a2_f3.json", "--field", "F3", "--epsilon", "1", "--mu", "2"], id="solve-nybe-with-scalars"
+        ),
     ],
 )
 def test_input_errors_exit_2_with_one_line(capsys, fixture_path, tmp_path, argv):
@@ -410,3 +445,12 @@ def test_solve_more_kinds(capsys, fixture_path):
     # space-too-large guard
     code, _, err = run(capsys, "solve", "novikov", "--dim", "3", "--field", "F7")
     assert code == 2
+
+
+@pytest.mark.parametrize("prop_id", ["P-ENYBE-EXT", "P-QN", "P-DUAL-EXO", "P-COR-GN"])
+def test_prop_needing_a_quarter_fails_its_precondition_over_f2(capsys, prop_id):
+    # epsilon = (kappa + 1)/4 has no value in characteristic 2
+    code, out, err = run(capsys, "prop", prop_id, "--field", "F2")
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == ["precondition failed: 1/2 does not exist in GF(2)"]

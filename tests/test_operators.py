@@ -193,4 +193,4 @@ def test_ext_o_full_report_flags(a2_regular, t2):
     swap = LinMap(Matrix.from_rows(QQ, [(0, 1), (1, 0)]))
     rep = ext_o_residual(a2_regular, t2, swap, MassParams(1, -2, 0))
     assert not rep.is_zero
-    assert not rep.balanced.is_zero
+    assert any(fail.identity == "balanced" for fail in rep.failures)

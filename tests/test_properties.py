@@ -2,8 +2,13 @@
 
 import pytest
 
-from novikov.fields import GF
-from novikov.properties import PROPERTY_IDS, run_property
+from novikov.fields import GF, QQ
+from novikov.fixtures import example_algebra
+from novikov.linalg import Matrix
+from novikov.operators import LinMap
+from novikov.properties import PROPERTY_IDS, PropertyRun, run_property
+from novikov.residual import ResidualCollector
+from novikov.solver import SEARCH_KINDS, SearchSpec, enumerate_search, reverify
 
 # properties whose default run must also exercise hypothesis-satisfying
 # instances (all of them, by design)
@@ -42,3 +47,48 @@ def test_unknown_property():
 
     with pytest.raises(NovikovError):
         run_property("P-NOPE")
+
+
+def test_property_run_books():
+    run = PropertyRun("P-TEST")
+    run.equivalent(True, True, "unused")
+    run.equivalent(False, True, "split", at=1)
+    assert run.expect(True, "unused", hit=True)
+    assert not run.expect(False, "false", at=2)
+    run.count(checks=2)
+    run.count(hits=1)
+    assert (run.checked, run.hypothesis_hits) == (6, 3)
+    assert run.failures == [{"what": "split", "at": "1"}, {"what": "false", "at": "2"}]
+
+
+def test_record_zero_tests_by_truthiness_alone():
+    class NoScalarTests:
+        def is_zero(self, c):
+            raise AssertionError("record tested a scalar through the field")
+
+    col = ResidualCollector(NoScalarTests(), "check")
+    col.record("identity", (0,), (0, 0))
+    col.record("identity", (1,), (0, 2))
+    assert [fail.indices for fail in col.done().failures] == [(1,)]
+
+
+def test_residuals_are_recorded_reduced(monkeypatch):
+    """record's truthiness test needs reduced scalars: every residual of the
+    properties pass and of one search of each kind (its symbolic residual
+    and its reverify) hands them over reduced."""
+    record = ResidualCollector.record
+
+    def checked(self, identity, indices, value):
+        assert tuple(value) == self.field.reduce(value), (self.check, identity, value)
+        record(self, identity, indices, value)
+
+    monkeypatch.setattr(ResidualCollector, "record", checked)
+    for field in (QQ, GF(3)):
+        for prop_id in PROPERTY_IDS:
+            run_property(prop_id, trials=1, field=field)
+    f = GF(3)
+    beta = LinMap(Matrix(f, 2, 2, (1, 1, 0, 2)))
+    for kind in SEARCH_KINDS:
+        spec = SearchSpec(kind, f, 2, algebra=example_algebra(f), weight=1, kappa=1, mu=2, epsilon=1, beta=beta)
+        res = enumerate_search(spec)
+        assert all(reverify(spec, s) for s in res.solutions[:20])

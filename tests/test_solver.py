@@ -95,6 +95,16 @@ def test_search_guards():
         enumerate_search(SearchSpec("novikov-algebra", GF(7), 3))  # 7^27 candidates
 
 
+@pytest.mark.parametrize(
+    "beta",
+    [LinMap.identity(QQ, 2), LinMap.identity(GF(3), 3), LinMap.zero(GF(3), 2, 1)],
+    ids=["over-q", "3x3", "2x1"],
+)
+def test_spec_rejects_a_beta_of_another_field_or_shape(a2_f3, beta):
+    with pytest.raises(NovikovError, match="beta must be a 2x2 map over GF"):
+        SearchSpec("ext-o-operator", GF(3), 2, algebra=a2_f3, beta=beta)
+
+
 def test_jsonl_round_trip(a2_f3):
     spec = SearchSpec("nybe-solution", GF(3), 2, algebra=a2_f3)
     res = enumerate_search(spec)
