@@ -3,21 +3,28 @@
 Exit codes: 0 = verified / property passed, 1 = residual nonzero or
 counterexample found (or a precondition failed during derive), 2 = input
 error.  Machine-readable JSON goes to stdout, human text to stderr.
+
+Each ``verify``, ``check`` and ``derive`` kind is one row of its command's
+table (``VERIFY``, ``CHECK``, ``DERIVE``): its input slots in order, the
+options it reads and the function it calls.  ``_call`` is the one driver:
+it rejects every given option the kind never reads, loads and type-checks
+the slots, and hands the loaded inputs and the read options to the function.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from fractions import Fraction
-from typing import Optional
+from functools import partial
+from typing import Callable, Optional
 
 from .algebra import (
     Algebra,
     BimodNov,
-    Bimodule,
     abnova_residual,
     bimodule_residual,
     dual_bimodule,
@@ -50,12 +57,12 @@ from .operators import (
     ext_o_equation_residual,
     ext_o_residual,
     invariant_residual,
+    o_operator_residual,
     pm_products,
     rota_baxter_residual,
     star_product,
 )
 from .postnov import (
-    PostNov,
     compatible_from_rb,
     post_from_nybe,
     post_from_o,
@@ -77,7 +84,6 @@ from .serialize import (
     to_document,
 )
 from .solver import SEARCH_INPUTS, SearchSpec, enumerate_search
-from .tensors import Tensor2
 from .ybe import (
     BilForm,
     RTensor,
@@ -89,26 +95,6 @@ from .ybe import (
     nybe_residual,
     o_nybe_residual,
     quad_transport,
-)
-
-VERIFY_KINDS = ("algebra", "bimodule", "bimodnov", "postnov", "trialgebra", "bilform")
-
-CHECK_KINDS = (
-    "ext-o",
-    "o-op",
-    "rota-baxter",
-    "baxter",
-    "balanced",
-    "invariant",
-    "equivalent",
-    "nybe",
-    "enybe",
-    "o-nybe",
-    "gnybe",
-    "invariance",
-    "adjoint",
-    "generalized-o",
-    "bialgebra-extra",
 )
 
 
@@ -134,207 +120,6 @@ def _residual_witness(rep: Residual, fld: Field, verbose: bool):
     return rep.witness().to_json(fld)
 
 
-def _emit(report: dict, flag: bool) -> int:
-    print(json.dumps(report, sort_keys=True))
-    _human(f"{report['check']}: {'ok' if flag else 'FAILED'}")
-    return 0 if flag else 1
-
-
-def _load_object(path: str):
-    return from_document(load_path(path))
-
-
-def _expect(obj, types, what: str):
-    if not isinstance(obj, types):
-        raise DocumentError(f"{what}: expected {types}, got {type(obj).__name__}")
-    return obj
-
-
-class _Inputs:
-    """The positional input files of a command, consumed in order."""
-
-    def __init__(self, paths):
-        self._paths = list(paths)
-
-    def __bool__(self) -> bool:
-        return bool(self._paths)
-
-    def take(self, what: str) -> str:
-        if not self._paths:
-            raise DocumentError(f"missing input file for {what}")
-        return self._paths.pop(0)
-
-    def algebra(self, args) -> Algebra:
-        """The next input as an algebra.  The scalar options must exist in its
-        field (1/3 has no value in F_3): one that does not is an input error."""
-        alg = _expect(_load_object(self.take("algebra")), Algebra, "algebra")
-        for name in ("weight", "kappa", "mu", "epsilon"):
-            value = getattr(args, name, 0)
-            try:
-                alg.field.coerce(value)
-            except NovikovError as exc:
-                raise DocumentError(f"--{name} {value} has no value in {alg.field}: {exc}") from exc
-        return alg
-
-    def done(self) -> None:
-        """Surplus inputs are an input error, never silently ignored."""
-        if self._paths:
-            raise DocumentError(f"unexpected extra input(s): {' '.join(self._paths)}")
-
-
-def _context_from(alg: Algebra, spec: str) -> BimodNov:
-    """A context token: 'regular', 'dual', or a path to a module document
-    over ``alg`` (the same field, dimension and product)."""
-    if spec == "regular":
-        return regular(alg, validate=False)
-    if spec == "dual":
-        return dual_context(alg, validate=False)
-    obj = _load_object(spec)
-    if not isinstance(obj, (BimodNov, Bimodule)):
-        raise DocumentError(f"{spec}: not a module context document")
-    if (obj.alg.field, obj.alg.dim, obj.alg.mul) != (alg.field, alg.dim, alg.mul):
-        raise DocumentError(f"{spec}: the context is over another algebra than the one given")
-    return obj if isinstance(obj, BimodNov) else obj.trivial()
-
-
-# ---------------------------------------------------------------------------
-# verify
-
-
-def cmd_verify(args) -> int:
-    t0 = time.perf_counter()
-    obj = _load_object(args.input)
-    kind = args.kind
-    if kind == "algebra":
-        alg = _expect(obj, Algebra, args.input)
-        rep = novikov_residual(alg)
-        fld = alg.field
-    elif kind == "bimodule":
-        b = _expect(obj, Bimodule, args.input)
-        rep = bimodule_residual(b)
-        fld = b.field
-    elif kind == "bimodnov":
-        b = _expect(obj, BimodNov, args.input)
-        rep = abnova_residual(b, require_pre=False)
-        fld = b.field
-    elif kind == "postnov":
-        p = _expect(obj, PostNov, args.input)
-        rep = post_residual(p)
-        fld = p.field
-    elif kind == "trialgebra":
-        parts = _expect(obj, dict, args.input)
-        tri = bundle_to_trialgebra(parts)
-        rep = trialgebra_residual(tri).merged_with(derivation_residual(tri), "trialgebra")
-        fld = tri.field
-    elif kind == "bilform":
-        parts = _expect(obj, dict, args.input)
-        alg = _expect(parts.get("algebra"), Algebra, "bundle member 'algebra'")
-        form = _expect(parts.get("form"), BilForm, "bundle member 'form'")
-        rep, quadratic = bilform_invariance(alg, form)
-        fld = alg.field
-        report = _report("bilform", rep.is_zero, _residual_witness(rep, fld, args.verbose), t0)
-        report["quadratic"] = quadratic
-        return _emit(report, rep.is_zero)
-    else:
-        raise DocumentError(f"unknown verify kind {kind!r}")
-    report = _report(kind, rep.is_zero, _residual_witness(rep, fld, args.verbose), t0)
-    return _emit(report, rep.is_zero)
-
-
-# ---------------------------------------------------------------------------
-# check
-
-
-def cmd_check(args) -> int:
-    inputs = _Inputs(args.files)
-    report, flag = _check(args, inputs)
-    inputs.done()
-    return _emit(report, flag)
-
-
-def _check(args, inputs: _Inputs) -> tuple[dict, bool]:
-    t0 = time.perf_counter()
-    kind = args.kind
-    take = inputs.take
-    if kind in ("ext-o", "o-op"):
-        alg = inputs.algebra(args)
-        ctx = _context_from(alg, take("context"))
-        alpha = _expect(_load_object(take("alpha")), LinMap, "alpha")
-        beta = None
-        if kind == "ext-o" and inputs:
-            beta = _expect(_load_object(take("beta")), LinMap, "beta")
-        params = MassParams(args.weight, args.kappa, args.mu, args.epsilon)
-        residual = ext_o_equation_residual if args.equation_only else ext_o_residual
-        rep = residual(ctx, alpha, beta, params)
-        return _report(kind, rep.is_zero, _residual_witness(rep, alg.field, args.verbose), t0), rep.is_zero
-    if kind in ("rota-baxter", "baxter"):
-        alg = inputs.algebra(args)
-        t = _expect(_load_object(take("t")), LinMap, "t")
-        rep = (
-            rota_baxter_residual(alg, t, args.weight)
-            if kind == "rota-baxter"
-            else baxter_residual(alg, t)
-        )
-        return _report(kind, rep.is_zero, _residual_witness(rep, alg.field, args.verbose), t0), rep.is_zero
-    if kind in ("balanced", "invariant", "equivalent"):
-        alg = inputs.algebra(args)
-        ctx = _context_from(alg, take("context"))
-        beta = _expect(_load_object(take("beta")), LinMap, "beta")
-        if kind == "balanced":
-            rep = balanced_residual(ctx, beta)
-        elif kind == "invariant":
-            rep = invariant_residual(ctx, beta, args.kappa)
-        else:
-            rep = equivalent_residual(ctx, beta, args.mu)
-        return _report(kind, rep.is_zero, _residual_witness(rep, alg.field, args.verbose), t0), rep.is_zero
-    if kind in ("nybe", "enybe", "o-nybe", "gnybe", "bialgebra-extra", "invariance"):
-        alg = inputs.algebra(args)
-        r = _expect(_load_object(take("tensor")), Tensor2, "tensor")
-        fld = alg.field
-        if kind in ("nybe", "enybe"):
-            t3 = nybe_residual(alg, r) if kind == "nybe" else enybe_residual(alg, r, args.epsilon)
-            flag = t3.is_zero()
-            witness = None if flag else _tensor3_entries(t3, args.verbose)
-        elif kind == "o-nybe":
-            rep = o_nybe_residual(alg, r)
-            flag = rep.is_zero
-            witness = _residual_witness(rep, fld, args.verbose)
-        elif kind == "gnybe":
-            first, second = gnybe_residuals(alg, r)
-            flag = all(t.is_zero() for t in first) and all(t.is_zero() for t in second)
-            witness = None
-            if not flag:
-                for name, fam in (("first-family", first), ("second-family", second)):
-                    for s, t3 in enumerate(fam):
-                        if not t3.is_zero():
-                            witness = {"family": name, "basis": s, "entries": _tensor3_entries(t3, args.verbose)}
-                            break
-                    if witness:
-                        break
-        elif kind == "bialgebra-extra":
-            rep = bialgebra_extra_residuals(alg, r)
-            flag = rep.is_zero
-            witness = _residual_witness(rep, fld, args.verbose)
-        else:
-            rep = invariance_residual(alg, r)
-            flag = rep.is_zero
-            witness = _residual_witness(rep, fld, args.verbose)
-        return _report(kind, flag, witness, t0), flag
-    if kind == "adjoint":
-        form = _expect(_load_object(take("form")), BilForm, "form")
-        t = _expect(_load_object(take("t")), LinMap, "t")
-        sign = 1 if args.sign != "minus" else -1
-        rep = adjoint_residual(form, t, sign)
-        return _report(kind, rep.is_zero, _residual_witness(rep, form.field, args.verbose), t0), rep.is_zero
-    if kind == "generalized-o":
-        alg = inputs.algebra(args)
-        ctx = _context_from(alg, take("context"))
-        alpha = _expect(_load_object(take("alpha")), LinMap, "alpha")
-        rep = generalized_o_residual(ctx, alpha)
-        return _report(kind, rep.is_zero, _residual_witness(rep, alg.field, args.verbose), t0), rep.is_zero
-    raise DocumentError(f"unknown check kind {kind!r}")
-
-
 def _tensor3_entries(t3, verbose: bool):
     fld = t3.field
     out = []
@@ -350,159 +135,315 @@ def _tensor3_entries(t3, verbose: bool):
     return out
 
 
+def _verdict(result, fld: Field, verbose: bool) -> tuple[bool, object]:
+    """The flag and witness of a residual, a 3-tensor, or named families of
+    3-tensors (the first nonzero member is the witness)."""
+    if isinstance(result, Residual):
+        return result.is_zero, _residual_witness(result, fld, verbose)
+    if isinstance(result, dict):
+        for name, family in result.items():
+            for s, t3 in enumerate(family):
+                if not t3.is_zero():
+                    return False, {"family": name, "basis": s, "entries": _tensor3_entries(t3, verbose)}
+        return True, None
+    flag = result.is_zero()
+    return flag, None if flag else _tensor3_entries(result, verbose)
+
+
+def _emit(report: dict, flag: bool) -> int:
+    print(json.dumps(report, sort_keys=True))
+    _human(f"{report['check']}: {'ok' if flag else 'FAILED'}")
+    return 0 if flag else 1
+
+
 # ---------------------------------------------------------------------------
-# derive
+# input slots
+
+
+class _Doc:
+    """An input slot: the path of a document of one of ``kinds`` (decoded,
+    then passed through ``convert``), or one of the slot's ``tokens``, each
+    built from the algebra given first."""
+
+    tokens: dict = {}
+
+    def __init__(self, *kinds: str, convert: Optional[Callable] = None):
+        self.kinds = kinds
+        self.convert = convert
+
+    def __str__(self) -> str:
+        return "|".join((*self.tokens, *self.kinds))
+
+    def load(self, name: str, token: str, alg: Optional[Algebra]):
+        if token in self.tokens:
+            return self.tokens[token](alg)
+        doc = load_path(token)
+        obj = from_document(doc)
+        if doc["kind"] not in self.kinds:
+            wanted = " or ".join(self.kinds)
+            raise DocumentError(f"{name}: expected a document of kind {wanted}, got {doc['kind']}")
+        return self.convert(obj) if self.convert else obj
+
+
+class _Bimodule(_Doc):
+    """``regular`` (the algebra acting on itself) or a bimodule document."""
+
+    tokens = {"regular": regular_bimodule}
+
+
+class _Context(_Doc):
+    """``regular``, ``dual`` (the dual actions on A* with the trivial
+    product), or a module document over the given algebra: the same field,
+    dimension and product."""
+
+    tokens = {"regular": partial(regular, validate=False), "dual": partial(dual_context, validate=False)}
+
+    def load(self, name: str, token: str, alg: Optional[Algebra]):
+        obj = super().load(name, token, alg)
+        if (obj.alg.field, obj.alg.dim, obj.alg.mul) != (alg.field, alg.dim, alg.mul):
+            raise DocumentError(f"{token}: the context is over another algebra than the one given")
+        return obj if isinstance(obj, BimodNov) else obj.trivial()
+
+
+class _FormOn:
+    """A bilform bundle: an algebra and a bilinear form on it."""
+
+    def __init__(self, parts: dict):
+        self.algebra, self.form = parts.get("algebra"), parts.get("form")
+        if not (isinstance(self.algebra, Algebra) and isinstance(self.form, BilForm)):
+            raise DocumentError("a bilform bundle holds an algebra document 'algebra' and a bilform document 'form'")
+        self.field = self.algebra.field
+
+
+ALGEBRA, MAP, TENSOR, FORM = _Doc("algebra"), _Doc("linmap"), _Doc("tensor2"), _Doc("bilform")
+MODULE = _Doc("bimodule", "bimodnov")
+BIMODULE = _Bimodule("bimodule", "bimodnov")
+CONTEXT = _Context("bimodule", "bimodnov")
+TRIALGEBRA = _Doc("doc-bundle", convert=bundle_to_trialgebra)
+# an algebra document stands for its regular bimodule
+MODULE_OR_ALGEBRA = _Doc(
+    "bimodule", "bimodnov", "algebra", convert=lambda b: regular_bimodule(b) if isinstance(b, Algebra) else b
+)
+
+
+# ---------------------------------------------------------------------------
+# the tables
+
+
+class Kind:
+    """One row of a command's table: ``Kind(fn, *options, **slots)`` reads
+    the named options (argparse dests) and the input slots in the order
+    given, and calls ``fn(*loaded inputs, **read options)``."""
+
+    def __init__(self, fn: Callable, *options: str, **slots: _Doc):
+        self.fn = fn
+        self.options = options
+        self.slots = tuple((name.replace("_", "-"), slot) for name, slot in slots.items())
+
+
+def _on_context(fn: Callable) -> Callable:
+    """``fn`` of the context and what follows it: the context carries the
+    algebra given before it."""
+    return lambda alg, ctx, *rest, **options: fn(ctx, *rest, **options)
+
+
+def _bundle(**objs) -> dict:
+    return bundle_document({name: to_document(obj) for name, obj in objs.items()})
+
+
+def _trialgebra(tri):
+    return trialgebra_residual(tri).merged_with(derivation_residual(tri), "trialgebra")
+
+
+def _bilform(pair: _FormOn):
+    rep, quadratic = bilform_invariance(pair.algebra, pair.form)
+    return rep, {"quadratic": quadratic}
+
+
+def _ext_o(alg, ctx, alpha, beta, weight, kappa, mu, equation_only):
+    residual = ext_o_equation_residual if equation_only else ext_o_residual
+    return residual(ctx, alpha, beta, MassParams(weight, kappa, mu))
+
+
+def _gnybe(alg, r) -> dict:
+    return dict(zip(("first-family", "second-family"), gnybe_residuals(alg, r)))
+
+
+def _circ_pm(alg, beta, weight, sign):
+    grids = zip(("plus", "minus"), pm_products(regular(alg, validate=False), beta, weight))
+    pair = {name: Algebra(alg.field, alg.dim, grid) for name, grid in grids}
+    return pair[sign] if sign in pair else _bundle(**pair)
+
+
+def _star_product(alg, ctx, alpha, weight):
+    grid, closure = star_product(ctx, alpha, weight)
+    if not closure.is_zero:
+        raise NovikovError("closure identities fail; the product is not Novikov")
+    return Algebra(alg.field, ctx.mdim, grid)
+
+
+def _diamond_product(alg, ctx, delta_plus, delta_minus, weight):
+    grid, alpha, beta = diamond_product(ctx, delta_plus, delta_minus, weight)
+    return _bundle(product=Algebra(alg.field, ctx.mdim, grid), symmetrizer=alpha, antisymmetrizer=beta)
+
+
+def _post_from_nybe(alg, r):
+    dual_post, compat = post_from_nybe(alg, r)
+    return _bundle(dual=dual_post) if compat is None else _bundle(dual=dual_post, compatible=compat)
+
+
+def _post_on_image(alg, ctx, alpha, weight):
+    image = post_on_image(ctx, alpha, weight)
+    return {**to_document(image.post), "pivot_columns": list(image.pivot_cols)}
+
+
+def _dual_pm(alg, r):
+    plus, minus = dual_pm_products(alg, RTensor.build(alg, r))
+    return _bundle(plus=Algebra(alg.field, alg.dim, plus), minus=Algebra(alg.field, alg.dim, minus))
+
+
+def _lift_map(alg, bim, gamma):
+    lifted = lift_map(double(alg, bim), gamma)
+    return _bundle(
+        map=LinMap(lifted.mat), tensor=lifted.tensor, tensor_minus=lifted.tensor_minus, tensor_plus=lifted.tensor_plus
+    )
+
+
+def _quad_transport(alg, form, t, beta):
+    qt = quad_transport(alg, form, t, beta)
+    return _bundle(p_t=qt.p_t, p_beta=qt.p_beta, delta_plus=qt.delta_plus, delta_minus=qt.delta_minus)
+
+
+# A verify or check function returns a Residual, a 3-tensor, or named
+# families of 3-tensors, optionally paired with extra report fields.
+VERIFY = {
+    "algebra": Kind(novikov_residual, algebra=ALGEBRA),
+    "bimodule": Kind(bimodule_residual, bimodule=MODULE),
+    "bimodnov": Kind(partial(abnova_residual, require_pre=False), bimodnov=_Doc("bimodnov")),
+    "postnov": Kind(post_residual, postnov=_Doc("postnov")),
+    "trialgebra": Kind(_trialgebra, trialgebra=TRIALGEBRA),
+    "bilform": Kind(_bilform, bundle=_Doc("doc-bundle", convert=_FormOn)),
+}
+
+CHECK = {
+    "ext-o": Kind(
+        _ext_o, "weight", "kappa", "mu", "equation_only", algebra=ALGEBRA, context=CONTEXT, alpha=MAP, beta=MAP
+    ),
+    "o-op": Kind(_on_context(o_operator_residual), "weight", algebra=ALGEBRA, context=CONTEXT, alpha=MAP),
+    "rota-baxter": Kind(rota_baxter_residual, "weight", algebra=ALGEBRA, t=MAP),
+    "baxter": Kind(baxter_residual, algebra=ALGEBRA, t=MAP),
+    "balanced": Kind(_on_context(balanced_residual), algebra=ALGEBRA, context=CONTEXT, beta=MAP),
+    "invariant": Kind(_on_context(invariant_residual), "kappa", algebra=ALGEBRA, context=CONTEXT, beta=MAP),
+    "equivalent": Kind(_on_context(equivalent_residual), "mu", algebra=ALGEBRA, context=CONTEXT, beta=MAP),
+    "nybe": Kind(nybe_residual, algebra=ALGEBRA, tensor=TENSOR),
+    "enybe": Kind(enybe_residual, "epsilon", algebra=ALGEBRA, tensor=TENSOR),
+    "o-nybe": Kind(o_nybe_residual, algebra=ALGEBRA, tensor=TENSOR),
+    "gnybe": Kind(_gnybe, algebra=ALGEBRA, tensor=TENSOR),
+    "invariance": Kind(invariance_residual, algebra=ALGEBRA, tensor=TENSOR),
+    "adjoint": Kind(
+        lambda form, t, sign: adjoint_residual(form, t, -1 if sign == "minus" else 1), "sign", form=FORM, t=MAP
+    ),
+    "generalized-o": Kind(_on_context(generalized_o_residual), algebra=ALGEBRA, context=CONTEXT, alpha=MAP),
+    "bialgebra-extra": Kind(bialgebra_extra_residuals, algebra=ALGEBRA, tensor=TENSOR),
+}
+
+# A derive function returns an object or a finished document.
+DERIVE = {
+    "star": Kind(star_algebra, algebra=ALGEBRA),
+    "dual-bimodule": Kind(dual_bimodule, bimodule=MODULE_OR_ALGEBRA),
+    "semidirect": Kind(_on_context(semidirect), algebra=ALGEBRA, context=CONTEXT),
+    "double": Kind(lambda alg, bim: double(alg, bim).algebra, algebra=ALGEBRA, bimodule=BIMODULE),
+    "circ-t": Kind(circ_t, "weight", algebra=ALGEBRA, t=MAP),
+    "circ-pm": Kind(_circ_pm, "weight", "sign", algebra=ALGEBRA, beta=MAP),
+    "star-product": Kind(_star_product, "weight", algebra=ALGEBRA, context=CONTEXT, alpha=MAP),
+    "diamond-product": Kind(
+        _diamond_product, "weight", algebra=ALGEBRA, context=CONTEXT, delta_plus=MAP, delta_minus=MAP
+    ),
+    "post-from-o": Kind(_on_context(post_from_o), "weight", algebra=ALGEBRA, context=CONTEXT, alpha=MAP),
+    "post-from-rb": Kind(
+        lambda alg, t, weight, compatible: (compatible_from_rb if compatible else post_from_rb)(alg, t, weight),
+        "weight",
+        "compatible",
+        algebra=ALGEBRA,
+        t=MAP,
+    ),
+    "post-from-trialgebra": Kind(post_from_trialgebra, trialgebra=TRIALGEBRA),
+    "post-from-nybe": Kind(_post_from_nybe, algebra=ALGEBRA, tensor=TENSOR),
+    "post-on-image": Kind(_post_on_image, "weight", algebra=ALGEBRA, context=CONTEXT, alpha=MAP),
+    "dual-pm": Kind(_dual_pm, algebra=ALGEBRA, tensor=TENSOR),
+    "circ-delta": Kind(circ_delta_algebra, algebra=ALGEBRA, tensor=TENSOR),
+    "delta-r": Kind(
+        lambda alg, r: _bundle(**{f"e{s}": delta_r(alg, r, alg.basis_vec(s)) for s in range(alg.dim)}),
+        algebra=ALGEBRA,
+        tensor=TENSOR,
+    ),
+    "lift-map": Kind(_lift_map, algebra=ALGEBRA, bimodule=BIMODULE, gamma=MAP),
+    "quad-transport": Kind(_quad_transport, algebra=ALGEBRA, form=FORM, t=MAP, beta=MAP),
+}
+
+TABLES = {"verify": VERIFY, "check": CHECK, "derive": DERIVE}
+
+_SCALARS = ("weight", "kappa", "mu", "epsilon")
+
+
+# ---------------------------------------------------------------------------
+# the driver
+
+
+def _reject_unread(args, what: str, reads, offered) -> None:
+    """A given option (or context) that ``what`` never reads is an input
+    error, not a no-op; ``offered`` names all the command has, by dest."""
+    unread = []
+    for name in dict.fromkeys(offered):
+        value = getattr(args, name)
+        if name not in reads and value is not None and value is not False:
+            unread.append("context algebra" if name == "algebra" else "--" + name.replace("_", "-"))
+    if unread:
+        raise DocumentError(f"{what} reads no {', '.join(unread)}")
+
+
+def _call(args) -> tuple:
+    """The result of ``args.kind``'s function on its loaded inputs and read
+    options, with the field of its first input.  A read scalar must exist in
+    that field (1/3 has no value in F_3) and is 0 when not given."""
+    table = TABLES[args.command]
+    row = table[args.kind]
+    _reject_unread(args, f"{args.command} {args.kind}", row.options, (n for r in table.values() for n in r.options))
+    paths = args.files
+    if len(paths) < len(row.slots):
+        raise DocumentError(f"missing input file for {row.slots[len(paths)][0]}")
+    if len(paths) > len(row.slots):
+        raise DocumentError(f"unexpected extra input(s): {' '.join(paths[len(row.slots):])}")
+    loaded = []
+    for (name, slot), path in zip(row.slots, paths):
+        loaded.append(slot.load(name, path, loaded[0] if loaded else None))
+    fld = loaded[0].field
+    options = {}
+    for name in row.options:
+        value = getattr(args, name)
+        if name in _SCALARS and value is None:
+            value = 0
+        elif name in _SCALARS:
+            try:
+                fld.coerce(value)
+            except NovikovError as exc:
+                raise DocumentError(f"--{name} {value} has no value in {fld}: {exc}") from exc
+        options[name] = value
+    return row.fn(*loaded, **options), fld
+
+
+def cmd_check(args) -> int:
+    """``verify`` and ``check``: one report on the kind's residual."""
+    t0 = time.perf_counter()
+    result, fld = _call(args)
+    result, extra = result if isinstance(result, tuple) else (result, {})
+    flag, witness = _verdict(result, fld, args.verbose)
+    return _emit({**_report(args.kind, flag, witness, t0), **extra}, flag)
 
 
 def cmd_derive(args) -> int:
-    inputs = _Inputs(args.inputs)
-    take = inputs.take
-    name = args.construction
-    if name == "star":
-        alg = inputs.algebra(args)
-        doc = to_document(star_algebra(alg))
-    elif name == "dual-bimodule":
-        obj = _load_object(take("bimodule"))
-        if isinstance(obj, Algebra):
-            obj = regular_bimodule(obj)
-        doc = to_document(dual_bimodule(_expect(obj, Bimodule, "bimodule")))
-    elif name == "semidirect":
-        alg_or_ctx = _load_object(take("context"))
-        if isinstance(alg_or_ctx, Algebra):
-            ctx = _context_from(alg_or_ctx, take("context token"))
-        else:
-            ctx = _expect(alg_or_ctx, BimodNov, "context")
-        doc = to_document(semidirect(ctx))
-    elif name == "double":
-        alg = inputs.algebra(args)
-        tok = take("bimodule")
-        bim = regular_bimodule(alg) if tok == "regular" else _expect(_load_object(tok), Bimodule, "bimodule")
-        doc = to_document(double(alg, bim).algebra)
-    elif name == "circ-t":
-        alg = inputs.algebra(args)
-        t = _expect(_load_object(take("t")), LinMap, "t")
-        doc = to_document(circ_t(alg, t, args.weight))
-    elif name == "circ-pm":
-        alg = inputs.algebra(args)
-        beta = _expect(_load_object(take("beta")), LinMap, "beta")
-        plus, minus = pm_products(regular(alg, validate=False), beta, args.weight)
-        f = alg.field
-        docs = {
-            "plus": to_document(Algebra(f, alg.dim, plus)),
-            "minus": to_document(Algebra(f, alg.dim, minus)),
-        }
-        if args.sign == "plus":
-            doc = docs["plus"]
-        elif args.sign == "minus":
-            doc = docs["minus"]
-        else:
-            doc = bundle_document(docs)
-    elif name == "star-product":
-        alg = inputs.algebra(args)
-        ctx = _context_from(alg, take("context"))
-        alpha = _expect(_load_object(take("alpha")), LinMap, "alpha")
-        grid, closure = star_product(ctx, alpha, args.weight)
-        if not closure.is_zero:
-            raise NovikovError("closure identities fail; the product is not Novikov")
-        doc = to_document(Algebra(alg.field, ctx.mdim, grid))
-    elif name == "diamond-product":
-        alg = inputs.algebra(args)
-        ctx = _context_from(alg, take("context"))
-        dplus = _expect(_load_object(take("delta-plus")), LinMap, "delta-plus")
-        dminus = _expect(_load_object(take("delta-minus")), LinMap, "delta-minus")
-        grid, alpha, beta = diamond_product(ctx, dplus, dminus, args.weight)
-        doc = bundle_document(
-            {
-                "product": to_document(Algebra(alg.field, ctx.mdim, grid)),
-                "symmetrizer": to_document(alpha),
-                "antisymmetrizer": to_document(beta),
-            }
-        )
-    elif name == "post-from-o":
-        alg = inputs.algebra(args)
-        ctx = _context_from(alg, take("context"))
-        alpha = _expect(_load_object(take("alpha")), LinMap, "alpha")
-        doc = to_document(post_from_o(ctx, alpha, args.weight))
-    elif name == "post-from-rb":
-        alg = inputs.algebra(args)
-        t = _expect(_load_object(take("t")), LinMap, "t")
-        if args.compatible:
-            doc = to_document(compatible_from_rb(alg, t, args.weight))
-        else:
-            doc = to_document(post_from_rb(alg, t, args.weight))
-    elif name == "post-from-trialgebra":
-        tri = bundle_to_trialgebra(_expect(_load_object(take("trialgebra")), dict, "trialgebra"))
-        doc = to_document(post_from_trialgebra(tri))
-    elif name == "post-from-nybe":
-        alg = inputs.algebra(args)
-        r = _expect(_load_object(take("tensor")), Tensor2, "tensor")
-        dual_post, compat = post_from_nybe(alg, r)
-        docs = {"dual": to_document(dual_post)}
-        if compat is not None:
-            docs["compatible"] = to_document(compat)
-        doc = bundle_document(docs)
-    elif name == "post-on-image":
-        alg = inputs.algebra(args)
-        ctx = _context_from(alg, take("context"))
-        alpha = _expect(_load_object(take("alpha")), LinMap, "alpha")
-        image = post_on_image(ctx, alpha, args.weight)
-        doc = to_document(image.post)
-        doc["pivot_columns"] = list(image.pivot_cols)
-    elif name == "dual-pm":
-        alg = inputs.algebra(args)
-        r = _expect(_load_object(take("tensor")), Tensor2, "tensor")
-        rt = RTensor.build(alg, r)
-        plus, minus = dual_pm_products(alg, rt)
-        doc = bundle_document(
-            {
-                "plus": to_document(Algebra(alg.field, alg.dim, plus)),
-                "minus": to_document(Algebra(alg.field, alg.dim, minus)),
-            }
-        )
-    elif name == "circ-delta":
-        alg = inputs.algebra(args)
-        r = _expect(_load_object(take("tensor")), Tensor2, "tensor")
-        doc = to_document(circ_delta_algebra(alg, r))
-    elif name == "delta-r":
-        alg = inputs.algebra(args)
-        r = _expect(_load_object(take("tensor")), Tensor2, "tensor")
-        docs = {
-            f"e{s}": to_document(delta_r(alg, r, alg.basis_vec(s))) for s in range(alg.dim)
-        }
-        doc = bundle_document(docs)
-    elif name == "lift-map":
-        alg = inputs.algebra(args)
-        tok = take("bimodule")
-        bim = regular_bimodule(alg) if tok == "regular" else _expect(_load_object(tok), Bimodule, "bimodule")
-        gamma = _expect(_load_object(take("gamma")), LinMap, "gamma")
-        lifted = lift_map(double(alg, bim), gamma)
-        doc = bundle_document(
-            {
-                "map": to_document(LinMap(lifted.mat)),
-                "tensor": to_document(lifted.tensor),
-                "tensor_minus": to_document(lifted.tensor_minus),
-                "tensor_plus": to_document(lifted.tensor_plus),
-            }
-        )
-    elif name == "quad-transport":
-        alg = inputs.algebra(args)
-        form = _expect(_load_object(take("form")), BilForm, "form")
-        t = _expect(_load_object(take("t")), LinMap, "t")
-        beta = _expect(_load_object(take("beta")), LinMap, "beta")
-        qt = quad_transport(alg, form, t, beta)
-        doc = bundle_document(
-            {
-                "p_t": to_document(qt.p_t),
-                "p_beta": to_document(qt.p_beta),
-                "delta_plus": to_document(qt.delta_plus),
-                "delta_minus": to_document(qt.delta_minus),
-            }
-        )
-    else:
-        raise DocumentError(f"unknown construction {name!r}")
-    inputs.done()
-
-    text = dumps(doc)
+    result, _ = _call(args)
+    text = dumps(result if isinstance(result, dict) else to_document(result))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -550,15 +491,11 @@ def cmd_solve(args) -> int:
     if args.out and args.count_only:
         raise DocumentError("--count-only writes no solutions, so it cannot be combined with --out")
     kind = _SOLVE_KINDS.get(args.kind, args.kind)
-    given = {"algebra": args.context, "beta": args.beta}
-    given.update((name, getattr(args, name)) for name in ("weight", "kappa", "mu", "epsilon"))
-    reads = SEARCH_INPUTS.get(kind, given)  # an unknown kind is SearchSpec's error
-    unread = [name for name, value in given.items() if value is not None and name not in reads]
-    if unread:
-        labels = ("a context algebra" if name == "algebra" else f"--{name}" for name in unread)
-        raise DocumentError(f"a {kind} search reads no {', '.join(labels)}")
-    alg = _expect(_load_object(args.context), Algebra, "context algebra") if args.context else None
-    beta = _expect(_load_object(args.beta), LinMap, "beta") if args.beta else None
+    if kind in SEARCH_INPUTS:  # an unknown kind is SearchSpec's error
+        offered = (name for reads in SEARCH_INPUTS.values() for name in reads)
+        _reject_unread(args, f"a {kind} search", SEARCH_INPUTS[kind], offered)
+    alg = ALGEBRA.load("context algebra", args.algebra, None) if args.algebra else None
+    beta = MAP.load("beta", args.beta, None) if args.beta else None
     dim = args.dim if args.dim is not None else (alg.dim if alg is not None else 2)
     shard_index, shard_count = 0, 1
     if args.shard:
@@ -624,38 +561,54 @@ def _field(name: str) -> Field:
         raise DocumentError(f"--field: {exc}") from exc
 
 
+def _epilog(table: dict) -> str:
+    """Each kind's inputs in order (name:type where the two differ) and the
+    options it reads, from its row."""
+    width = max(map(len, table)) + 2
+    lines = ["each kind's inputs, in order, and the options it reads:"]
+    for kind, row in table.items():
+        slots = " ".join(name if name == str(slot) else f"{name}:{slot}" for name, slot in row.slots)
+        reads = "".join(f" [--{name.replace('_', '-')}]" for name in row.options)
+        lines.append(f"  {kind:<{width}}{slots}{reads}")
+    lines.append("\nA given option that the kind never reads is an input error.")
+    return "\n".join(lines)
+
+
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     """The top-level parser and the parser of each command."""
     ap = _Parser(prog="nova", description="Exact checks for Novikov-algebra operator identities")
     sub = ap.add_subparsers(dest="command", required=True)
     commands = {}
 
-    def command(name: str, fn, summary: str) -> argparse.ArgumentParser:
-        commands[name] = sub.add_parser(name, help=summary)
-        commands[name].set_defaults(fn=fn)
+    def command(name: str, fn, summary: str, table: Optional[dict] = None) -> argparse.ArgumentParser:
+        if table is None:
+            commands[name] = sub.add_parser(name, help=summary)
+        else:
+            commands[name] = sub.add_parser(
+                name, help=summary, epilog=_epilog(table), formatter_class=argparse.RawDescriptionHelpFormatter
+            )
+            commands[name].add_argument("kind", choices=table, metavar="kind")
+        commands[name].set_defaults(fn=fn, command=name)
         return commands[name]
 
-    p_verify = command("verify", cmd_verify, "verify the defining identities of an object")
-    p_verify.add_argument("kind", choices=VERIFY_KINDS)
-    p_verify.add_argument("input")
+    p_verify = command("verify", cmd_check, "verify the defining identities of an object", VERIFY)
+    p_verify.add_argument("files", nargs=1, metavar="input")
     p_verify.add_argument("--verbose", action="store_true")
 
-    p_check = command("check", cmd_check, "check an operator / tensor identity")
-    p_check.add_argument("kind", choices=CHECK_KINDS)
+    p_check = command("check", cmd_check, "check an operator / tensor identity", CHECK)
     p_check.add_argument("files", nargs="*")
-    p_check.add_argument("--weight", type=_scalar, default=0)
-    p_check.add_argument("--kappa", type=_scalar, default=0)
-    p_check.add_argument("--mu", type=_scalar, default=0)
-    p_check.add_argument("--epsilon", type=_scalar, default=0)
-    p_check.add_argument("--sign", choices=("plus", "minus"), default="plus")
+    p_check.add_argument("--weight", type=_scalar)
+    p_check.add_argument("--kappa", type=_scalar)
+    p_check.add_argument("--mu", type=_scalar)
+    p_check.add_argument("--epsilon", type=_scalar)
+    p_check.add_argument("--sign", choices=("plus", "minus"))
     p_check.add_argument("--equation-only", action="store_true")
     p_check.add_argument("--verbose", action="store_true")
 
-    p_derive = command("derive", cmd_derive, "derive a construction and emit its document")
-    p_derive.add_argument("construction")
-    p_derive.add_argument("inputs", nargs="*")
-    p_derive.add_argument("--weight", type=_scalar, default=0)
-    p_derive.add_argument("--sign", choices=("plus", "minus", "both"), default="both")
+    p_derive = command("derive", cmd_derive, "derive a construction and emit its document", DERIVE)
+    p_derive.add_argument("files", nargs="*", metavar="inputs")
+    p_derive.add_argument("--weight", type=_scalar)
+    p_derive.add_argument("--sign", choices=("plus", "minus", "both"))
     p_derive.add_argument("--compatible", action="store_true")
     p_derive.add_argument("--out")
 
@@ -667,7 +620,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     p_solve = command("solve", cmd_solve, "exhaustive search over a small prime field")
     p_solve.add_argument("kind")
-    p_solve.add_argument("context", nargs="?")
+    p_solve.add_argument("algebra", nargs="?", metavar="context")
     p_solve.add_argument("--dim", type=int, default=None)
     p_solve.add_argument("--field", required=True)
     p_solve.add_argument("--weight", type=_scalar)
@@ -692,7 +645,13 @@ def main(argv: Optional[list] = None) -> int:
             ap.error("the command must come first")
         # options may come before, between or after the positionals
         args = commands[argv[0]].parse_intermixed_args(argv[1:])
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # so a closed stdout shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # stdout closed early (``| head``): the Python docs' recipe, no traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (DocumentError, SpaceTooLarge, DimMismatch, FieldMismatch) as exc:
         _human(f"input error: {exc}")
         return 2

@@ -65,21 +65,14 @@ class LinMap:
 
 @dataclass(frozen=True)
 class MassParams:
-    """(weight, kappa, mu, epsilon) bundle; epsilon only matters for the
-    tensor-equation checks."""
+    """The (weight, kappa, mu) masses of the extended operator equation."""
 
     weight: object = 0
     kappa: object = 0
     mu: object = 0
-    epsilon: object = 0
 
     def coerced(self, field: Field) -> "MassParams":
-        return MassParams(
-            field.coerce(self.weight),
-            field.coerce(self.kappa),
-            field.coerce(self.mu),
-            field.coerce(self.epsilon),
-        )
+        return MassParams(field.coerce(self.weight), field.coerce(self.kappa), field.coerce(self.mu))
 
 
 def _check_ctx_map(ctx: BimodNov, m: LinMap) -> None:

@@ -1,4 +1,10 @@
 import json
+import os
+import pathlib
+import shlex
+import shutil
+import subprocess
+import sys
 
 import pytest
 
@@ -361,7 +367,7 @@ def _zero_context(module: bool = False) -> dict:
         pytest.param(["verify", "bilform", _bilform_bundle(3)], id="form-larger-than-algebra"),
         pytest.param(["check", "rota-baxter", "a2.json", _document("linmap", 3)], id="map-over-other-field"),
         pytest.param(["check", "rota-baxter", "a2.json", _map(3)], id="rota-baxter-map-3x3"),
-        pytest.param(["check", "ext-o", "a2.json", "regular", _map(3)], id="ext-o-map-3x3"),
+        pytest.param(["check", "ext-o", "a2.json", "regular", _map(3), "beta2.json"], id="ext-o-map-3x3"),
         pytest.param(["derive", "circ-t", "a2.json", _map(3)], id="circ-t-map-3x3"),
         pytest.param(["check", "nybe", "a2.json", _rational("tensor2", {"dim": 3, "entries": _identity(3)})], id="tensor-dim-3"),
         pytest.param(["verify", "algebra", b"[" * 100000 + b"]" * 100000], id="json-nested-too-deeply"),
@@ -411,9 +417,23 @@ def _zero_context(module: bool = False) -> dict:
         pytest.param(
             ["solve", "nybe", "a2_f3.json", "--field", "F3", "--epsilon", "1", "--mu", "2"], id="solve-nybe-with-scalars"
         ),
+        pytest.param(
+            ["check", "nybe", "a2.json", "r_e2e2.json", "--kappa", "5", "--equation-only", "--sign", "minus"],
+            id="check-nybe-with-unread-options",
+        ),
+        pytest.param(
+            ["derive", "star", "a2.json", "--weight", "7", "--sign", "minus", "--compatible"],
+            id="derive-star-with-unread-options",
+        ),
+        pytest.param(["check", "ext-o", "--kappa", "9", "--mu", "4", "a2.json", "regular", "id2.json"], id="ext-o-without-beta"),
+        pytest.param(
+            ["derive", "circ-pm", "--weight", "1", "a2.json", "beta2.json", "--compatible"], id="circ-pm-with-compatible"
+        ),
+        pytest.param(["derive", "semidirect", _zero_context()], id="semidirect-one-document"),
+        pytest.param(["check", "adjoint", "a2.json", "t2.json"], id="adjoint-form-is-an-algebra"),
     ],
 )
-def test_input_errors_exit_2_with_one_line(capsys, fixture_path, tmp_path, argv):
+def test_input_errors_exit_2_with_one_line(capsys, fixture_path, tmp_path, request, argv):
     # a dict argument is a document and a bytes argument a file's raw
     # contents, written to a file first
     paths = []
@@ -431,6 +451,16 @@ def test_input_errors_exit_2_with_one_line(capsys, fixture_path, tmp_path, argv)
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("input error: ")
+    assert "<class" not in err
+    assert _SAYS.get(request.node.callspec.id, "") in err
+
+
+# the message of a case, where it is pinned: an input names the document
+# kind it wants, and an unread option is named
+_SAYS = {
+    "adjoint-form-is-an-algebra": "form: expected a document of kind bilform, got algebra",
+    "check-nybe-with-unread-options": "check nybe reads no --kappa, --equation-only, --sign",
+}
 
 
 def test_solve_more_kinds(capsys, fixture_path):
@@ -454,3 +484,57 @@ def test_prop_needing_a_quarter_fails_its_precondition_over_f2(capsys, prop_id):
     assert code == 1
     assert out == ""
     assert err.splitlines() == ["precondition failed: 1/2 does not exist in GF(2)"]
+
+
+REPO = pathlib.Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize(
+    "golden, argv",
+    [
+        ("golden_circ_t.json", ["derive", "circ-t", "--weight", "1", "a2.json", "t2.json"]),
+        ("golden_semidirect.json", ["derive", "semidirect", "a2.json", "regular"]),
+    ],
+)
+def test_derive_stdout_matches_its_golden_bytes(capsys, fixture_path, golden, argv):
+    code, out, _ = run(capsys, *(fixture_path(a) if a.endswith(".json") else a for a in argv))
+    assert code == 0
+    assert out.encode() == pathlib.Path(fixture_path(golden)).read_bytes()
+
+
+def test_closed_stdout_ends_without_a_traceback(fixture_path, tmp_path):
+    out_path = tmp_path / "x.json"
+    argv = ["derive", "circ-t", "--weight", "1", fixture_path("a2.json"), fixture_path("t2.json"), "--out", str(out_path)]
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # closed before the child writes
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "novikov.cli", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert out_path.exists()
+    assert "Traceback" not in proc.stderr
+
+
+def _readme_cli_lines() -> list:
+    """The argv of each command in the README's CLI block, continuations joined."""
+    text = (REPO / "README.md").read_text(encoding="utf-8")
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True) for line in block.replace("\\\n", " ").splitlines()]
+
+
+def test_readme_cli_block_runs(capsys, tmp_path, monkeypatch):
+    # prop and solve lines are left out: they are slow
+    shutil.copytree(REPO / "fixtures", tmp_path / "fixtures")
+    monkeypatch.chdir(tmp_path)
+    argvs = [words[1:] for words in _readme_cli_lines() if words[:1] == ["nova"] and words[1] in ("verify", "check", "derive")]
+    assert len(argvs) >= 10
+    for argv in argvs:
+        code = main(argv)
+        assert code == 0, (argv, capsys.readouterr().err)
