@@ -73,7 +73,6 @@ from .postnov import (
     derivation_residual,
     trialgebra_residual,
 )
-from .properties import PROPERTY_IDS, run_property
 from .residual import Residual
 from .serialize import (
     bundle_document,
@@ -83,7 +82,6 @@ from .serialize import (
     load_path,
     to_document,
 )
-from .solver import SEARCH_INPUTS, SearchSpec, enumerate_search
 from .ybe import (
     BilForm,
     RTensor,
@@ -441,13 +439,20 @@ def cmd_check(args) -> int:
     return _emit({**_report(args.kind, flag, witness, t0), **extra}, flag)
 
 
+def _write_out(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise DocumentError(f"cannot write {path}: {exc}") from exc
+    _human(f"wrote {path}")
+
+
 def cmd_derive(args) -> int:
     result, _ = _call(args)
     text = dumps(result if isinstance(result, dict) else to_document(result))
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        _human(f"wrote {args.out}")
+        _write_out(args.out, text)
     sys.stdout.write(text)
     return 0
 
@@ -457,6 +462,8 @@ def cmd_derive(args) -> int:
 
 
 def cmd_prop(args) -> int:
+    from .properties import PROPERTY_IDS, run_property  # imported here: only ``prop`` runs them
+
     if args.property not in PROPERTY_IDS:
         raise DocumentError(f"unknown property id {args.property!r}")
     if args.trials is not None and args.trials < 0:
@@ -483,6 +490,8 @@ _SOLVE_KINDS = {
 
 
 def cmd_solve(args) -> int:
+    from .solver import SEARCH_INPUTS, SearchSpec, enumerate_search  # imported here: only ``solve`` searches
+
     # an option the search would ignore is an input error, not a no-op
     if args.jobs < 1:
         raise DocumentError(f"--jobs must be at least 1, got {args.jobs}")
@@ -527,9 +536,7 @@ def cmd_solve(args) -> int:
         return 0
     text = res.to_jsonl()
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        _human(f"wrote {args.out}")
+        _write_out(args.out, text)
     else:
         sys.stdout.write(text)
     _human(f"{kind}: {len(res.solutions)} solutions")
@@ -658,9 +665,6 @@ def main(argv: Optional[list] = None) -> int:
     except NovikovError as exc:
         _human(f"precondition failed: {exc}")
         return 1
-    except FileNotFoundError as exc:
-        _human(f"input error: {exc}")
-        return 2
 
 
 if __name__ == "__main__":

@@ -346,6 +346,9 @@ def _zero_context(module: bool = False) -> dict:
     return to_document(regular_bimodule(zero) if module else regular(zero))
 
 
+TMP_DIR = object()
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -431,14 +434,20 @@ def _zero_context(module: bool = False) -> dict:
         ),
         pytest.param(["derive", "semidirect", _zero_context()], id="semidirect-one-document"),
         pytest.param(["check", "adjoint", "a2.json", "t2.json"], id="adjoint-form-is-an-algebra"),
+        pytest.param(
+            ["derive", "circ-t", "--weight", "1", "a2.json", "t2.json", "--out", TMP_DIR], id="derive-out-a-directory"
+        ),
+        pytest.param(["solve", "nybe", "a2_f3.json", "--field", "F3", "--out", TMP_DIR], id="solve-out-a-directory"),
     ],
 )
 def test_input_errors_exit_2_with_one_line(capsys, fixture_path, tmp_path, request, argv):
     # a dict argument is a document and a bytes argument a file's raw
-    # contents, written to a file first
+    # contents, written to a file first; TMP_DIR is a directory
     paths = []
     for n, arg in enumerate(argv):
-        if isinstance(arg, dict):
+        if arg is TMP_DIR:
+            arg = str(tmp_path)
+        elif isinstance(arg, dict):
             arg = json.dumps(arg).encode()
         if isinstance(arg, bytes):
             path = tmp_path / f"doc{n}.json"
@@ -460,6 +469,8 @@ def test_input_errors_exit_2_with_one_line(capsys, fixture_path, tmp_path, reque
 _SAYS = {
     "adjoint-form-is-an-algebra": "form: expected a document of kind bilform, got algebra",
     "check-nybe-with-unread-options": "check nybe reads no --kappa, --equation-only, --sign",
+    "derive-out-a-directory": "cannot write ",
+    "solve-out-a-directory": "cannot write ",
 }
 
 
