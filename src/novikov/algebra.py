@@ -10,7 +10,7 @@ from typing import Optional, Sequence
 
 from .errors import DimMismatch, FieldMismatch, ModuleNotNovikov, NotABimodule, NotNovikov
 from .fields import Field
-from .linalg import Matrix, combine_mats, vadd
+from .linalg import Matrix, combine_mats, unit_vector, vadd, vsub
 from .residual import Residual, ResidualCollector
 
 Grid = tuple  # grid[i][j] = coordinate tuple of e_i * e_j
@@ -66,7 +66,7 @@ def grids_equal(field: Field, g1: Grid, g2: Grid) -> bool:
         for c1, c2 in zip(r1, r2):
             if len(c1) != len(c2):
                 return False
-            if any(not field.is_zero(field.sub(a, b)) for a, b in zip(c1, c2)):
+            if any(field.reduce([a - b for a, b in zip(c1, c2)])):
                 return False
     return True
 
@@ -115,7 +115,7 @@ class Algebra:
         return vadd(f, self.product(u, v), self.product(v, u))
 
     def basis_vec(self, i: int) -> tuple:
-        return tuple(self.field.one() if k == i else self.field.zero() for k in range(self.dim))
+        return unit_vector(self.field, self.dim, i)
 
     def left_mul(self, a: Sequence) -> Matrix:
         """L(a): b -> a∘b."""
@@ -135,8 +135,8 @@ class Algebra:
         """L(e_i) and R(e_i), read off the product grid: column j of L(e_i)
         is e_i∘e_j, column j of R(e_i) is e_j∘e_i."""
         n, f, mul = self.dim, self.field, self.mul
-        l_mats = tuple(Matrix.from_cols(f, [mul[i][j] for j in range(n)], "A", "A") for i in range(n))
-        r_mats = tuple(Matrix.from_cols(f, [mul[j][i] for j in range(n)], "A", "A") for i in range(n))
+        l_mats = tuple(Matrix.from_cols(f, [mul[i][j] for j in range(n)]) for i in range(n))
+        r_mats = tuple(Matrix.from_cols(f, [mul[j][i] for j in range(n)]) for i in range(n))
         return Bimodule(self, n, l_mats, r_mats)
 
     @cached_property
@@ -245,7 +245,7 @@ class Bimodule:
         return combine_mats(self.field, self.r_mats, a, self.mdim)
 
     def module_basis(self, i: int) -> tuple:
-        return tuple(self.field.one() if k == i else self.field.zero() for k in range(self.mdim))
+        return unit_vector(self.field, self.mdim, i)
 
     def with_product(self, mul: Grid) -> "BimodNov":
         return BimodNov(self.alg, self.mdim, self.l_mats, self.r_mats, mul)
@@ -331,41 +331,31 @@ def abnova_residual(b: BimodNov, require_pre: bool = True) -> Residual:
                 vw = b.mul[v][w]
                 wv = b.mul[w][v]
                 # (l(a)v)·w - l(a)(v·w) = (r(a)v)·w - v·(l(a)w)
-                e1 = _sub4(
-                    f,
+                terms = zip(
                     b.module_product(lav, mb[w]),
                     la.apply(vw),
                     b.module_product(rav, mb[w]),
                     b.module_product(mb[v], law),
                 )
-                col.record("action-vs-product", (a, v, w), e1)
+                col.record("action-vs-product", (a, v, w), f.reduce([p - q - r + s for p, q, r, s in terms]))
                 # r(a)(v·w) - v·(r(a)w) = r(a)(w·v) - w·(r(a)v)
-                e2 = _sub4(
-                    f,
+                terms = zip(
                     ra.apply(vw),
                     b.module_product(mb[v], raw_),
                     ra.apply(wv),
                     b.module_product(mb[w], rav),
                 )
-                col.record("right-action-symmetry", (a, v, w), e2)
+                col.record("right-action-symmetry", (a, v, w), f.reduce([p - q - r + s for p, q, r, s in terms]))
                 # (l(a)v)·w = (l(a)w)·v
-                e3 = tuple(
-                    f.sub(x, y)
-                    for x, y in zip(b.module_product(lav, mb[w]), b.module_product(law, mb[v]))
-                )
+                e3 = vsub(f, b.module_product(lav, mb[w]), b.module_product(law, mb[v]))
                 col.record("left-action-commutes", (a, v, w), e3)
                 # r(a)(v·w) = (r(a)v)·w
-                e4 = tuple(f.sub(x, y) for x, y in zip(ra.apply(vw), b.module_product(rav, mb[w])))
+                e4 = vsub(f, ra.apply(vw), b.module_product(rav, mb[w]))
                 col.record("right-action-product", (a, v, w), e4)
     rep = col.done()
     if require_pre:
         return rep
     return Residual("abnova", base.failures + mod_nov.failures + rep.failures)
-
-
-def _sub4(f, t1, t2, t3, t4):
-    # t1 - t2 - t3 + t4
-    return tuple(f.add(f.sub(f.sub(a, b), c), d) for a, b, c, d in zip(t1, t2, t3, t4))
 
 
 def regular(alg: Algebra, validate: bool = True) -> BimodNov:

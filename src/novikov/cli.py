@@ -126,7 +126,7 @@ def _tensor3_entries(t3, verbose: bool):
         for j in range(n):
             for k in range(n):
                 c = t3[i, j, k]
-                if not fld.is_zero(c):
+                if c:
                     out.append({"slot": [i, j, k], "value": fld.scalar_to_json(c)})
                     if not verbose and len(out) >= 1:
                         return out

@@ -1,18 +1,21 @@
 """Exact scalar arithmetic: the rationals and prime fields F_p.
 
 Scalars are plain Python values (``fractions.Fraction`` over Q, canonical
-``int`` in ``[0, p)`` over F_p).  A ``Field`` object carries the arithmetic
-and the canonicalization; containers (vectors, matrices, tensors, algebras)
-keep a reference to their field and refuse to mix fields.
+``int`` in ``[0, p)`` over F_p).  A ``Field`` object carries the
+canonicalization; containers (vectors, matrices, tensors, algebras) keep a
+reference to their field and refuse to mix fields.
 
-The inner loops of the object path (product grids, vector, matrix and
-tensor arithmetic, tensor contractions) use only Python's own ``+``, ``-``
-and ``*`` on canonical scalars, truthiness as the zero test, and
-``Field.reduce`` once on each finished output.  An accumulator starts at
-``zero()``, so an empty sum over Q is still a ``Fraction``.  ``PolyRing``,
-over which the search evaluates each residual once, symbolically, keeps the
-same contract: its scalars overload these operators and are falsy exactly
-when zero (bare tuples, on which ``+`` concatenates, would not qualify).
+All scalar arithmetic of the object path (product grids, vector, matrix and
+tensor arithmetic, tensor contractions, row reduction, the residuals) uses
+only Python's own ``+``, ``-`` and ``*`` on canonical scalars, truthiness of
+a reduced scalar as the zero test, and ``Field.reduce`` once on each
+finished output; ``inv`` is the only division.  An accumulator starts at
+``zero()``, so an empty sum over Q is still a ``Fraction``.  Over F_p one
+``%`` of the unreduced value is exactly what a reduction after every
+operation gives, and over Q ``reduce`` is the identity.  ``PolyRing``, over
+which the search evaluates each residual once, symbolically, keeps the same
+contract: its scalars overload these operators and are falsy exactly when
+zero (bare tuples, on which ``+`` concatenates, would not qualify).
 """
 
 from __future__ import annotations
@@ -57,7 +60,8 @@ def _is_prime(n: int) -> bool:
 
 class Field:
     """Abstract field descriptor; scalars are plain values canonical for it.
-    The arithmetic defaults to ``coerce``, Python's operators and ``reduce``."""
+    A field supplies ``coerce``, ``reduce``, ``zero``, ``one``, ``inv`` and
+    ``half``; the arithmetic itself is Python's operators on its scalars."""
 
     char: int
 
@@ -67,17 +71,13 @@ class Field:
     def one(self):
         return self.coerce(1)
 
+    # Kept only for the benchmark's per-scalar probe (``perfbench/layers.py``
+    # ``field_probes``); library code uses the operators and ``reduce``.
     def add(self, a, b):
         return self.reduce((a + b,))[0]
 
-    def sub(self, a, b):
-        return self.reduce((a - b,))[0]
-
     def mul(self, a, b):
         return self.reduce((a * b,))[0]
-
-    def neg(self, a):
-        return self.reduce((-a,))[0]
 
     def inv(self, a):
         raise NotImplementedError
@@ -90,9 +90,6 @@ class Field:
         """Canonical scalars for values that ``+``, ``-`` and ``*`` made from
         canonical (or integer) scalars."""
         raise NotImplementedError
-
-    def is_zero(self, a) -> bool:
-        return not self.reduce((a,))[0]
 
     def half(self):
         """Return 1/2, raising NoHalf in characteristic 2."""
@@ -122,18 +119,6 @@ class Rationals(Field):
     def zero(self):
         return Fraction(0)
 
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
@@ -150,9 +135,6 @@ class Rationals(Field):
 
     def reduce(self, values) -> tuple:
         return tuple(values)
-
-    def is_zero(self, a) -> bool:
-        return a == 0
 
     def scalar_to_json(self, a):
         if a.denominator == 1:
@@ -196,18 +178,6 @@ class PrimeField(Field):
     def zero(self):
         return 0
 
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
-
     def inv(self, a):
         a %= self.p
         if a == 0:
@@ -228,9 +198,6 @@ class PrimeField(Field):
     def reduce(self, values) -> tuple:
         p = self.p
         return tuple([x % p for x in values])
-
-    def is_zero(self, a) -> bool:
-        return a % self.p == 0
 
     def scalar_to_json(self, a):
         return int(a)

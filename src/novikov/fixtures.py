@@ -22,10 +22,10 @@ def example_algebra(field: Field = QQ) -> Algebra:
 def example_t(field: Field = QQ) -> LinMap:
     """T(e1) = -2e1 + 4e2, T(e2) = e2."""
     c = field.coerce
-    return LinMap(Matrix.from_cols(field, [(c(-2), c(4)), (c(0), c(1))], "A", "A"))
+    return LinMap(Matrix.from_cols(field, [(c(-2), c(4)), (c(0), c(1))]))
 
 
 def example_beta(field: Field = QQ) -> LinMap:
     """beta(e1) = e1 + 3e2, beta(e2) = e2; balanced and a module homomorphism."""
     c = field.coerce
-    return LinMap(Matrix.from_cols(field, [(c(1), c(3)), (c(0), c(1))], "A", "A"))
+    return LinMap(Matrix.from_cols(field, [(c(1), c(3)), (c(0), c(1))]))

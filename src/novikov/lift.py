@@ -91,7 +91,7 @@ def lift_map(d: DoubleAlg, gamma: LinMap) -> LiftedMap:
             for k in range(m):
                 row[n + k] = gamma.mat[i, k]
         rows.append(row)
-    mat = Matrix.from_rows(f, rows, "Ahat*", "Ahat")
+    mat = Matrix.from_rows(f, rows)
     grid = [[z] * dim for _ in range(dim)]
     for k in range(m):
         img = gamma.mat.col(k)

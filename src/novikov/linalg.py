@@ -23,29 +23,21 @@ def vsub(field: Field, u: Sequence, v: Sequence) -> tuple:
     return field.reduce([a - b for a, b in zip(u, v)])
 
 
-@dataclass(frozen=True, eq=False)
+def unit_vector(field: Field, n: int, i: int) -> tuple:
+    """The i-th standard basis vector of field^n."""
+    one, zero = field.one(), field.zero()
+    return tuple(one if k == i else zero for k in range(n))
+
+
+@dataclass(frozen=True)
 class Matrix:
     """Dense exact matrix; column j is the image of the j-th domain basis
-    vector.  Domain/codomain tags are bookkeeping; equality ignores them."""
+    vector."""
 
     field: Field
     rows: int
     cols: int
     entries: tuple  # row-major, length rows*cols
-    domain: Optional[str] = None
-    codomain: Optional[str] = None
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Matrix)
-            and self.field == other.field
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.field, self.rows, self.cols, self.entries))
 
     def __post_init__(self):
         if len(self.entries) != self.rows * self.cols:
@@ -53,43 +45,43 @@ class Matrix:
         object.__setattr__(self, "entries", tuple(self.field.coerce(c) for c in self.entries))
 
     @classmethod
-    def _canonical(cls, field: Field, rows: int, cols: int, entries: tuple, domain=None, codomain=None) -> "Matrix":
+    def _canonical(cls, field: Field, rows: int, cols: int, entries: tuple) -> "Matrix":
         """Wrap a row-major tuple that is already canonical for ``field`` and
         ``rows * cols`` long: the result of field operations on the entries
         of canonical matrices.  Skips the shape check and ``coerce``; only the
         arithmetic in this module may call it."""
         m = object.__new__(cls)
-        m.__dict__.update(field=field, rows=rows, cols=cols, entries=entries, domain=domain, codomain=codomain)
+        m.__dict__.update(field=field, rows=rows, cols=cols, entries=entries)
         return m
 
     @classmethod
-    def from_rows(cls, field: Field, rows: Iterable[Sequence], domain=None, codomain=None) -> "Matrix":
+    def from_rows(cls, field: Field, rows: Iterable[Sequence]) -> "Matrix":
         rows = [tuple(r) for r in rows]
         nr = len(rows)
         nc = len(rows[0]) if rows else 0
         if any(len(r) != nc for r in rows):
             raise DimMismatch("ragged rows")
         flat = tuple(c for r in rows for c in r)
-        return cls(field, nr, nc, flat, domain, codomain)
+        return cls(field, nr, nc, flat)
 
     @classmethod
-    def from_cols(cls, field: Field, cols: Iterable[Sequence], domain=None, codomain=None) -> "Matrix":
+    def from_cols(cls, field: Field, cols: Iterable[Sequence]) -> "Matrix":
         cols = [tuple(c) for c in cols]
         if not cols:
-            return cls(field, 0, 0, (), domain, codomain)
+            return cls(field, 0, 0, ())
         nr = len(cols[0])
         rows = [[col[i] for col in cols] for i in range(nr)]
-        return cls.from_rows(field, rows, domain, codomain)
+        return cls.from_rows(field, rows)
 
     @classmethod
-    def zeros(cls, field: Field, rows: int, cols: int, domain=None, codomain=None) -> "Matrix":
-        return cls(field, rows, cols, _zeros(field, rows * cols), domain, codomain)
+    def zeros(cls, field: Field, rows: int, cols: int) -> "Matrix":
+        return cls(field, rows, cols, _zeros(field, rows * cols))
 
     @classmethod
-    def identity(cls, field: Field, n: int, space=None) -> "Matrix":
+    def identity(cls, field: Field, n: int) -> "Matrix":
         one, zero = field.one(), field.zero()
         flat = tuple(one if i == j else zero for i in range(n) for j in range(n))
-        return cls(field, n, n, flat, space, space)
+        return cls(field, n, n, flat)
 
     def __getitem__(self, ij) -> object:
         i, j = ij
@@ -110,8 +102,8 @@ class Matrix:
         return not any(self.entries)
 
     def _like(self, flat: list) -> "Matrix":
-        """This shape and these tags, with ``flat`` reduced as the entries."""
-        return Matrix._canonical(self.field, self.rows, self.cols, self.field.reduce(flat), self.domain, self.codomain)
+        """This shape, with ``flat`` reduced as the entries."""
+        return Matrix._canonical(self.field, self.rows, self.cols, self.field.reduce(flat))
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._compat(other)
@@ -138,7 +130,7 @@ class Matrix:
         rows = self.row_list()
         cols = [other.col(j) for j in range(other.cols)]
         flat = [sum(map(mul, ri, cj), z) for ri in rows for cj in cols]
-        return Matrix._canonical(f, self.rows, other.cols, f.reduce(flat), other.domain, self.codomain)
+        return Matrix._canonical(f, self.rows, other.cols, f.reduce(flat))
 
     def apply(self, coords: Sequence) -> tuple:
         """Matrix times coordinate tuple, skipping zero coordinates."""
@@ -153,7 +145,7 @@ class Matrix:
 
     def transpose(self) -> "Matrix":
         flat = tuple(self.entries[i * self.cols + j] for j in range(self.cols) for i in range(self.rows))
-        return Matrix._canonical(self.field, self.cols, self.rows, flat, self.codomain, self.domain)
+        return Matrix._canonical(self.field, self.cols, self.rows, flat)
 
     def _compat(self, other: "Matrix"):
         if self.field != other.field:
@@ -173,31 +165,29 @@ def combine_mats(field: Field, mats: Sequence, coeffs: Sequence, mdim: int) -> M
 
 
 def rref(m: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form with leftmost pivots normalized to 1."""
+    """Reduced row echelon form with leftmost pivots normalized to 1.  Each
+    row operation is one pass of ``*`` and ``-`` reduced once; ``inv`` is
+    the only division."""
     f = m.field
-    rows = [list(m.row(i)) for i in range(m.rows)]
+    rows = [m.row(i) for i in range(m.rows)]
     pivots: list[int] = []
     pr = 0
     for pc in range(m.cols):
-        pivot_row = None
-        for i in range(pr, m.rows):
-            if not f.is_zero(rows[i][pc]):
-                pivot_row = i
-                break
+        pivot_row = next((i for i in range(pr, m.rows) if rows[i][pc]), None)
         if pivot_row is None:
             continue
         rows[pr], rows[pivot_row] = rows[pivot_row], rows[pr]
         inv = f.inv(rows[pr][pc])
-        rows[pr] = [f.mul(inv, c) for c in rows[pr]]
-        for i in range(m.rows):
-            if i != pr and not f.is_zero(rows[i][pc]):
-                factor = rows[i][pc]
-                rows[i] = [f.sub(a, f.mul(factor, b)) for a, b in zip(rows[i], rows[pr])]
+        prow = rows[pr] = f.reduce([inv * c for c in rows[pr]])
+        for i, row in enumerate(rows):
+            factor = row[pc]
+            if i != pr and factor:
+                rows[i] = f.reduce([a - factor * b for a, b in zip(row, prow)])
         pivots.append(pc)
         pr += 1
         if pr == m.rows:
             break
-    return Matrix.from_rows(f, rows, m.domain, m.codomain), pivots
+    return Matrix._canonical(f, m.rows, m.cols, tuple(c for row in rows for c in row)), pivots
 
 
 def kernel_basis(m: Matrix) -> list[tuple]:
@@ -206,13 +196,13 @@ def kernel_basis(m: Matrix) -> list[tuple]:
     f = m.field
     red, pivots = rref(m)
     pivot_set = set(pivots)
-    free_cols = [j for j in range(m.cols) if j not in pivot_set]
     basis = []
-    for free in free_cols:
-        coords = [f.zero()] * m.cols
-        coords[free] = f.one()
-        for r, pc in enumerate(pivots):
-            coords[pc] = f.neg(red[r, free])
+    for free in range(m.cols):
+        if free in pivot_set:
+            continue
+        coords = list(unit_vector(f, m.cols, free))
+        for pc, c in zip(pivots, f.reduce([-red[r, free] for r in range(len(pivots))])):
+            coords[pc] = c
         basis.append(tuple(coords))
     return basis
 
@@ -239,7 +229,7 @@ def inverse(m: Matrix) -> Matrix:
     if pivots[:n] != list(range(n)):
         raise SingularT("matrix is singular")
     rows = [red.row(i)[n:] for i in range(n)]
-    return Matrix.from_rows(f, rows, m.codomain, m.domain)
+    return Matrix.from_rows(f, rows)
 
 
 def solve_right(m: Matrix, target: Sequence) -> Optional[tuple]:

@@ -21,12 +21,8 @@ class LinMap:
     mat: Matrix
 
     @classmethod
-    def from_cols(cls, field: Field, cols, domain="M", codomain="A") -> "LinMap":
-        return cls(Matrix.from_cols(field, cols, domain, codomain))
-
-    @classmethod
     def zero(cls, field: Field, dim: int, mdim: int) -> "LinMap":
-        return cls(Matrix.zeros(field, dim, mdim, "M", "A"))
+        return cls(Matrix.zeros(field, dim, mdim))
 
     @classmethod
     def identity(cls, field: Field, dim: int) -> "LinMap":
@@ -106,11 +102,11 @@ def invariant_residual(ctx: BimodNov, beta: LinMap, kappa) -> Residual:
     f = ctx.field
     kappa = f.coerce(kappa)
     col = ResidualCollector(f, "invariant")
-    if f.is_zero(kappa):
+    if not kappa:
         return col.done()
     rep = bimodule_hom_residual(ctx, beta)
     scaled = tuple(
-        type(fail)(fail.identity, fail.indices, tuple(f.mul(kappa, c) for c in fail.value))
+        type(fail)(fail.identity, fail.indices, f.reduce([kappa * c for c in fail.value]))
         for fail in rep.failures
     )
     return Residual("invariant", scaled)
@@ -147,7 +143,7 @@ def equivalent_residual(ctx: BimodNov, beta: LinMap, mu) -> Residual:
     f = ctx.field
     mu = f.coerce(mu)
     col = ResidualCollector(f, "equivalent")
-    if f.is_zero(mu):
+    if not mu:
         return col.done()
     m = ctx.mdim
     mb = [ctx.module_basis(i) for i in range(m)]
@@ -162,12 +158,12 @@ def equivalent_residual(ctx: BimodNov, beta: LinMap, mu) -> Residual:
             lu_v = l_imgs[u].col(v)
             for w in range(m):
                 # l(beta(u·v))w = (l(beta(u))v)·w
-                e1 = vsub(f, lb_uv.col(w), ctx.module_product(lu_v, mb[w]))
-                col.record("equiv-left", (u, v, w), tuple(f.mul(mu, c) for c in e1))
+                e1 = zip(lb_uv.col(w), ctx.module_product(lu_v, mb[w]))
+                col.record("equiv-left", (u, v, w), f.reduce([mu * (x - y) for x, y in e1]))
                 # r(beta(v·w))u = u·(r(beta(w))v)
                 rw_v = r_imgs[w].col(v)
-                e2 = vsub(f, rb[v][w].col(u), ctx.module_product(mb[u], rw_v))
-                col.record("equiv-right", (u, v, w), tuple(f.mul(mu, c) for c in e2))
+                e2 = zip(rb[v][w].col(u), ctx.module_product(mb[u], rw_v))
+                col.record("equiv-right", (u, v, w), f.reduce([mu * (x - y) for x, y in e2]))
     return col.done()
 
 
@@ -249,9 +245,8 @@ def ext_o_equation_residual(ctx: BimodNov, alpha: LinMap, beta: Optional[LinMap]
         for v in range(m):
             val = eq[u][v]
             if extended:
-                bb = ctx.alg.product(b_imgs[u], b_imgs[v])
-                val = vsub(f, val, tuple(f.mul(p.kappa, c) for c in bb))
-                val = vsub(f, val, tuple(f.mul(p.mu, c) for c in beta(ctx.mul[u][v])))
+                terms = zip(val, ctx.alg.product(b_imgs[u], b_imgs[v]), beta(ctx.mul[u][v]))
+                val = f.reduce([x - p.kappa * y - p.mu * z for x, y, z in terms])
             col.record("ext-o", (u, v), val)
     return col.done()
 
@@ -294,9 +289,7 @@ def star_product(ctx: BimodNov, alpha: LinMap, weight) -> tuple[Grid, Residual]:
 
     f = ctx.field
     grid = induced_product(ctx, alpha, alpha, weight)
-    defect = tuple(
-        tuple(tuple(f.neg(c) for c in cell) for cell in row) for row in equation_grid(ctx, alpha, grid)
-    )
+    defect = tuple(tuple(f.reduce([-c for c in cell]) for cell in row) for row in equation_grid(ctx, alpha, grid))
     col = ResidualCollector(f, "star-closure")
     module_closure(ctx, defect, col)
     return grid, col.done()

@@ -31,7 +31,7 @@ from .errors import (
     SymPartNotInvariant,
 )
 from .fields import Field
-from .linalg import Matrix, column_space_pivots, inverse, kernel_basis, rank, solve_right, vadd, vsub
+from .linalg import Matrix, column_space_pivots, inverse, kernel_basis, rank, solve_right, unit_vector, vadd, vsub
 from .operators import LinMap, hom_residual, o_operator_residual, rota_baxter_residual
 from .residual import Residual, ResidualCollector
 
@@ -94,7 +94,7 @@ def post_residual(p: PostNov) -> Residual:
     col = ResidualCollector(f, "post-novikov")
     base = novikov_residual(p.base_algebra())
     ssum = p.sum_grid()
-    basis = [tuple(f.one() if k == i else f.zero() for k in range(n)) for i in range(n)]
+    basis = [unit_vector(f, n, i) for i in range(n)]
     for a in range(n):
         for b in range(n):
             for c in range(n):
@@ -180,7 +180,7 @@ def trialgebra_residual(t: CommTrialgebra) -> Residual:
     f = t.field
     n = t.dim
     col = ResidualCollector(f, "trialgebra")
-    basis = [tuple(f.one() if k == i else f.zero() for k in range(n)) for i in range(n)]
+    basis = [unit_vector(f, n, i) for i in range(n)]
     for a in range(n):
         for b in range(n):
             col.record("dot-commutative", (a, b), vsub(f, t.dot[a][b], t.dot[b][a]))
@@ -216,7 +216,7 @@ def derivation_residual(t: CommTrialgebra) -> Residual:
     n = t.dim
     d = t.deriv
     col = ResidualCollector(f, "derivation")
-    basis = [tuple(f.one() if k == i else f.zero() for k in range(n)) for i in range(n)]
+    basis = [unit_vector(f, n, i) for i in range(n)]
     for a in range(n):
         da = d.col(a)
         for b in range(n):
@@ -245,7 +245,7 @@ def post_from_trialgebra(t: CommTrialgebra, validate: bool = True) -> PostNov:
             raise NotDerivation("the map is not a derivation of both products")
     f = t.field
     n = t.dim
-    basis = [tuple(f.one() if k == i else f.zero() for k in range(n)) for i in range(n)]
+    basis = [unit_vector(f, n, i) for i in range(n)]
     dcols = [t.deriv.col(j) for j in range(n)]
     circ = tuple(tuple(t.dot_prod(basis[i], dcols[j]) for j in range(n)) for i in range(n))
     tri_l = tuple(tuple(t.circ_prod(basis[i], dcols[j]) for j in range(n)) for i in range(n))
@@ -263,9 +263,7 @@ def post_from_o(ctx: BimodNov, alpha: LinMap, weight, validate: bool = True) -> 
     m = ctx.mdim
     mb = [ctx.module_basis(i) for i in range(m)]
     imgs = [alpha(mb[i]) for i in range(m)]
-    circ = tuple(
-        tuple(tuple(f.mul(weight, c) for c in ctx.mul[u][v]) for v in range(m)) for u in range(m)
-    )
+    circ = tuple(tuple(f.reduce([weight * c for c in ctx.mul[u][v]]) for v in range(m)) for u in range(m))
     l_imgs = [ctx.l_of(img) for img in imgs]
     r_imgs = [ctx.r_of(img) for img in imgs]
     tri_r = tuple(tuple(l_imgs[u].col(v) for v in range(m)) for u in range(m))
@@ -333,7 +331,7 @@ def post_on_image(ctx: BimodNov, alpha: LinMap, weight, alt_preimage_check: bool
             crow, lrow, rrow = [], [], []
             for t in range(d):
                 uv = ctx.module_product(preimages[s], preimages[t])
-                crow.append(in_image_coords(tuple(f.mul(weight, c) for c in alpha(uv))))
+                crow.append(in_image_coords(f.reduce([weight * c for c in alpha(uv)])))
                 lrow.append(in_image_coords(alpha(ctx.r_of(a_imgs[t]).apply(preimages[s]))))
                 rrow.append(in_image_coords(alpha(ctx.l_of(a_imgs[s]).apply(preimages[t]))))
             circ_rows.append(tuple(crow))

@@ -258,7 +258,7 @@ def _skew_tensor(field: Field, n: int, rng: random.Random) -> Tensor2:
         for j in range(i + 1, n):
             c = field.sample(rng)
             grid[i][j] = c
-            grid[j][i] = field.neg(c)
+            grid[j][i] = -c
     return Tensor2(field, tuple(tuple(r) for r in grid))
 
 
@@ -287,8 +287,7 @@ def _epsilon(field: Field) -> Callable:
     equation that matches the extension equation of mass (0, kappa, 0).
     Raises NoHalf in characteristic 2, where 1/4 does not exist."""
     half = field.half()
-    quarter = field.mul(half, half)
-    return lambda kappa: field.mul(field.add(kappa, field.one()), quarter)
+    return lambda kappa: field.reduce(((kappa + 1) * half * half,))[0]
 
 
 def _one_by_one(field: Field, *scalars) -> tuple:
@@ -372,7 +371,7 @@ def _guaranteed_ext_instance(ctx: BimodNov, field: Field, lam, kappa):
     """alpha = beta = id with mu = -1 - lam - kappa is always extended."""
     n = ctx.alg.dim
     ident = LinMap.identity(field, n)
-    mu = field.sub(field.sub(field.coerce(-1), field.coerce(lam)), field.coerce(kappa))
+    mu = field.reduce((-1 - lam - kappa,))[0]
     return ident, ident, MassParams(lam, kappa, mu)
 
 
@@ -427,7 +426,7 @@ def _p_delta_pm(run: PropertyRun, opts: Options) -> None:
             grid, _ = star_product(reg, alpha, lam)
             star_alg = Algebra(field, alg.dim, grid)
             for sign in (1, -1):
-                eq = ext_o_equation_residual(reg, alpha, beta, MassParams(lam, -1, field.mul(sign, lam))).is_zero
+                eq = ext_o_equation_residual(reg, alpha, beta, MassParams(lam, -1, sign * lam)).is_zero
                 delta = alpha + beta.scale(sign)
                 run.equivalent(
                     eq,
@@ -470,7 +469,7 @@ def _p_r_pm(run: PropertyRun, opts: Options) -> None:
                 )
             alpha = LinMap(random_matrix(field, alg.dim, alg.dim, rng))
             for sign, ctx in ((1, ctx_p), (-1, ctx_m)):
-                eq = ext_o_equation_residual(reg, alpha, beta, MassParams(lam, -1, field.mul(sign, lam))).is_zero
+                eq = ext_o_equation_residual(reg, alpha, beta, MassParams(lam, -1, sign * lam)).is_zero
                 delta = alpha + beta.scale(sign)
                 run.expect(
                     eq == o_operator_residual(ctx, delta, 1).is_zero,
@@ -493,11 +492,11 @@ def _p_cor_bax(run: PropertyRun, opts: Options) -> None:
             t = LinMap(random_matrix(field, 2, 2, rng))
             for lam in lams:
                 for sign in (1, -1):
-                    hk = field.add(field.coerce(-1), field.mul(sign, lam))  # -1 ± lam
+                    hk = sign * lam - 1  # -1 ± lam
                     eq = ext_o_equation_residual(
                         regular(alg, validate=False), t, ident, MassParams(lam, hk, 0)
                     ).is_zero
-                    w = field.sub(lam, field.coerce(2 * sign))
+                    w = lam - 2 * sign
                     run.equivalent(
                         eq,
                         rota_baxter_residual(alg, t + ident.scale(sign), w).is_zero,
@@ -525,7 +524,7 @@ def _p_baxter(run: PropertyRun, opts: Options) -> None:
             if bax:
                 run.count(hits=1)
                 for sign in (1, -1):
-                    s = (t + ident.scale(sign)).scale(field.mul(-sign, half))  # (T ± id)/(∓2)
+                    s = (t + ident.scale(sign)).scale(-sign * half)  # (T ± id)/(∓2)
                     ok = post_residual(post_from_rb(alg, s, 1)).is_zero
                     run.expect(ok, "Baxter-derived triple not post-Novikov", algebra=alg, t=t)
 
@@ -539,7 +538,7 @@ def _p_cons(run: PropertyRun, opts: Options) -> None:
         basis = balanced_hom_basis(reg)
         lam = field.sample(rng)
         # identity family: T = beta = id with kappa = -1 - lam
-        kap = field.sub(field.coerce(-1), lam)
+        kap = field.reduce((-1 - lam,))[0]
         cand = [(LinMap.identity(field, alg.dim), LinMap.identity(field, alg.dim), lam, kap)]
         for _ in range(max(2, opts.trials // 4)):
             beta = sample_from_basis(basis, rng, field)
@@ -779,7 +778,7 @@ def _p_cor_enybe(run: PropertyRun, opts: Options) -> None:
             )
             s3 = ext_o_equation_residual(ctx0, rt.alpha, rt.beta, MassParams(0, -1, 0)).is_zero
             star_grid = tuple(
-                tuple(tuple(field.neg(c) for c in cell) for cell in row)
+                tuple(field.reduce([-c for c in cell]) for cell in row)
                 for row in circ_delta(alg, r, cross_validate=False)
             )
             star_alg = Algebra(field, alg.dim, star_grid)
@@ -1059,9 +1058,9 @@ def _p_cor_gn(run: PropertyRun, opts: Options) -> None:
         for _ in range(max(3, opts.trials // 3)):
             t = LinMap(random_matrix(field, alg.dim, alg.dim, rng))
             lam = field.sample(rng)
-            if field.is_zero(lam):
+            if not lam:
                 continue
-            gamma = t.scale(field.mul(field.coerce(2), field.inv(lam))) + ident
+            gamma = t.scale(2 * field.inv(lam)) + ident
             pg = lift_map(d, gamma)
             qi = lift_map(d, ident)
             x_plus = pg.tensor_minus + qi.tensor_plus
@@ -1104,10 +1103,7 @@ def _p_gnybe_prod(run: PropertyRun, opts: Options) -> None:
         f = alg.field
         samples = [_skew_tensor(f, alg.dim, rng) for _ in range(max(3, opts.trials // 3))]
         if isinstance(f, PrimeField) and alg.dim == 2:
-            samples = [
-                Tensor2(f, ((f.zero(), f.coerce(c)), (f.neg(f.coerce(c)), f.zero())))
-                for c in range(f.p)
-            ]
+            samples = [Tensor2(f, ((0, c), (-c, 0))) for c in range(f.p)]
         for r in samples:
             run.equivalent(
                 gnybe_flag(alg, r),
@@ -1179,9 +1175,7 @@ def cor_a_residual(ctx: BimodNov, alpha: LinMap, weight) -> Residual:
     f = ctx.field
     lam = f.coerce(weight)
     m = ctx.mdim
-    b = tuple(
-        tuple(tuple(f.mul(lam, c) for c in alpha(ctx.mul[u][v])) for v in range(m)) for u in range(m)
-    )
+    b = tuple(tuple(f.reduce([lam * c for c in alpha(ctx.mul[u][v])]) for v in range(m)) for u in range(m))
     return closure_residual(ctx, b)
 
 
@@ -1212,5 +1206,5 @@ def _p_goper_cor(run: PropertyRun, opts: Options) -> None:
                 alpha=alpha,
                 weight=params.weight,
             )
-            if field.is_zero(field.coerce(params.weight)) and not lhs:
+            if not field.coerce(params.weight) and not lhs:
                 run.fail("weight-0 extended operator must lift to a solution", algebra=alg, alpha=alpha)

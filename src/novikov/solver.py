@@ -4,7 +4,11 @@ seeded random instance generation: the oracle behind the property sweeps.
 Every search kind is one depth-first search whose constraints are the kind's
 object-path residual, evaluated once over a polynomial ring in the unknowns;
 the linear spaces come from the same residuals, probed on unit inputs (exact
-for a linear residual).  No identity is written here a second time."""
+for a linear residual).  No identity is written here a second time.  The
+ring (``fields.PolyRing``) keeps the scalar contract of every other field,
+``+``, ``-``, ``*``, truthiness and one ``reduce`` per output, so the
+residuals run on it unchanged; it needs only ``coerce``, ``reduce``, ``inv``
+(which raises) and ``variables``."""
 
 from __future__ import annotations
 
@@ -203,12 +207,13 @@ def _tensor_residual(identity: str, t: Tensor3) -> Residual:
     return col.done()
 
 
-def _nonzero_coords(field: Field, report: Residual) -> Iterator[tuple]:
+def _nonzero_coords(report: Residual) -> Iterator[tuple]:
     """(key, value) for each nonzero coordinate of a report, keyed by
-    (identity, indices, coordinate); a coordinate not reported is zero."""
+    (identity, indices, coordinate); a coordinate not reported is zero.
+    Reported values are reduced, so truthiness is the zero test."""
     for fail in report.failures:
         for k, c in enumerate(fail.value):
-            if not field.is_zero(c):
+            if c:
                 yield (fail.identity, fail.indices, k), c
 
 
@@ -240,7 +245,7 @@ def _residual_coords(spec: SearchSpec, ring: Optional[PolyRing] = None) -> Calla
         residual = lambda form: invariant_form_residual(alg, form)
     else:
         raise NovikovError(kind)
-    return lambda coeffs: dict(_nonzero_coords(f, residual(solution_to_object(spec, coeffs, f))))
+    return lambda coeffs: dict(_nonzero_coords(residual(solution_to_object(spec, coeffs, f))))
 
 
 def _constraint_levels(polys, k: int, p: int) -> list[list]:
@@ -429,7 +434,7 @@ def residual_space(field: Field, units: Sequence, *residuals: Callable[[object],
     rows: dict = {}
     for col, unit in enumerate(units):
         for which, residual in enumerate(residuals):
-            for key, c in _nonzero_coords(field, residual(unit)):
+            for key, c in _nonzero_coords(residual(unit)):
                 rows.setdefault((which, *key), [field.zero()] * len(units))[col] = c
     mat = Matrix.from_rows(field, rows.values()) if rows else Matrix.zeros(field, 1, len(units))
     return kernel_basis(mat)

@@ -68,7 +68,7 @@ class Tensor2:
         """Reduce a row-major list that ``+``, ``-`` and ``*`` made from
         canonical scalars, and nest it as an n x n grid."""
         vals = field.reduce(flat)
-        return cls._canonical(field, tuple(vals[i : i + n] for i in range(0, n * n, n)))
+        return cls._canonical(field, tuple(vals[i * n : i * n + n] for i in range(n)))
 
     def __add__(self, other: "Tensor2") -> "Tensor2":
         self._compat(other)
@@ -194,8 +194,8 @@ class Tensor3:
         """Reduce a row-major list as ``Tensor2._from_flat`` does, and nest
         it as an n x n x n grid."""
         vals = field.reduce(flat)
-        rows = [vals[i : i + n] for i in range(0, n * n * n, n)]
-        return cls._canonical(field, tuple(tuple(rows[i : i + n]) for i in range(0, n * n, n)))
+        rows = [vals[i * n : i * n + n] for i in range(n * n)]
+        return cls._canonical(field, tuple(tuple(rows[i * n : i * n + n]) for i in range(n)))
 
     def __add__(self, other: "Tensor3") -> "Tensor3":
         self._compat(other)
@@ -325,5 +325,5 @@ def tensor2_from_pairs(field: Field, n: int, pairs: Sequence[tuple[int, int, obj
     """Build Σ c·e_i⊗e_j from (i, j, c) triples."""
     grid = [[field.zero()] * n for _ in range(n)]
     for i, j, c in pairs:
-        grid[i][j] = field.add(grid[i][j], field.coerce(c))
-    return Tensor2(field, tuple(tuple(r) for r in grid))
+        grid[i][j] += field.coerce(c)
+    return Tensor2._from_flat(field, n, [c for row in grid for c in row])

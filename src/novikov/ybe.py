@@ -22,7 +22,7 @@ def hat_matrices(r: Tensor2) -> tuple[Matrix, Matrix]:
     Column i of the first is row i of the coefficient grid; the second is
     the hat of the flipped tensor, i.e. the plain grid read column-wise.
     """
-    hat_t = Matrix.from_rows(r.field, r.grid, "A*", "A")
+    hat_t = Matrix.from_rows(r.field, r.grid)
     return hat_t.transpose(), hat_t
 
 
@@ -188,7 +188,7 @@ class BilForm:
         return self.field.reduce((acc,))[0]
 
     def phi(self) -> Matrix:
-        return Matrix.from_rows(self.field, self.grid, "A", "A*")
+        return Matrix.from_rows(self.field, self.grid)
 
     def is_nondegenerate(self) -> bool:
         from .linalg import rank
@@ -211,8 +211,8 @@ def invariant_form_residual(alg: Algebra, form: BilForm) -> Residual:
             ab = alg.mul[a][b]
             for c in range(n):
                 star_ac = alg.basis_star(a, c)
-                val = f.add(form.value(ab, basis[c]), form.value(basis[b], star_ac))
-                col.record("invariant-form", (a, b, c), (val,))
+                val = form.value(ab, basis[c]) + form.value(basis[b], star_ac)
+                col.record("invariant-form", (a, b, c), f.reduce((val,)))
     return col.done()
 
 

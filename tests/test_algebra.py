@@ -47,7 +47,7 @@ def test_star_values(a2):
 
 def test_lr_matrices(a2):
     left, right, lstar = lr_matrices(a2, a2.basis_vec(0))
-    assert left == Matrix.identity(QQ, 2, space="A")
+    assert left == Matrix.identity(QQ, 2)
     left2, _, _ = lr_matrices(a2, a2.basis_vec(1))
     assert left2.col(0) == (0, 1) and left2.col(1) == (0, 0)  # e1↦e2, e2↦0
     z, zr, zs = lr_matrices(a2, (0, 0))

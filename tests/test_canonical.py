@@ -1,6 +1,6 @@
 """Arithmetic results are canonical by construction, the native-operator
-inner loops equal folds written with field methods, the per-algebra action
-and product-table caches equal freshly built ones, the one-pass induced
+inner loops equal folds that reduce after every operation, the per-algebra
+action and product-table caches equal freshly built ones, the one-pass induced
 product and the summed contractions equal the code they replaced, and only
 the arithmetic modules may skip coercion."""
 
@@ -126,24 +126,46 @@ def test_combine_mats_matches_scale_and_add_fold(ops):
     mdim = mats[0].rows
     fold = Matrix.zeros(f, mdim, mdim)
     for i, c in enumerate(coeffs):
-        if not f.is_zero(c):
+        if not _is_zero(f, c):
             fold = fold + mats[i].scale(c)
     got = combine_mats(f, mats, coeffs, mdim)
     assert got == fold and _typed(got.entries) == _typed(fold.entries)
 
 
 # ---------------------------------------------------------------------------
-# the native-operator loops against folds written with field methods
+# the native-operator loops against folds that reduce after every operation
+
+
+# Reference arithmetic that reduces after every operation, as the per-scalar
+# field methods did; the code under test reduces once per output.
+def _add(f, a, b):
+    return f.reduce((a + b,))[0]
+
+
+def _sub(f, a, b):
+    return f.reduce((a - b,))[0]
+
+
+def _mul(f, a, b):
+    return f.reduce((a * b,))[0]
+
+
+def _neg(f, a):
+    return f.reduce((-a,))[0]
+
+
+def _is_zero(f, a) -> bool:
+    return not f.reduce((a,))[0]
 
 
 def _fold_grid_product(f, grid, u, v) -> tuple:
-    """Σ u_i v_j grid[i][j], every scalar through the field's methods."""
+    """Σ u_i v_j grid[i][j], reduced after every operation."""
     out = [f.zero()] * len(grid[0][0])
     for i, cu in enumerate(u):
         for j, cv in enumerate(v):
-            c = f.mul(f.coerce(cu), f.coerce(cv))
+            c = _mul(f, f.coerce(cu), f.coerce(cv))
             for k, x in enumerate(grid[i][j]):
-                out[k] = f.add(out[k], f.mul(c, f.coerce(x)))
+                out[k] = _add(f, out[k], _mul(f, c, f.coerce(x)))
     return tuple(out)
 
 
@@ -166,12 +188,12 @@ def _fold_combine(alg, r, s, kind) -> list:
     args, star, where = _LEGS[kind]
     out = {}
     for a, b, c, d in itertools.product(range(n), repeat=4):
-        coeff = f.mul(r.grid[a][b], s.grid[c][d])
+        coeff = _mul(f, r.grid[a][b], s.grid[c][d])
         x, y = args(a, b, c, d)
-        prod = [f.add(u, v) for u, v in zip(mul[x][y], mul[y][x])] if star else mul[x][y]
+        prod = [_add(f, u, v) for u, v in zip(mul[x][y], mul[y][x])] if star else mul[x][y]
         for t in range(n):
             key = where(a, b, c, d, t)
-            out[key] = f.add(out.get(key, f.zero()), f.mul(coeff, prod[t]))
+            out[key] = _add(f, out.get(key, f.zero()), _mul(f, coeff, prod[t]))
     return [out.get((i, j, k), f.zero()) for i in range(n) for j in range(n) for k in range(n)]
 
 
@@ -182,7 +204,7 @@ def _fold_apply_slot(t, slot, mat) -> list:
     for idx in itertools.product(range(n), repeat=2 if isinstance(t, Tensor2) else 3):
         acc = f.zero()
         for src in range(n):
-            acc = f.add(acc, f.mul(mat[idx[slot], src], t[idx[:slot] + (src,) + idx[slot + 1 :]]))
+            acc = _add(f, acc, _mul(f, mat[idx[slot], src], t[idx[:slot] + (src,) + idx[slot + 1 :]]))
         out.append(acc)
     return out
 
@@ -216,7 +238,7 @@ def test_native_loops_match_field_method_folds(ops):
     assert _typed(grid_product(f, grid, u, v)) == _typed(_fold_grid_product(f, grid, u, v))
     fold = tuple(f.zero() for _ in range(n))
     for k, c in enumerate(u):
-        fold = tuple(f.add(o, f.mul(mat[i, k], f.coerce(c))) for i, o in enumerate(fold))
+        fold = tuple(_add(f, o, _mul(f, mat[i, k], f.coerce(c))) for i, o in enumerate(fold))
     assert _typed(mat.apply(u)) == _typed(fold)
     alg = Algebra(f, n, grid)
     for kind in CONTRACTION_KINDS:
@@ -242,30 +264,30 @@ def test_empty_sums_over_q_stay_fractions():
 
 def _fold_product(f, mul, u, v) -> tuple:
     """The bilinear product as it was computed before the native loops:
-    a field-method fold that skips zero scalars."""
+    a per-operation fold that skips zero scalars."""
     out = [f.zero()] * len(mul)
     for i, cu in enumerate(u):
-        if f.is_zero(cu):
+        if _is_zero(f, cu):
             continue
         for j, cv in enumerate(v):
-            if f.is_zero(cv):
+            if _is_zero(f, cv):
                 continue
-            c = f.mul(cu, cv)
+            c = _mul(f, cu, cv)
             for k, x in enumerate(mul[i][j]):
-                if not f.is_zero(x):
-                    out[k] = f.add(out[k], f.mul(c, x))
+                if not _is_zero(f, x):
+                    out[k] = _add(f, out[k], _mul(f, c, x))
     return tuple(out)
 
 
 def _six_product_novikov_residual(alg):
     """The Novikov residual as it was written before the associator tables:
-    six products per basis triple, each through the field-method fold."""
+    six products per basis triple, each through the per-operation fold."""
     f, n, mul = alg.field, alg.dim, alg.mul
     failures = []
     basis = [alg.basis_vec(i) for i in range(n)]
 
     def record(identity, idx, value):
-        if not all(f.is_zero(c) for c in value):
+        if not all(_is_zero(f, c) for c in value):
             failures.append((identity, idx, value))
 
     for i in range(n):
@@ -274,12 +296,12 @@ def _six_product_novikov_residual(alg):
             for k in range(n):
                 ek = basis[k]
                 lhs = _fold_product(f, mul, ij, ek)
-                lhs = tuple(f.sub(x, y) for x, y in zip(lhs, _fold_product(f, mul, basis[i], mul[j][k])))
-                lhs = tuple(f.sub(x, y) for x, y in zip(lhs, _fold_product(f, mul, ji, ek)))
-                lhs = tuple(f.add(x, y) for x, y in zip(lhs, _fold_product(f, mul, basis[j], mul[i][k])))
+                lhs = tuple(_sub(f, x, y) for x, y in zip(lhs, _fold_product(f, mul, basis[i], mul[j][k])))
+                lhs = tuple(_sub(f, x, y) for x, y in zip(lhs, _fold_product(f, mul, ji, ek)))
+                lhs = tuple(_add(f, x, y) for x, y in zip(lhs, _fold_product(f, mul, basis[j], mul[i][k])))
                 record("left-symmetry", (i, j, k), lhs)
                 rc = tuple(
-                    f.sub(x, y) for x, y in zip(_fold_product(f, mul, ij, ek), _fold_product(f, mul, mul[i][k], basis[j]))
+                    _sub(f, x, y) for x, y in zip(_fold_product(f, mul, ij, ek), _fold_product(f, mul, mul[i][k], basis[j]))
                 )
                 record("right-commutativity", (i, j, k), rc)
     return failures
@@ -344,7 +366,7 @@ def _fresh_actions(alg):
     left = [Matrix.from_cols(f, [grid_product(f, alg.mul, e[i], e[j]) for j in range(n)]) for i in range(n)]
     right = [Matrix.from_cols(f, [grid_product(f, alg.mul, e[j], e[i]) for j in range(n)]) for i in range(n)]
     dual_l = [
-        Matrix.from_rows(f, [[f.neg(f.add(lm[k, j], rm[k, j])) for k in range(n)] for j in range(n)])
+        Matrix.from_rows(f, [[_neg(f, _add(f, lm[k, j], rm[k, j])) for k in range(n)] for j in range(n)])
         for lm, rm in zip(left, right)
     ]
     dual_r = [Matrix.from_rows(f, [[rm[k, j] for k in range(n)] for j in range(n)]) for rm in right]
@@ -409,7 +431,7 @@ def _ref_induced_product(ctx, left, right, weight):
     r_imgs = [ctx.r_of(right.mat.col(v)) for v in range(m)]
     return tuple(
         tuple(
-            vadd(f, vadd(f, l_imgs[u].col(v), r_imgs[v].col(u)), tuple(f.mul(weight, c) for c in ctx.mul[u][v]))
+            vadd(f, vadd(f, l_imgs[u].col(v), r_imgs[v].col(u)), tuple(_mul(f, weight, c) for c in ctx.mul[u][v]))
             for v in range(m)
         )
         for u in range(m)
@@ -459,7 +481,7 @@ def _ref_nybe(alg, r):
 
 def _ref_enybe(alg, r, epsilon):
     epsilon = alg.field.coerce(epsilon)
-    if alg.field.is_zero(epsilon):
+    if _is_zero(alg.field, epsilon):
         return _ref_nybe(alg, r)
     s = r + flip(r)
     return _ref_nybe(alg, r) - _ref_combine(alg, s, s, "13o23").scale(epsilon)
@@ -601,11 +623,11 @@ def test_bilform_matches_field_method_folds(ops):
     fold = f.zero()
     for i, cu in enumerate(u):
         for j, cv in enumerate(v):
-            fold = f.add(fold, f.mul(f.mul(f.coerce(cu), f.coerce(cv)), form.grid[i][j]))
+            fold = _add(f, fold, _mul(f, _mul(f, f.coerce(cu), f.coerce(cv)), form.grid[i][j]))
     assert _typed([form.value(u, v)]) == _typed([fold])
-    want = all(f.is_zero(f.sub(form.grid[i][j], form.grid[j][i])) for i in range(n) for j in range(n))
+    want = all(_is_zero(f, _sub(f, form.grid[i][j], form.grid[j][i])) for i in range(n) for j in range(n))
     assert form.is_symmetric() == want
-    sym = BilForm(f, [[f.add(form.grid[i][j], form.grid[j][i]) for j in range(n)] for i in range(n)])
+    sym = BilForm(f, [[_add(f, form.grid[i][j], form.grid[j][i]) for j in range(n)] for i in range(n)])
     assert sym.is_symmetric()
 
 
@@ -703,3 +725,32 @@ def test_only_arithmetic_modules_skip_coercion():
     assert offenders == []
     for name in defining:
         assert _private_constructor_uses(ast.parse((SRC / name).read_text()))
+
+
+def _per_scalar_calls(tree) -> list:
+    """Lines calling an attribute ``sub``, ``neg``, ``mul`` or ``is_zero``
+    with arguments: the per-scalar field arithmetic (``add`` is left out
+    because sets have one; ``Matrix.is_zero()`` takes no arguments)."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in {"sub", "neg", "mul", "is_zero"}
+        and (node.args or node.keywords)
+    ]
+
+
+def test_no_module_calls_per_scalar_field_arithmetic():
+    """The object path has one scalar contract, ``+ - *``, truthiness of a
+    reduced scalar and one ``reduce`` per output, so no module under
+    ``src/novikov`` calls per-scalar field methods."""
+    assert _per_scalar_calls(ast.parse("f.sub(a, b)\nf.neg(a)\nf.mul(a, b)\nf.is_zero(a)\nm.is_zero()")) == [1, 2, 3, 4]
+    modules = sorted(SRC.rglob("*.py"))
+    assert len(modules) > 10
+    offenders = [
+        f"{p.relative_to(SRC).as_posix()}:{line}"
+        for p in modules
+        for line in _per_scalar_calls(ast.parse(p.read_text(), str(p)))
+    ]
+    assert offenders == []

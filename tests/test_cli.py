@@ -314,6 +314,11 @@ def _rational(kind: str, payload: dict) -> dict:
     return {"format": 1, "kind": kind, "field": {"kind": "rational"}, "payload": payload}
 
 
+# a dimension-0 algebra and tensor over Q
+_ALG0 = _rational("algebra", {"dim": 0, "mul": []})
+_TENSOR0 = _rational("tensor2", {"dim": 0, "entries": []})
+
+
 def _identity(n: int) -> list:
     return [[int(i == j) for j in range(n)] for i in range(n)]
 
@@ -373,6 +378,13 @@ TMP_DIR = object()
         pytest.param(["check", "ext-o", "a2.json", "regular", _map(3), "beta2.json"], id="ext-o-map-3x3"),
         pytest.param(["derive", "circ-t", "a2.json", _map(3)], id="circ-t-map-3x3"),
         pytest.param(["check", "nybe", "a2.json", _rational("tensor2", {"dim": 3, "entries": _identity(3)})], id="tensor-dim-3"),
+        pytest.param(["check", "nybe", "a2.json", _TENSOR0], id="nybe-tensor-dim-0"),
+        pytest.param(["check", "enybe", "--epsilon", "1", "a2.json", _TENSOR0], id="enybe-tensor-dim-0"),
+        pytest.param(["check", "gnybe", "a2.json", _TENSOR0], id="gnybe-tensor-dim-0"),
+        pytest.param(["check", "gnybe", "a2_f3.json", _TENSOR0], id="gnybe-tensor-dim-0-other-field"),
+        pytest.param(["check", "bialgebra-extra", "a2.json", _TENSOR0], id="bialgebra-extra-tensor-dim-0"),
+        pytest.param(["derive", "dual-pm", "a2.json", _TENSOR0], id="dual-pm-tensor-dim-0"),
+        pytest.param(["derive", "post-from-nybe", "a2.json", _TENSOR0], id="post-from-nybe-tensor-dim-0"),
         pytest.param(["verify", "algebra", b"[" * 100000 + b"]" * 100000], id="json-nested-too-deeply"),
         pytest.param(["verify", "algebra", b"\xff\xfe{\x00"], id="file-not-utf8"),
         pytest.param(["verify", "algebra", _a2_with(_Q, "1e30")], id="scalar-exponent"),
@@ -471,7 +483,38 @@ _SAYS = {
     "check-nybe-with-unread-options": "check nybe reads no --kappa, --equation-only, --sign",
     "derive-out-a-directory": "cannot write ",
     "solve-out-a-directory": "cannot write ",
+    "enybe-tensor-dim-0": "tensor dimension does not match the algebra",
+    "gnybe-tensor-dim-0": "tensor dimension does not match the algebra",
+    "gnybe-tensor-dim-0-other-field": "contraction operands over different fields",
+    "bialgebra-extra-tensor-dim-0": "2x2 map on a dimension-0 slot",
 }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "nybe"],
+        ["check", "enybe", "--epsilon", "1"],
+        ["check", "gnybe"],
+        ["check", "bialgebra-extra"],
+        ["derive", "dual-pm"],
+        ["derive", "post-from-nybe"],
+    ],
+    ids=lambda argv: "-".join(argv[:2]),
+)
+def test_dimension_zero_inputs_get_an_ordinary_verdict(capsys, tmp_path, argv):
+    paths = []
+    for name, doc in (("algebra.json", _ALG0), ("tensor.json", _TENSOR0)):
+        path = tmp_path / name
+        path.write_text(json.dumps(doc))
+        paths.append(str(path))
+    code, out, _ = run(capsys, *argv, *paths)
+    assert code == 0
+    report = json.loads(out)
+    if argv[0] == "check":
+        assert report["flag"] is True
+    else:
+        assert report["kind"] == "doc-bundle"
 
 
 def test_solve_more_kinds(capsys, fixture_path):

@@ -81,9 +81,9 @@ def test_field_names_and_json():
 @given(st.integers(-40, 40), st.integers(-40, 40))
 def test_f7_matches_integer_arithmetic(a, b):
     f = GF(7)
-    assert f.add(f.coerce(a), f.coerce(b)) == (a + b) % 7
-    assert f.mul(f.coerce(a), f.coerce(b)) == (a * b) % 7
-    assert f.sub(f.coerce(a), f.coerce(b)) == (a - b) % 7
+    x, y = f.coerce(a), f.coerce(b)
+    assert f.reduce((x + y, x * y, x - y, -x)) == ((a + b) % 7, (a * b) % 7, (a - b) % 7, -a % 7)
+    assert f.add(x, y) == (a + b) % 7 and f.mul(x, y) == (a * b) % 7
 
 
 @given(st.integers(1, 6))
@@ -115,10 +115,10 @@ def test_poly_ring_reduces_coefficients_mod_p():
     ring = PolyRing(3)
     x, y = ring.variables(2)
     assert ring.reduce((3 * x + 4, 6 * x * y - 3, 5)) == (Poly({(): 1}), Poly(), Poly({(): 2}))
-    assert 3 * x and not ring.reduce((3 * x,))[0] and ring.is_zero(3 * x) and not ring.is_zero(x)
-    assert ring.coerce(-1) == ring.coerce("2") == ring.add(ring.one(), ring.one()) == Poly({(): 2})
-    assert ring.coerce(3) == ring.zero() == ring.mul(x, 3) == ring.sub(y, y) == Poly()
-    assert ring.neg(x) == Poly({(0,): 2}) and ring.coerce(4 * x) == x
+    assert 3 * x and not ring.reduce((3 * x,))[0] and ring.reduce((x,))[0]
+    assert ring.coerce(-1) == ring.coerce("2") == ring.reduce((ring.one() + ring.one(),))[0] == Poly({(): 2})
+    assert ring.coerce(3) == ring.zero() == Poly() and ring.reduce((x * 3, y - y)) == (Poly(), Poly())
+    assert ring.reduce((-x,))[0] == Poly({(0,): 2}) and ring.coerce(4 * x) == x
 
 
 def test_poly_ring_has_no_inverses():

@@ -6,12 +6,22 @@ from hypothesis import given, settings, strategies as st
 from novikov.errors import BadContraction, DimMismatch
 from novikov.fields import GF, QQ
 from novikov.fixtures import example_algebra
-from novikov.tensors import CONTRACTION_KINDS, Tensor2, flip, tensor2_from_pairs, tensor3_combine
+from novikov.tensors import CONTRACTION_KINDS, Tensor2, Tensor3, flip, tensor2_from_pairs, tensor3_combine
 
 
 def test_flip_simple_tensor():
     r = Tensor2.basis(QQ, 2, 0, 1)  # e1⊗e2
     assert flip(r) == Tensor2.basis(QQ, 2, 1, 0)
+
+
+def test_dimension_zero_tensors_have_empty_grids():
+    for field in (QQ, GF(3)):
+        for zero in (Tensor2(field, ()), Tensor3(field, ())):
+            assert zero.dim == 0 and zero.is_zero()
+            for result in (zero + zero, zero - zero, zero.scale(2), -zero):
+                assert result == zero and result.grid == ()
+        assert flip(Tensor2(field, ())).grid == ()
+        assert tensor2_from_pairs(field, 0, []).grid == ()
 
 
 def test_flip_fixes_symmetric():

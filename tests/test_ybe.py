@@ -112,7 +112,7 @@ def test_dual_pm_products(a2):
     p3, m3 = dual_pm_products(a2m, rt3)
     for i in range(2):
         for j in range(2):
-            assert tuple(f3.neg(c) for c in p3[i][j]) == m3[i][j]
+            assert f3.reduce([-c for c in p3[i][j]]) == m3[i][j]
 
 
 def test_dual_pm_products_values_with_nonzero_beta():
