@@ -100,9 +100,6 @@ class Algebra:
             grid[i][j] = [field.coerce(c) for c in coords]
         return cls(field, dim, tuple(tuple(tuple(c) for c in row) for row in grid))
 
-    def basis_product(self, i: int, j: int) -> tuple:
-        return self.mul[i][j]
-
     def basis_star(self, i: int, j: int) -> tuple:
         f = self.field
         return vadd(f, self.mul[i][j], self.mul[j][i])
@@ -166,13 +163,6 @@ def star(alg: Algebra) -> Grid:
 
 def star_algebra(alg: Algebra) -> Algebra:
     return Algebra(alg.field, alg.dim, star(alg))
-
-
-def lr_matrices(alg: Algebra, a: Sequence) -> tuple[Matrix, Matrix, Matrix]:
-    """(L(a), R(a), L_star(a)) for a coordinate vector a."""
-    left = alg.left_mul(a)
-    right = alg.right_mul(a)
-    return left, right, left + right
 
 
 def _associator_tables(alg: Algebra) -> tuple[list, list]:

@@ -300,6 +300,12 @@ def _dual_pm(alg, r):
     return _bundle(plus=Algebra(alg.field, alg.dim, plus), minus=Algebra(alg.field, alg.dim, minus))
 
 
+def _delta_r(alg, r):
+    r.check_on(alg)  # also on a dimension-0 algebra, where no delta_r runs
+    deltas = {f"e{s}": to_document(delta_r(alg, r, alg.basis_vec(s))) for s in range(alg.dim)}
+    return bundle_document(deltas, alg.field)
+
+
 def _lift_map(alg, bim, gamma):
     lifted = lift_map(double(alg, bim), gamma)
     return _bundle(
@@ -370,11 +376,7 @@ DERIVE = {
     "post-on-image": Kind(_post_on_image, "weight", algebra=ALGEBRA, context=CONTEXT, alpha=MAP),
     "dual-pm": Kind(_dual_pm, algebra=ALGEBRA, tensor=TENSOR),
     "circ-delta": Kind(circ_delta_algebra, algebra=ALGEBRA, tensor=TENSOR),
-    "delta-r": Kind(
-        lambda alg, r: _bundle(**{f"e{s}": delta_r(alg, r, alg.basis_vec(s)) for s in range(alg.dim)}),
-        algebra=ALGEBRA,
-        tensor=TENSOR,
-    ),
+    "delta-r": Kind(_delta_r, algebra=ALGEBRA, tensor=TENSOR),
     "lift-map": Kind(_lift_map, algebra=ALGEBRA, bimodule=BIMODULE, gamma=MAP),
     "quad-transport": Kind(_quad_transport, algebra=ALGEBRA, form=FORM, t=MAP, beta=MAP),
 }

@@ -24,7 +24,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import FieldMismatch, NoHalf, NovikovError
+from .errors import NoHalf, NovikovError
 
 _PRIME_CACHE: dict[int, "PrimeField"] = {}
 
@@ -309,9 +309,3 @@ def field_by_name(name: str) -> Field:
     if name.startswith("F") and name[1:].isdigit():
         return GF(int(name[1:]))
     raise NovikovError(f"unknown field name {name!r}")
-
-
-def check_same_field(a: Field, b: Field) -> Field:
-    if a != b:
-        raise FieldMismatch(f"mixed fields: {a} vs {b}")
-    return a

@@ -140,6 +140,7 @@ def gnybe_flag(alg: Algebra, r: Tensor2) -> bool:
 
 def delta_r(alg: Algebra, r: Tensor2, a: Sequence) -> Tensor2:
     """(L(a)⊗id + id⊗L_star(a))r."""
+    r.check_on(alg)
     return r.apply_slot(0, alg.left_mul(a)) + r.apply_slot(1, alg.star_mul(a))
 
 
@@ -179,6 +180,7 @@ def circ_delta_algebra(alg: Algebra, r: Tensor2) -> Algebra:
 def bialgebra_extra_residuals(alg: Algebra, r: Tensor2) -> Residual:
     """The two side equalities on (r + tau r), evaluated on basis pairs.
     Both vanish identically for skew r."""
+    r.check_on(alg)
     f = alg.field
     n = alg.dim
     s = r + flip(r)

@@ -268,17 +268,9 @@ def o_operator_residual(ctx: BimodNov, alpha: LinMap, weight) -> Residual:
     return ext_o_equation_residual(ctx, alpha, None, MassParams(weight=weight))
 
 
-def is_o_operator(ctx: BimodNov, alpha: LinMap, weight) -> bool:
-    return o_operator_residual(ctx, alpha, weight).is_zero
-
-
 def rota_baxter_residual(alg: Algebra, t: LinMap, weight) -> Residual:
     """Rota-Baxter identity of the given weight on the regular context."""
     return o_operator_residual(regular(alg, validate=False), t, weight)
-
-
-def is_rota_baxter(alg: Algebra, t: LinMap, weight) -> bool:
-    return rota_baxter_residual(alg, t, weight).is_zero
 
 
 def star_product(ctx: BimodNov, alpha: LinMap, weight) -> tuple[Grid, Residual]:

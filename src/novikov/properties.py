@@ -88,7 +88,6 @@ from .solver import (
 )
 from .tensors import Tensor2
 from .ybe import (
-    BilForm,
     RTensor,
     adjoint_residual,
     dual_pm_products,
@@ -869,11 +868,11 @@ def _quadratic_pool(field: Field, rng: random.Random, count: int):
     out = []
     pool = [Algebra.zero(field, 2), trunc_poly_algebra(field, 2)] + _algebra_pool(field, rng, 8)
     for alg in pool:
-        basis = [Tensor2(field, b.grid) for b in invariant_form_basis(alg)]
+        basis = invariant_form_basis(alg)
         if not basis:
             continue
         for _ in range(24):
-            form = BilForm(field, sample_from_basis(basis, rng, field).grid)
+            form = sample_from_basis(basis, rng, field)
             if form.is_nondegenerate():
                 out.append((alg, form))
                 break

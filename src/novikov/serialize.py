@@ -107,8 +107,8 @@ def to_document(obj, name: Optional[str] = None) -> dict:
         kind = "linmap"
         field = obj.field
         payload = _enc_matrix(field, obj)
-    elif isinstance(obj, Tensor2):
-        kind = "tensor2"
+    elif isinstance(obj, Tensor2):  # a BilForm is a Tensor2
+        kind = "bilform" if isinstance(obj, BilForm) else "tensor2"
         field = obj.field
         payload = {"dim": obj.dim, "entries": [_enc_vec(field, row) for row in obj.grid]}
     elif isinstance(obj, PostNov):
@@ -120,10 +120,6 @@ def to_document(obj, name: Optional[str] = None) -> dict:
             "tri_l": _enc_grid(field, obj.tri_l),
             "tri_r": _enc_grid(field, obj.tri_r),
         }
-    elif isinstance(obj, BilForm):
-        kind = "bilform"
-        field = obj.field
-        payload = {"dim": obj.dim, "entries": [_enc_vec(field, row) for row in obj.grid]}
     elif isinstance(obj, CommTrialgebra):
         # trialgebras ship as a bundle of standard kinds
         field = obj.field
@@ -144,15 +140,16 @@ def to_document(obj, name: Optional[str] = None) -> dict:
     return doc
 
 
-def bundle_document(docs: dict) -> dict:
-    fields = {json.dumps(d["field"], sort_keys=True) for d in docs.values()}
-    if len(fields) != 1:
+def bundle_document(docs: dict, field: Optional[Field] = None) -> dict:
+    """Named documents over one field; ``field``, when given, is that field
+    also for an empty bundle."""
+    fields = [d["field"] for d in docs.values()] + ([field.to_json()] if field is not None else [])
+    if len({json.dumps(f, sort_keys=True) for f in fields}) != 1:
         raise DocumentError("bundle members live over different fields")
-    any_field = next(iter(docs.values()))["field"]
     return {
         "format": FORMAT_VERSION,
         "kind": "doc-bundle",
-        "field": any_field,
+        "field": fields[0],
         "payload": {"documents": docs},
     }
 
@@ -198,8 +195,12 @@ def _decode_payload(kind: str, field: Field, payload):
         return BimodNov(alg, mdim, l_mats, r_mats, _dec_grid(field, payload["mul"]))
     if kind == "linmap":
         return LinMap(_dec_matrix(field, payload))
-    if kind == "tensor2":
-        return Tensor2(field, tuple(_dec_vec(field, row) for row in payload["entries"]))
+    if kind in ("tensor2", "bilform"):
+        cls = BilForm if kind == "bilform" else Tensor2
+        t = cls(field, tuple(_dec_vec(field, row) for row in payload["entries"]))
+        if t.dim != payload.get("dim", t.dim):
+            raise DocumentError(f"{kind} dimension disagrees with its entries")
+        return t
     if kind == "postnov":
         dim = int(payload["dim"])
         return PostNov(
@@ -209,8 +210,6 @@ def _decode_payload(kind: str, field: Field, payload):
             _dec_grid(field, payload["tri_l"]),
             _dec_grid(field, payload["tri_r"]),
         )
-    if kind == "bilform":
-        return BilForm(field, tuple(_dec_vec(field, row) for row in payload["entries"]))
     if kind == "doc-bundle":
         return {name: from_document(sub) for name, sub in payload["documents"].items()}
     raise DocumentError(kind)

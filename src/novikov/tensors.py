@@ -4,42 +4,146 @@ seven slot contractions used by the tensor Yang-Baxter machinery."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import chain
+from typing import ClassVar, Sequence
 
 from .errors import BadContraction, DimMismatch, FieldMismatch
 from .fields import Field
 
 
 @dataclass(frozen=True)
-class Tensor2:
-    """Sum a_{ij} e_i⊗e_j stored as grid[i][j]."""
+class Dense:
+    """A dense coefficient grid over a field: ``order`` nested levels of n
+    entries each, the coefficient of e_i⊗e_j(⊗e_k) at grid[i][j](...).
+    Storage, validation and arithmetic of every tensor type live here;
+    arithmetic returns the receiver's own type."""
 
+    order: ClassVar[int]
     field: Field
-    grid: tuple  # tuple of rows, each a tuple of scalars
+    grid: tuple  # nested tuples of scalars
 
     def __post_init__(self):
         n = len(self.grid)
-        rows = []
-        for row in self.grid:
-            if len(row) != n:
-                raise DimMismatch("Tensor2 grid must be square")
-            rows.append(tuple(self.field.coerce(c) for c in row))
-        object.__setattr__(self, "grid", tuple(rows))
+
+        def coerced(grid, depth: int) -> tuple:
+            out = []
+            for sub in grid:
+                if len(sub) != n:
+                    shape = "square" if self.order == 2 else "cubical"
+                    raise DimMismatch(f"{type(self).__name__} grid must be {shape}")
+                out.append(tuple(self.field.coerce(c) for c in sub) if depth == 1 else coerced(sub, depth - 1))
+            return tuple(out)
+
+        object.__setattr__(self, "grid", coerced(self.grid, self.order - 1))
 
     @classmethod
-    def _canonical(cls, field: Field, grid: tuple) -> "Tensor2":
-        """Wrap a square grid of tuples already canonical for ``field``: the
-        result of field operations on canonical tensors and matrices.  Skips
-        the shape check and ``coerce``; only the arithmetic in this module
-        may call it."""
+    def _canonical(cls, field: Field, grid: tuple):
+        """Wrap a grid of tuples already canonical for ``field``: the result
+        of field operations on canonical tensors and matrices.  Skips the
+        shape check and ``coerce``; only the arithmetic in this module may
+        call it."""
         t = object.__new__(cls)
         t.__dict__.update(field=field, grid=grid)
         return t
 
     @classmethod
-    def zeros(cls, field: Field, n: int) -> "Tensor2":
-        z = field.zero()
-        return cls(field, tuple((z,) * n for _ in range(n)))
+    def _from_flat(cls, field: Field, n: int, flat: list):
+        """Reduce a row-major list that ``+``, ``-`` and ``*`` made from
+        canonical scalars, and nest it ``order`` deep in blocks of n."""
+        grid = field.reduce(flat)
+        for k in range(cls.order - 1, 0, -1):
+            grid = tuple([grid[i * n : i * n + n] for i in range(n**k)])
+        return cls._canonical(field, grid)
+
+    @classmethod
+    def zeros(cls, field: Field, n: int):
+        return cls._from_flat(field, n, [field.zero()] * n**cls.order)
+
+    @property
+    def dim(self) -> int:
+        return len(self.grid)
+
+    def __getitem__(self, idx):
+        c = self.grid
+        for i in idx:
+            c = c[i]
+        return c
+
+    def _entries(self):
+        """An iterator over the coefficients in row-major order."""
+        it = self.grid
+        for _ in range(self.order - 1):
+            it = chain.from_iterable(it)
+        return it
+
+    def flat(self) -> list:
+        """The coefficients in row-major order."""
+        return list(self._entries())
+
+    def is_zero(self) -> bool:
+        return not any(self._entries())
+
+    def __add__(self, other):
+        self._compat(other)
+        return type(self)._from_flat(self.field, self.dim, [a + b for a, b in zip(self._entries(), other._entries())])
+
+    def __sub__(self, other):
+        self._compat(other)
+        return type(self)._from_flat(self.field, self.dim, [a - b for a, b in zip(self._entries(), other._entries())])
+
+    def __neg__(self):
+        return type(self)._from_flat(self.field, self.dim, [-a for a in self._entries()])
+
+    def scale(self, c):
+        c = self.field.coerce(c)
+        return type(self)._from_flat(self.field, self.dim, [c * a for a in self._entries()])
+
+    def apply_slot(self, slot: int, mat):
+        """Apply a linear map (square Matrix on A) to one slot: each nonzero
+        coefficient moves along the column of its index in that slot."""
+        order, f, n = self.order, self.field, self.dim
+        if slot not in range(order):
+            slots = ", ".join(map(str, range(order - 1)))
+            raise DimMismatch(f"{type(self).__name__} has slots {slots} and {order - 1}")
+        # a square map over the tensor's field keeps the output canonical
+        if mat.field != f:
+            raise FieldMismatch(f"map over {mat.field}, tensor over {f}")
+        if (mat.rows, mat.cols) != (n, n):
+            raise DimMismatch(f"{mat.rows}x{mat.cols} map on a dimension-{n} slot")
+        stride = n ** (order - 1 - slot)
+        cols = [mat.col(i) for i in range(n)]
+        flat = self.flat()
+        out = [f.zero()] * len(flat)
+        for idx, c in enumerate(flat):
+            if c:
+                src = idx // stride % n
+                at = idx - src * stride
+                for x in cols[src]:
+                    if x:
+                        out[at] += c * x
+                    at += stride
+        return type(self)._from_flat(f, n, out)
+
+    def check_on(self, alg) -> None:
+        """Raise unless the tensor lives on ``alg``: over its field and of
+        its dimension."""
+        if self.field != alg.field:
+            raise FieldMismatch("tensor and algebra over different fields")
+        if self.dim != alg.dim:
+            raise DimMismatch("tensor dimension does not match the algebra")
+
+    def _compat(self, other) -> None:
+        if self.field != other.field:
+            raise FieldMismatch(f"{self.field} vs {other.field}")
+        if self.dim != other.dim or self.order != other.order:
+            raise DimMismatch(f"{self.dim} vs {other.dim}")
+
+
+@dataclass(frozen=True)
+class Tensor2(Dense):
+    """Sum a_{ij} e_i⊗e_j stored as grid[i][j]."""
+
+    order = 2
 
     @classmethod
     def basis(cls, field: Field, n: int, i: int, j: int, coeff=1) -> "Tensor2":
@@ -47,43 +151,6 @@ class Tensor2:
         grid = [[field.zero()] * n for _ in range(n)]
         grid[i][j] = field.coerce(coeff)
         return cls(field, tuple(tuple(r) for r in grid))
-
-    @property
-    def dim(self) -> int:
-        return len(self.grid)
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.grid[i][j]
-
-    def is_zero(self) -> bool:
-        return not any(c for row in self.grid for c in row)
-
-    def flat(self) -> list:
-        """The coefficients in row-major order."""
-        return [c for row in self.grid for c in row]
-
-    @classmethod
-    def _from_flat(cls, field: Field, n: int, flat: list) -> "Tensor2":
-        """Reduce a row-major list that ``+``, ``-`` and ``*`` made from
-        canonical scalars, and nest it as an n x n grid."""
-        vals = field.reduce(flat)
-        return cls._canonical(field, tuple(vals[i * n : i * n + n] for i in range(n)))
-
-    def __add__(self, other: "Tensor2") -> "Tensor2":
-        self._compat(other)
-        return Tensor2._from_flat(self.field, self.dim, [a + b for a, b in zip(self.flat(), other.flat())])
-
-    def __sub__(self, other: "Tensor2") -> "Tensor2":
-        self._compat(other)
-        return Tensor2._from_flat(self.field, self.dim, [a - b for a, b in zip(self.flat(), other.flat())])
-
-    def __neg__(self) -> "Tensor2":
-        return Tensor2._from_flat(self.field, self.dim, [-a for a in self.flat()])
-
-    def scale(self, c) -> "Tensor2":
-        c = self.field.coerce(c)
-        return Tensor2._from_flat(self.field, self.dim, [c * a for a in self.flat()])
 
     def is_symmetric(self) -> bool:
         g, n = self.grid, self.dim
@@ -93,46 +160,6 @@ class Tensor2:
         g, n = self.grid, self.dim
         return not any(self.field.reduce([g[i][j] + g[j][i] for i in range(n) for j in range(i, n)]))
 
-    def apply_slot(self, slot: int, mat) -> "Tensor2":
-        """Apply a linear map (square Matrix) to one tensor slot (0 or 1)."""
-        if slot not in (0, 1):
-            raise DimMismatch("Tensor2 has slots 0 and 1")
-        _check_slot_map(self, mat)
-        n = self.dim
-        return Tensor2._from_flat(self.field, n, _apply_slot(self.field, self.flat(), n, n ** (1 - slot), mat))
-
-    def _compat(self, other: "Tensor2"):
-        if self.field != other.field:
-            raise FieldMismatch(f"{self.field} vs {other.field}")
-        if self.dim != other.dim:
-            raise DimMismatch(f"{self.dim} vs {other.dim}")
-
-
-def _check_slot_map(t, mat) -> None:
-    """A slot map must be square over the tensor's field and dimension, so
-    that ``apply_slot``'s output is canonical."""
-    if mat.field != t.field:
-        raise FieldMismatch(f"map over {mat.field}, tensor over {t.field}")
-    if (mat.rows, mat.cols) != (t.dim, t.dim):
-        raise DimMismatch(f"{mat.rows}x{mat.cols} map on a dimension-{t.dim} slot")
-
-
-def _apply_slot(field: Field, flat: list, n: int, stride: int, mat) -> list:
-    """The map applied to the slot whose index has ``stride`` in the
-    row-major ``flat``: each nonzero coefficient moves along the column of
-    its index in that slot.  Unreduced."""
-    cols = [mat.col(i) for i in range(n)]
-    out = [field.zero()] * len(flat)
-    for idx, c in enumerate(flat):
-        if c:
-            src = idx // stride % n
-            at = idx - src * stride
-            for x in cols[src]:
-                if x:
-                    out[at] += c * x
-                at += stride
-    return out
-
 
 def flip(r: Tensor2) -> Tensor2:
     """The flip a⊗b -> b⊗a: transpose of the coefficient grid."""
@@ -141,76 +168,10 @@ def flip(r: Tensor2) -> Tensor2:
 
 
 @dataclass(frozen=True)
-class Tensor3:
+class Tensor3(Dense):
     """Sum a_{ijk} e_i⊗e_j⊗e_k stored as grid[i][j][k]."""
 
-    field: Field
-    grid: tuple
-
-    def __post_init__(self):
-        n = len(self.grid)
-        planes = []
-        for plane in self.grid:
-            if len(plane) != n:
-                raise DimMismatch("Tensor3 grid must be cubical")
-            rows = []
-            for row in plane:
-                if len(row) != n:
-                    raise DimMismatch("Tensor3 grid must be cubical")
-                rows.append(tuple(self.field.coerce(c) for c in row))
-            planes.append(tuple(rows))
-        object.__setattr__(self, "grid", tuple(planes))
-
-    @classmethod
-    def _canonical(cls, field: Field, grid: tuple) -> "Tensor3":
-        """Wrap a cubical grid of tuples already canonical for ``field``, as
-        ``Tensor2._canonical`` does."""
-        t = object.__new__(cls)
-        t.__dict__.update(field=field, grid=grid)
-        return t
-
-    @classmethod
-    def zeros(cls, field: Field, n: int) -> "Tensor3":
-        z = field.zero()
-        return cls(field, tuple(tuple((z,) * n for _ in range(n)) for _ in range(n)))
-
-    @property
-    def dim(self) -> int:
-        return len(self.grid)
-
-    def __getitem__(self, ijk):
-        i, j, k = ijk
-        return self.grid[i][j][k]
-
-    def is_zero(self) -> bool:
-        return not any(c for plane in self.grid for row in plane for c in row)
-
-    def flat(self) -> list:
-        """The coefficients in row-major order."""
-        return [c for plane in self.grid for row in plane for c in row]
-
-    @classmethod
-    def _from_flat(cls, field: Field, n: int, flat: list) -> "Tensor3":
-        """Reduce a row-major list as ``Tensor2._from_flat`` does, and nest
-        it as an n x n x n grid."""
-        vals = field.reduce(flat)
-        rows = [vals[i * n : i * n + n] for i in range(n * n)]
-        return cls._canonical(field, tuple(tuple(rows[i * n : i * n + n]) for i in range(n)))
-
-    def __add__(self, other: "Tensor3") -> "Tensor3":
-        self._compat(other)
-        return Tensor3._from_flat(self.field, self.dim, [a + b for a, b in zip(self.flat(), other.flat())])
-
-    def __sub__(self, other: "Tensor3") -> "Tensor3":
-        self._compat(other)
-        return Tensor3._from_flat(self.field, self.dim, [a - b for a, b in zip(self.flat(), other.flat())])
-
-    def __neg__(self) -> "Tensor3":
-        return Tensor3._from_flat(self.field, self.dim, [-a for a in self.flat()])
-
-    def scale(self, c) -> "Tensor3":
-        c = self.field.coerce(c)
-        return Tensor3._from_flat(self.field, self.dim, [c * a for a in self.flat()])
+    order = 3
 
     def swap_slots(self, a: int, b: int) -> "Tensor3":
         """Exchange two of the three tensor slots."""
@@ -224,20 +185,6 @@ class Tensor3:
                     idx[a], idx[b] = idx[b], idx[a]
                     out[idx[0]][idx[1]][idx[2]] = self.grid[i][j][k]
         return Tensor3._canonical(f, tuple(tuple(tuple(r) for r in p) for p in out))
-
-    def apply_slot(self, slot: int, mat) -> "Tensor3":
-        """Apply a linear map (square Matrix on A) to one slot (0, 1 or 2)."""
-        if slot not in (0, 1, 2):
-            raise DimMismatch("Tensor3 has slots 0, 1 and 2")
-        _check_slot_map(self, mat)
-        n = self.dim
-        return Tensor3._from_flat(self.field, n, _apply_slot(self.field, self.flat(), n, n ** (2 - slot), mat))
-
-    def _compat(self, other: "Tensor3"):
-        if self.field != other.field:
-            raise FieldMismatch(f"{self.field} vs {other.field}")
-        if self.dim != other.dim:
-            raise DimMismatch(f"{self.dim} vs {other.dim}")
 
 
 # Contraction kinds: r is summed as x⊗y (indices a,b), s as x'⊗y' (indices c,d).
@@ -284,10 +231,8 @@ def tensor3_sum(alg, terms) -> Tensor3:
     for c, r, s, kind in terms:
         if kind not in _PLANS:
             raise BadContraction(f"unknown contraction kind {kind!r}")
-        if r.field != s.field or r.field != f:
-            raise FieldMismatch("contraction operands over different fields")
-        if r.dim != n or s.dim != n:
-            raise DimMismatch("tensor dimension does not match the algebra")
+        r.check_on(alg)
+        s.check_on(alg)
         c = f.coerce(c)
         if not c:
             continue

@@ -51,11 +51,8 @@ class RTensor:
 
     @classmethod
     def build(cls, alg: Algebra, r: Tensor2) -> "RTensor":
+        r.check_on(alg)
         f = alg.field
-        if r.field != f:
-            raise FieldMismatch("tensor and algebra over different fields")
-        if r.dim != alg.dim:
-            raise DimMismatch("tensor dimension does not match the algebra")
         if f.char == 2:
             raise NoHalf("symmetric/skew splitting needs 1/2")
         half = f.half()
@@ -79,6 +76,7 @@ def invariance_residual(alg: Algebra, s: Tensor2, cross_check: bool = True) -> R
     characterizations (the hat being balanced, and being a module
     homomorphism into the regular actions); the three verdicts must agree.
     """
+    s.check_on(alg)
     f = alg.field
     n = alg.dim
     col = ResidualCollector(f, "invariance")
@@ -154,29 +152,9 @@ def dual_pm_products(alg: Algebra, rt: RTensor) -> tuple[Grid, Grid]:
 
 
 @dataclass(frozen=True)
-class BilForm:
-    """Symmetric bilinear form; phi is the induced map A -> A* whose matrix
-    equals the coefficient grid."""
-
-    field: Field
-    grid: tuple
-
-    def __post_init__(self):
-        n = len(self.grid)
-        rows = []
-        for row in self.grid:
-            if len(row) != n:
-                raise DimMismatch("form grid must be square")
-            rows.append(tuple(self.field.coerce(c) for c in row))
-        object.__setattr__(self, "grid", tuple(rows))
-
-    @property
-    def dim(self) -> int:
-        return len(self.grid)
-
-    def is_symmetric(self) -> bool:
-        g, n = self.grid, self.dim
-        return all(g[i][j] == g[j][i] for i in range(n) for j in range(i + 1, n))
+class BilForm(Tensor2):
+    """Symmetric bilinear form: a 2-tensor whose grid is the Gram matrix;
+    phi is the induced map A -> A* whose matrix equals that grid."""
 
     def value(self, a: Sequence, b: Sequence) -> object:
         acc = self.field.zero()

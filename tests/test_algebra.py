@@ -8,7 +8,6 @@ from novikov.algebra import (
     bimodule_residual,
     dual_bimodule,
     dual_context,
-    lr_matrices,
     novikov_residual,
     regular,
     regular_bimodule,
@@ -46,15 +45,15 @@ def test_star_values(a2):
 
 
 def test_lr_matrices(a2):
-    left, right, lstar = lr_matrices(a2, a2.basis_vec(0))
+    left, right, lstar = a2.left_mul(a2.basis_vec(0)), a2.right_mul(a2.basis_vec(0)), a2.star_mul(a2.basis_vec(0))
     assert left == Matrix.identity(QQ, 2)
-    left2, _, _ = lr_matrices(a2, a2.basis_vec(1))
+    assert lstar == left + right
+    left2 = a2.left_mul(a2.basis_vec(1))
     assert left2.col(0) == (0, 1) and left2.col(1) == (0, 0)  # e1↦e2, e2↦0
-    z, zr, zs = lr_matrices(a2, (0, 0))
+    z, zr, zs = a2.left_mul((0, 0)), a2.right_mul((0, 0)), a2.star_mul((0, 0))
     assert z.is_zero() and zr.is_zero() and zs.is_zero()
     # linearity in the algebra argument
-    both, _, _ = lr_matrices(a2, (1, 1))
-    assert both == left + left2
+    assert a2.left_mul((1, 1)) == left + left2
 
 
 def test_regular_bimodule_valid(a2):

@@ -109,6 +109,11 @@ def test_arithmetic_results_are_canonical(ops):
     results += [t + u, t - u, -t, t.scale(c), *(t.apply_slot(slot, a) for slot in range(3))]
     results += [t.swap_slots(x, y) for x, y in itertools.combinations(range(3), 2)]
     results += [tensor3_combine(ops["alg"], r, s, kind) for kind in CONTRACTION_KINDS]
+    # a form adds and scales as its 2-tensor does, and stays a form
+    p, q = BilForm(f, r.grid), BilForm(f, s.grid)
+    for form, tensor in ((p + q, r + s), (p - q, r - s), (-p, -r), (p.scale(c), r.scale(c))):
+        assert type(form) is BilForm and _typed(_flat(form)) == _typed(_flat(tensor))
+        results.append(form)
     for res in results:
         _assert_canonical(res)
     # apply skips zero coordinates; the sum it leaves out is zero
@@ -450,13 +455,13 @@ def _ref_equation_grid(ctx, alpha, product):
 
 def _ref_combine(alg, r, s, kind):
     """``tensor3_combine`` before the product tables: the basis products
-    listed once per call through ``basis_product`` / ``basis_star``."""
+    listed once per call through ``mul[i][j]`` / ``basis_star``."""
     (p1, p2), star, prod_slot, (o1, o2) = tensors._CONTRACTIONS[kind]
     p1, p2, o1, o2 = ("abcd".index(x) for x in (p1, p2, o1, o2))
     n, f = alg.dim, alg.field
     stride = (n * n, n, 1)
     st, s1, s2 = stride[prod_slot], *(stride[q] for q in range(3) if q != prod_slot)
-    basis = alg.basis_star if star else alg.basis_product
+    basis = alg.basis_star if star else lambda i, j: alg.mul[i][j]
     prods = {}
     rs = [(a, b, x) for a, row in enumerate(r.grid) for b, x in enumerate(row) if x]
     ss = [(c, d, x) for c, row in enumerate(s.grid) for d, x in enumerate(row) if x]
@@ -706,12 +711,23 @@ def test_operator_route_stays_independent_of_the_tensor_contractions():
         assert not _imports_any(module, {"tensors"})
 
 
+def test_tensor_types_share_one_dense_implementation():
+    """Storage, validation and arithmetic are written once, on the base."""
+    shared = ("__post_init__", "_canonical", "_from_flat", "zeros", "dim", "flat", "is_zero", "__add__", "__sub__")
+    shared += ("__neg__", "scale", "apply_slot", "check_on", "_compat")
+    for name in shared:
+        assert name in vars(tensors.Dense)
+        for cls in (Tensor2, Tensor3, BilForm):
+            assert name not in vars(cls), (cls.__name__, name)
+    assert (Tensor2.order, Tensor3.order, BilForm.order) == (2, 3, 2)
+
+
 def test_only_arithmetic_modules_skip_coercion():
-    """``Matrix._canonical``, ``Tensor2._canonical`` and ``Tensor3._canonical``
-    trust their entries, so only the arithmetic that produces canonical
-    entries (linalg, tensors) may call them; serialize, cli, properties and
-    every other module construct through the coercing public path."""
-    for cls in (Matrix, Tensor2, Tensor3):
+    """``Matrix._canonical`` and ``tensors.Dense._canonical`` trust their
+    entries, so only the arithmetic that produces canonical entries (linalg,
+    tensors) may call them; serialize, cli, properties and every other
+    module construct through the coercing public path."""
+    for cls in (Matrix, tensors.Dense):
         assert "_canonical" in vars(cls)
     modules = sorted(SRC.rglob("*.py"))
     assert len(modules) > 10

@@ -314,9 +314,10 @@ def _rational(kind: str, payload: dict) -> dict:
     return {"format": 1, "kind": kind, "field": {"kind": "rational"}, "payload": payload}
 
 
-# a dimension-0 algebra and tensor over Q
+# a dimension-0 algebra and tensor over Q, and a dimension-0 tensor over F_3
 _ALG0 = _rational("algebra", {"dim": 0, "mul": []})
 _TENSOR0 = _rational("tensor2", {"dim": 0, "entries": []})
+_TENSOR0_F3 = {**_TENSOR0, "field": {"kind": "prime", "p": 3}}
 
 
 def _identity(n: int) -> list:
@@ -385,6 +386,20 @@ TMP_DIR = object()
         pytest.param(["check", "bialgebra-extra", "a2.json", _TENSOR0], id="bialgebra-extra-tensor-dim-0"),
         pytest.param(["derive", "dual-pm", "a2.json", _TENSOR0], id="dual-pm-tensor-dim-0"),
         pytest.param(["derive", "post-from-nybe", "a2.json", _TENSOR0], id="post-from-nybe-tensor-dim-0"),
+        pytest.param(["check", "invariance", _ALG0, "r_skew.json"], id="invariance-algebra-dim-0"),
+        pytest.param(["check", "invariance", _ALG0, _TENSOR0_F3], id="invariance-algebra-dim-0-other-field"),
+        pytest.param(["check", "bialgebra-extra", _ALG0, "r_skew.json"], id="bialgebra-extra-algebra-dim-0"),
+        pytest.param(["check", "bialgebra-extra", _ALG0, _TENSOR0_F3], id="bialgebra-extra-algebra-dim-0-other-field"),
+        pytest.param(["derive", "delta-r", _ALG0, "r_skew.json"], id="delta-r-algebra-dim-0"),
+        pytest.param(["derive", "delta-r", _ALG0, _TENSOR0_F3], id="delta-r-algebra-dim-0-other-field"),
+        pytest.param(
+            ["check", "nybe", "a2.json", _rational("tensor2", {"dim": 3, "entries": _identity(2)})],
+            id="tensor-dim-disagrees-with-entries",
+        ),
+        pytest.param(
+            ["check", "adjoint", _rational("bilform", {"dim": 3, "entries": _identity(2)}), "t2.json"],
+            id="form-dim-disagrees-with-entries",
+        ),
         pytest.param(["verify", "algebra", b"[" * 100000 + b"]" * 100000], id="json-nested-too-deeply"),
         pytest.param(["verify", "algebra", b"\xff\xfe{\x00"], id="file-not-utf8"),
         pytest.param(["verify", "algebra", _a2_with(_Q, "1e30")], id="scalar-exponent"),
@@ -485,8 +500,16 @@ _SAYS = {
     "solve-out-a-directory": "cannot write ",
     "enybe-tensor-dim-0": "tensor dimension does not match the algebra",
     "gnybe-tensor-dim-0": "tensor dimension does not match the algebra",
-    "gnybe-tensor-dim-0-other-field": "contraction operands over different fields",
-    "bialgebra-extra-tensor-dim-0": "2x2 map on a dimension-0 slot",
+    "gnybe-tensor-dim-0-other-field": "tensor and algebra over different fields",
+    "bialgebra-extra-tensor-dim-0": "tensor dimension does not match the algebra",
+    "invariance-algebra-dim-0": "tensor dimension does not match the algebra",
+    "invariance-algebra-dim-0-other-field": "tensor and algebra over different fields",
+    "bialgebra-extra-algebra-dim-0": "tensor dimension does not match the algebra",
+    "bialgebra-extra-algebra-dim-0-other-field": "tensor and algebra over different fields",
+    "delta-r-algebra-dim-0": "tensor dimension does not match the algebra",
+    "delta-r-algebra-dim-0-other-field": "tensor and algebra over different fields",
+    "tensor-dim-disagrees-with-entries": "tensor2 dimension disagrees with its entries",
+    "form-dim-disagrees-with-entries": "bilform dimension disagrees with its entries",
 }
 
 
@@ -499,6 +522,7 @@ _SAYS = {
         ["check", "bialgebra-extra"],
         ["derive", "dual-pm"],
         ["derive", "post-from-nybe"],
+        ["derive", "delta-r"],
     ],
     ids=lambda argv: "-".join(argv[:2]),
 )
@@ -514,7 +538,7 @@ def test_dimension_zero_inputs_get_an_ordinary_verdict(capsys, tmp_path, argv):
     if argv[0] == "check":
         assert report["flag"] is True
     else:
-        assert report["kind"] == "doc-bundle"
+        assert report["kind"] == "doc-bundle" and report["field"] == _ALG0["field"]
 
 
 def test_solve_more_kinds(capsys, fixture_path):

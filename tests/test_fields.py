@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from novikov.errors import FieldMismatch, NoHalf, NovikovError
-from novikov.fields import GF, QQ, Poly, PolyRing, check_same_field, field_by_name, field_from_json, parse_scalar
+from novikov.fields import GF, QQ, Poly, PolyRing, field_by_name, field_from_json, parse_scalar
 from novikov.linalg import Matrix
 
 
@@ -64,9 +64,10 @@ def test_half():
 
 
 def test_field_mismatch():
+    assert QQ != GF(3)
     with pytest.raises(FieldMismatch):
-        check_same_field(QQ, GF(3))
-    assert check_same_field(GF(7), GF(7)) == GF(7)
+        Matrix.zeros(QQ, 1, 1) + Matrix.zeros(GF(3), 1, 1)
+    assert GF(7) == GF(7)
 
 
 def test_field_names_and_json():

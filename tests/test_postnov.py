@@ -12,7 +12,7 @@ from novikov.errors import (
 from novikov.fields import GF, QQ
 from novikov.fixtures import example_algebra
 from novikov.linalg import Matrix
-from novikov.operators import LinMap, hom_residual, is_o_operator
+from novikov.operators import LinMap, hom_residual
 from novikov.postnov import (
     CommTrialgebra,
     ImagePost,

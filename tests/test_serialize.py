@@ -45,8 +45,12 @@ def test_linmap_roundtrip():
 def test_tensor_and_form_roundtrip():
     r = Tensor2(QQ, (("1/2", 0), (3, "-2")))
     assert roundtrip(r) == r
+    assert to_document(r)["kind"] == "tensor2"
     b = BilForm(GF(7), ((1, 2), (2, 3)))
     assert roundtrip(b).grid == b.grid
+    # a form is a 2-tensor, but is written and read back as a form
+    assert to_document(b)["kind"] == "bilform"
+    assert roundtrip(b) == b and type(roundtrip(b)) is BilForm
 
 
 def test_bimodule_roundtrips(a2):
@@ -102,6 +106,12 @@ def test_document_errors():
                 "b": to_document(example_algebra(GF(3))),
             }
         )
+    # a given field binds every member, and is the field of an empty bundle
+    with pytest.raises(DocumentError):
+        bundle_document({"a": to_document(example_algebra(GF(3)))}, QQ)
+    with pytest.raises(DocumentError):
+        bundle_document({})
+    assert bundle_document({}, GF(3))["field"] == GF(3).to_json()
 
 
 def test_prime_scalars_reduced():
