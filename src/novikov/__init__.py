@@ -28,7 +28,7 @@ _HOMES = {
     "ybe": "BilForm RTensor bilform_invariance enybe_residual invariance_residual nybe_residual o_nybe_residual",
     "lift": "circ_delta delta_r double generalized_o_residual gnybe_residuals lift_map",
     "properties": "PROPERTY_IDS run_property",
-    "solver": "SearchSpec enumerate_search random_instance",
+    "solver": "SearchSpec enumerate_search",
 }
 # each exported name -> the submodule that defines it
 _EXPORTS = {name: home for home, names in _HOMES.items() for name in names.split()}

@@ -194,7 +194,7 @@ class _Context(_Doc):
     product), or a module document over the given algebra: the same field,
     dimension and product."""
 
-    tokens = {"regular": partial(regular, validate=False), "dual": partial(dual_context, validate=False)}
+    tokens = {"regular": partial(regular, validate=False), "dual": dual_context}
 
     def load(self, name: str, token: str, alg: Optional[Algebra]):
         obj = super().load(name, token, alg)
@@ -250,7 +250,7 @@ def _bundle(**objs) -> dict:
 
 
 def _trialgebra(tri):
-    return trialgebra_residual(tri).merged_with(derivation_residual(tri), "trialgebra")
+    return Residual("trialgebra", trialgebra_residual(tri).failures + derivation_residual(tri).failures)
 
 
 def _bilform(pair: _FormOn):
@@ -323,7 +323,7 @@ def _quad_transport(alg, form, t, beta):
 VERIFY = {
     "algebra": Kind(novikov_residual, algebra=ALGEBRA),
     "bimodule": Kind(bimodule_residual, bimodule=MODULE),
-    "bimodnov": Kind(partial(abnova_residual, require_pre=False), bimodnov=_Doc("bimodnov")),
+    "bimodnov": Kind(abnova_residual, bimodnov=_Doc("bimodnov")),
     "postnov": Kind(post_residual, postnov=_Doc("postnov")),
     "trialgebra": Kind(_trialgebra, trialgebra=TRIALGEBRA),
     "bilform": Kind(_bilform, bundle=_Doc("doc-bundle", convert=_FormOn)),

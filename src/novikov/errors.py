@@ -29,14 +29,6 @@ class NotABimodule(NovikovError):
     """Actions expected to form a bimodule do not."""
 
 
-class ModuleNotNovikov(NovikovError):
-    """The module product expected to be Novikov is not."""
-
-
-class NotPostNovikov(NovikovError):
-    """A triple of products expected to be post-Novikov is not."""
-
-
 class NotTrialgebra(NovikovError):
     """The two products do not form a commutative dendriform trialgebra."""
 

@@ -152,7 +152,7 @@ def circ_delta(alg: Algebra, r: Tensor2, cross_validate: bool = True) -> Grid:
     from .ybe import hat_matrices
 
     hat, hat_t = hat_matrices(r)
-    ctx = dual_context(alg, validate=False)  # l = Lstar*, r = -R*
+    ctx = dual_context(alg)  # l = Lstar*, r = -R*
     result = induced_product(ctx, LinMap(-hat), LinMap(hat_t), 0)
     if cross_validate and not grids_equal(alg.field, result, circ_delta_pairing(alg, r)):
         raise AssertionError("closed form and pairing definition of the dual product disagree")

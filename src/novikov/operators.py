@@ -237,9 +237,10 @@ def ext_o_equation_residual(ctx: BimodNov, alpha: LinMap, beta: Optional[LinMap]
     m = ctx.mdim
     col = ResidualCollector(f, "ext-o-equation")
     eq = equation_grid(ctx, alpha, induced_product(ctx, alpha, alpha, p.weight))
+    if beta is not None:
+        _check_ctx_map(ctx, beta)
     extended = beta is not None and not beta.is_zero()
     if extended:
-        _check_ctx_map(ctx, beta)
         b_imgs = [beta.mat.col(u) for u in range(m)]
     for u in range(m):
         for v in range(m):

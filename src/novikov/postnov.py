@@ -23,7 +23,6 @@ from .errors import (
     NotDerivation,
     NotNYBESolution,
     NotOOperator,
-    NotPostNovikov,
     NotRotaBaxter,
     NotTrialgebra,
     NovikovError,
@@ -140,10 +139,9 @@ def post_residual(p: PostNov) -> Residual:
     return Residual("post-novikov", base.failures + col.done().failures)
 
 
-def lr_bimodule(p: PostNov, validate: bool = True) -> BimodNov:
-    """(A, ∘, L_▷, R_◁) as a bimodule Novikov algebra over the associated algebra."""
-    if validate and not post_residual(p).is_zero:
-        raise NotPostNovikov("the triple of products is not post-Novikov")
+def lr_bimodule(p: PostNov) -> BimodNov:
+    """(A, ∘, L_▷, R_◁) as a bimodule Novikov algebra over the associated
+    algebra; ``p`` is not checked to be post-Novikov."""
     base = associated(p)
     n = p.dim
     f = p.field
@@ -236,13 +234,12 @@ def derivation_residual(t: CommTrialgebra) -> Residual:
     return col.done()
 
 
-def post_from_trialgebra(t: CommTrialgebra, validate: bool = True) -> PostNov:
+def post_from_trialgebra(t: CommTrialgebra) -> PostNov:
     """a*b = a·D(b), a◁b = a∘D(b), a▷b = D(b)∘a."""
-    if validate:
-        if not trialgebra_residual(t).is_zero:
-            raise NotTrialgebra("products fail the trialgebra identities")
-        if not derivation_residual(t).is_zero:
-            raise NotDerivation("the map is not a derivation of both products")
+    if not trialgebra_residual(t).is_zero:
+        raise NotTrialgebra("products fail the trialgebra identities")
+    if not derivation_residual(t).is_zero:
+        raise NotDerivation("the map is not a derivation of both products")
     f = t.field
     n = t.dim
     basis = [unit_vector(f, n, i) for i in range(n)]
@@ -282,10 +279,9 @@ class ImagePost:
 
     post: PostNov
     pivot_cols: tuple
-    image_basis: tuple  # coordinates in A of the chosen column basis
 
 
-def post_on_image(ctx: BimodNov, alpha: LinMap, weight, alt_preimage_check: bool = True) -> ImagePost:
+def post_on_image(ctx: BimodNov, alpha: LinMap, weight) -> ImagePost:
     """Induced structure on alpha(M), in the leftmost-pivot column basis.
 
     Requires alpha to be a weight-lambda operator whose kernel is an ideal of
@@ -313,10 +309,9 @@ def post_on_image(ctx: BimodNov, alpha: LinMap, weight, alt_preimage_check: bool
 
     pivots = tuple(column_space_pivots(alpha.mat))
     d = len(pivots)
-    image_cols = [alpha.mat.col(j) for j in pivots]
     if d == 0:
-        return ImagePost(PostNov.zero(f, 0), pivots, ())
-    img_mat = Matrix.from_cols(f, image_cols)
+        return ImagePost(PostNov.zero(f, 0), pivots)
+    img_mat = Matrix.from_cols(f, [alpha.mat.col(j) for j in pivots])
 
     def in_image_coords(vec) -> tuple:
         sol = solve_right(img_mat, vec)
@@ -341,7 +336,7 @@ def post_on_image(ctx: BimodNov, alpha: LinMap, weight, alt_preimage_check: bool
 
     primary = [ctx.module_basis(j) for j in pivots]
     circ, tri_l, tri_r = build(primary)
-    if alt_preimage_check and ker:
+    if ker:
         shift = ker[0]
         shifted = [vadd(f, u, shift) for u in primary]
         circ2, tri_l2, tri_r2 = build(shifted)
@@ -351,13 +346,13 @@ def post_on_image(ctx: BimodNov, alpha: LinMap, weight, alt_preimage_check: bool
             and grids_equal(f, tri_r, tri_r2)
         ):
             raise KernelNotIdeal("products depend on the preimage choice")
-    return ImagePost(PostNov(f, d, circ, tri_l, tri_r), pivots, tuple(tuple(c) for c in image_cols))
+    return ImagePost(PostNov(f, d, circ, tri_l, tri_r), pivots)
 
 
-def post_from_rb(alg: Algebra, t: LinMap, weight, validate: bool = True) -> PostNov:
+def post_from_rb(alg: Algebra, t: LinMap, weight) -> PostNov:
     """x ⊙ y = weight·x∘y, x▷y = T(x)∘y, x◁y = x∘T(y) for a Rota-Baxter T:
     the operator construction on the regular context."""
-    if validate and not rota_baxter_residual(alg, t, weight).is_zero:
+    if not rota_baxter_residual(alg, t, weight).is_zero:
         raise NotRotaBaxter("T fails the Rota-Baxter identity at this weight")
     return post_from_o(regular(alg, validate=False), t, weight, validate=False)
 
@@ -387,7 +382,7 @@ def compatible_from_rb(alg: Algebra, t: LinMap, weight) -> PostNov:
     return p
 
 
-def post_from_nybe(alg: Algebra, r, validate: bool = True):
+def post_from_nybe(alg: Algebra, r):
     """Post-Novikov structure on the dual space from a Yang-Baxter solution
     with invariant symmetric part; when the tensor map is invertible the
     compatible structure on A, its push-forward along the tensor map, is
@@ -398,14 +393,13 @@ def post_from_nybe(alg: Algebra, r, validate: bool = True):
     from .ybe import RTensor, dual_pm_products, invariance_residual, nybe_residual
 
     rt = RTensor.build(alg, r)
-    if validate:
-        if not nybe_residual(alg, r).is_zero():
-            raise NotNYBESolution("tensor does not solve the Yang-Baxter equation")
-        if not invariance_residual(alg, rt.r_plus).is_zero:
-            raise SymPartNotInvariant("symmetric part is not invariant")
+    if not nybe_residual(alg, r).is_zero():
+        raise NotNYBESolution("tensor does not solve the Yang-Baxter equation")
+    if not invariance_residual(alg, rt.r_plus).is_zero:
+        raise SymPartNotInvariant("symmetric part is not invariant")
     plus_grid, _ = dual_pm_products(alg, rt)
-    ctx_plus = dual_context(alg, validate=False).with_product(plus_grid)
-    dual_post = post_from_o(ctx_plus, LinMap(rt.hat), 1, validate=validate)
+    ctx_plus = dual_context(alg).with_product(plus_grid)
+    dual_post = post_from_o(ctx_plus, LinMap(rt.hat), 1)
     try:
         compat = transport(dual_post, rt.hat)
     except SingularT:

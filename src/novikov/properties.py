@@ -265,7 +265,7 @@ def _random_tensor(field: Field, n: int, rng: random.Random) -> Tensor2:
     return Tensor2(field, tuple(tuple(field.sample(rng) for _ in range(n)) for _ in range(n)))
 
 
-def _invariant_plus_skew(alg: Algebra, rng: random.Random) -> Optional[Tensor2]:
+def _invariant_plus_skew(alg: Algebra, rng: random.Random) -> Tensor2:
     """Random tensor whose symmetric part is invariant (hypothesis builder)."""
     sym = sample_from_basis(invariant_symmetric_basis(alg), rng, alg.field)
     skew = _skew_tensor(alg.field, alg.dim, rng)
@@ -311,7 +311,7 @@ def _p_semi(run: PropertyRun, opts: Options) -> None:
             for l1, l2, r1, r2, c in product(range(field.p), repeat=5):
                 b = BimodNov(alg, 1, _one_by_one(field, l1, l2), _one_by_one(field, r1, r2), (((c,),),))
                 run.equivalent(
-                    abnova_residual(b, require_pre=False).is_zero,
+                    abnova_residual(b).is_zero,
                     novikov_residual(semidirect(b)).is_zero,
                     "module residual and semidirect verdicts disagree",
                     algebra=alg,
@@ -332,7 +332,7 @@ def _p_semi(run: PropertyRun, opts: Options) -> None:
             ),
         )
         run.equivalent(
-            abnova_residual(b, require_pre=False).is_zero,
+            abnova_residual(b).is_zero,
             novikov_residual(semidirect(b)).is_zero,
             "random context disagreement",
             algebra=alg,
@@ -461,7 +461,7 @@ def _p_r_pm(run: PropertyRun, opts: Options) -> None:
             ctx_p, ctx_m = pm_contexts(reg, beta, lam)
             for tag, ctx in (("plus", ctx_p), ("minus", ctx_m)):
                 run.expect(
-                    abnova_residual(ctx, require_pre=False).is_zero,
+                    abnova_residual(ctx).is_zero,
                     f"twisted context not a module algebra ({tag})",
                     algebra=alg,
                     beta=beta,
@@ -607,7 +607,7 @@ def _p_lrbimod(run: PropertyRun, opts: Options) -> None:
     for p in _postnov_pool(field, rng, opts.trials):
         if post_residual(p).is_zero:
             run.expect(
-                abnova_residual(lr_bimodule(p, validate=False), require_pre=False).is_zero,
+                abnova_residual(lr_bimodule(p)).is_zero,
                 "left/right actions of a valid triple fail the module identities",
                 hit=True,
                 dim=p.dim,
@@ -621,7 +621,7 @@ def _p_compat(run: PropertyRun, opts: Options) -> None:
     for p in _postnov_pool(field, rng, opts.trials):
         if not post_residual(p).is_zero:
             continue
-        ctx = lr_bimodule(p, validate=False)
+        ctx = lr_bimodule(p)
         ident = LinMap.identity(field, p.dim)
         if not run.expect(
             o_operator_residual(ctx, ident, 1).is_zero,
@@ -735,11 +735,9 @@ def _p_enybe_ext(run: PropertyRun, opts: Options) -> None:
     eps = _epsilon(field)
     kappas = _field_elements(field, rng, 4)
     for alg in _algebra_pool(field, rng, 4):
-        ctx = dual_context(alg, validate=False)
+        ctx = dual_context(alg)
         for _ in range(max(3, opts.trials // 4)):
             r = _invariant_plus_skew(alg, rng)
-            if r is None:
-                r = _skew_tensor(field, alg.dim, rng)
             rt = RTensor.build(alg, r)
             if not invariance_residual(alg, rt.r_plus, cross_check=False).is_zero:
                 continue
@@ -759,11 +757,9 @@ def _p_cor_enybe(run: PropertyRun, opts: Options) -> None:
     field = opts.fld(GF(3))
     rng = random.Random(opts.seed)
     for alg in _algebra_pool(field, rng, 4):
-        ctx0 = dual_context(alg, validate=False)
+        ctx0 = dual_context(alg)
         for _ in range(max(3, opts.trials // 3)):
             r = _invariant_plus_skew(alg, rng)
-            if r is None:
-                continue
             rt = RTensor.build(alg, r)
             if not invariance_residual(alg, rt.r_plus, cross_check=False).is_zero:
                 continue
@@ -844,8 +840,6 @@ def _p_qn(run: PropertyRun, opts: Options) -> None:
         phi = form.phi()
         for _ in range(max(2, opts.trials // 4)):
             r = _invariant_plus_skew(alg, rng)
-            if r is None:
-                continue
             rt = RTensor.build(alg, r)
             if not invariance_residual(alg, rt.r_plus, cross_check=False).is_zero:
                 continue
@@ -890,7 +884,7 @@ def _p_dual_exo(run: PropertyRun, opts: Options) -> None:
     for alg, form in _quadratic_pool(field, rng, 4):
         n = alg.dim
         reg = regular(alg, validate=False)
-        ctx_dual = dual_context(alg, validate=False)
+        ctx_dual = dual_context(alg)
         phi = form.phi()
         phi_inv = inverse(phi)
         homs = balanced_hom_basis(reg)
@@ -956,7 +950,7 @@ def _p_lift_bal(run: PropertyRun, opts: Options) -> None:
         alg = bim.alg
         d = double(alg, bim, validate=False)
         ctx_v = bim.trivial()
-        ctx_hat = dual_context(d.algebra, validate=False)
+        ctx_hat = dual_context(d.algebra)
         cands = [sample_from_basis(balanced_hom_basis(ctx_v), rng, field)]
         for _ in range(max(2, opts.trials // 4)):
             cands.append(LinMap(random_matrix(field, alg.dim, bim.mdim, rng)))
@@ -981,7 +975,7 @@ def _p_lift_ext(run: PropertyRun, opts: Options) -> None:
         alg = bim.alg
         d = double(alg, bim, validate=False)
         ctx_v = bim.trivial()
-        ctx_hat = dual_context(d.algebra, validate=False)
+        ctx_hat = dual_context(d.algebra)
         betas = [sample_from_basis(balanced_hom_basis(ctx_v), rng, field) for _ in range(3)]
         for beta in betas:
             if beta is None or not is_balanced_hom(ctx_v, beta):
@@ -1119,11 +1113,9 @@ def _p_gnybe_ext(run: PropertyRun, opts: Options) -> None:
     rng = random.Random(opts.seed)
     kappas = _field_elements(field, rng, 3)
     for alg in _algebra_pool(field, rng, 4):
-        ctx = dual_context(alg, validate=False)
+        ctx = dual_context(alg)
         for _ in range(max(3, opts.trials // 3)):
             r = _invariant_plus_skew(alg, rng)
-            if r is None:
-                continue
             rt = RTensor.build(alg, r)
             if not invariance_residual(alg, rt.r_plus, cross_check=False).is_zero:
                 continue

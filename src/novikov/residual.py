@@ -43,9 +43,6 @@ class Residual:
     def __bool__(self) -> bool:  # truthy == identity holds
         return self.is_zero
 
-    def merged_with(self, other: "Residual", check: Optional[str] = None) -> "Residual":
-        return Residual(check or self.check, self.failures + other.failures)
-
 
 class ResidualCollector:
     """Accumulates failing tuples while an identity is evaluated."""

@@ -72,7 +72,7 @@ def _dec_matrix(field: Field, obj) -> Matrix:
     return m
 
 
-def to_document(obj, name: Optional[str] = None) -> dict:
+def to_document(obj) -> dict:
     """Wrap a domain object in its JSON document."""
     if isinstance(obj, Algebra):
         kind = "algebra"
@@ -134,10 +134,7 @@ def to_document(obj, name: Optional[str] = None) -> dict:
         return bundle_document({k: to_document(v) for k, v in obj.items()})
     else:
         raise DocumentError(f"cannot serialize {type(obj).__name__}")
-    doc = {"format": FORMAT_VERSION, "kind": kind, "field": field.to_json(), "payload": payload}
-    if name:
-        doc["name"] = name
-    return doc
+    return {"format": FORMAT_VERSION, "kind": kind, "field": field.to_json(), "payload": payload}
 
 
 def bundle_document(docs: dict, field: Optional[Field] = None) -> dict:

@@ -1,5 +1,5 @@
 """Exhaustive search over small prime fields, linear solution spaces and
-seeded random instance generation: the oracle behind the property sweeps.
+instance families: the oracle behind the property sweeps.
 
 Every search kind is one depth-first search whose constraints are the kind's
 object-path residual, evaluated once over a polynomial ring in the unknowns;
@@ -15,14 +15,13 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-import time
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, Iterator, Optional, Sequence
 
 from .algebra import Algebra, BimodNov, novikov_residual, regular
 from .errors import NovikovError, SpaceTooLarge
-from .fields import Field, PolyRing, PrimeField, QQ
+from .fields import Field, PolyRing, PrimeField
 from .linalg import Matrix, kernel_basis
 from .operators import (
     LinMap,
@@ -128,7 +127,6 @@ class SearchResult:
     spec: SearchSpec
     solutions: list
     candidate_count: int
-    elapsed_ms: int
     check_hash: str
 
     def to_jsonl(self) -> str:
@@ -175,7 +173,6 @@ def enumerate_search(spec: SearchSpec, jobs: int = 1) -> SearchResult:
     if k > BOUND_EXPONENT or spec.p**k > CANDIDATE_BOUND:
         raise SpaceTooLarge(f"{spec.p}^{k} candidates exceed the 2^{BOUND_EXPONENT} bound")
     total = spec.candidate_total()
-    t0 = time.perf_counter()
     if jobs > 1 and spec.shard_count == 1:
         import multiprocessing  # imported here: it adds ~10% to every cold start
 
@@ -188,10 +185,9 @@ def enumerate_search(spec: SearchSpec, jobs: int = 1) -> SearchResult:
     else:
         solutions = _search(spec)
         count = len(range(spec.shard_index, total, spec.shard_count))
-    elapsed = int((time.perf_counter() - t0) * 1000)
     blob = json.dumps([list(s) for s in solutions]).encode()
     h = hashlib.sha256(blob).hexdigest()
-    return SearchResult(spec, solutions, count, elapsed, h)
+    return SearchResult(spec, solutions, count, h)
 
 
 # ---------------------------------------------------------------------------
@@ -398,25 +394,6 @@ def random_matrix(field: Field, rows: int, cols: int, rng: random.Random) -> Mat
     return Matrix(field, rows, cols, tuple(field.sample(rng) for _ in range(rows * cols)))
 
 
-def random_instance(seed: int, family: str, field: Field = QQ, n: int = 2, shape=None):
-    """Reproducible instance generation.
-
-    Families: ``trunc-poly-novikov`` (always a Novikov algebra),
-    ``enumerated-dim2`` (indexes into the exhaustive list by seed),
-    ``random-maps-over-Fp`` (a seeded matrix of the requested shape).
-    """
-    rng = random.Random(seed)
-    if family == "trunc-poly-novikov":
-        return trunc_poly_algebra(field, n)
-    if family == "enumerated-dim2":
-        algs = enumerated_dim2(field)
-        return algs[seed % len(algs)]
-    if family == "random-maps-over-Fp":
-        rows, cols = shape if shape is not None else (n, n)
-        return random_matrix(field, rows, cols, rng)
-    raise NovikovError(f"unknown family {family!r}")
-
-
 # ---------------------------------------------------------------------------
 # linear solution spaces, derived from the residuals by probing unit inputs
 
@@ -505,17 +482,3 @@ def sample_from_basis(basis: list, rng: random.Random, field: Field):
     if not basis:
         return None
     return linear_combination(basis, [field.sample(rng) for _ in basis])
-
-
-def golden_counts() -> dict:
-    """Pinned enumeration counts; NOVA_GOLDEN_DIR overrides the location."""
-    import os
-
-    base = os.environ.get("NOVA_GOLDEN_DIR")
-    if base is None:
-        base = os.path.join(os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))), "goldens")
-        if not os.path.isdir(base):
-            base = os.path.join(os.getcwd(), "goldens")
-    path = os.path.join(base, "counts.json")
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)

@@ -146,10 +146,10 @@ class Tensor2(Dense):
     order = 2
 
     @classmethod
-    def basis(cls, field: Field, n: int, i: int, j: int, coeff=1) -> "Tensor2":
-        """coeff * e_i⊗e_j."""
+    def basis(cls, field: Field, n: int, i: int, j: int) -> "Tensor2":
+        """e_i⊗e_j."""
         grid = [[field.zero()] * n for _ in range(n)]
-        grid[i][j] = field.coerce(coeff)
+        grid[i][j] = field.one()
         return cls(field, tuple(tuple(r) for r in grid))
 
     def is_symmetric(self) -> bool:

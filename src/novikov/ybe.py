@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .algebra import Algebra, Grid, dual_context, regular_bimodule
-from .errors import BetaNotSelfAdjoint, DegenerateForm, DimMismatch, FieldMismatch, NoHalf, SymPartNotInvariant
+from .errors import BetaNotSelfAdjoint, DegenerateForm, DimMismatch, NoHalf, SymPartNotInvariant
 from .fields import Field
 from .linalg import Matrix, inverse
 from .operators import LinMap, equation_grid, induced_product, o_operator_residual, pm_products
@@ -90,7 +90,7 @@ def invariance_residual(alg: Algebra, s: Tensor2, cross_check: bool = True) -> R
     if cross_check and s.is_symmetric():
         from .operators import balanced_residual, bimodule_hom_residual
 
-        ctx = dual_context(alg, validate=False)
+        ctx = dual_context(alg)
         shat = LinMap(hat_matrices(s)[0])
         balanced = balanced_residual(ctx, shat).is_zero
         homo = bimodule_hom_residual(ctx, shat).is_zero
@@ -131,7 +131,7 @@ def o_nybe_residual(alg: Algebra, r: Tensor2) -> Residual:
     context.
     """
     hat, hat_t = hat_matrices(r)
-    ctx = dual_context(alg, validate=False)  # l = Lstar*, r = -R*
+    ctx = dual_context(alg)  # l = Lstar*, r = -R*
     alpha = LinMap(hat)
     eq = equation_grid(ctx, alpha, induced_product(ctx, alpha, LinMap(-hat_t), 0))
     col = ResidualCollector(alg.field, "o-nybe")
@@ -148,7 +148,7 @@ def dual_pm_products(alg: Algebra, rt: RTensor) -> tuple[Grid, Grid]:
     """
     if not invariance_residual(alg, rt.r_plus, cross_check=False).is_zero:
         raise SymPartNotInvariant("symmetric part is not invariant")
-    return pm_products(dual_context(alg, validate=False), rt.beta, 0)
+    return pm_products(dual_context(alg), rt.beta, 0)
 
 
 @dataclass(frozen=True)
@@ -176,10 +176,7 @@ class BilForm(Tensor2):
 
 def invariant_form_residual(alg: Algebra, form: BilForm) -> Residual:
     """Invariance B(a∘b, c) + B(b, a⋆c) on basis triples."""
-    if form.field != alg.field:
-        raise FieldMismatch(f"form is over {form.field}, algebra over {alg.field}")
-    if form.dim != alg.dim:
-        raise DimMismatch(f"form is {form.dim}x{form.dim}, algebra has dimension {alg.dim}")
+    form.check_on(alg)
     f = alg.field
     n = alg.dim
     col = ResidualCollector(f, "bilform-invariance")
@@ -249,6 +246,6 @@ def quad_transport(alg: Algebra, form: BilForm, t: LinMap, beta: LinMap) -> Quad
 def skew_nybe_operator_residual(alg: Algebra, r: Tensor2) -> Residual:
     """For skew r: the weight-0 operator identity of the hat on the dual
     actions, equivalent to the tensor equation."""
-    ctx = dual_context(alg, validate=False)
+    ctx = dual_context(alg)
     hat, _ = hat_matrices(r)
     return o_operator_residual(ctx, LinMap(hat), 0)

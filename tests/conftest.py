@@ -1,4 +1,5 @@
 import itertools
+import json
 import pathlib
 
 import pytest
@@ -10,6 +11,11 @@ from novikov.fixtures import example_algebra, example_beta, example_t
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 FIXTURES = REPO / "fixtures"
+
+
+def golden_counts() -> dict:
+    """The pinned enumeration counts, by search."""
+    return json.loads((REPO / "goldens" / "counts.json").read_text(encoding="utf-8"))
 
 
 @pytest.fixture

@@ -6,6 +6,7 @@ import sys
 import time
 
 import pytest
+from conftest import golden_counts
 
 from novikov import _kernels as kernels
 from novikov.cli import main as cli_main
@@ -17,7 +18,6 @@ from novikov.solver import (
     SearchSpec,
     enumerate_search,
     enumerated_dim2,
-    golden_counts,
     reverify,
 )
 from novikov.tensors import Tensor2

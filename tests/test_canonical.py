@@ -383,9 +383,9 @@ def test_cached_contexts_match_fresh_ones():
         twin = Algebra(alg.field, alg.dim, alg.mul)
         assert twin == alg and twin is not alg
         left, right, dual_l, dual_r = _fresh_actions(twin)
-        reg, ctx = regular_bimodule(alg), dual_context(alg, validate=False)
-        assert regular_bimodule(twin) is not reg and dual_context(twin, validate=False) is not ctx
-        assert regular_bimodule(alg) is reg and dual_context(alg, validate=False) is ctx
+        reg, ctx = regular_bimodule(alg), dual_context(alg)
+        assert regular_bimodule(twin) is not reg and dual_context(twin) is not ctx
+        assert regular_bimodule(alg) is reg and dual_context(alg) is ctx
         assert reg.alg is alg and reg.mdim == alg.dim
         assert list(reg.l_mats) == left and list(reg.r_mats) == right
         assert ctx.alg is alg and ctx.mdim == alg.dim
@@ -538,7 +538,7 @@ def _context_pool() -> list:
         for alg in algs
         for ctx in (
             regular(alg, validate=False),
-            dual_context(alg, validate=False),
+            dual_context(alg),
             regular(semidirect(regular(alg, validate=False)), validate=False),
         )
     ]

@@ -329,6 +329,15 @@ def _map(n: int) -> dict:
     return _rational("linmap", {"rows": n, "cols": n, "entries": _identity(n)})
 
 
+# the 2x2 zero map over Q, and the truncated polynomial algebra on 1, x, x^2
+# over Q (x^i∘x^j = j x^{i+j})
+_ZERO2 = _rational("linmap", {"rows": 2, "cols": 2, "entries": [[0, 0], [0, 0]]})
+_TRUNC3 = _rational(
+    "algebra",
+    {"dim": 3, "mul": [[[0, 0, 0], [0, 1, 0], [0, 0, 2]], [[0, 0, 0], [0, 0, 1], [0, 0, 0]], [[0, 0, 0]] * 3]},
+)
+
+
 def _bilform_bundle(n: int) -> dict:
     """The 2-dim worked algebra bundled with the n x n identity form."""
     a2 = {"dim": 2, "mul": [[[1, 0], [0, 1]], [[0, 1], [0, 0]]]}
@@ -377,6 +386,10 @@ TMP_DIR = object()
         pytest.param(["check", "rota-baxter", "a2.json", _document("linmap", 3)], id="map-over-other-field"),
         pytest.param(["check", "rota-baxter", "a2.json", _map(3)], id="rota-baxter-map-3x3"),
         pytest.param(["check", "ext-o", "a2.json", "regular", _map(3), "beta2.json"], id="ext-o-map-3x3"),
+        pytest.param(
+            ["check", "ext-o", "a2_f3.json", "regular", _document("linmap", 3), _ZERO2], id="ext-o-zero-beta-other-field"
+        ),
+        pytest.param(["check", "ext-o", _TRUNC3, "regular", _map(3), _ZERO2], id="ext-o-zero-beta-2x2-on-dim-3"),
         pytest.param(["derive", "circ-t", "a2.json", _map(3)], id="circ-t-map-3x3"),
         pytest.param(["check", "nybe", "a2.json", _rational("tensor2", {"dim": 3, "entries": _identity(3)})], id="tensor-dim-3"),
         pytest.param(["check", "nybe", "a2.json", _TENSOR0], id="nybe-tensor-dim-0"),
@@ -510,6 +523,10 @@ _SAYS = {
     "delta-r-algebra-dim-0-other-field": "tensor and algebra over different fields",
     "tensor-dim-disagrees-with-entries": "tensor2 dimension disagrees with its entries",
     "form-dim-disagrees-with-entries": "bilform dimension disagrees with its entries",
+    "form-smaller-than-algebra": "tensor dimension does not match the algebra",
+    "form-larger-than-algebra": "tensor dimension does not match the algebra",
+    "ext-o-zero-beta-other-field": "map is over QQ, context over GF(3)",
+    "ext-o-zero-beta-2x2-on-dim-3": "map is 2x2, context wants 3x3",
 }
 
 

@@ -1,7 +1,9 @@
 """The import contract, each case in a fresh interpreter: ``import novikov``
 loads no submodule, a cold ``nova`` loads only what its command runs, and
-every exported name still resolves to the object its home module defines."""
+every exported name still resolves to the object its home module defines.
+Also the package's option inventory: every parameter with a default, pinned."""
 
+import ast
 import json
 import os
 import pathlib
@@ -36,7 +38,35 @@ EXPORTS = {
     ],
     "lift": ["circ_delta", "delta_r", "double", "generalized_o_residual", "gnybe_residuals", "lift_map"],
     "properties": ["PROPERTY_IDS", "run_property"],
-    "solver": ["SearchSpec", "enumerate_search", "random_instance"],
+    "solver": ["SearchSpec", "enumerate_search"],
+}
+
+# every parameter with a default in the package outside ``_kernels/``, as
+# module.qualname.parameter; a new option shows up here as an edit
+OPTIONS = {
+    "novikov.algebra.dual_bimodule.validate",
+    "novikov.algebra.regular.validate",
+    "novikov.cli._Doc.__init__.convert",
+    "novikov.cli.build_parser.<locals>.command.table",
+    "novikov.cli.main.argv",
+    "novikov.fixtures.example_algebra.field",
+    "novikov.fixtures.example_beta.field",
+    "novikov.fixtures.example_t.field",
+    "novikov.lift.circ_delta.cross_validate",
+    "novikov.lift.double.validate",
+    "novikov.postnov.post_from_o.validate",
+    "novikov.properties.PropertyRun.count.checks",
+    "novikov.properties.PropertyRun.count.hits",
+    "novikov.properties.PropertyRun.expect.hit",
+    "novikov.properties._enumerated_pool.limit",
+    "novikov.properties.run_property.field",
+    "novikov.properties.run_property.seed",
+    "novikov.properties.run_property.trials",
+    "novikov.serialize.bundle_document.field",
+    "novikov.solver._residual_coords.ring",
+    "novikov.solver.enumerate_search.jobs",
+    "novikov.solver.solution_to_object.field",
+    "novikov.ybe.invariance_residual.cross_check",
 }
 
 
@@ -78,7 +108,7 @@ print(json.dumps({{"same": same, "all": sorted(novikov.__all__), "star": sorted(
     assert proc.returncode == 0, proc.stderr
     got = json.loads(proc.stdout)
     names = sorted(name for names in EXPORTS.values() for name in names)
-    assert len(names) == 64
+    assert len(names) == 63
     assert sorted(got["same"]) == got["all"] == got["star"] == names
     assert [name for name, same in got["same"].items() if not same] == []
 
@@ -113,3 +143,33 @@ def test_cold_prop_and_solve_import_their_engines(argv):
     proc = _python("-m", "novikov.cli", *argv)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)
+
+
+def _defaulted(node: ast.AST, prefix: str):
+    """module.qualname.parameter of each parameter with a default under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = child.args
+            positional = args.posonlyargs + args.args
+            with_default = positional[len(positional) - len(args.defaults):]
+            with_default += [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            yield from (f"{prefix}{child.name}.{a.arg}" for a in with_default)
+            yield from _defaulted(child, f"{prefix}{child.name}.<locals>.")
+        elif isinstance(child, ast.ClassDef):
+            yield from _defaulted(child, f"{prefix}{child.name}.")
+        else:
+            yield from _defaulted(child, prefix)
+
+
+def test_option_inventory_is_pinned():
+    package = REPO / "src" / "novikov"
+    options, environ = set(), []
+    for path in sorted(package.rglob("*.py")):
+        if "_kernels" in path.parts:
+            continue
+        module = ".".join(path.relative_to(package.parent).with_suffix("").parts)
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        options.update(_defaulted(tree, f"{module}."))
+        environ += [module for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr == "environ"]
+    assert options == OPTIONS
+    assert environ == []

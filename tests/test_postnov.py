@@ -178,7 +178,7 @@ def test_post_on_image_rank_one_over_f3():
     assert (1, 0, 0, 0) in sols
     alpha = LinMap(Matrix(field, 2, 2, (1, 0, 0, 0)))
     ctx = regular(alg)
-    image = post_on_image(ctx, alpha, -1, alt_preimage_check=True)
+    image = post_on_image(ctx, alpha, -1)
     assert image.post.dim == 1
     assert post_residual(image.post).is_zero
     # rank-1 with non-ideal kernel must be rejected: diag(0, 1) kernel span{e1}

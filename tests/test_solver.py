@@ -5,7 +5,7 @@ import random
 from math import prod
 
 import pytest
-from conftest import commuting_novikov_tables
+from conftest import commuting_novikov_tables, golden_counts
 
 from novikov._kernels import pure
 from novikov.algebra import Algebra, dual_context, novikov_residual, regular
@@ -23,11 +23,9 @@ from novikov.solver import (
     balanced_hom_equivalent_basis,
     enumerate_search,
     enumerated_dim2,
-    golden_counts,
     hom_map_basis,
     invariant_form_basis,
     invariant_symmetric_basis,
-    random_instance,
     reverify,
     sample_from_basis,
     solution_to_object,
@@ -114,21 +112,11 @@ def test_jsonl_round_trip(a2_f3):
     assert [tuple(line["coeffs"]) for line in lines] == res.solutions
 
 
-def test_random_instance_families():
-    tp = random_instance(0, "trunc-poly-novikov", QQ, 4)
-    assert novikov_residual(tp).is_zero
-    a = random_instance(5, "enumerated-dim2", GF(2))
-    assert novikov_residual(a).is_zero
-    m1 = random_instance(9, "random-maps-over-Fp", GF(5), shape=(3, 2))
-    m2 = random_instance(9, "random-maps-over-Fp", GF(5), shape=(3, 2))
-    assert m1 == m2
-    with pytest.raises(NovikovError):
-        random_instance(0, "no-such-family")
-
-
 def test_enumerated_lexicographic_indexing():
     algs = enumerated_dim2(GF(2))
-    assert random_instance(3, "enumerated-dim2", GF(2)).mul == algs[3].mul
+    flat = [tuple(int(x) for row in alg.mul for cell in row for x in cell) for alg in algs]
+    assert flat == sorted(set(flat))
+    assert all(novikov_residual(alg).is_zero for alg in algs)
     assert len(algs) == golden_counts()["novikov-algebra/dim2/F2"]
 
 
@@ -198,7 +186,7 @@ def _space_cases(space, alg):
         yield invariant_form_basis(alg), _all_symmetric(alg, BilForm), lambda b: bilform_invariance(alg, b)[0].is_zero
     else:
         basis_fn, residuals = MAP_SPACES[space]
-        for ctx in (regular(alg, validate=False), dual_context(alg, validate=False)):
+        for ctx in (regular(alg, validate=False), dual_context(alg)):
             yield basis_fn(ctx), _all_maps(ctx), lambda beta, ctx=ctx: all(r(ctx, beta).is_zero for r in residuals)
 
 
@@ -213,13 +201,6 @@ def test_linear_space_sizes_match_bruteforce(p, space):
     for alg in algs:
         for basis, candidates, holds in _space_cases(space, alg):
             assert sum(map(holds, candidates)) == p ** len(basis), (space, alg.mul)
-
-
-def test_golden_dir_override(tmp_path, monkeypatch):
-    custom = tmp_path / "counts.json"
-    custom.write_text(json.dumps({"novikov-algebra/dim2/F2": 52}))
-    monkeypatch.setenv("NOVA_GOLDEN_DIR", str(tmp_path))
-    assert golden_counts() == {"novikov-algebra/dim2/F2": 52}
 
 
 # ---------------------------------------------------------------------------
