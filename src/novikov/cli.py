@@ -6,9 +6,13 @@ error.  Machine-readable JSON goes to stdout, human text to stderr.
 
 Each ``verify``, ``check`` and ``derive`` kind is one row of its command's
 table (``VERIFY``, ``CHECK``, ``DERIVE``): its input slots in order, the
-options it reads and the function it calls.  ``_call`` is the one driver:
-it rejects every given option the kind never reads, loads and type-checks
-the slots, and hands the loaded inputs and the read options to the function.
+options it reads and the function it calls, named by module and attribute.
+``_call`` runs every row: it rejects every given option the kind never
+reads, loads and type-checks the slots, imports the function's module and
+hands it the loaded inputs and the read options.  So a cold command loads
+only the modules its row calls (and ``serialize`` only the classes of the
+documents it reads); ``--help`` reads only slots and options, so it loads
+no row's module.
 """
 
 from __future__ import annotations
@@ -20,80 +24,14 @@ import sys
 import time
 from fractions import Fraction
 from functools import partial
+from importlib import import_module
 from typing import Callable, Optional
 
-from .algebra import (
-    Algebra,
-    BimodNov,
-    abnova_residual,
-    bimodule_residual,
-    dual_bimodule,
-    dual_context,
-    novikov_residual,
-    regular,
-    regular_bimodule,
-    semidirect,
-    star_algebra,
-)
+from .algebra import Algebra, BimodNov, dual_context, regular, regular_bimodule
 from .errors import DimMismatch, DocumentError, FieldMismatch, NovikovError, SpaceTooLarge
 from .fields import Field, field_by_name, parse_scalar
-from .lift import (
-    bialgebra_extra_residuals,
-    circ_delta_algebra,
-    delta_r,
-    double,
-    generalized_o_residual,
-    gnybe_residuals,
-    lift_map,
-)
-from .operators import (
-    LinMap,
-    MassParams,
-    balanced_residual,
-    baxter_residual,
-    circ_t,
-    diamond_product,
-    equivalent_residual,
-    ext_o_equation_residual,
-    ext_o_residual,
-    invariant_residual,
-    o_operator_residual,
-    pm_products,
-    rota_baxter_residual,
-    star_product,
-)
-from .postnov import (
-    compatible_from_rb,
-    post_from_nybe,
-    post_from_o,
-    post_from_rb,
-    post_from_trialgebra,
-    post_on_image,
-    post_residual,
-    derivation_residual,
-    trialgebra_residual,
-)
 from .residual import Residual
-from .serialize import (
-    bundle_document,
-    bundle_to_trialgebra,
-    dumps,
-    from_document,
-    load_path,
-    to_document,
-)
-from .ybe import (
-    BilForm,
-    RTensor,
-    adjoint_residual,
-    bilform_invariance,
-    dual_pm_products,
-    enybe_residual,
-    invariance_residual,
-    nybe_residual,
-    o_nybe_residual,
-    quad_transport,
-)
+from .serialize import bundle_document, bundle_to_trialgebra, dumps, from_document, load_path, to_document
 
 
 def _human(msg: str) -> None:
@@ -207,6 +145,8 @@ class _FormOn:
     """A bilform bundle: an algebra and a bilinear form on it."""
 
     def __init__(self, parts: dict):
+        from .ybe import BilForm
+
         self.algebra, self.form = parts.get("algebra"), parts.get("form")
         if not (isinstance(self.algebra, Algebra) and isinstance(self.form, BilForm)):
             raise DocumentError("a bilform bundle holds an algebra document 'algebra' and a bilform document 'form'")
@@ -229,20 +169,24 @@ MODULE_OR_ALGEBRA = _Doc(
 
 
 class Kind:
-    """One row of a command's table: ``Kind(fn, *options, **slots)`` reads
+    """One row of a command's table: ``Kind(ref, *options, **slots)`` reads
     the named options (argparse dests) and the input slots in the order
-    given, and calls ``fn(*loaded inputs, **read options)``."""
+    given, and calls ``fn(*loaded inputs, **read options)``.  A context
+    carries the algebra given before it, so ``fn`` gets the context in the
+    algebra's place.
 
-    def __init__(self, fn: Callable, *options: str, **slots: _Doc):
-        self.fn = fn
+    ``ref`` names ``fn``: ``"module.name"`` for a function of
+    ``novikov.module``, imported only when the row runs, or a bare name for
+    an adapter below, which imports what it calls in its body."""
+
+    def __init__(self, ref: str, *options: str, **slots: _Doc):
+        self.ref = ref
         self.options = options
         self.slots = tuple((name.replace("_", "-"), slot) for name, slot in slots.items())
 
-
-def _on_context(fn: Callable) -> Callable:
-    """``fn`` of the context and what follows it: the context carries the
-    algebra given before it."""
-    return lambda alg, ctx, *rest, **options: fn(ctx, *rest, **options)
+    def resolve(self) -> Callable:
+        home, _, name = self.ref.rpartition(".")
+        return getattr(import_module(f".{home}", __package__), name) if home else globals()[name]
 
 
 def _bundle(**objs) -> dict:
@@ -250,63 +194,106 @@ def _bundle(**objs) -> dict:
 
 
 def _trialgebra(tri):
+    from .postnov import derivation_residual, trialgebra_residual
+
     return Residual("trialgebra", trialgebra_residual(tri).failures + derivation_residual(tri).failures)
 
 
 def _bilform(pair: _FormOn):
+    from .ybe import bilform_invariance
+
     rep, quadratic = bilform_invariance(pair.algebra, pair.form)
     return rep, {"quadratic": quadratic}
 
 
-def _ext_o(alg, ctx, alpha, beta, weight, kappa, mu, equation_only):
+def _ext_o(ctx, alpha, beta, weight, kappa, mu, equation_only):
+    from .operators import MassParams, ext_o_equation_residual, ext_o_residual
+
     residual = ext_o_equation_residual if equation_only else ext_o_residual
     return residual(ctx, alpha, beta, MassParams(weight, kappa, mu))
 
 
 def _gnybe(alg, r) -> dict:
+    from .lift import gnybe_residuals
+
     return dict(zip(("first-family", "second-family"), gnybe_residuals(alg, r)))
 
 
+def _adjoint(form, t, sign):
+    from .ybe import adjoint_residual
+
+    return adjoint_residual(form, t, -1 if sign == "minus" else 1)
+
+
+def _double(alg, bim):
+    from .lift import double
+
+    return double(alg, bim).algebra
+
+
 def _circ_pm(alg, beta, weight, sign):
+    from .operators import pm_products
+
     grids = zip(("plus", "minus"), pm_products(regular(alg, validate=False), beta, weight))
     pair = {name: Algebra(alg.field, alg.dim, grid) for name, grid in grids}
     return pair[sign] if sign in pair else _bundle(**pair)
 
 
-def _star_product(alg, ctx, alpha, weight):
+def _star_product(ctx, alpha, weight):
+    from .operators import star_product
+
     grid, closure = star_product(ctx, alpha, weight)
     if not closure.is_zero:
         raise NovikovError("closure identities fail; the product is not Novikov")
-    return Algebra(alg.field, ctx.mdim, grid)
+    return Algebra(ctx.field, ctx.mdim, grid)
 
 
-def _diamond_product(alg, ctx, delta_plus, delta_minus, weight):
+def _diamond_product(ctx, delta_plus, delta_minus, weight):
+    from .operators import diamond_product
+
     grid, alpha, beta = diamond_product(ctx, delta_plus, delta_minus, weight)
-    return _bundle(product=Algebra(alg.field, ctx.mdim, grid), symmetrizer=alpha, antisymmetrizer=beta)
+    return _bundle(product=Algebra(ctx.field, ctx.mdim, grid), symmetrizer=alpha, antisymmetrizer=beta)
+
+
+def _post_from_rb(alg, t, weight, compatible):
+    from .postnov import compatible_from_rb, post_from_rb
+
+    return (compatible_from_rb if compatible else post_from_rb)(alg, t, weight)
 
 
 def _post_from_nybe(alg, r):
+    from .postnov import post_from_nybe
+
     dual_post, compat = post_from_nybe(alg, r)
     return _bundle(dual=dual_post) if compat is None else _bundle(dual=dual_post, compatible=compat)
 
 
-def _post_on_image(alg, ctx, alpha, weight):
+def _post_on_image(ctx, alpha, weight):
+    from .postnov import post_on_image
+
     image = post_on_image(ctx, alpha, weight)
     return {**to_document(image.post), "pivot_columns": list(image.pivot_cols)}
 
 
 def _dual_pm(alg, r):
+    from .ybe import RTensor, dual_pm_products
+
     plus, minus = dual_pm_products(alg, RTensor.build(alg, r))
     return _bundle(plus=Algebra(alg.field, alg.dim, plus), minus=Algebra(alg.field, alg.dim, minus))
 
 
 def _delta_r(alg, r):
+    from .lift import delta_r
+
     r.check_on(alg)  # also on a dimension-0 algebra, where no delta_r runs
     deltas = {f"e{s}": to_document(delta_r(alg, r, alg.basis_vec(s))) for s in range(alg.dim)}
     return bundle_document(deltas, alg.field)
 
 
 def _lift_map(alg, bim, gamma):
+    from .lift import double, lift_map
+    from .operators import LinMap
+
     lifted = lift_map(double(alg, bim), gamma)
     return _bundle(
         map=LinMap(lifted.mat), tensor=lifted.tensor, tensor_minus=lifted.tensor_minus, tensor_plus=lifted.tensor_plus
@@ -314,6 +301,8 @@ def _lift_map(alg, bim, gamma):
 
 
 def _quad_transport(alg, form, t, beta):
+    from .ybe import quad_transport
+
     qt = quad_transport(alg, form, t, beta)
     return _bundle(p_t=qt.p_t, p_beta=qt.p_beta, delta_plus=qt.delta_plus, delta_minus=qt.delta_minus)
 
@@ -321,64 +310,56 @@ def _quad_transport(alg, form, t, beta):
 # A verify or check function returns a Residual, a 3-tensor, or named
 # families of 3-tensors, optionally paired with extra report fields.
 VERIFY = {
-    "algebra": Kind(novikov_residual, algebra=ALGEBRA),
-    "bimodule": Kind(bimodule_residual, bimodule=MODULE),
-    "bimodnov": Kind(abnova_residual, bimodnov=_Doc("bimodnov")),
-    "postnov": Kind(post_residual, postnov=_Doc("postnov")),
-    "trialgebra": Kind(_trialgebra, trialgebra=TRIALGEBRA),
-    "bilform": Kind(_bilform, bundle=_Doc("doc-bundle", convert=_FormOn)),
+    "algebra": Kind("algebra.novikov_residual", algebra=ALGEBRA),
+    "bimodule": Kind("algebra.bimodule_residual", bimodule=MODULE),
+    "bimodnov": Kind("algebra.abnova_residual", bimodnov=_Doc("bimodnov")),
+    "postnov": Kind("postnov.post_residual", postnov=_Doc("postnov")),
+    "trialgebra": Kind("_trialgebra", trialgebra=TRIALGEBRA),
+    "bilform": Kind("_bilform", bundle=_Doc("doc-bundle", convert=_FormOn)),
 }
 
 CHECK = {
     "ext-o": Kind(
-        _ext_o, "weight", "kappa", "mu", "equation_only", algebra=ALGEBRA, context=CONTEXT, alpha=MAP, beta=MAP
+        "_ext_o", "weight", "kappa", "mu", "equation_only", algebra=ALGEBRA, context=CONTEXT, alpha=MAP, beta=MAP
     ),
-    "o-op": Kind(_on_context(o_operator_residual), "weight", algebra=ALGEBRA, context=CONTEXT, alpha=MAP),
-    "rota-baxter": Kind(rota_baxter_residual, "weight", algebra=ALGEBRA, t=MAP),
-    "baxter": Kind(baxter_residual, algebra=ALGEBRA, t=MAP),
-    "balanced": Kind(_on_context(balanced_residual), algebra=ALGEBRA, context=CONTEXT, beta=MAP),
-    "invariant": Kind(_on_context(invariant_residual), "kappa", algebra=ALGEBRA, context=CONTEXT, beta=MAP),
-    "equivalent": Kind(_on_context(equivalent_residual), "mu", algebra=ALGEBRA, context=CONTEXT, beta=MAP),
-    "nybe": Kind(nybe_residual, algebra=ALGEBRA, tensor=TENSOR),
-    "enybe": Kind(enybe_residual, "epsilon", algebra=ALGEBRA, tensor=TENSOR),
-    "o-nybe": Kind(o_nybe_residual, algebra=ALGEBRA, tensor=TENSOR),
-    "gnybe": Kind(_gnybe, algebra=ALGEBRA, tensor=TENSOR),
-    "invariance": Kind(invariance_residual, algebra=ALGEBRA, tensor=TENSOR),
-    "adjoint": Kind(
-        lambda form, t, sign: adjoint_residual(form, t, -1 if sign == "minus" else 1), "sign", form=FORM, t=MAP
-    ),
-    "generalized-o": Kind(_on_context(generalized_o_residual), algebra=ALGEBRA, context=CONTEXT, alpha=MAP),
-    "bialgebra-extra": Kind(bialgebra_extra_residuals, algebra=ALGEBRA, tensor=TENSOR),
+    "o-op": Kind("operators.o_operator_residual", "weight", algebra=ALGEBRA, context=CONTEXT, alpha=MAP),
+    "rota-baxter": Kind("operators.rota_baxter_residual", "weight", algebra=ALGEBRA, t=MAP),
+    "baxter": Kind("operators.baxter_residual", algebra=ALGEBRA, t=MAP),
+    "balanced": Kind("operators.balanced_residual", algebra=ALGEBRA, context=CONTEXT, beta=MAP),
+    "invariant": Kind("operators.invariant_residual", "kappa", algebra=ALGEBRA, context=CONTEXT, beta=MAP),
+    "equivalent": Kind("operators.equivalent_residual", "mu", algebra=ALGEBRA, context=CONTEXT, beta=MAP),
+    "nybe": Kind("ybe.nybe_residual", algebra=ALGEBRA, tensor=TENSOR),
+    "enybe": Kind("ybe.enybe_residual", "epsilon", algebra=ALGEBRA, tensor=TENSOR),
+    "o-nybe": Kind("ybe.o_nybe_residual", algebra=ALGEBRA, tensor=TENSOR),
+    "gnybe": Kind("_gnybe", algebra=ALGEBRA, tensor=TENSOR),
+    "invariance": Kind("ybe.invariance_residual", algebra=ALGEBRA, tensor=TENSOR),
+    "adjoint": Kind("_adjoint", "sign", form=FORM, t=MAP),
+    "generalized-o": Kind("lift.generalized_o_residual", algebra=ALGEBRA, context=CONTEXT, alpha=MAP),
+    "bialgebra-extra": Kind("lift.bialgebra_extra_residuals", algebra=ALGEBRA, tensor=TENSOR),
 }
 
 # A derive function returns an object or a finished document.
 DERIVE = {
-    "star": Kind(star_algebra, algebra=ALGEBRA),
-    "dual-bimodule": Kind(dual_bimodule, bimodule=MODULE_OR_ALGEBRA),
-    "semidirect": Kind(_on_context(semidirect), algebra=ALGEBRA, context=CONTEXT),
-    "double": Kind(lambda alg, bim: double(alg, bim).algebra, algebra=ALGEBRA, bimodule=BIMODULE),
-    "circ-t": Kind(circ_t, "weight", algebra=ALGEBRA, t=MAP),
-    "circ-pm": Kind(_circ_pm, "weight", "sign", algebra=ALGEBRA, beta=MAP),
-    "star-product": Kind(_star_product, "weight", algebra=ALGEBRA, context=CONTEXT, alpha=MAP),
+    "star": Kind("algebra.star_algebra", algebra=ALGEBRA),
+    "dual-bimodule": Kind("algebra.dual_bimodule", bimodule=MODULE_OR_ALGEBRA),
+    "semidirect": Kind("algebra.semidirect", algebra=ALGEBRA, context=CONTEXT),
+    "double": Kind("_double", algebra=ALGEBRA, bimodule=BIMODULE),
+    "circ-t": Kind("operators.circ_t", "weight", algebra=ALGEBRA, t=MAP),
+    "circ-pm": Kind("_circ_pm", "weight", "sign", algebra=ALGEBRA, beta=MAP),
+    "star-product": Kind("_star_product", "weight", algebra=ALGEBRA, context=CONTEXT, alpha=MAP),
     "diamond-product": Kind(
-        _diamond_product, "weight", algebra=ALGEBRA, context=CONTEXT, delta_plus=MAP, delta_minus=MAP
+        "_diamond_product", "weight", algebra=ALGEBRA, context=CONTEXT, delta_plus=MAP, delta_minus=MAP
     ),
-    "post-from-o": Kind(_on_context(post_from_o), "weight", algebra=ALGEBRA, context=CONTEXT, alpha=MAP),
-    "post-from-rb": Kind(
-        lambda alg, t, weight, compatible: (compatible_from_rb if compatible else post_from_rb)(alg, t, weight),
-        "weight",
-        "compatible",
-        algebra=ALGEBRA,
-        t=MAP,
-    ),
-    "post-from-trialgebra": Kind(post_from_trialgebra, trialgebra=TRIALGEBRA),
-    "post-from-nybe": Kind(_post_from_nybe, algebra=ALGEBRA, tensor=TENSOR),
-    "post-on-image": Kind(_post_on_image, "weight", algebra=ALGEBRA, context=CONTEXT, alpha=MAP),
-    "dual-pm": Kind(_dual_pm, algebra=ALGEBRA, tensor=TENSOR),
-    "circ-delta": Kind(circ_delta_algebra, algebra=ALGEBRA, tensor=TENSOR),
-    "delta-r": Kind(_delta_r, algebra=ALGEBRA, tensor=TENSOR),
-    "lift-map": Kind(_lift_map, algebra=ALGEBRA, bimodule=BIMODULE, gamma=MAP),
-    "quad-transport": Kind(_quad_transport, algebra=ALGEBRA, form=FORM, t=MAP, beta=MAP),
+    "post-from-o": Kind("postnov.post_from_o", "weight", algebra=ALGEBRA, context=CONTEXT, alpha=MAP),
+    "post-from-rb": Kind("_post_from_rb", "weight", "compatible", algebra=ALGEBRA, t=MAP),
+    "post-from-trialgebra": Kind("postnov.post_from_trialgebra", trialgebra=TRIALGEBRA),
+    "post-from-nybe": Kind("_post_from_nybe", algebra=ALGEBRA, tensor=TENSOR),
+    "post-on-image": Kind("_post_on_image", "weight", algebra=ALGEBRA, context=CONTEXT, alpha=MAP),
+    "dual-pm": Kind("_dual_pm", algebra=ALGEBRA, tensor=TENSOR),
+    "circ-delta": Kind("lift.circ_delta_algebra", algebra=ALGEBRA, tensor=TENSOR),
+    "delta-r": Kind("_delta_r", algebra=ALGEBRA, tensor=TENSOR),
+    "lift-map": Kind("_lift_map", algebra=ALGEBRA, bimodule=BIMODULE, gamma=MAP),
+    "quad-transport": Kind("_quad_transport", algebra=ALGEBRA, form=FORM, t=MAP, beta=MAP),
 }
 
 TABLES = {"verify": VERIFY, "check": CHECK, "derive": DERIVE}
@@ -418,6 +399,8 @@ def _call(args) -> tuple:
     for (name, slot), path in zip(row.slots, paths):
         loaded.append(slot.load(name, path, loaded[0] if loaded else None))
     fld = loaded[0].field
+    if any(isinstance(slot, _Context) for _, slot in row.slots):
+        del loaded[0]  # the context carries the algebra
     options = {}
     for name in row.options:
         value = getattr(args, name)
@@ -429,7 +412,7 @@ def _call(args) -> tuple:
             except NovikovError as exc:
                 raise DocumentError(f"--{name} {value} has no value in {fld}: {exc}") from exc
         options[name] = value
-    return row.fn(*loaded, **options), fld
+    return row.resolve()(*loaded, **options), fld
 
 
 def cmd_check(args) -> int:

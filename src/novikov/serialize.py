@@ -3,42 +3,31 @@
 Envelope: {"format": 1, "kind": ..., "field": {...}, "payload": {...}}.
 Rational scalars serialize as strings ("3/4", integers allowed as input
 shorthand); prime-field scalars as integers reduced into [0, p).
+
+Every document is over an algebra or a matrix, so this module imports
+``algebra`` and ``linalg`` up front.  The other classes are imported only
+where they are needed: each kind has one decoder, which imports its class
+when it first runs, and ``to_document`` finds an object's encoder by the
+name of its class.  Decoding an algebra loads no ``operators``,
+``tensors``, ``postnov`` or ``ybe``.
 """
 
 from __future__ import annotations
 
 import json
+from functools import partial
 from typing import Optional
 
 from .algebra import Algebra, BimodNov, Bimodule
 from .errors import DocumentError, NovikovError
 from .fields import Field, field_from_json
 from .linalg import Matrix
-from .operators import LinMap
-from .postnov import CommTrialgebra, PostNov
-from .tensors import Tensor2
-from .ybe import BilForm
 
 FORMAT_VERSION = 1
 
-KINDS = (
-    "algebra",
-    "bimodule",
-    "bimodnov",
-    "linmap",
-    "tensor2",
-    "postnov",
-    "bilform",
-    "doc-bundle",
-)
-
-
-def _enc_scalar(field: Field, c):
-    return field.scalar_to_json(c)
-
 
 def _enc_vec(field: Field, v) -> list:
-    return [_enc_scalar(field, c) for c in v]
+    return [field.scalar_to_json(c) for c in v]
 
 
 def _enc_grid(field: Field, grid) -> list:
@@ -72,69 +61,83 @@ def _dec_matrix(field: Field, obj) -> Matrix:
     return m
 
 
-def to_document(obj) -> dict:
-    """Wrap a domain object in its JSON document."""
-    if isinstance(obj, Algebra):
-        kind = "algebra"
-        field = obj.field
-        payload = {"dim": obj.dim, "mul": _enc_grid(field, obj.mul)}
-        if obj.labels:
-            payload["labels"] = list(obj.labels)
-    elif isinstance(obj, BimodNov):
-        kind = "bimodnov"
-        field = obj.field
-        payload = {
-            "algebra": to_document(obj.alg)["payload"],
-            "mdim": obj.mdim,
-            "l": [_enc_matrix(field, m) for m in obj.l_mats],
-            "r": [_enc_matrix(field, m) for m in obj.r_mats],
-            "mul": _enc_grid(field, obj.mul),
-        }
-    elif isinstance(obj, Bimodule):
-        kind = "bimodule"
-        field = obj.field
-        payload = {
-            "algebra": to_document(obj.alg)["payload"],
-            "mdim": obj.mdim,
-            "l": [_enc_matrix(field, m) for m in obj.l_mats],
-            "r": [_enc_matrix(field, m) for m in obj.r_mats],
-        }
-    elif isinstance(obj, LinMap):
-        kind = "linmap"
-        field = obj.field
-        payload = _enc_matrix(field, obj.mat)
-    elif isinstance(obj, Matrix):
-        kind = "linmap"
-        field = obj.field
-        payload = _enc_matrix(field, obj)
-    elif isinstance(obj, Tensor2):  # a BilForm is a Tensor2
-        kind = "bilform" if isinstance(obj, BilForm) else "tensor2"
-        field = obj.field
-        payload = {"dim": obj.dim, "entries": [_enc_vec(field, row) for row in obj.grid]}
-    elif isinstance(obj, PostNov):
-        kind = "postnov"
-        field = obj.field
-        payload = {
-            "dim": obj.dim,
-            "circ": _enc_grid(field, obj.circ),
-            "tri_l": _enc_grid(field, obj.tri_l),
-            "tri_r": _enc_grid(field, obj.tri_r),
-        }
-    elif isinstance(obj, CommTrialgebra):
-        # trialgebras ship as a bundle of standard kinds
-        field = obj.field
-        return bundle_document(
-            {
-                "dot": to_document(Algebra(field, obj.dim, obj.dot)),
-                "circ": to_document(Algebra(field, obj.dim, obj.circ)),
-                "derivation": to_document(obj.deriv),
-            }
-        )
-    elif isinstance(obj, dict):
-        return bundle_document({k: to_document(v) for k, v in obj.items()})
-    else:
-        raise DocumentError(f"cannot serialize {type(obj).__name__}")
+# ---------------------------------------------------------------------------
+# encoders: an object to its document
+
+
+def _document(kind: str, field: Field, payload: dict) -> dict:
     return {"format": FORMAT_VERSION, "kind": kind, "field": field.to_json(), "payload": payload}
+
+
+def _enc_algebra(alg) -> dict:
+    payload = {"dim": alg.dim, "mul": _enc_grid(alg.field, alg.mul)}
+    if alg.labels:
+        payload["labels"] = list(alg.labels)
+    return _document("algebra", alg.field, payload)
+
+
+def _bimodule_payload(bim) -> dict:
+    return {
+        "algebra": _enc_algebra(bim.alg)["payload"],
+        "mdim": bim.mdim,
+        "l": [_enc_matrix(bim.field, m) for m in bim.l_mats],
+        "r": [_enc_matrix(bim.field, m) for m in bim.r_mats],
+    }
+
+
+def _enc_bimodule(bim) -> dict:
+    return _document("bimodule", bim.field, _bimodule_payload(bim))
+
+
+def _enc_bimodnov(bim) -> dict:
+    return _document("bimodnov", bim.field, {**_bimodule_payload(bim), "mul": _enc_grid(bim.field, bim.mul)})
+
+
+def _enc_tensor2(kind: str, t) -> dict:
+    return _document(kind, t.field, {"dim": t.dim, "entries": [_enc_vec(t.field, row) for row in t.grid]})
+
+
+def _enc_postnov(p) -> dict:
+    grids = {key: _enc_grid(p.field, getattr(p, key)) for key in ("circ", "tri_l", "tri_r")}
+    return _document("postnov", p.field, {"dim": p.dim, **grids})
+
+
+def _enc_trialgebra(tri) -> dict:
+    # trialgebras ship as a bundle of standard kinds
+    f = tri.field
+    return bundle_document(
+        {
+            "dot": _enc_algebra(Algebra(f, tri.dim, tri.dot)),
+            "circ": _enc_algebra(Algebra(f, tri.dim, tri.circ)),
+            "derivation": to_document(tri.deriv),
+        }
+    )
+
+
+# By the module and name of the object's class, so that encoding imports no
+# class; the nearest class in the MRO wins (a BilForm is a Tensor2).
+_ENCODERS = {
+    "novikov.algebra.Algebra": _enc_algebra,
+    "novikov.algebra.Bimodule": _enc_bimodule,
+    "novikov.algebra.BimodNov": _enc_bimodnov,
+    "novikov.linalg.Matrix": lambda m: _document("linmap", m.field, _enc_matrix(m.field, m)),
+    "novikov.operators.LinMap": lambda t: _document("linmap", t.field, _enc_matrix(t.field, t.mat)),
+    "novikov.tensors.Tensor2": partial(_enc_tensor2, "tensor2"),
+    "novikov.ybe.BilForm": partial(_enc_tensor2, "bilform"),
+    "novikov.postnov.PostNov": _enc_postnov,
+    "novikov.postnov.CommTrialgebra": _enc_trialgebra,
+    "builtins.dict": lambda parts: bundle_document({k: to_document(v) for k, v in parts.items()}),
+}
+
+
+def to_document(obj) -> dict:
+    """Wrap a domain object in its JSON document; a dict of objects becomes
+    a bundle."""
+    for cls in type(obj).__mro__:
+        encode = _ENCODERS.get(f"{cls.__module__}.{cls.__qualname__}")
+        if encode is not None:
+            return encode(obj)
+    raise DocumentError(f"cannot serialize {type(obj).__name__}")
 
 
 def bundle_document(docs: dict, field: Optional[Field] = None) -> dict:
@@ -149,6 +152,87 @@ def bundle_document(docs: dict, field: Optional[Field] = None) -> dict:
         "field": fields[0],
         "payload": {"documents": docs},
     }
+
+
+# ---------------------------------------------------------------------------
+# decoders: a payload to its object
+
+
+def _dec_algebra(field: Field, payload) -> Algebra:
+    dim = int(payload["dim"])
+    labels = None
+    if "labels" in payload:
+        labels = payload["labels"]
+        if not (isinstance(labels, list) and len(labels) == dim and all(isinstance(s, str) for s in labels)):
+            raise DocumentError(f"algebra labels must be {dim} strings, one per basis vector")
+        labels = tuple(labels)
+    return Algebra(field, dim, _dec_grid(field, payload["mul"]), labels)
+
+
+def _bimodule_parts(field: Field, payload) -> tuple:
+    alg = _dec_algebra(field, payload["algebra"])
+    mdim = int(payload["mdim"])
+    l_mats = tuple(_dec_matrix(field, m) for m in payload["l"])
+    r_mats = tuple(_dec_matrix(field, m) for m in payload["r"])
+    return alg, mdim, l_mats, r_mats
+
+
+def _dec_bimodule(field: Field, payload) -> Bimodule:
+    return Bimodule(*_bimodule_parts(field, payload))
+
+
+def _dec_bimodnov(field: Field, payload) -> BimodNov:
+    return BimodNov(*_bimodule_parts(field, payload), _dec_grid(field, payload["mul"]))
+
+
+def _dec_linmap(field: Field, payload):
+    from .operators import LinMap
+
+    return LinMap(_dec_matrix(field, payload))
+
+
+def _dec_tensor(kind: str, cls, field: Field, payload):
+    t = cls(field, tuple(_dec_vec(field, row) for row in payload["entries"]))
+    if t.dim != payload.get("dim", t.dim):
+        raise DocumentError(f"{kind} dimension disagrees with its entries")
+    return t
+
+
+def _dec_tensor2(field: Field, payload):
+    from .tensors import Tensor2
+
+    return _dec_tensor("tensor2", Tensor2, field, payload)
+
+
+def _dec_bilform(field: Field, payload):
+    from .ybe import BilForm
+
+    return _dec_tensor("bilform", BilForm, field, payload)
+
+
+def _dec_postnov(field: Field, payload):
+    from .postnov import PostNov
+
+    grids = (_dec_grid(field, payload[key]) for key in ("circ", "tri_l", "tri_r"))
+    return PostNov(field, int(payload["dim"]), *grids)
+
+
+def _dec_bundle(field: Field, payload) -> dict:
+    return {name: from_document(sub) for name, sub in payload["documents"].items()}
+
+
+_DECODERS = {
+    "algebra": _dec_algebra,
+    "bimodule": _dec_bimodule,
+    "bimodnov": _dec_bimodnov,
+    "linmap": _dec_linmap,
+    "tensor2": _dec_tensor2,
+    "postnov": _dec_postnov,
+    "bilform": _dec_bilform,
+    "doc-bundle": _dec_bundle,
+}
+
+KINDS = tuple(_DECODERS)
 
 
 def from_document(doc: dict):
@@ -170,50 +254,18 @@ def from_document(doc: dict):
     except (NovikovError, AttributeError, KeyError, TypeError, ValueError) as exc:  # e.g. "p": 4
         raise DocumentError(f"bad field {field_doc!r}: {exc}") from exc
     try:
-        return _decode_payload(kind, field, payload)
+        return _DECODERS[kind](field, payload)
     except DocumentError:
         raise
     except Exception as exc:
         raise DocumentError(f"bad {kind} payload: {exc}") from exc
 
 
-def _decode_payload(kind: str, field: Field, payload):
-    if kind == "algebra":
-        dim = int(payload["dim"])
-        labels = tuple(payload["labels"]) if "labels" in payload else None
-        return Algebra(field, dim, _dec_grid(field, payload["mul"]), labels)
-    if kind in ("bimodule", "bimodnov"):
-        alg = _decode_payload("algebra", field, payload["algebra"])
-        mdim = int(payload["mdim"])
-        l_mats = tuple(_dec_matrix(field, m) for m in payload["l"])
-        r_mats = tuple(_dec_matrix(field, m) for m in payload["r"])
-        if kind == "bimodule":
-            return Bimodule(alg, mdim, l_mats, r_mats)
-        return BimodNov(alg, mdim, l_mats, r_mats, _dec_grid(field, payload["mul"]))
-    if kind == "linmap":
-        return LinMap(_dec_matrix(field, payload))
-    if kind in ("tensor2", "bilform"):
-        cls = BilForm if kind == "bilform" else Tensor2
-        t = cls(field, tuple(_dec_vec(field, row) for row in payload["entries"]))
-        if t.dim != payload.get("dim", t.dim):
-            raise DocumentError(f"{kind} dimension disagrees with its entries")
-        return t
-    if kind == "postnov":
-        dim = int(payload["dim"])
-        return PostNov(
-            field,
-            dim,
-            _dec_grid(field, payload["circ"]),
-            _dec_grid(field, payload["tri_l"]),
-            _dec_grid(field, payload["tri_r"]),
-        )
-    if kind == "doc-bundle":
-        return {name: from_document(sub) for name, sub in payload["documents"].items()}
-    raise DocumentError(kind)
-
-
-def bundle_to_trialgebra(parts: dict) -> CommTrialgebra:
+def bundle_to_trialgebra(parts: dict):
     """Assemble a trialgebra from a parsed bundle with dot/circ/derivation."""
+    from .operators import LinMap
+    from .postnov import CommTrialgebra
+
     try:
         dot = parts["dot"]
         circ = parts["circ"]

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import ClassVar, Sequence
+from typing import ClassVar
 
 from .errors import BadContraction, DimMismatch, FieldMismatch
 from .fields import Field
@@ -265,10 +265,3 @@ def tensor3_combine(alg, r: Tensor2, s: Tensor2, kind: str) -> Tensor3:
     patterns: the one-term ``tensor3_sum``."""
     return tensor3_sum(alg, ((1, r, s, kind),))
 
-
-def tensor2_from_pairs(field: Field, n: int, pairs: Sequence[tuple[int, int, object]]) -> Tensor2:
-    """Build Σ c·e_i⊗e_j from (i, j, c) triples."""
-    grid = [[field.zero()] * n for _ in range(n)]
-    for i, j, c in pairs:
-        grid[i][j] += field.coerce(c)
-    return Tensor2._from_flat(field, n, [c for row in grid for c in row])

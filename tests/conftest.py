@@ -5,9 +5,10 @@ import pathlib
 import pytest
 
 from novikov._kernels import pure
-from novikov.algebra import Algebra, regular
+from novikov.algebra import regular
 from novikov.fields import GF, QQ
 from novikov.fixtures import example_algebra, example_beta, example_t
+from novikov.tensors import Tensor2
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 FIXTURES = REPO / "fixtures"
@@ -16,6 +17,14 @@ FIXTURES = REPO / "fixtures"
 def golden_counts() -> dict:
     """The pinned enumeration counts, by search."""
     return json.loads((REPO / "goldens" / "counts.json").read_text(encoding="utf-8"))
+
+
+def tensor2_from_pairs(field, n: int, pairs) -> Tensor2:
+    """Σ c·e_i⊗e_j from (i, j, c) triples."""
+    grid = [[field.zero()] * n for _ in range(n)]
+    for i, j, c in pairs:
+        grid[i][j] += field.coerce(c)
+    return Tensor2(field, tuple(map(tuple, grid)))
 
 
 @pytest.fixture

@@ -1,11 +1,9 @@
 """The acceptance gate: each criterion runs at its stated tolerance and
 prints one pass/fail line (bypassing capture so the lines always show)."""
 
-import json
 import sys
 import time
 
-import pytest
 from conftest import golden_counts
 
 from novikov import _kernels as kernels

@@ -15,7 +15,7 @@ from novikov.algebra import (
     star,
 )
 from novikov.errors import NotABimodule, NotNovikov
-from novikov.fields import GF, QQ
+from novikov.fields import QQ
 from novikov.linalg import Matrix
 from novikov.solver import trunc_poly_algebra
 

@@ -283,7 +283,6 @@ def test_derive_remaining_constructions(capsys, fixture_path, tmp_path):
     form = tmp_path / "form.json"
     form.write_text(sdumps(to_document(BilForm(QQ, ((1, 0), (0, 1))))))
     zmap = tmp_path / "zmap.json"
-    from novikov.linalg import Matrix
     from novikov.operators import LinMap
 
     zmap.write_text(sdumps(to_document(LinMap.zero(QQ, 2, 2))))
@@ -354,6 +353,13 @@ def _a2_with(field: dict, coefficient) -> dict:
 _Q, _F3 = {"kind": "rational"}, {"kind": "prime", "p": 3}
 
 
+def _a2_labelled(labels) -> dict:
+    """The worked 2-dim algebra over Q with the given basis labels."""
+    doc = _a2_with(_Q, 1)
+    doc["payload"]["labels"] = labels
+    return doc
+
+
 def _zero_context(module: bool = False) -> dict:
     """The regular context of the zero algebra on Q^2 as a document: the
     bimodnov, or with ``module`` the bimodule."""
@@ -421,6 +427,8 @@ TMP_DIR = object()
         pytest.param(["verify", "algebra", _a2_with(_F3, "1_0")], id="scalar-digit-separator-f3"),
         pytest.param(["verify", "algebra", _a2_with(_Q, True)], id="scalar-boolean"),
         pytest.param(["verify", "algebra", _a2_with(_F3, True)], id="scalar-boolean-f3"),
+        pytest.param(["verify", "algebra", _a2_labelled(["x"])], id="labels-too-few"),
+        pytest.param(["verify", "algebra", _a2_labelled([{"x": 1}, [2]])], id="labels-not-strings"),
         pytest.param(["check", "rota-baxter", "--weight", "1e3000000", "a2.json", "t2.json"], id="weight-exponent"),
         pytest.param(["check", "rota-baxter", "--weight", "0.5", "a2.json", "t2.json"], id="weight-decimal-point"),
         pytest.param(["solve", "novikov", "--dim", "99", "--field", "F2", "--count-only"], id="space-exponent-too-large"),
@@ -527,6 +535,8 @@ _SAYS = {
     "form-larger-than-algebra": "tensor dimension does not match the algebra",
     "ext-o-zero-beta-other-field": "map is over QQ, context over GF(3)",
     "ext-o-zero-beta-2x2-on-dim-3": "map is 2x2, context wants 3x3",
+    "labels-too-few": "algebra labels must be 2 strings, one per basis vector",
+    "labels-not-strings": "algebra labels must be 2 strings, one per basis vector",
 }
 
 

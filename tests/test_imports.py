@@ -1,7 +1,8 @@
 """The import contract, each case in a fresh interpreter: ``import novikov``
 loads no submodule, a cold ``nova`` loads only what its command runs, and
 every exported name still resolves to the object its home module defines.
-Also the package's option inventory: every parameter with a default, pinned."""
+Also the package's option inventory: every parameter with a default, pinned,
+and no module that imports a name it never reads."""
 
 import ast
 import json
@@ -131,6 +132,112 @@ print(solver.__name__, _kernels.__name__)
     ]
 
 
+# the benchmark's cold commands (perfbench/wl_cli.py) and the novikov.*
+# modules each loads: verify and check/derive load the modules their row
+# calls, solve the search engine
+_BASE = {"algebra", "errors", "fields", "linalg", "residual", "serialize"}
+COLD_COMMANDS = {
+    "verify-algebra": (["verify", "algebra", "fixtures/a2.json"], _BASE),
+    "check-ext-o": (
+        ["check", "ext-o", "--weight", "1", "--kappa", "-2", "--mu", "0",
+         "fixtures/a2.json", "regular", "fixtures/t2.json", "fixtures/beta2.json"],
+        _BASE | {"operators"},
+    ),
+    "derive-circ-t": (
+        ["derive", "circ-t", "--weight", "1", "fixtures/a2.json", "fixtures/t2.json"], _BASE | {"operators"}
+    ),
+    "check-gnybe": (
+        ["check", "gnybe", "fixtures/a2.json", "fixtures/r_skew.json"], _BASE | {"operators", "tensors", "lift"}
+    ),
+    "solve-nybe": (
+        ["solve", "nybe", "fixtures/a2_f3.json", "--field", "F3", "--count-only"],
+        _BASE | {"operators", "tensors", "ybe", "solver"},
+    ),
+}
+
+
+@pytest.mark.parametrize("command", COLD_COMMANDS)
+def test_cold_command_loads_only_what_its_row_calls(command):
+    argv, modules = COLD_COMMANDS[command]
+    proc = _python("-X", "importtime", "-m", "novikov.cli", *argv)
+    assert proc.returncode in (0, 1), proc.stderr
+    imported = (line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:"))
+    assert {name for name in imported if name.startswith("novikov.")} == {f"novikov.{m}" for m in modules}
+
+
+def test_every_row_resolves_to_a_callable():
+    script = """
+import json
+from novikov import cli
+print(json.dumps({f"{command} {kind}": callable(row.resolve()) for command, table in cli.TABLES.items()
+                  for kind, row in table.items()}))
+"""
+    proc = _python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    resolved = json.loads(proc.stdout)
+    assert len(resolved) == 6 + 15 + 18
+    assert [row for row, ok in resolved.items() if not ok] == []
+
+
+def _doc(kind: str, payload: dict) -> dict:
+    return {"format": 1, "kind": kind, "field": {"kind": "rational"}, "payload": payload}
+
+
+_A2 = {"dim": 2, "mul": [[["1", "0"], ["0", "1"]], [["0", "1"], ["0", "0"]]]}
+_ACTIONS = {
+    "l": [{"rows": 1, "cols": 1, "entries": [["1"]]}] * 2,
+    "r": [{"rows": 1, "cols": 1, "entries": [["0"]]}] * 2,
+}
+_GRID1 = [[["2"]]]
+
+# one document of each kind, as ``to_document`` writes it
+DOCUMENTS = {
+    "algebra": _doc("algebra", {**_A2, "labels": ["e1", "e2"]}),
+    "bimodule": _doc("bimodule", {"algebra": _A2, "mdim": 1, **_ACTIONS}),
+    "bimodnov": _doc("bimodnov", {"algebra": _A2, "mdim": 1, **_ACTIONS, "mul": _GRID1}),
+    "linmap": {**_doc("linmap", {"rows": 2, "cols": 1, "entries": [[1], [2]]}), "field": {"kind": "prime", "p": 3}},
+    "tensor2": _doc("tensor2", {"dim": 2, "entries": [["1/2", "0"], ["3", "-2"]]}),
+    "postnov": _doc("postnov", {"dim": 1, "circ": _GRID1, "tri_l": [[["0"]]], "tri_r": [[["-1"]]]}),
+    "bilform": _doc("bilform", {"dim": 2, "entries": [["1", "0"], ["0", "1"]]}),
+    "doc-bundle": _doc(
+        "doc-bundle",
+        {"documents": {"algebra": _doc("algebra", _A2), "form": _doc("bilform", {"dim": 1, "entries": [["1"]]})}},
+    ),
+}
+
+
+def test_every_kind_round_trips_with_only_serialize_imported():
+    """Each decoder imports its own class: an algebra loads none of the
+    other classes' modules, and encoding an algebra, a map or a matrix
+    loads no tensors, postnov or ybe."""
+    script = f"""
+import json, sys
+from novikov.serialize import KINDS, from_document, to_document
+docs = {json.dumps(DOCUMENTS)}
+
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith("novikov."))
+
+out = {{"kinds": list(KINDS), "imported": loaded(), "same": {{}}, "loaded": {{}}}}
+for kind, doc in docs.items():
+    obj = from_document(doc)
+    out["same"][kind] = to_document(obj) == doc
+    if kind == "linmap":
+        out["same"]["matrix"] = to_document(obj.mat) == doc
+    out["loaded"][kind] = loaded()
+print(json.dumps(out))
+"""
+    proc = _python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert sorted(got["kinds"]) == sorted(DOCUMENTS)
+    assert got["imported"] == ["novikov.algebra", "novikov.errors", "novikov.fields", "novikov.linalg",
+                               "novikov.residual", "novikov.serialize"]
+    assert [kind for kind, same in got["same"].items() if not same] == []
+    assert set(got["loaded"]["bimodnov"]) == set(got["imported"])
+    assert set(got["loaded"]["linmap"]) == set(got["imported"]) | {"novikov.operators"}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -173,3 +280,28 @@ def test_option_inventory_is_pinned():
         environ += [module for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr == "environ"]
     assert options == OPTIONS
     assert environ == []
+
+
+def _unused_imports(tree: ast.Module) -> list:
+    """The names an import binds that the module never reads; ``from
+    __future__`` imports bind none."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+            for alias in node.names:
+                bound.setdefault(alias.asname or alias.name.split(".")[0], node.lineno)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(f"{name} (line {line})" for name, line in bound.items() if name not in read)
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    # the kernel package re-exports its backend's functions
+    reexports = REPO / "src" / "novikov" / "_kernels" / "__init__.py"
+    paths = sorted([*(REPO / "tests").rglob("*.py"), *(REPO / "src" / "novikov").rglob("*.py")])
+    unused = {}
+    for path in paths:
+        if path != reexports:
+            names = _unused_imports(ast.parse(path.read_text(encoding="utf-8")))
+            if names:
+                unused[str(path.relative_to(REPO))] = names
+    assert unused == {}

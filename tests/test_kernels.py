@@ -33,7 +33,7 @@ def test_kernels_match_object_path():
     """The kernel predicates and the generic residual ops agree."""
     import random as _random
 
-    from novikov.algebra import Algebra, novikov_residual, regular
+    from novikov.algebra import Algebra, novikov_residual
     from novikov.fields import GF
     from novikov.operators import LinMap, rota_baxter_residual
     from novikov.linalg import Matrix

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from conftest import tensor2_from_pairs
 
 from novikov.algebra import (
     Algebra,
@@ -11,7 +12,7 @@ from novikov.algebra import (
 )
 from novikov.errors import DimMismatch, NotABimodule
 from novikov.fields import GF, QQ
-from novikov.fixtures import example_algebra, example_t
+from novikov.fixtures import example_algebra
 from novikov.lift import (
     b_alpha,
     bialgebra_extra_residuals,
@@ -27,7 +28,7 @@ from novikov.lift import (
 )
 from novikov.linalg import Matrix
 from novikov.operators import LinMap
-from novikov.tensors import Tensor2, tensor2_from_pairs
+from novikov.tensors import Tensor2
 
 
 def test_double_of_regular(a2):

@@ -5,14 +5,13 @@ import pytest
 from novikov.algebra import Algebra, abnova_residual, dual_context, grids_equal, novikov_residual, regular
 from novikov.errors import NoHalf
 from novikov.fields import GF, QQ
-from novikov.fixtures import example_algebra, example_beta, example_t
+from novikov.fixtures import example_algebra
 from novikov.linalg import Matrix
 from novikov.operators import (
     LinMap,
     MassParams,
     balanced_residual,
     baxter_residual,
-    bimodule_hom_residual,
     circ_t,
     diamond_product,
     equivalent_residual,

@@ -1,6 +1,6 @@
 import pytest
 
-from novikov.algebra import Algebra, abnova_residual, grids_equal, novikov_residual, regular
+from novikov.algebra import Algebra, abnova_residual, grids_equal, regular
 from novikov.errors import (
     KernelNotIdeal,
     NotDerivation,
@@ -15,7 +15,6 @@ from novikov.linalg import Matrix
 from novikov.operators import LinMap, hom_residual
 from novikov.postnov import (
     CommTrialgebra,
-    ImagePost,
     PostNov,
     associated,
     compatible_from_rb,
@@ -29,7 +28,7 @@ from novikov.postnov import (
     post_residual,
     trialgebra_residual,
 )
-from novikov.solver import SearchSpec, enumerate_search, solution_to_object
+from novikov.solver import SearchSpec, enumerate_search
 from novikov.tensors import Tensor2
 
 

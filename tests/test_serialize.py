@@ -9,10 +9,9 @@ from novikov import cli
 from novikov.algebra import BimodNov, regular, regular_bimodule
 from novikov.errors import DocumentError
 from novikov.fields import GF, QQ
-from novikov.fixtures import example_algebra, example_beta, example_t
-from novikov.linalg import Matrix
+from novikov.fixtures import example_algebra, example_t
 from novikov.operators import LinMap
-from novikov.postnov import PostNov, post_from_rb
+from novikov.postnov import post_from_rb
 from novikov.serialize import (
     KINDS,
     bundle_document,

@@ -1,6 +1,5 @@
 import itertools
 import json
-import os
 import random
 from math import prod
 
@@ -28,7 +27,6 @@ from novikov.solver import (
     invariant_symmetric_basis,
     reverify,
     sample_from_basis,
-    solution_to_object,
     trunc_poly_algebra,
 )
 from novikov.tensors import Tensor2

@@ -2,11 +2,11 @@ import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from conftest import tensor2_from_pairs
 
 from novikov.errors import BadContraction, DimMismatch
 from novikov.fields import GF, QQ
-from novikov.fixtures import example_algebra
-from novikov.tensors import CONTRACTION_KINDS, Tensor2, Tensor3, flip, tensor2_from_pairs, tensor3_combine
+from novikov.tensors import CONTRACTION_KINDS, Tensor2, Tensor3, flip, tensor3_combine
 
 
 def test_flip_simple_tensor():

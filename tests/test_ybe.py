@@ -1,15 +1,16 @@
 import random
 
 import pytest
+from conftest import tensor2_from_pairs
 
-from novikov.algebra import Algebra, dual_context, novikov_residual
+from novikov.algebra import Algebra
 from novikov.errors import BetaNotSelfAdjoint, DegenerateForm, NoHalf
 from novikov.fields import GF, QQ
 from novikov.fixtures import example_algebra
 from novikov.linalg import Matrix
-from novikov.operators import LinMap, o_operator_residual
-from novikov.solver import invariant_symmetric_basis, trunc_poly_algebra
-from novikov.tensors import Tensor2, flip, tensor2_from_pairs
+from novikov.operators import LinMap
+from novikov.solver import invariant_symmetric_basis
+from novikov.tensors import Tensor2, flip
 from novikov.ybe import (
     BilForm,
     RTensor,
