@@ -31,7 +31,7 @@ from .algebra import Algebra, BimodNov, dual_context, regular, regular_bimodule
 from .errors import DimMismatch, DocumentError, FieldMismatch, NovikovError, SpaceTooLarge
 from .fields import Field, field_by_name, parse_scalar
 from .residual import Residual
-from .serialize import bundle_document, bundle_to_trialgebra, dumps, from_document, load_path, to_document
+from .serialize import KINDS, bundle_document, bundle_to_trialgebra, dumps, from_document, load_path, to_document
 
 
 def _human(msg: str) -> None:
@@ -114,10 +114,11 @@ class _Doc:
         if token in self.tokens:
             return self.tokens[token](alg)
         doc = load_path(token)
-        obj = from_document(doc)
-        if doc["kind"] not in self.kinds:
+        kind = doc.get("kind") if isinstance(doc, dict) else None
+        if kind in KINDS and kind not in self.kinds:  # before decoding imports its class
             wanted = " or ".join(self.kinds)
-            raise DocumentError(f"{name}: expected a document of kind {wanted}, got {doc['kind']}")
+            raise DocumentError(f"{name}: expected a document of kind {wanted}, got {kind}")
+        obj = from_document(doc)
         return self.convert(obj) if self.convert else obj
 
 

@@ -16,6 +16,10 @@ operation gives, and over Q ``reduce`` is the identity.  ``PolyRing``, over
 which the search evaluates each residual once, symbolically, keeps the same
 contract: its scalars overload these operators and are falsy exactly when
 zero (bare tuples, on which ``+`` concatenates, would not qualify).
+P-TENSOR-OP also evaluates its two routes once per table over ``PolyRing``
+and decides each tensor of the table by ``Poly.at``, the unreduced value at
+the tensor's coefficients, reduced mod p by the caller: evaluation at a
+point is a ring homomorphism onto F_p.
 """
 
 from __future__ import annotations
@@ -254,6 +258,15 @@ class Poly(dict):
         return out
 
     __rmul__ = __mul__
+
+    def at(self, point) -> int:
+        """The value at x_u = ``point[u]``, unreduced: the caller reduces it."""
+        total = 0
+        for m, c in self.items():
+            for u in m:
+                c *= point[u]
+            total += c
+        return total
 
 
 def _terms(x) -> dict:

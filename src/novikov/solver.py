@@ -236,7 +236,7 @@ def _residual_coords(spec: SearchSpec, ring: Optional[PolyRing] = None) -> Calla
         params = MassParams(spec.weight, spec.kappa, spec.mu)
         residual = lambda t: ext_o_equation_residual(ctx, t, beta, params)
     elif kind == "invariant-symmetric-tensor":
-        residual = lambda s: invariance_residual(alg, s, cross_check=False)
+        residual = lambda s: invariance_residual(alg, s)
     elif kind == "quadratic-form":
         residual = lambda form: invariant_form_residual(alg, form)
     else:
@@ -460,7 +460,7 @@ def balanced_hom_equivalent_basis(ctx: BimodNov) -> list[LinMap]:
 
 def invariant_symmetric_basis(alg: Algebra) -> list[Tensor2]:
     """Basis of invariant symmetric 2-tensors."""
-    return _symmetric_space(alg.field, alg.dim, Tensor2, lambda s: invariance_residual(alg, s, cross_check=False))
+    return _symmetric_space(alg.field, alg.dim, Tensor2, lambda s: invariance_residual(alg, s))
 
 
 def invariant_form_basis(alg: Algebra) -> list[BilForm]:

@@ -69,12 +69,12 @@ class RTensor:
         return self.alg.field
 
 
-def invariance_residual(alg: Algebra, s: Tensor2, cross_check: bool = True) -> Residual:
+def invariance_residual(alg: Algebra, s: Tensor2, cross_check: bool = False) -> Residual:
     """(L(x)⊗id + id⊗L_star(x))s on every basis x.
 
-    For symmetric s the report also cross-checks the operator
-    characterizations (the hat being balanced, and being a module
-    homomorphism into the regular actions); the three verdicts must agree.
+    P-LEM-R compares this verdict with the operator characterizations of a
+    symmetric s.  ``cross_check`` is ignored: the benchmark's random-checks
+    oracle (``perfbench/wl_random_checks.py``) still passes it as False.
     """
     s.check_on(alg)
     f = alg.field
@@ -86,20 +86,7 @@ def invariance_residual(alg: Algebra, s: Tensor2, cross_check: bool = True) -> R
         moved = s.apply_slot(0, lx) + s.apply_slot(1, lx + reg.r_mats[x])  # L_star = L + R
         for i in range(n):
             col.record("invariance", (x, i), moved.grid[i])
-    report = col.done()
-    if cross_check and s.is_symmetric():
-        from .operators import balanced_residual, bimodule_hom_residual
-
-        ctx = dual_context(alg)
-        shat = LinMap(hat_matrices(s)[0])
-        balanced = balanced_residual(ctx, shat).is_zero
-        homo = bimodule_hom_residual(ctx, shat).is_zero
-        if not (balanced == homo == report.is_zero):
-            raise AssertionError(
-                "invariance characterizations disagree: "
-                f"tensor={report.is_zero} balanced={balanced} hom={homo}"
-            )
-    return report
+    return col.done()
 
 
 def _nybe_terms(r: Tensor2) -> list:
@@ -146,7 +133,7 @@ def dual_pm_products(alg: Algebra, rt: RTensor) -> tuple[Grid, Grid]:
 
     Requires the symmetric part to be invariant.
     """
-    if not invariance_residual(alg, rt.r_plus, cross_check=False).is_zero:
+    if not invariance_residual(alg, rt.r_plus).is_zero:
         raise SymPartNotInvariant("symmetric part is not invariant")
     return pm_products(dual_context(alg), rt.beta, 0)
 

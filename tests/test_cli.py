@@ -482,6 +482,7 @@ TMP_DIR = object()
         ),
         pytest.param(["derive", "semidirect", _zero_context()], id="semidirect-one-document"),
         pytest.param(["check", "adjoint", "a2.json", "t2.json"], id="adjoint-form-is-an-algebra"),
+        pytest.param(["verify", "algebra", _rational("postnov", {"dim": 1})], id="malformed-document-of-another-kind"),
         pytest.param(
             ["derive", "circ-t", "--weight", "1", "a2.json", "t2.json", "--out", TMP_DIR], id="derive-out-a-directory"
         ),
@@ -516,6 +517,7 @@ def test_input_errors_exit_2_with_one_line(capsys, fixture_path, tmp_path, reque
 # kind it wants, and an unread option is named
 _SAYS = {
     "adjoint-form-is-an-algebra": "form: expected a document of kind bilform, got algebra",
+    "malformed-document-of-another-kind": "algebra: expected a document of kind algebra, got postnov",
     "check-nybe-with-unread-options": "check nybe reads no --kappa, --equation-only, --sign",
     "derive-out-a-directory": "cannot write ",
     "solve-out-a-directory": "cannot write ",

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from novikov.errors import FieldMismatch, NoHalf, NovikovError
 from novikov.fields import GF, QQ, Poly, PolyRing, field_by_name, field_from_json, parse_scalar
@@ -110,6 +110,25 @@ def test_poly_ring_evaluates_like_f7(a, b, c, u, v):
     assert all(0 < coeff < 7 for coeff in poly.values())
     value = sum(coeff * (u ** mono.count(0)) * (v ** mono.count(1)) for mono, coeff in poly.items())
     assert value % 7 == (a * u * u + (b - v) * (u + c) - c) % 7
+
+
+def test_poly_evaluates_unreduced():
+    x, y = PolyRing(3).variables(2)
+    assert (2 * x * x * y - 1).at((3, 5)) == 89 and (x - x).at((1, 1)) == 0
+
+
+# polynomials in x_0, x_1, x_2 with small integer coefficients
+_MONOMIALS = st.lists(st.integers(0, 2), max_size=3).map(lambda us: tuple(sorted(us)))
+_POLYS = st.dictionaries(_MONOMIALS, st.integers(-20, 20).filter(bool), max_size=5).map(Poly)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.sampled_from([2, 3, 5]), _POLYS, _POLYS, st.lists(st.integers(0, 4), min_size=3, max_size=3))
+def test_poly_evaluation_is_a_ring_homomorphism_onto_f_p(p, a, b, point):
+    f, point = GF(p), [u % p for u in point]
+    va, vb = f.reduce((a.at(point), b.at(point)))
+    values = f.reduce(((a + b).at(point), (a - b).at(point), (a * b).at(point)))
+    assert values == f.reduce((va + vb, va - vb, va * vb))
 
 
 def test_poly_ring_reduces_coefficients_mod_p():

@@ -53,7 +53,6 @@ OPTIONS = {
     "novikov.fixtures.example_algebra.field",
     "novikov.fixtures.example_beta.field",
     "novikov.fixtures.example_t.field",
-    "novikov.lift.circ_delta.cross_validate",
     "novikov.lift.double.validate",
     "novikov.postnov.post_from_o.validate",
     "novikov.properties.PropertyRun.count.checks",
@@ -156,13 +155,19 @@ COLD_COMMANDS = {
 }
 
 
+def _cold_nova(*argv: str) -> tuple:
+    """A cold ``nova`` run and the ``novikov.*`` modules it imported."""
+    proc = _python("-X", "importtime", "-m", "novikov.cli", *argv)
+    imported = (line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:"))
+    return proc, {name for name in imported if name.startswith("novikov.")}
+
+
 @pytest.mark.parametrize("command", COLD_COMMANDS)
 def test_cold_command_loads_only_what_its_row_calls(command):
     argv, modules = COLD_COMMANDS[command]
-    proc = _python("-X", "importtime", "-m", "novikov.cli", *argv)
+    proc, imported = _cold_nova(*argv)
     assert proc.returncode in (0, 1), proc.stderr
-    imported = (line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:"))
-    assert {name for name in imported if name.startswith("novikov.")} == {f"novikov.{m}" for m in modules}
+    assert imported == {f"novikov.{m}" for m in modules}
 
 
 def test_every_row_resolves_to_a_callable():
@@ -236,6 +241,15 @@ print(json.dumps(out))
     assert [kind for kind, same in got["same"].items() if not same] == []
     assert set(got["loaded"]["bimodnov"]) == set(got["imported"])
     assert set(got["loaded"]["linmap"]) == set(got["imported"]) | {"novikov.operators"}
+
+
+def test_a_document_of_another_kind_is_refused_before_it_is_decoded(tmp_path):
+    path = tmp_path / "postnov.json"
+    path.write_text(json.dumps(DOCUMENTS["postnov"]))
+    proc, imported = _cold_nova("verify", "algebra", str(path))
+    assert proc.returncode == 2
+    assert "algebra: expected a document of kind algebra, got postnov" in proc.stderr
+    assert imported.isdisjoint({"novikov.postnov", "novikov.operators"})
 
 
 @pytest.mark.parametrize(

@@ -1,14 +1,22 @@
 """Every named property must pass with genuine (non-vacuous) coverage."""
 
+import json
+from itertools import product
+from types import SimpleNamespace
+
 import pytest
 
+from novikov import properties
+from novikov.cli import main
 from novikov.fields import GF, QQ
 from novikov.fixtures import example_algebra
 from novikov.linalg import Matrix
 from novikov.operators import LinMap
-from novikov.properties import PROPERTY_IDS, PropertyRun, run_property
+from novikov.properties import PROPERTY_IDS, PropertyRun, run_property, tensor_op_verdicts
 from novikov.residual import ResidualCollector
-from novikov.solver import SEARCH_KINDS, SearchSpec, enumerate_search, reverify
+from novikov.solver import SEARCH_KINDS, SearchSpec, enumerate_search, enumerated_dim2, reverify, trunc_poly_algebra
+from novikov.tensors import Tensor2
+from novikov.ybe import nybe_residual, o_nybe_residual
 
 # properties whose default run must also exercise hypothesis-satisfying
 # instances (all of them, by design)
@@ -92,3 +100,46 @@ def test_residuals_are_recorded_reduced(monkeypatch):
         spec = SearchSpec(kind, f, 2, algebra=example_algebra(f), weight=1, kappa=1, mu=2, epsilon=1, beta=beta)
         res = enumerate_search(spec)
         assert all(reverify(spec, s) for s in res.solutions[:20])
+
+
+def _concrete_verdicts(alg, cells) -> tuple:
+    n = alg.dim
+    r = Tensor2(alg.field, tuple(tuple(cells[i * n:i * n + n]) for i in range(n)))
+    return nybe_residual(alg, r).is_zero(), o_nybe_residual(alg, r).is_zero
+
+
+@pytest.mark.parametrize(
+    "algebras, counts",
+    [
+        (lambda: enumerated_dim2(GF(2)), (832, 232)),
+        (lambda: enumerated_dim2(GF(3))[::11], (1377, 145)),
+        (lambda: [trunc_poly_algebra(GF(2), 3)], (512, 18)),
+    ],
+    ids=["F2-every-table", "F3-every-11th-table", "F2-trunc3"],
+)
+def test_specialised_tensor_op_verdicts_are_the_concrete_verdicts(algebras, counts):
+    """P-TENSOR-OP decides its exhaustive instances from one symbolic
+    evaluation of each route per table; on every point the specialised pair
+    must be the concrete routes' pair."""
+    instances = solutions = 0
+    for alg in algebras():
+        verdicts = tensor_op_verdicts(alg)
+        for cells in product(range(alg.field.p), repeat=alg.dim**2):
+            got = verdicts(cells)
+            assert got == _concrete_verdicts(alg, cells), (alg, cells)
+            instances += 1
+            solutions += got[0]
+    assert (instances, solutions) == counts
+
+
+def test_a_split_invariance_lemma_is_a_failure_record_not_a_traceback(monkeypatch, capsys):
+    """P-LEM-R compares the three invariance characterizations itself: with
+    the balanced verdict negated, ``nova prop P-LEM-R`` reports the
+    counterexample and exits 1."""
+    balanced = properties.balanced_residual
+    monkeypatch.setattr(properties, "balanced_residual", lambda ctx, m: SimpleNamespace(is_zero=not balanced(ctx, m).is_zero))
+    assert main(["prop", "P-LEM-R"]) == 1
+    report = json.loads(capsys.readouterr().out.splitlines()[0])
+    assert (report["passed"], report["checked"], report["hypothesis_hits"]) == (False, 51, 13)
+    assert report["failures"][0]["what"] == "invariance characterizations disagree"
+    assert report["failures"][0]["balanced"] == "False" and report["failures"][0]["hom"] == "True"

@@ -1,17 +1,21 @@
 """The paper's bijections between solution sets, as exact set equalities over
-every dim-2 Novikov algebra of F_3.
+every dim-2 Novikov algebra of F_3 (and of F_2, for the tensor form).
 
-Both sides of each equality are enumerated by ``enumerate_search``, whose
-verdicts come from the object-path residuals; the mod-p kernels are not
-used.  Solutions are row-major matrix coefficients, so shifting by c·id
-adds c to the diagonal.
+Each side is enumerated by ``enumerate_search``, whose verdicts come from the
+object-path residuals, or checked point by point on the object path; the
+mod-p kernels are not used.  Solutions are row-major matrix coefficients, so
+shifting by c·id adds c to the diagonal.
 """
+
+from itertools import product
 
 import pytest
 
 from novikov.fields import GF
 from novikov.operators import LinMap
 from novikov.solver import SearchSpec, enumerate_search, enumerated_dim2
+from novikov.tensors import Tensor2
+from novikov.ybe import o_nybe_residual
 
 F3 = GF(3)
 P, N = 3, 2
@@ -59,3 +63,19 @@ def test_rota_baxter_weight_minus_two_shifts_to_weight_two(rota_baxter):
         solutions += len(by_weight[2])
         mismatches += len(shifted.symmetric_difference(by_weight[2]))
     assert (solutions, mismatches) == (1185, 0)
+
+
+@pytest.mark.parametrize("p, count", [(2, 232), (3, 849)], ids=["F2", "F3"])
+def test_operator_form_solutions_are_the_nybe_solutions(p, count):
+    # the tensor-form theorem: r solves the NYBE exactly when its hat solves
+    # the operator form; the (table, r) pairs whose concrete operator-form
+    # residual vanishes are the searched NYBE solutions on the same tables
+    f = GF(p)
+    operator, searched = set(), set()
+    for t, alg in enumerate(enumerated_dim2(f)):
+        for cells in product(range(p), repeat=N * N):
+            if o_nybe_residual(alg, Tensor2(f, (cells[:N], cells[N:]))).is_zero:
+                operator.add((t, cells))
+        searched.update((t, sol) for sol in enumerate_search(SearchSpec("nybe-solution", f, N, algebra=alg)).solutions)
+    assert len(operator) == count
+    assert operator == searched
