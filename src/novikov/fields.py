@@ -1,18 +1,23 @@
 """Exact scalar arithmetic: the rationals and prime fields F_p.
 
-Scalars are plain Python values (``fractions.Fraction`` over Q, canonical
-``int`` in ``[0, p)`` over F_p).  A ``Field`` object carries the
-canonicalization; containers (vectors, matrices, tensors, algebras) keep a
-reference to their field and refuse to mix fields.
+Scalars are plain Python values.  Over Q an integral scalar is an ``int``
+and any other a ``fractions.Fraction`` in lowest terms with denominator
+> 1, so arithmetic on integral scalars runs at ``int`` speed and builds no
+``Fraction``; over F_p a scalar is an ``int`` in ``[0, p)``.  A ``Field``
+object carries the canonicalization; containers (vectors, matrices,
+tensors, algebras) keep a reference to their field and refuse to mix fields.
 
 All scalar arithmetic of the object path (product grids, vector, matrix and
 tensor arithmetic, tensor contractions, row reduction, the residuals) uses
 only Python's own ``+``, ``-`` and ``*`` on canonical scalars, truthiness of
 a reduced scalar as the zero test, and ``Field.reduce`` once on each
-finished output; ``inv`` is the only division.  An accumulator starts at
-``zero()``, so an empty sum over Q is still a ``Fraction``.  Over F_p one
-``%`` of the unreduced value is exactly what a reduction after every
-operation gives, and over Q ``reduce`` is the identity.  ``PolyRing``, over
+finished output; ``inv`` is the only division, and it divides through
+``Fraction``, never with ``/`` (``int / int`` is a float).  An accumulator
+starts at ``zero()``, which over Q is the ``int`` 0.  Over F_p one ``%`` of
+the unreduced value is exactly what a reduction after every operation
+gives; over Q ``reduce`` replaces a denominator-1 ``Fraction`` (say, 1/2 +
+1/2) by its numerator, and an equal ``int`` and ``Fraction`` compare and
+hash alike, so the two forms never disagree on a value.  ``PolyRing``, over
 which the search evaluates each residual once, symbolically, keeps the same
 contract: its scalars overload these operators and are falsy exactly when
 zero (bare tuples, on which ``+`` concatenates, would not qualify).
@@ -116,29 +121,31 @@ class Field:
 
 
 class Rationals(Field):
-    """The field Q; scalars are Fractions (lowest terms, positive denominator)."""
+    """The field Q.  A scalar is an ``int`` when it is integral and otherwise
+    a ``Fraction`` in lowest terms with denominator > 1.  ``coerce``,
+    ``sample`` and ``inv`` return that form; ``reduce`` restores it on the
+    results of ``+``, ``-`` and ``*``, where a ``Fraction`` operand can leave
+    a ``Fraction`` with denominator 1."""
 
     char = 0
-
-    def zero(self):
-        return Fraction(0)
 
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
-        return 1 / a
+        return _canonical(Fraction(1, a))
 
     def coerce(self, x):
-        if isinstance(x, Fraction):
-            return x
-        if isinstance(x, int):
-            return Fraction(x)
+        if type(x) is int or (type(x) is Fraction and x.denominator != 1):
+            return x  # already canonical, as most entries of a new container are
         if isinstance(x, str):
-            return parse_scalar(x)
+            x = parse_scalar(x)
+        if isinstance(x, (int, Fraction)):
+            return _canonical(x)
         raise NovikovError(f"cannot coerce {x!r} into Q")
 
     def reduce(self, values) -> tuple:
-        return tuple(values)
+        # ``_canonical`` inlined: this runs on every output of every loop
+        return tuple([x if type(x) is int or x.denominator != 1 else x.numerator for x in values])
 
     def scalar_to_json(self, a):
         if a.denominator == 1:
@@ -156,7 +163,7 @@ class Rationals(Field):
     def sample(self, rng):
         num = rng.randrange(-6, 7)
         den = rng.randrange(1, 4)
-        return Fraction(num, den)
+        return _canonical(Fraction(num, den))
 
     def __repr__(self) -> str:
         return "QQ"
@@ -166,6 +173,12 @@ class Rationals(Field):
 
     def __hash__(self) -> int:
         return hash("QQ")
+
+
+def _canonical(x):
+    """The canonical Q scalar equal to an int or ``Fraction`` ``x``: its
+    numerator (a plain ``int``, also for a bool) when the denominator is 1."""
+    return x.numerator if x.denominator == 1 else x
 
 
 class PrimeField(Field):
@@ -252,10 +265,12 @@ class Poly(dict):
         return Poly({m: -c for m, c in self.items()})
 
     def __mul__(self, other):
-        out = Poly()
-        for n, d in _terms(other).items():  # m -> m + n is one to one
-            out += Poly({tuple(sorted(m + n)): c * d for m, c in self.items()})
-        return out
+        acc: dict = {}
+        for n, d in _terms(other).items():
+            for m, c in self.items():
+                key = tuple(sorted(m + n))
+                acc[key] = acc.get(key, 0) + c * d
+        return Poly({m: c for m, c in acc.items() if c})
 
     __rmul__ = __mul__
 

@@ -732,12 +732,15 @@ def _p_tensor_op(run: PropertyRun, opts: Options) -> None:
             verdicts = tensor_op_verdicts(alg)
             for digits in product(range(field.p), repeat=4):
                 cells = digits[::-1]  # the first cell varies fastest
-                run.equivalent(
-                    *verdicts(cells),
-                    "tensor and operator verdicts disagree",
-                    algebra=alg,
-                    r=Tensor2(field, (cells[:2], cells[2:])),
-                )
+                lhs, rhs = verdicts(cells)
+                # ``equivalent`` without building the failure context up front
+                run.count(1, lhs)
+                if lhs != rhs:
+                    run.fail(
+                        "tensor and operator verdicts disagree",
+                        algebra=alg,
+                        r=Tensor2(field, (cells[:2], cells[2:])),
+                    )
     for _ in range(opts.trials):
         alg = rng.choice([example_algebra(QQ), trunc_poly_algebra(QQ, 2), trunc_poly_algebra(QQ, 3)])
         r = _random_tensor(QQ, alg.dim, rng)

@@ -1,3 +1,6 @@
+import ast
+import pathlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,6 +16,44 @@ def test_rational_coercion_lowest_terms():
     assert x == Fraction(3, 2)
     assert x.denominator == 2 and x.denominator > 0
     assert QQ.coerce(-3) == Fraction(-3)
+
+
+def _canonical_q(c) -> bool:
+    """Over Q an integral scalar is a plain int, any other a Fraction with
+    denominator > 1 (``Fraction`` keeps lowest terms itself)."""
+    return type(c) is int or (type(c) is Fraction and c.denominator > 1)
+
+
+_Q_RAW = st.integers(-30, 30) | st.booleans() | st.fractions(max_denominator=12).filter(lambda q: abs(q) < 40)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_Q_RAW, _Q_RAW, st.integers(0, 2**16))
+def test_q_scalars_are_ints_exactly_when_integral(a, b, seed):
+    x, y = QQ.coerce(a), QQ.coerce(b)
+    drawn = QQ.sample(random.Random(seed))
+    outputs = [x, y, QQ.coerce(str(x)), drawn, QQ.half(), QQ.zero(), QQ.one()]
+    outputs += QQ.reduce((x + y, x - y, x * y, -x, x * x, y - y))
+    if x:
+        outputs.append(QQ.inv(x))
+        assert QQ.inv(x) == 1 / Fraction(x)
+    assert x == a and y == b and QQ.reduce((x + y, x - y, x * y)) == (a + b, a - b, a * b)
+    assert all(_canonical_q(c) for c in outputs), outputs
+    for c in outputs:
+        back = QQ.scalar_from_json(QQ.scalar_to_json(c))
+        assert type(back) is type(c) and back == c
+
+
+def test_no_true_division_in_the_package():
+    """With integral Q scalars plain ints, ``a / b`` would silently give a
+    float; ``Rationals.inv`` divides through ``Fraction`` and is the only
+    division, so the package has no ``/`` or ``/=`` at all."""
+    found = []
+    for path in sorted(pathlib.Path(__file__).resolve().parent.parent.joinpath("src", "novikov").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found
 
 
 def test_prime_field_canonical_range():
@@ -129,6 +170,23 @@ def test_poly_evaluation_is_a_ring_homomorphism_onto_f_p(p, a, b, point):
     va, vb = f.reduce((a.at(point), b.at(point)))
     values = f.reduce(((a + b).at(point), (a - b).at(point), (a * b).at(point)))
     assert values == f.reduce((va + vb, va - vb, va * vb))
+
+
+def _fold_mul(a, b):
+    """``Poly.__mul__`` as it was: one ``Poly`` per term of ``b``, added on."""
+    out = Poly()
+    for n, d in (b.items() if isinstance(b, Poly) else [((), b)] if b else []):
+        out += Poly({tuple(sorted(m + n)): c * d for m, c in a.items()})
+    return out
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_POLYS, _POLYS | st.integers(-3, 3))
+def test_poly_product_matches_the_per_term_fold(a, b):
+    got = a * b
+    assert type(got) is Poly and got == _fold_mul(a, b) == b * a
+    # falsy exactly when zero: no zero coefficient is kept
+    assert all(got.values()) and bool(got) == (bool(a) and bool(b))
 
 
 def test_poly_ring_reduces_coefficients_mod_p():

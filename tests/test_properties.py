@@ -143,3 +143,30 @@ def test_a_split_invariance_lemma_is_a_failure_record_not_a_traceback(monkeypatc
     assert (report["passed"], report["checked"], report["hypothesis_hits"]) == (False, 51, 13)
     assert report["failures"][0]["what"] == "invariance characterizations disagree"
     assert report["failures"][0]["balanced"] == "False" and report["failures"][0]["hom"] == "True"
+
+
+def test_a_split_tensor_op_verdict_carries_its_algebra_and_tensor(monkeypatch):
+    """P-TENSOR-OP builds the F_p tensor of an exhaustive instance only when
+    its verdicts split; the run's books and failure records are those of
+    ``run.equivalent`` with the context built for every instance."""
+    honest = tensor_op_verdicts
+
+    def split_some(alg):
+        verdicts = honest(alg)
+        # a disagreement on every tensor whose first two cells are 1, 0
+        return lambda cells: (verdicts(cells)[0], verdicts(cells)[1] != (tuple(cells[:2]) == (1, 0)))
+
+    monkeypatch.setattr(properties, "tensor_op_verdicts", split_some)
+    f = GF(2)
+    got = run_property("P-TENSOR-OP", trials=0, field=f)
+    want = PropertyRun("P-TENSOR-OP")
+    for alg in enumerated_dim2(f):
+        verdicts = split_some(alg)
+        for digits in product(range(2), repeat=4):
+            cells = digits[::-1]
+            want.equivalent(*verdicts(cells), "tensor and operator verdicts disagree",
+                            algebra=alg, r=Tensor2(f, (cells[:2], cells[2:])))
+    assert len(got.failures) == 52 * 4
+    assert (got.checked, got.hypothesis_hits, got.failures) == (want.checked, want.hypothesis_hits, want.failures)
+    assert set(got.failures[0]) == {"what", "algebra", "r"}
+    assert got.failures[0]["r"] == {"tensor": [["1", "0"], ["0", "0"]]}
