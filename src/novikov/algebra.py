@@ -161,43 +161,46 @@ def star_algebra(alg: Algebra) -> Algebra:
     return Algebra(alg.field, alg.dim, star(alg))
 
 
-def _associator_tables(alg: Algebra) -> tuple[list, list]:
-    """T1[a][b][c] = (e_a∘e_b)∘e_c and T2[a][b][c] = e_a∘(e_b∘e_c), as
-    unreduced coordinate lists."""
-    n, mul = alg.dim, alg.mul
-    z = alg.field.zero()
+def novikov_residual(alg: Algebra) -> Residual:
+    """Left-symmetry and right-commutativity residuals on the basis triples
+    (i, j, k) where they can fail: left-symmetry at i = j and
+    right-commutativity at j = k are x - x in any ring, so they are skipped.
+    Failures come in (i, j, k) order, left-symmetry first at each triple."""
+    f, n, mul = alg.field, alg.dim, alg.mul
+    zeros = [f.zero()] * n
+    # the nonzero (coordinate, value) pairs of each e_a∘e_b
+    sparse = [[[(t, x) for t, x in enumerate(cell) if x] for cell in row] for row in mul]
 
-    def combine(coeffs, cells):  # Σ coeffs[k]·cells[k]
-        out = [z] * n
-        for x, cell in zip(coeffs, cells):
-            if x:
-                out = [o + x * y if y else o for o, y in zip(out, cell)]
+    def combine(pairs, cells):  # Σ x·cells[t] over the pairs (t, x), unreduced
+        out = zeros
+        for t, x in pairs:
+            out = [o + x * y for o, y in zip(out, cells[t])]
         return out
 
-    right = [[mul[k][c] for k in range(n)] for c in range(n)]  # e_k∘e_c over k
-    t1 = [[[combine(mul[a][b], right[c]) for c in range(n)] for b in range(n)] for a in range(n)]
-    t2 = [[[combine(mul[b][c], mul[a]) for c in range(n)] for b in range(n)] for a in range(n)]
-    return t1, t2
-
-
-def novikov_residual(alg: Algebra) -> Residual:
-    """Left-symmetry and right-commutativity residuals on all basis triples."""
-    f = alg.field
-    n = alg.dim
-    col = ResidualCollector(f, "novikov")
-    t1, t2 = _associator_tables(alg)
+    right = [[mul[t][c] for t in range(n)] for c in range(n)]  # e_t∘e_c over t
+    # t1[a][b][c] = (e_a∘e_b)∘e_c; t2[a][b][c] = e_a∘(e_b∘e_c), read only at a != b
+    t1 = [[[combine(sparse[a][b], right[c]) for c in range(n)] for b in range(n)] for a in range(n)]
+    t2 = [[[combine(sparse[b][c], mul[a]) for c in range(n)] if a != b else None for b in range(n)] for a in range(n)]
+    # every residual coordinate in one list, reduced at once; ``blocks``
+    # names the identity and triple of each run of n coordinates
+    blocks, flat = [], []
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                # (a∘b)∘c - a∘(b∘c) - (b∘a)∘c + b∘(a∘c)
-                terms = zip(t1[i][j][k], t2[i][j][k], t1[j][i][k], t2[j][i][k])
-                lhs = f.reduce([w - x - y + z for w, x, y, z in terms])
-                if any(lhs):
-                    col.record("left-symmetry", (i, j, k), lhs)
-                # (a∘b)∘c - (a∘c)∘b
-                rc = f.reduce([x - y for x, y in zip(t1[i][j][k], t1[i][k][j])])
-                if any(rc):
-                    col.record("right-commutativity", (i, j, k), rc)
+                if i != j:
+                    # (a∘b)∘c - a∘(b∘c) - (b∘a)∘c + b∘(a∘c)
+                    blocks.append(("left-symmetry", (i, j, k)))
+                    terms = zip(t1[i][j][k], t2[i][j][k], t1[j][i][k], t2[j][i][k])
+                    flat += [w - x - y + z for w, x, y, z in terms]
+                if j != k:
+                    # (a∘b)∘c - (a∘c)∘b
+                    blocks.append(("right-commutativity", (i, j, k)))
+                    flat += [x - y for x, y in zip(t1[i][j][k], t1[i][k][j])]
+    values = f.reduce(flat)
+    col = ResidualCollector(f, "novikov")
+    if any(values):
+        for s, (identity, indices) in enumerate(blocks):
+            col.record(identity, indices, values[s * n : (s + 1) * n])
     return col.done()
 
 

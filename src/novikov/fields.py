@@ -325,7 +325,10 @@ def field_from_json(obj: dict) -> Field:
     if kind == "rational":
         return QQ
     if kind == "prime":
-        return GF(int(obj["p"]))
+        p = obj["p"]
+        if type(p) is not int:  # a JSON integer: no float, string or bool
+            raise NovikovError(f"field modulus must be an integer, got {p!r}")
+        return GF(p)
     raise NovikovError(f"unknown field descriptor {obj!r}")
 
 

@@ -158,8 +158,16 @@ def bundle_document(docs: dict, field: Optional[Field] = None) -> dict:
 # decoders: a payload to its object
 
 
+def _dec_int(payload, key: str) -> int:
+    """The JSON integer ``payload[key]``: a float, string or bool is an error."""
+    value = payload[key]
+    if type(value) is not int:
+        raise DocumentError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def _dec_algebra(field: Field, payload) -> Algebra:
-    dim = int(payload["dim"])
+    dim = _dec_int(payload, "dim")
     labels = None
     if "labels" in payload:
         labels = payload["labels"]
@@ -171,7 +179,7 @@ def _dec_algebra(field: Field, payload) -> Algebra:
 
 def _bimodule_parts(field: Field, payload) -> tuple:
     alg = _dec_algebra(field, payload["algebra"])
-    mdim = int(payload["mdim"])
+    mdim = _dec_int(payload, "mdim")
     l_mats = tuple(_dec_matrix(field, m) for m in payload["l"])
     r_mats = tuple(_dec_matrix(field, m) for m in payload["r"])
     return alg, mdim, l_mats, r_mats
@@ -214,7 +222,7 @@ def _dec_postnov(field: Field, payload):
     from .postnov import PostNov
 
     grids = (_dec_grid(field, payload[key]) for key in ("circ", "tri_l", "tri_r"))
-    return PostNov(field, int(payload["dim"]), *grids)
+    return PostNov(field, _dec_int(payload, "dim"), *grids)
 
 
 def _dec_bundle(field: Field, payload) -> dict:

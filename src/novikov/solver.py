@@ -336,10 +336,7 @@ def solution_to_object(spec: SearchSpec, coeffs: Sequence, field: Optional[Field
     f = spec.field if field is None else field
     n = spec.dim
     if spec.kind == "novikov-algebra":
-        grid = tuple(
-            tuple(tuple(coeffs[(i * n + j) * n + k] for k in range(n)) for j in range(n))
-            for i in range(n)
-        )
+        grid = [[coeffs[b : b + n] for b in range(a, a + n * n, n)] for a in range(0, n**3, n * n)]
         return Algebra(f, n, grid)
     if spec.kind in ("nybe-solution", "enybe-solution"):
         return Tensor2(f, tuple(tuple(coeffs[i * n + j] for j in range(n)) for i in range(n)))

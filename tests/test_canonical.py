@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from novikov import tensors
 from novikov.algebra import Algebra, dual_context, grid_product, novikov_residual, regular, regular_bimodule, semidirect
 from novikov.errors import BadContraction
-from novikov.fields import GF, QQ
+from novikov.fields import GF, QQ, PolyRing
 from novikov.lift import gnybe_residuals
 from novikov.linalg import Matrix, combine_mats, vadd, vsub
 from novikov.operators import LinMap, equation_grid, induced_product
@@ -351,6 +351,27 @@ def test_novikov_residual_matches_six_product_reference(novikov_dim3_f2):
     # 256 - 52 of the dimension-2 tables over F_2 fail, and so do almost all
     # seeded tables of dimension 2-4 (dimension 1 is always Novikov)
     assert failing >= 204 + sum(alg.dim > 1 for alg in seeded) - 3
+
+
+@pytest.mark.parametrize("p", (2, 3))
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_novikov_residual_matches_the_reference_on_the_generic_table(n, p):
+    """On the table whose n^3 structure constants are unknowns, the residual
+    equals the six-product reference polynomial for polynomial.  Evaluation
+    at a point is a ring homomorphism onto F_p, so this covers every table of
+    dimension n over F_p.  The reference evaluates every triple and reports
+    none of the skipped diagonal ones; every other triple fails."""
+    ring = PolyRing(p)
+    x = ring.variables(n**3)  # x[(i * n + j) * n + k] is the e_k coordinate of e_i∘e_j
+    alg = Algebra(ring, n, [[x[b : b + n] for b in range(a, a + n * n, n)] for a in range(0, n**3, n * n)])
+    got = [(fail.identity, fail.indices, fail.value) for fail in novikov_residual(alg).failures]
+    want = _six_product_novikov_residual(alg)
+    assert got == want
+    assert [_typed(value) for *_, value in got] == [_typed(value) for *_, value in want]
+    diagonal = {("left-symmetry", (i, i, k)) for i in range(n) for k in range(n)}
+    diagonal |= {("right-commutativity", (i, j, j)) for i in range(n) for j in range(n)}
+    assert not {(identity, indices) for identity, indices, _ in want} & diagonal
+    assert len(want) == 2 * n * n * (n - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -353,6 +353,20 @@ def _a2_with(field: dict, coefficient) -> dict:
 _Q, _F3 = {"kind": "rational"}, {"kind": "prime", "p": 3}
 
 
+def _a2_sized(dim) -> dict:
+    """The worked 2-dim algebra over Q with its "dim" replaced."""
+    doc = _a2_with(_Q, 1)
+    doc["payload"]["dim"] = dim
+    return doc
+
+
+def _bimodule_mdim(mdim) -> dict:
+    """The regular bimodule of the zero algebra on Q^1 with its "mdim" replaced."""
+    doc = to_document(regular_bimodule(Algebra.zero(QQ, 1)))
+    doc["payload"]["mdim"] = mdim
+    return doc
+
+
 def _a2_labelled(labels) -> dict:
     """The worked 2-dim algebra over Q with the given basis labels."""
     doc = _a2_with(_Q, 1)
@@ -387,6 +401,10 @@ TMP_DIR = object()
         pytest.param(["check", "rota-baxter", "--weight", "1/3", "a2_f3.json", _document("linmap", 3)], id="scalar-not-in-field"),
         pytest.param(["verify", "algebra", _document("algebra", 4)], id="field-p-4"),
         pytest.param(["verify", "algebra", _document("algebra", 9)], id="field-p-9"),
+        pytest.param(["verify", "algebra", _a2_with({"kind": "prime", "p": 3.9}, 1)], id="field-p-float"),
+        pytest.param(["verify", "algebra", _a2_sized(2.7)], id="dim-float"),
+        pytest.param(["verify", "algebra", _a2_sized("2")], id="dim-string"),
+        pytest.param(["verify", "bimodule", _bimodule_mdim(True)], id="mdim-bool"),
         pytest.param(["verify", "bilform", _bilform_bundle(1)], id="form-smaller-than-algebra"),
         pytest.param(["verify", "bilform", _bilform_bundle(3)], id="form-larger-than-algebra"),
         pytest.param(["check", "rota-baxter", "a2.json", _document("linmap", 3)], id="map-over-other-field"),
@@ -539,6 +557,10 @@ _SAYS = {
     "ext-o-zero-beta-2x2-on-dim-3": "map is 2x2, context wants 3x3",
     "labels-too-few": "algebra labels must be 2 strings, one per basis vector",
     "labels-not-strings": "algebra labels must be 2 strings, one per basis vector",
+    "field-p-float": "field modulus must be an integer, got 3.9",
+    "dim-float": "dim must be an integer, got 2.7",
+    "dim-string": "dim must be an integer, got '2'",
+    "mdim-bool": "mdim must be an integer, got True",
 }
 
 
