@@ -133,6 +133,10 @@ class Algebra:
         return Bimodule(self, n, l_mats, r_mats)
 
     @cached_property
+    def _regular_context(self) -> "BimodNov":
+        return self._regular_bimodule.with_product(self.mul)
+
+    @cached_property
     def _dual_context(self) -> "BimodNov":
         return dual_bimodule(self._regular_bimodule, validate=False).trivial()
 
@@ -337,10 +341,11 @@ def abnova_residual(b: BimodNov) -> Residual:
 
 
 def regular(alg: Algebra, validate: bool = True) -> BimodNov:
-    """The regular bimodule Novikov algebra (A, ∘, L, R)."""
+    """The regular bimodule Novikov algebra (A, ∘, L, R), built once per
+    algebra; ``validate`` checks the Novikov identities on every call."""
     if validate and not novikov_residual(alg).is_zero:
         raise NotNovikov("base algebra fails the Novikov identities")
-    return regular_bimodule(alg).with_product(alg.mul)
+    return alg._regular_context
 
 
 def regular_bimodule(alg: Algebra) -> Bimodule:

@@ -56,7 +56,7 @@ def _dec_matrix(field: Field, obj) -> Matrix:
         m = Matrix.from_rows(field, rows)
     except (KeyError, TypeError, IndexError) as exc:
         raise DocumentError(f"bad matrix payload: {exc}") from exc
-    if m.rows != obj.get("rows", m.rows) or m.cols != obj.get("cols", m.cols):
+    if any(key in obj and _dec_int(obj, key) != size for key, size in (("rows", m.rows), ("cols", m.cols))):
         raise DocumentError("matrix shape disagrees with its entries")
     return m
 
@@ -201,7 +201,7 @@ def _dec_linmap(field: Field, payload):
 
 def _dec_tensor(kind: str, cls, field: Field, payload):
     t = cls(field, tuple(_dec_vec(field, row) for row in payload["entries"]))
-    if t.dim != payload.get("dim", t.dim):
+    if "dim" in payload and _dec_int(payload, "dim") != t.dim:
         raise DocumentError(f"{kind} dimension disagrees with its entries")
     return t
 

@@ -16,7 +16,9 @@ import hashlib
 import json
 import random
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import cache, partial
+from math import lcm
+from operator import mul
 from typing import Callable, Iterator, Optional, Sequence
 
 from .algebra import Algebra, BimodNov, novikov_residual, regular
@@ -160,7 +162,8 @@ def _sym_grid(coeffs: Sequence, n: int) -> tuple:
 def enumerate_search(spec: SearchSpec, jobs: int = 1) -> SearchResult:
     """Every solution of the spec, in lexicographic coefficient order.
 
-    The coefficient space is searched depth first (see ``_search``).  A shard
+    The coefficient space is searched depth first, in an order derived from
+    its constraints, and the solutions are sorted (see ``_search``).  A shard
     keeps the candidates whose lexicographic index is ``shard_index`` modulo
     ``shard_count``; ``candidate_count`` is the size of that share of the
     space.  With ``jobs`` > 1 an unsharded search is split into that many
@@ -244,17 +247,66 @@ def _residual_coords(spec: SearchSpec, ring: Optional[PolyRing] = None) -> Calla
     return lambda coeffs: dict(_nonzero_coords(residual(solution_to_object(spec, coeffs, f))))
 
 
-def _constraint_levels(polys, k: int, p: int) -> list[list]:
+def _variable_order(polys, k: int) -> list[int]:
+    """The unknowns in the order ``_search`` assigns them, derived from its
+    constraints by the fail-first rule (Haralick & Elliott, Artificial
+    Intelligence 14 (1980) 263-313): next is the unknown that completes the
+    most constraints, then the one with the largest sum of 1/(unknowns still
+    open) over its open constraints, then the lowest index.  Each polynomial
+    is one constraint, repeats included.
+
+    Both counts live in one integer score per unknown, updated after each
+    pick: ``done`` per constraint it completes plus ``scale // n`` per open
+    constraint with n unknowns open.  ``scale`` is the lcm of 1..(largest
+    constraint size), so every such term is exact, and ``done`` exceeds any
+    sum of them, so scores compare as (completes, sum) pairs."""
+    supports = [s for s in ({u for mono in poly for u in mono} for poly in polys) if s]  # the open unknowns
+    scale = lcm(*range(1, max(map(len, supports), default=1) + 1))
+    done = scale * len(supports) + 1
+    holding = [[] for _ in range(k)]  # the constraints of each unknown
+    score = [0] * k
+    for c, support in enumerate(supports):
+        gain = scale // len(support) + (len(support) == 1) * done
+        for u in support:
+            holding[u].append(c)
+            score[u] += gain
+    left, order = list(range(k)), []
+    while left:
+        pick = max(left, key=score.__getitem__)  # the first maximum: the lowest index
+        left.remove(pick)
+        order.append(pick)
+        for c in holding[pick]:
+            support = supports[c]
+            support.remove(pick)
+            n = len(support)
+            if n:
+                step = scale // n - scale // (n + 1) + (n == 1) * done
+                for u in support:
+                    score[u] += step
+    return order
+
+
+@cache
+def _root_tables(p: int) -> tuple:
+    """(roots, values) over F_p: roots[C][B][A] is the bitmask of the x with
+    A + B x + C x^2 = 0, values[mask] the ascending values in a mask."""
+    roots = tuple(
+        tuple(tuple(sum(1 << x for x in range(p) if (a + b * x + c * x * x) % p == 0) for a in range(p)) for b in range(p))
+        for c in range(p)
+    )
+    values = tuple(tuple(v for v in range(p) if mask >> v & 1) for mask in range(1 << p))
+    return roots, values
+
+
+def _constraint_levels(polys, k: int, p: int, pos: Sequence[int]) -> list[list]:
     """Each distinct constraint polynomial (up to a scalar), filed under the
-    unknown it ends with, as it is checked in ``_search``: after x_0..x_{d-1}
-    are assigned it reads A + B x_d + C x_d^2, with A and B polynomials in
-    the assigned unknowns.  A is kept as terms (u, v, c) and B as terms
-    (u, c), where the index k stands for the constant 1; C selects the table
-    of root masks [B][A] -> bitmask of the roots x_d.  Higher degrees raise."""
-    roots = [
-        [[sum(1 << x for x in range(p) if (a + b * x + cc * x * x) % p == 0) for a in range(p)] for b in range(p)]
-        for cc in range(p)
-    ]
+    position ``pos[y]`` in the search order of its last unknown x_y, as it is
+    checked in ``_search``: once the unknowns before x_y are assigned it
+    reads A + B x_y + C x_y^2, with A and B polynomials in the assigned
+    unknowns.  A is kept as terms (u, v, c) and B as terms (u, c), where the
+    index k stands for the constant 1; C selects the table of root masks
+    [B][A] -> bitmask of the roots x_y.  Higher degrees raise."""
+    roots = _root_tables(p)[0]
     levels = [[] for _ in range(k)]
     seen = set()
     for poly in polys:
@@ -264,13 +316,13 @@ def _constraint_levels(polys, k: int, p: int) -> list[list]:
         if norm in seen:
             continue
         seen.add(norm)
-        d = max((u for mono in monos for u in mono), default=0)
+        y = max((u for mono in monos for u in mono), key=pos.__getitem__, default=0)
         a_terms, b_terms, square = [], [], 0
         for mono, c in norm:
             if len(mono) > 2:
                 raise AssertionError(f"the residual is not of degree <= 2 in its unknowns: monomial {mono}")
-            others = [u for u in mono if u != d]
-            power = len(mono) - len(others)  # the degree in x_d
+            others = [u for u in mono if u != y]
+            power = len(mono) - len(others)  # the degree in x_y
             others += [k] * (2 - power - len(others))
             if power == 0:
                 a_terms.append((*others, c))
@@ -278,24 +330,31 @@ def _constraint_levels(polys, k: int, p: int) -> list[list]:
                 b_terms.append((*others, c))
             else:
                 square = c
-        levels[d].append((tuple(a_terms), tuple(b_terms), roots[square]))
+        levels[pos[y]].append((tuple(a_terms), tuple(b_terms), roots[square]))
     return levels
 
 
 def _search(spec: SearchSpec) -> list[tuple]:
-    """Depth-first search over the coefficients in index order, each tried
-    0..p-1 in ascending order, so solutions come out lexicographically.
+    """Every solution, in lexicographic coefficient order, by a depth-first
+    search that assigns the coefficients in the order ``_variable_order``
+    derives from the constraints, each tried 0..p-1 in ascending order.
 
     The constraints are the residual's coordinates as polynomials of degree
     <= 2, from one evaluation over ``PolyRing``; each is checked at the depth
     where its last unknown is assigned, which gives the allowed values of
-    that unknown as a bitmask.  Finished candidates are filtered by shard
-    and, for quadratic forms, by nondegeneracy.
+    that unknown as a bitmask.  Finished candidates are filtered by the
+    shard of their lexicographic index and, for quadratic forms, by
+    nondegeneracy, and sorted at the end.
     """
     p, k = spec.p, spec.coeff_count()
     ring = PolyRing(p)
-    levels = _constraint_levels(_residual_coords(spec, ring)(ring.variables(k)).values(), k, p)
-    values = [tuple(v for v in range(p) if mask >> v & 1) for mask in range(1 << p)]
+    polys = list(_residual_coords(spec, ring)(ring.variables(k)).values())
+    order = _variable_order(polys, k)
+    pos = [0] * k  # pos[u]: the depth at which x_u is assigned
+    for d, u in enumerate(order):
+        pos[u] = d
+    levels = _constraint_levels(polys, k, p, pos)
+    values = _root_tables(p)[1]
     full = (1 << p) - 1
     last = k - 1
     shard_index, shard_count = spec.shard_index, spec.shard_count
@@ -303,10 +362,11 @@ def _search(spec: SearchSpec) -> list[tuple]:
         keep = lambda coeffs: BilForm(spec.field, _sym_grid(coeffs, spec.dim)).is_nondegenerate()
     else:
         keep = lambda coeffs: True
+    place = [p ** (last - u) for u in range(k)]  # the lexicographic index of x[:k] is sum(place[u] * x[u])
     x = [0] * k + [1]  # x[k] = 1 carries the constant and linear terms
     out = []
 
-    def visit(d: int, idx: int) -> None:
+    def visit(d: int) -> None:
         mask = full
         for a_terms, b_terms, table in levels[d]:
             a = 0
@@ -318,16 +378,18 @@ def _search(spec: SearchSpec) -> list[tuple]:
             mask &= table[b % p][a % p]
             if not mask:
                 return
+        y = order[d]
         for val in values[mask]:
-            x[d] = val
+            x[y] = val
             if d < last:
-                visit(d + 1, idx * p + val)
-            elif (idx * p + val) % shard_count == shard_index:
+                visit(d + 1)
+            elif sum(map(mul, place, x)) % shard_count == shard_index:
                 coeffs = tuple(x[:k])
                 if keep(coeffs):
                     out.append(coeffs)
 
-    visit(0, 0)
+    visit(0)
+    out.sort()
     return out
 
 

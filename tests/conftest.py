@@ -106,3 +106,10 @@ def novikov_dim3_f2():
     """The dimension-3 Novikov tables over F_2 from the commuting-tuple
     oracle, shared by the tests that need them."""
     return commuting_novikov_tables(3, 2)
+
+
+@pytest.fixture(scope="session")
+def novikov_dim2_f5():
+    """The dimension-2 Novikov tables over F_5 from the pure kernel's
+    exhaustive scan (no search), shared by the tests that need them."""
+    return pure.enumerate_novikov_dim2(5)

@@ -99,12 +99,12 @@ def test_criterion_2_exhaustive_tensor_operator_equivalence():
     )
 
 
-def test_criterion_3_shifted_rota_baxter_equivalence():
+def test_criterion_3_shifted_rota_baxter_equivalence(novikov_dim2_f5):
     import random
 
     t0 = time.perf_counter()
     p = 5
-    tables = kernels.enumerate_novikov_dim2(p)
+    tables = novikov_dim2_f5
     ident = (1, 0, 0, 1)
     disagreements = 0
     checks = 0

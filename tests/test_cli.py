@@ -328,6 +328,13 @@ def _map(n: int) -> dict:
     return _rational("linmap", {"rows": n, "cols": n, "entries": _identity(n)})
 
 
+def _map_shaped(**shape) -> dict:
+    """The 2x2 identity map over Q with its "rows" or "cols" replaced."""
+    doc = _map(2)
+    doc["payload"].update(shape)
+    return doc
+
+
 # the 2x2 zero map over Q, and the truncated polynomial algebra on 1, x, x^2
 # over Q (x^i∘x^j = j x^{i+j})
 _ZERO2 = _rational("linmap", {"rows": 2, "cols": 2, "entries": [[0, 0], [0, 0]]})
@@ -405,6 +412,9 @@ TMP_DIR = object()
         pytest.param(["verify", "algebra", _a2_sized(2.7)], id="dim-float"),
         pytest.param(["verify", "algebra", _a2_sized("2")], id="dim-string"),
         pytest.param(["verify", "bimodule", _bimodule_mdim(True)], id="mdim-bool"),
+        pytest.param(["check", "rota-baxter", "a2.json", _map_shaped(rows=2.0)], id="rows-float"),
+        pytest.param(["check", "rota-baxter", "a2.json", _map_shaped(cols=True)], id="cols-bool"),
+        pytest.param(["check", "nybe", "a2.json", _rational("tensor2", {"dim": 2.0, "entries": _identity(2)})], id="tensor-dim-float"),
         pytest.param(["verify", "bilform", _bilform_bundle(1)], id="form-smaller-than-algebra"),
         pytest.param(["verify", "bilform", _bilform_bundle(3)], id="form-larger-than-algebra"),
         pytest.param(["check", "rota-baxter", "a2.json", _document("linmap", 3)], id="map-over-other-field"),
@@ -561,6 +571,9 @@ _SAYS = {
     "dim-float": "dim must be an integer, got 2.7",
     "dim-string": "dim must be an integer, got '2'",
     "mdim-bool": "mdim must be an integer, got True",
+    "rows-float": "rows must be an integer, got 2.0",
+    "cols-bool": "cols must be an integer, got True",
+    "tensor-dim-float": "dim must be an integer, got 2.0",
 }
 
 

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+from dataclasses import replace
 from math import prod
 
 import pytest
@@ -18,6 +19,7 @@ from novikov.solver import (
     SEARCH_KINDS,
     SearchSpec,
     _residual_coords,
+    _variable_order,
     balanced_hom_basis,
     balanced_hom_equivalent_basis,
     enumerate_search,
@@ -261,6 +263,56 @@ def test_search_matches_pure_scan(p, kind):
         res = enumerate_search(spec)
         assert res.solutions == _scan(spec), spec
         assert res.candidate_count == len(range(spec.shard_index, spec.candidate_total(), spec.shard_count))
+
+
+def _order_specs():
+    """(spec, shard counts): novikov-algebra dim 2 over F_2, F_3 and F_5 in
+    1, 2 and 3 shards, and every context kind on a2 over F_3, every scalar
+    parameter and beta nonzero, in 1 and 2 shards."""
+    for p in (2, 3, 5):
+        yield SearchSpec("novikov-algebra", GF(p), 2), (1, 2, 3)
+    f = GF(3)
+    beta = LinMap(Matrix(f, 2, 2, (1, 1, 0, 2)))
+    for kind in SEARCH_KINDS[1:]:
+        yield SearchSpec(kind, f, 2, algebra=example_algebra(f), weight=1, kappa=1, mu=2, epsilon=1, beta=beta), (1, 2)
+
+
+def _derived_order(spec: SearchSpec) -> list:
+    p, k = spec.p, spec.coeff_count()
+    ring = PolyRing(p)
+    return _variable_order(list(_residual_coords(spec, ring)(ring.variables(k)).values()), k)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [*(spec for spec, _ in _order_specs()), SearchSpec("novikov-algebra", GF(2), 3)],
+    ids=lambda spec: f"{spec.kind}-dim{spec.dim}-F{spec.p}",
+)
+def test_the_derived_order_is_a_permutation_of_the_unknowns(spec):
+    k = spec.coeff_count()
+    order = _derived_order(spec)
+    assert sorted(order) == list(range(k))
+    if spec.kind == "novikov-algebra":  # the index-order comparison below walks another tree
+        assert order != list(range(k))
+
+
+def test_the_variable_order_changes_nothing_but_speed(monkeypatch):
+    shards = [
+        replace(spec, shard_index=i, shard_count=count)
+        for spec, counts in _order_specs()
+        for count in counts
+        for i in range(count)
+    ]
+    derived = [enumerate_search(spec) for spec in shards]
+    monkeypatch.setattr("novikov.solver._variable_order", lambda polys, k: list(range(k)))
+    for spec, res in zip(shards, derived):
+        plain = enumerate_search(spec)
+        assert plain.solutions == res.solutions, spec
+        assert (plain.candidate_count, plain.check_hash) == (res.candidate_count, res.check_hash), spec
+
+
+def test_novikov_dim2_f5_search_matches_the_kernel_scan(novikov_dim2_f5):
+    assert enumerate_search(SearchSpec("novikov-algebra", GF(5), 2)).solutions == novikov_dim2_f5
 
 
 def _symbolic_specs():
