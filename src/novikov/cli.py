@@ -475,12 +475,24 @@ _SOLVE_KINDS = {
 }
 
 
+def _processors() -> int:
+    """The processors this process may run on: its CPU affinity where the
+    platform reports one, else the host's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def cmd_solve(args) -> int:
     from .solver import SEARCH_INPUTS, SearchSpec, enumerate_search  # imported here: only ``solve`` searches
 
     # an option the search would ignore is an input error, not a no-op
     if args.jobs < 1:
         raise DocumentError(f"--jobs must be at least 1, got {args.jobs}")
+    cores = _processors()
+    if args.jobs > cores:  # each worker is an interpreter walking the whole tree
+        raise DocumentError(f"--jobs must be at most {cores}, the processors this process may run on, got {args.jobs}")
     if args.jobs > 1 and args.shard:
         raise DocumentError("--jobs splits an unsharded search and cannot be combined with --shard")
     if args.out and args.count_only:

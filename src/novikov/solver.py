@@ -39,7 +39,7 @@ from .tensors import Tensor2, Tensor3
 from .ybe import enybe_residual, invariance_residual, invariant_form_residual, nybe_residual, BilForm
 
 # each search kind, with the context fields of ``SearchSpec`` that its
-# residual (``_residual_coords``) reads
+# residual (``_kind_residual``) reads
 SEARCH_INPUTS = {
     "novikov-algebra": (),
     "nybe-solution": ("algebra",),
@@ -216,34 +216,41 @@ def _nonzero_coords(report: Residual) -> Iterator[tuple]:
                 yield (fail.identity, fail.indices, k), c
 
 
+def _kind_residual(spec: SearchSpec, alg: Optional[Algebra], beta: Optional[LinMap]) -> Callable[[object], Residual]:
+    """The object-path residual of the spec's kind, as a function of the
+    kind's object, with ``alg`` and ``beta`` (the spec's context, or that
+    context lifted into a ring) in place of the spec's."""
+    kind = spec.kind
+    if kind == "novikov-algebra":
+        return novikov_residual
+    if kind == "nybe-solution":
+        return lambda r: _tensor_residual("nybe", nybe_residual(alg, r))
+    if kind == "enybe-solution":
+        return lambda r: _tensor_residual("enybe", enybe_residual(alg, r, spec.epsilon))
+    if kind == "rota-baxter":
+        return lambda t: rota_baxter_residual(alg, t, spec.weight)
+    if kind == "ext-o-operator":
+        ctx = regular(alg, validate=False)
+        params = MassParams(spec.weight, spec.kappa, spec.mu)
+        return lambda t: ext_o_equation_residual(ctx, t, beta, params)
+    if kind == "invariant-symmetric-tensor":
+        return lambda s: invariance_residual(alg, s)
+    if kind == "quadratic-form":
+        return lambda form: invariant_form_residual(alg, form)
+    raise NovikovError(kind)
+
+
 def _residual_coords(spec: SearchSpec, ring: Optional[PolyRing] = None) -> Callable[[Sequence], dict]:
-    """The object-path residual of the spec's kind, as a function from a
-    flat candidate to its nonzero residual coordinates.  ``reverify`` runs it
-    on the spec's context; the search lifts the context into ``ring``."""
+    """The kind's residual as a function from a flat candidate to its
+    nonzero residual coordinates, over the spec's field or, with ``ring``,
+    over the ring with the context lifted into it (the search's
+    constraints)."""
     f, alg, beta = spec.field, spec.algebra, spec.beta
     if ring is not None:  # lift the context into the ring
         f = ring
         alg = alg and Algebra(ring, alg.dim, alg.mul)
         beta = beta and LinMap(Matrix(ring, beta.dim, beta.mdim, beta.mat.entries))
-    kind = spec.kind
-    if kind == "novikov-algebra":
-        residual = novikov_residual
-    elif kind == "nybe-solution":
-        residual = lambda r: _tensor_residual("nybe", nybe_residual(alg, r))
-    elif kind == "enybe-solution":
-        residual = lambda r: _tensor_residual("enybe", enybe_residual(alg, r, spec.epsilon))
-    elif kind == "rota-baxter":
-        residual = lambda t: rota_baxter_residual(alg, t, spec.weight)
-    elif kind == "ext-o-operator":
-        ctx = regular(alg, validate=False)
-        params = MassParams(spec.weight, spec.kappa, spec.mu)
-        residual = lambda t: ext_o_equation_residual(ctx, t, beta, params)
-    elif kind == "invariant-symmetric-tensor":
-        residual = lambda s: invariance_residual(alg, s)
-    elif kind == "quadratic-form":
-        residual = lambda form: invariant_form_residual(alg, form)
-    else:
-        raise NovikovError(kind)
+    residual = _kind_residual(spec, alg, beta)
     return lambda coeffs: dict(_nonzero_coords(residual(solution_to_object(spec, coeffs, f))))
 
 
@@ -415,9 +422,10 @@ def solution_to_object(spec: SearchSpec, coeffs: Sequence, field: Optional[Field
 def reverify(spec: SearchSpec, coeffs: Sequence) -> bool:
     """Re-check one solution through the generic object-path residual ops
     (the independent route; never the kernels)."""
-    if _residual_coords(spec)(coeffs):
+    obj = solution_to_object(spec, coeffs)
+    if not _kind_residual(spec, spec.algebra, spec.beta)(obj).is_zero:
         return False
-    return spec.kind != "quadratic-form" or solution_to_object(spec, coeffs).is_nondegenerate()
+    return spec.kind != "quadratic-form" or obj.is_nondegenerate()
 
 
 # ---------------------------------------------------------------------------

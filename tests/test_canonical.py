@@ -335,8 +335,26 @@ def _novikov_pool(dim3_f2_tables) -> list:
         for alg in (*random.Random(6).sample(enumerated_dim2(GF(3)), 4), trunc_poly_algebra(QQ, 3))
     ]
     semi += [semidirect(dual_context(alg)) for alg in (trunc_poly_algebra(QQ, 3), *enumerated_dim2(GF(2))[:4])]
-    pool = every_f2_dim2 + [a for p in (3, 5) for a in enumerated_dim2(GF(p))] + dim3 + seeded + semi
-    return pool, seeded
+    # about one entry in three nonzero, and the whole row e_a∘e_* zero for
+    # one a, at dimensions up to 5
+    rng = random.Random(7)
+    sparse = []
+    for f in (QQ, GF(5)):
+        for n in (2, 3, 4, 5):
+            for a in (0, n - 1, n // 2):
+                cells = [[f.sample(rng) if rng.randrange(3) == 0 else 0 for _ in range(n)] for _ in range(n * n)]
+                cells[a * n : (a + 1) * n] = [[0] * n] * n
+                sparse.append(Algebra(f, n, [cells[i * n : (i + 1) * n] for i in range(n)]))
+    # dimension 0, and far past the dimensions any caller uses: the zero
+    # table and the truncated polynomial algebra are Novikov, and one wrong
+    # product is not
+    f5 = GF(5)
+    trunc = [list(row) for row in trunc_poly_algebra(f5, 12).mul]
+    edge = [Algebra.zero(QQ, 0), Algebra.zero(f5, 12), Algebra(f5, 12, trunc)]
+    trunc[3][4] = tuple(c + (t == 2) for t, c in enumerate(trunc[3][4]))  # x^3∘x^4 gains an x^2 term
+    edge.append(Algebra(f5, 12, trunc))
+    pool = every_f2_dim2 + [a for p in (3, 5) for a in enumerated_dim2(GF(p))] + dim3 + seeded + semi + sparse + edge
+    return pool, seeded + sparse
 
 
 def test_novikov_residual_matches_six_product_reference(novikov_dim3_f2):
@@ -349,7 +367,7 @@ def test_novikov_residual_matches_six_product_reference(novikov_dim3_f2):
         assert [_typed(value) for *_, value in got] == [_typed(value) for *_, value in want]
         failing += bool(want)
     # 256 - 52 of the dimension-2 tables over F_2 fail, and so do almost all
-    # seeded tables of dimension 2-4 (dimension 1 is always Novikov)
+    # seeded tables of dimension 2-5 (dimension 1 is always Novikov)
     assert failing >= 204 + sum(alg.dim > 1 for alg in seeded) - 3
 
 

@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from novikov.algebra import Algebra, regular, regular_bimodule
+from novikov import cli
 from novikov.cli import main
 from novikov.fields import QQ
 from novikov.serialize import from_document, loads, to_document
@@ -292,7 +293,8 @@ def test_derive_remaining_constructions(capsys, fixture_path, tmp_path):
     assert qt["delta_plus"].is_zero()
 
 
-def test_solve_jobs_pool(capsys, fixture_path):
+def test_solve_jobs_pool(capsys, fixture_path, monkeypatch):
+    monkeypatch.setattr(cli, "_processors", lambda: 2)  # the pool runs on a one-processor host too
     _, seq, _ = run(capsys, "solve", "nybe", fixture_path("a2_f3.json"), "--field", "F3")
     _, par, _ = run(capsys, "solve", "nybe", fixture_path("a2_f3.json"), "--field", "F3", "--jobs", "2")
     assert seq == par
@@ -389,6 +391,7 @@ def _zero_context(module: bool = False) -> dict:
 
 
 TMP_DIR = object()
+_CORES = cli._processors()  # the most jobs a search accepts
 
 
 @pytest.mark.parametrize(
@@ -464,6 +467,10 @@ TMP_DIR = object()
         pytest.param(["solve", "novikov", "--dim", "2", "--field", "F2", "--jobs", "0"], id="jobs-zero"),
         pytest.param(["solve", "novikov", "--dim", "2", "--field", "F2", "--jobs", "-3"], id="jobs-negative"),
         pytest.param(["solve", "novikov", "--dim", "2", "--field", "F2", "--jobs", "2", "--shard", "0/2"], id="jobs-with-shard"),
+        pytest.param(
+            ["solve", "novikov", "--dim", "2", "--field", "F5", "--jobs", str(_CORES + 1)],
+            id="jobs-above-the-processor-count",
+        ),
         pytest.param(["solve", "novikov", "--dim", "2", "--field", "F2", "--count-only", "--out", "sols.jsonl"], id="out-with-count-only"),
         pytest.param(
             ["solve", "novikov", "--dim", "2", "--field", "F2", "--count-only", "--out", "no/such/dir/sols.jsonl"],
@@ -517,9 +524,14 @@ TMP_DIR = object()
         pytest.param(["solve", "nybe", "a2_f3.json", "--field", "F3", "--out", TMP_DIR], id="solve-out-a-directory"),
     ],
 )
-def test_input_errors_exit_2_with_one_line(capsys, fixture_path, tmp_path, request, argv):
+def test_input_errors_exit_2_with_one_line(capsys, fixture_path, tmp_path, request, monkeypatch, argv):
     # a dict argument is a document and a bytes argument a file's raw
-    # contents, written to a file first; TMP_DIR is a directory
+    # contents, written to a file first; TMP_DIR is a directory.  No input
+    # error may start a worker process.
+    def no_pool(*args):
+        raise AssertionError("an input error reached the process pool")
+
+    monkeypatch.setattr("multiprocessing.get_context", no_pool)
     paths = []
     for n, arg in enumerate(argv):
         if arg is TMP_DIR:
@@ -574,6 +586,7 @@ _SAYS = {
     "rows-float": "rows must be an integer, got 2.0",
     "cols-bool": "cols must be an integer, got True",
     "tensor-dim-float": "dim must be an integer, got 2.0",
+    "jobs-above-the-processor-count": f"--jobs must be at most {_CORES}, the processors this process may run on, got {_CORES + 1}",
 }
 
 
