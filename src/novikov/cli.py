@@ -464,17 +464,6 @@ def cmd_prop(args) -> int:
     return 0 if res.passed else 1
 
 
-_SOLVE_KINDS = {
-    "novikov": "novikov-algebra",
-    "nybe": "nybe-solution",
-    "enybe": "enybe-solution",
-    "ext-o": "ext-o-operator",
-    "rota-baxter": "rota-baxter",
-    "invariant-symmetric": "invariant-symmetric-tensor",
-    "quadratic-form": "quadratic-form",
-}
-
-
 def _processors() -> int:
     """The processors this process may run on: its CPU affinity where the
     platform reports one, else the host's count."""
@@ -485,7 +474,7 @@ def _processors() -> int:
 
 
 def cmd_solve(args) -> int:
-    from .solver import SEARCH_INPUTS, SearchSpec, enumerate_search  # imported here: only ``solve`` searches
+    from .solver import SEARCH_KINDS, SearchSpec, enumerate_search  # imported here: only ``solve`` searches
 
     # an option the search would ignore is an input error, not a no-op
     if args.jobs < 1:
@@ -497,10 +486,12 @@ def cmd_solve(args) -> int:
         raise DocumentError("--jobs splits an unsharded search and cannot be combined with --shard")
     if args.out and args.count_only:
         raise DocumentError("--count-only writes no solutions, so it cannot be combined with --out")
-    kind = _SOLVE_KINDS.get(args.kind, args.kind)
-    if kind in SEARCH_INPUTS:  # an unknown kind is SearchSpec's error
-        offered = (name for reads in SEARCH_INPUTS.values() for name in reads)
-        _reject_unread(args, f"a {kind} search", SEARCH_INPUTS[kind], offered)
+    kind = next((name for name, row in SEARCH_KINDS.items() if args.kind in (row.solve, name)), None)
+    if kind is None:
+        names = ", ".join(row.solve for row in SEARCH_KINDS.values())
+        raise DocumentError(f"unknown search kind {args.kind!r}: nova solve takes {names}")
+    offered = (name for row in SEARCH_KINDS.values() for name in row.inputs)
+    _reject_unread(args, f"a {kind} search", SEARCH_KINDS[kind].inputs, offered)
     alg = ALGEBRA.load("context algebra", args.algebra, None) if args.algebra else None
     beta = MAP.load("beta", args.beta, None) if args.beta else None
     dim = args.dim if args.dim is not None else (alg.dim if alg is not None else 2)

@@ -38,18 +38,109 @@ from .residual import Residual, ResidualCollector
 from .tensors import Tensor2, Tensor3
 from .ybe import enybe_residual, invariance_residual, invariant_form_residual, nybe_residual, BilForm
 
-# each search kind, with the context fields of ``SearchSpec`` that its
-# residual (``_kind_residual``) reads
-SEARCH_INPUTS = {
-    "novikov-algebra": (),
-    "nybe-solution": ("algebra",),
-    "enybe-solution": ("algebra", "epsilon"),
-    "ext-o-operator": ("algebra", "weight", "kappa", "mu", "beta"),
-    "rota-baxter": ("algebra", "weight"),
-    "invariant-symmetric-tensor": ("algebra",),
-    "quadratic-form": ("algebra",),
+# ---------------------------------------------------------------------------
+# the search kinds: one row each, with the decoder and residual it names
+
+
+def _sym_grid(coeffs: Sequence, n: int) -> tuple:
+    """Upper-triangle coefficients to a nested symmetric n x n grid."""
+    grid = [[0] * n for _ in range(n)]
+    upper = iter(coeffs)
+    for i in range(n):
+        for j in range(i, n):
+            grid[i][j] = grid[j][i] = next(upper)
+    return tuple(map(tuple, grid))
+
+
+def _tensor_residual(identity: str, t: Tensor3) -> Residual:
+    """A tensor-valued residual as a report: one failure per nonzero row t[i][j]."""
+    col = ResidualCollector(t.field, identity)
+    for i, plane in enumerate(t.grid):
+        for j, row in enumerate(plane):
+            col.record(identity, (i, j), row)
+    return col.done()
+
+
+def _structure_constants(f: Field, n: int, coeffs: Sequence) -> Algebra:
+    grid = [[coeffs[b : b + n] for b in range(a, a + n * n, n)] for a in range(0, n**3, n * n)]
+    return Algebra(f, n, grid)
+
+
+def _tensor(f: Field, n: int, coeffs: Sequence) -> Tensor2:
+    return Tensor2(f, tuple(tuple(coeffs[i * n + j] for j in range(n)) for i in range(n)))
+
+
+def _map(f: Field, n: int, coeffs: Sequence) -> LinMap:
+    return LinMap(Matrix(f, n, n, tuple(coeffs)))
+
+
+def _ext_o_residual(spec: SearchSpec, alg: Algebra, beta: LinMap, t: LinMap) -> Residual:
+    params = MassParams(spec.weight, spec.kappa, spec.mu)
+    return ext_o_equation_residual(regular(alg, validate=False), t, beta, params)
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """One search kind.  The search's unknowns are the flat coefficients
+    ``decode(field, n, coeffs)`` reads; ``residual(spec, alg, beta, obj)`` is
+    the kind's object-path residual, with ``alg`` and ``beta`` (the spec's
+    context, or that context lifted into a ring) in place of the spec's.  A
+    solution is a zero of the residual that ``leaf``, if given, accepts."""
+
+    solve: str  # the name ``nova solve`` takes besides the kind's own
+    inputs: tuple  # the context fields of ``SearchSpec`` the residual reads
+    count: Callable[[int], int]  # the number of unknowns at dimension n
+    decode: Callable[[Field, int, Sequence], object]
+    residual: Callable[..., Residual]
+    leaf: Optional[Callable[[object], bool]] = None
+
+
+_square = lambda n: n * n
+_upper = lambda n: n * (n + 1) // 2
+
+# each search kind by the name a spec and its JSONL lines carry
+SEARCH_KINDS = {
+    "novikov-algebra": _Kind(
+        "novikov", (), lambda n: n**3, _structure_constants, lambda spec, alg, beta, a: novikov_residual(a)
+    ),
+    "nybe-solution": _Kind(
+        "nybe",
+        ("algebra",),
+        _square,
+        _tensor,
+        lambda spec, alg, beta, r: _tensor_residual("nybe", nybe_residual(alg, r)),
+    ),
+    "enybe-solution": _Kind(
+        "enybe",
+        ("algebra", "epsilon"),
+        _square,
+        _tensor,
+        lambda spec, alg, beta, r: _tensor_residual("enybe", enybe_residual(alg, r, spec.epsilon)),
+    ),
+    "ext-o-operator": _Kind("ext-o", ("algebra", "weight", "kappa", "mu", "beta"), _square, _map, _ext_o_residual),
+    "rota-baxter": _Kind(
+        "rota-baxter",
+        ("algebra", "weight"),
+        _square,
+        _map,
+        lambda spec, alg, beta, t: rota_baxter_residual(alg, t, spec.weight),
+    ),
+    "invariant-symmetric-tensor": _Kind(
+        "invariant-symmetric",
+        ("algebra",),
+        _upper,
+        lambda f, n, coeffs: Tensor2(f, _sym_grid(coeffs, n)),
+        lambda spec, alg, beta, s: invariance_residual(alg, s),
+    ),
+    "quadratic-form": _Kind(
+        "quadratic-form",
+        ("algebra",),
+        _upper,
+        lambda f, n, coeffs: BilForm(f, _sym_grid(coeffs, n)),
+        lambda spec, alg, beta, form: invariant_form_residual(alg, form),
+        lambda form: form.is_nondegenerate(),
+    ),
 }
-SEARCH_KINDS = tuple(SEARCH_INPUTS)
 
 ALLOWED_PRIMES = (2, 3, 5, 7)
 BOUND_EXPONENT = 32
@@ -74,7 +165,8 @@ class SearchSpec:
     shard_count: int = 1
 
     def __post_init__(self):
-        if self.kind not in SEARCH_KINDS:
+        row = SEARCH_KINDS.get(self.kind)
+        if row is None:
             raise NovikovError(f"unknown search kind {self.kind!r}")
         if not isinstance(self.field, PrimeField) or self.field.p not in ALLOWED_PRIMES:
             raise NovikovError("searches run over F_p with p in {2, 3, 5, 7}")
@@ -82,7 +174,7 @@ class SearchSpec:
             raise NovikovError(f"dimension must be at least 1, got {self.dim}")
         if not (0 <= self.shard_index < self.shard_count):
             raise NovikovError("bad shard layout")
-        if "algebra" in SEARCH_INPUTS[self.kind]:
+        if "algebra" in row.inputs:
             if self.algebra is None:
                 raise NovikovError(f"search kind {self.kind!r} needs a context algebra")
             if self.algebra.dim != self.dim or self.algebra.field != self.field:
@@ -96,14 +188,7 @@ class SearchSpec:
         return self.field.p
 
     def coeff_count(self) -> int:
-        n = self.dim
-        if self.kind == "novikov-algebra":
-            return n * n * n
-        if self.kind in ("nybe-solution", "enybe-solution", "rota-baxter", "ext-o-operator"):
-            return n * n
-        if self.kind in ("invariant-symmetric-tensor", "quadratic-form"):
-            return n * (n + 1) // 2
-        raise NovikovError(self.kind)
+        return SEARCH_KINDS[self.kind].count(self.dim)
 
     def candidate_total(self) -> int:
         return self.p ** self.coeff_count()
@@ -149,16 +234,6 @@ def _alg_flat(alg: Algebra) -> list:
     return [int(alg.mul[i][j][k]) for i in range(n) for j in range(n) for k in range(n)]
 
 
-def _sym_grid(coeffs: Sequence, n: int) -> tuple:
-    """Upper-triangle coefficients to a nested symmetric n x n grid."""
-    grid = [[0] * n for _ in range(n)]
-    upper = iter(coeffs)
-    for i in range(n):
-        for j in range(i, n):
-            grid[i][j] = grid[j][i] = next(upper)
-    return tuple(map(tuple, grid))
-
-
 def enumerate_search(spec: SearchSpec, jobs: int = 1) -> SearchResult:
     """Every solution of the spec, in lexicographic coefficient order.
 
@@ -197,15 +272,6 @@ def enumerate_search(spec: SearchSpec, jobs: int = 1) -> SearchResult:
 # constraint-propagating search, its constraints derived from the residuals
 
 
-def _tensor_residual(identity: str, t: Tensor3) -> Residual:
-    """A tensor-valued residual as a report: one failure per nonzero row t[i][j]."""
-    col = ResidualCollector(t.field, identity)
-    for i, plane in enumerate(t.grid):
-        for j, row in enumerate(plane):
-            col.record(identity, (i, j), row)
-    return col.done()
-
-
 def _nonzero_coords(report: Residual) -> Iterator[tuple]:
     """(key, value) for each nonzero coordinate of a report, keyed by
     (identity, indices, coordinate); a coordinate not reported is zero.
@@ -216,42 +282,15 @@ def _nonzero_coords(report: Residual) -> Iterator[tuple]:
                 yield (fail.identity, fail.indices, k), c
 
 
-def _kind_residual(spec: SearchSpec, alg: Optional[Algebra], beta: Optional[LinMap]) -> Callable[[object], Residual]:
-    """The object-path residual of the spec's kind, as a function of the
-    kind's object, with ``alg`` and ``beta`` (the spec's context, or that
-    context lifted into a ring) in place of the spec's."""
-    kind = spec.kind
-    if kind == "novikov-algebra":
-        return novikov_residual
-    if kind == "nybe-solution":
-        return lambda r: _tensor_residual("nybe", nybe_residual(alg, r))
-    if kind == "enybe-solution":
-        return lambda r: _tensor_residual("enybe", enybe_residual(alg, r, spec.epsilon))
-    if kind == "rota-baxter":
-        return lambda t: rota_baxter_residual(alg, t, spec.weight)
-    if kind == "ext-o-operator":
-        ctx = regular(alg, validate=False)
-        params = MassParams(spec.weight, spec.kappa, spec.mu)
-        return lambda t: ext_o_equation_residual(ctx, t, beta, params)
-    if kind == "invariant-symmetric-tensor":
-        return lambda s: invariance_residual(alg, s)
-    if kind == "quadratic-form":
-        return lambda form: invariant_form_residual(alg, form)
-    raise NovikovError(kind)
-
-
-def _residual_coords(spec: SearchSpec, ring: Optional[PolyRing] = None) -> Callable[[Sequence], dict]:
-    """The kind's residual as a function from a flat candidate to its
-    nonzero residual coordinates, over the spec's field or, with ``ring``,
-    over the ring with the context lifted into it (the search's
-    constraints)."""
-    f, alg, beta = spec.field, spec.algebra, spec.beta
-    if ring is not None:  # lift the context into the ring
-        f = ring
-        alg = alg and Algebra(ring, alg.dim, alg.mul)
-        beta = beta and LinMap(Matrix(ring, beta.dim, beta.mdim, beta.mat.entries))
-    residual = _kind_residual(spec, alg, beta)
-    return lambda coeffs: dict(_nonzero_coords(residual(solution_to_object(spec, coeffs, f))))
+def _residual_coords(spec: SearchSpec, ring: PolyRing) -> Callable[[Sequence], dict]:
+    """The kind's residual over ``ring``, with the spec's context lifted
+    into it, as a function from a flat candidate to its nonzero residual
+    coordinates (the search's constraints)."""
+    row = SEARCH_KINDS[spec.kind]
+    alg, beta = spec.algebra, spec.beta
+    alg = alg and Algebra(ring, alg.dim, alg.mul)
+    beta = beta and LinMap(Matrix(ring, beta.dim, beta.mdim, beta.mat.entries))
+    return lambda coeffs: dict(_nonzero_coords(row.residual(spec, alg, beta, row.decode(ring, spec.dim, coeffs))))
 
 
 def _variable_order(polys, k: int) -> list[int]:
@@ -350,8 +389,8 @@ def _search(spec: SearchSpec) -> list[tuple]:
     <= 2, from one evaluation over ``PolyRing``; each is checked at the depth
     where its last unknown is assigned, which gives the allowed values of
     that unknown as a bitmask.  Finished candidates are filtered by the
-    shard of their lexicographic index and, for quadratic forms, by
-    nondegeneracy, and sorted at the end.
+    shard of their lexicographic index and by the kind's leaf test, and
+    sorted at the end.
     """
     p, k = spec.p, spec.coeff_count()
     ring = PolyRing(p)
@@ -365,10 +404,7 @@ def _search(spec: SearchSpec) -> list[tuple]:
     full = (1 << p) - 1
     last = k - 1
     shard_index, shard_count = spec.shard_index, spec.shard_count
-    if spec.kind == "quadratic-form":
-        keep = lambda coeffs: BilForm(spec.field, _sym_grid(coeffs, spec.dim)).is_nondegenerate()
-    else:
-        keep = lambda coeffs: True
+    row = SEARCH_KINDS[spec.kind]
     place = [p ** (last - u) for u in range(k)]  # the lexicographic index of x[:k] is sum(place[u] * x[u])
     x = [0] * k + [1]  # x[k] = 1 carries the constant and linear terms
     out = []
@@ -392,7 +428,7 @@ def _search(spec: SearchSpec) -> list[tuple]:
                 visit(d + 1)
             elif sum(map(mul, place, x)) % shard_count == shard_index:
                 coeffs = tuple(x[:k])
-                if keep(coeffs):
+                if row.leaf is None or row.leaf(row.decode(spec.field, spec.dim, coeffs)):
                     out.append(coeffs)
 
     visit(0)
@@ -400,32 +436,17 @@ def _search(spec: SearchSpec) -> list[tuple]:
     return out
 
 
-def solution_to_object(spec: SearchSpec, coeffs: Sequence, field: Optional[Field] = None):
-    """Interpret a flat solution vector back into a domain object over ``field`` (default: the spec's)."""
-    f = spec.field if field is None else field
-    n = spec.dim
-    if spec.kind == "novikov-algebra":
-        grid = [[coeffs[b : b + n] for b in range(a, a + n * n, n)] for a in range(0, n**3, n * n)]
-        return Algebra(f, n, grid)
-    if spec.kind in ("nybe-solution", "enybe-solution"):
-        return Tensor2(f, tuple(tuple(coeffs[i * n + j] for j in range(n)) for i in range(n)))
-    if spec.kind in ("rota-baxter", "ext-o-operator"):
-        return LinMap(Matrix(f, n, n, tuple(coeffs)))
-    if spec.kind in ("invariant-symmetric-tensor", "quadratic-form"):
-        grid = _sym_grid(coeffs, n)
-        if spec.kind == "quadratic-form":
-            return BilForm(f, grid)
-        return Tensor2(f, grid)
-    raise NovikovError(spec.kind)
+def solution_to_object(spec: SearchSpec, coeffs: Sequence):
+    """Interpret a flat solution vector back into a domain object over the spec's field."""
+    return SEARCH_KINDS[spec.kind].decode(spec.field, spec.dim, coeffs)
 
 
 def reverify(spec: SearchSpec, coeffs: Sequence) -> bool:
     """Re-check one solution through the generic object-path residual ops
     (the independent route; never the kernels)."""
+    row = SEARCH_KINDS[spec.kind]
     obj = solution_to_object(spec, coeffs)
-    if not _kind_residual(spec, spec.algebra, spec.beta)(obj).is_zero:
-        return False
-    return spec.kind != "quadratic-form" or obj.is_nondegenerate()
+    return row.residual(spec, spec.algebra, spec.beta, obj).is_zero and (row.leaf is None or row.leaf(obj))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import pathlib
@@ -11,8 +12,10 @@ import pytest
 from novikov.algebra import Algebra, regular, regular_bimodule
 from novikov import cli
 from novikov.cli import main
-from novikov.fields import QQ
-from novikov.serialize import from_document, loads, to_document
+from novikov.fields import GF, QQ
+from novikov.linalg import Matrix
+from novikov.operators import LinMap
+from novikov.serialize import dumps, from_document, loads, to_document
 
 
 def run(capsys, *argv):
@@ -184,6 +187,33 @@ def test_solve_counts_and_stream(capsys, fixture_path):
     assert code == 0
     lines = [json.loads(line) for line in out.splitlines()]
     assert {"coeffs": [1, 0, 0, 1], "context": lines[0]["context"], "kind": "rota-baxter"} in lines
+
+
+# the first 16 hex digits of the sha256 of stdout, and its line count
+_PINNED_SOLVES = [
+    (["novikov", "--dim", "2", "--field", "F3"], "d2bc18793277b344", 177),
+    (["nybe", "a2_f3.json", "--field", "F3"], "95691e62fe060229", 7),
+    (["enybe", "a2_f3.json", "--field", "F3", "--epsilon", "1"], "9a21aa79b2a06258", 11),
+    (["ext-o", "a2_f3.json", "--field", "F3", "--weight", "1", "--beta", "B"], "c1e50cf124285d1b", 4),
+    (["rota-baxter", "a2_f3.json", "--field", "F3", "--weight", "-1"], "5a28653445b512cd", 4),
+    (["invariant-symmetric", "a2_f3.json", "--field", "F3"], "f2cc0554c7e63289", 9),
+    (["quadratic-form", "a2_f3.json", "--field", "F3"], "ebc3dc20af737263", 6),
+    # a kind's full name is taken too
+    (["novikov-algebra", "--dim", "2", "--field", "F3"], "d2bc18793277b344", 177),
+    (["invariant-symmetric-tensor", "a2_f3.json", "--field", "F3"], "f2cc0554c7e63289", 9),
+]
+
+
+@pytest.mark.parametrize("argv, digest, lines", _PINNED_SOLVES, ids=[argv[0] for argv, _, _ in _PINNED_SOLVES])
+def test_solve_stdout_matches_its_pinned_bytes(capsys, fixture_path, tmp_path, argv, digest, lines):
+    """The full JSONL stream of every kind, its ``context`` hashes included;
+    B is the F_3 map with rows (1, 1) and (0, 2)."""
+    beta = tmp_path / "b.json"
+    beta.write_text(dumps(to_document(LinMap(Matrix(GF(3), 2, 2, (1, 1, 0, 2))))), encoding="utf-8")
+    paths = [fixture_path(a) if a.endswith(".json") else str(beta) if a == "B" else a for a in argv]
+    code, out, _ = run(capsys, "solve", *paths)
+    assert code == 0
+    assert (hashlib.sha256(out.encode()).hexdigest()[:16], len(out.splitlines())) == (digest, lines)
 
 
 def test_solve_shard_flag(capsys):
@@ -403,6 +433,7 @@ _CORES = cli._processors()  # the most jobs a search accepts
         pytest.param(["solve", "novikov", "--field", "F11"], id="field-not-searchable"),
         pytest.param(["solve", "novikov", "--field", "F2", "--dim", "0"], id="dim-zero"),
         pytest.param(["solve", "nybe", "--field", "F3"], id="missing-context"),
+        pytest.param(["solve", "foo", "--field", "F3"], id="solve-unknown-kind"),
         pytest.param(["prop", "P-SEMI", "--trials", "-5"], id="negative-trials"),
         pytest.param(["prop", "P-SEMI", "--dims", "9,9"], id="unknown-option"),
         pytest.param(["derive", "circ-t", "a2.json", "t2.json", "beta2.json"], id="surplus-derive-input"),
@@ -561,6 +592,10 @@ _SAYS = {
     "check-nybe-with-unread-options": "check nybe reads no --kappa, --equation-only, --sign",
     "derive-out-a-directory": "cannot write ",
     "solve-out-a-directory": "cannot write ",
+    "solve-unknown-kind": (
+        "unknown search kind 'foo': nova solve takes "
+        "novikov, nybe, enybe, ext-o, rota-baxter, invariant-symmetric, quadratic-form"
+    ),
     "enybe-tensor-dim-0": "tensor dimension does not match the algebra",
     "gnybe-tensor-dim-0": "tensor dimension does not match the algebra",
     "gnybe-tensor-dim-0-other-field": "tensor and algebra over different fields",

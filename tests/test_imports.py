@@ -63,9 +63,7 @@ OPTIONS = {
     "novikov.properties.run_property.seed",
     "novikov.properties.run_property.trials",
     "novikov.serialize.bundle_document.field",
-    "novikov.solver._residual_coords.ring",
     "novikov.solver.enumerate_search.jobs",
-    "novikov.solver.solution_to_object.field",
     "novikov.ybe.invariance_residual.cross_check",
 }
 

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import random
@@ -10,7 +11,7 @@ from conftest import commuting_novikov_tables, golden_counts
 from novikov._kernels import pure
 from novikov.algebra import Algebra, dual_context, novikov_residual, regular
 from novikov.errors import NovikovError, SpaceTooLarge
-from novikov.fields import GF, QQ, PolyRing
+from novikov.fields import GF, QQ, Poly, PolyRing
 from novikov.fixtures import example_algebra
 from novikov.linalg import Matrix
 from novikov.operators import LinMap, balanced_residual, bimodule_hom_residual, equivalent_residual
@@ -18,6 +19,7 @@ from novikov.residual import Failure, Residual
 from novikov.solver import (
     SEARCH_KINDS,
     SearchSpec,
+    _nonzero_coords,
     _residual_coords,
     _variable_order,
     balanced_hom_basis,
@@ -29,10 +31,15 @@ from novikov.solver import (
     invariant_symmetric_basis,
     reverify,
     sample_from_basis,
+    solution_to_object,
     trunc_poly_algebra,
 )
 from novikov.tensors import Tensor2
 from novikov.ybe import BilForm, bilform_invariance, invariance_residual
+
+
+# the kinds whose residual reads a context algebra
+CONTEXT_KINDS = [kind for kind, row in SEARCH_KINDS.items() if "algebra" in row.inputs]
 
 
 def _golden_spec(key: str) -> SearchSpec:
@@ -91,6 +98,32 @@ def test_search_guards():
         SearchSpec("unknown-kind", GF(3), 2)
     with pytest.raises(SpaceTooLarge):
         enumerate_search(SearchSpec("novikov-algebra", GF(7), 3))  # 7^27 candidates
+
+
+def _unknowns(obj) -> set:
+    """The u of every unknown x_u in the polynomials an object holds."""
+    if isinstance(obj, Poly):
+        return {u for mono in obj for u in mono}
+    if isinstance(obj, (tuple, list)):
+        return set().union(*map(_unknowns, obj))
+    if dataclasses.is_dataclass(obj):
+        return set().union(*(_unknowns(getattr(obj, f.name)) for f in dataclasses.fields(obj)))
+    return set()
+
+
+@pytest.mark.parametrize("kind", SEARCH_KINDS)
+def test_every_search_kind_row_is_self_consistent(kind):
+    """A row's decoder reads exactly its unknown count of coefficients at
+    every dimension, its inputs are spec fields, and every name ``nova
+    solve`` takes names one kind."""
+    row = SEARCH_KINDS[kind]
+    ring = PolyRing(3)
+    for n in (1, 2, 3):
+        k = row.count(n)
+        assert _unknowns(row.decode(ring, n, ring.variables(k))) == set(range(k)), n
+    assert set(row.inputs) <= {f.name for f in dataclasses.fields(SearchSpec)}
+    names = [name for other, r in SEARCH_KINDS.items() for name in {other, r.solve}]
+    assert names.count(row.solve) == 1 and names.count(kind) == 1
 
 
 @pytest.mark.parametrize(
@@ -242,8 +275,8 @@ def _differential_specs(kind: str, p: int):
     identically), every scalar parameter and beta nonzero, unsharded and in
     2 and 3 shards."""
     f = GF(p)
-    rng = random.Random(100 * p + SEARCH_KINDS.index(kind))
-    if kind == "novikov-algebra":
+    rng = random.Random(100 * p + list(SEARCH_KINDS).index(kind))
+    if kind not in CONTEXT_KINDS:
         contexts = [{}]
     else:
         algebras = [example_algebra(f), *rng.sample(enumerated_dim2(f), 3), Algebra.zero(f, 2)]
@@ -273,7 +306,7 @@ def _order_specs():
         yield SearchSpec("novikov-algebra", GF(p), 2), (1, 2, 3)
     f = GF(3)
     beta = LinMap(Matrix(f, 2, 2, (1, 1, 0, 2)))
-    for kind in SEARCH_KINDS[1:]:
+    for kind in CONTEXT_KINDS:
         yield SearchSpec(kind, f, 2, algebra=example_algebra(f), weight=1, kappa=1, mu=2, epsilon=1, beta=beta), (1, 2)
 
 
@@ -322,9 +355,7 @@ def _symbolic_specs():
     for p in (2, 3):
         f = GF(p)
         beta = LinMap(Matrix(f, 2, 2, (1, 1, 0, p - 1)))
-        for kind in SEARCH_KINDS:
-            if kind == "novikov-algebra":
-                continue
+        for kind in CONTEXT_KINDS:
             yield SearchSpec(kind, f, 2, algebra=example_algebra(f), weight=1, kappa=1, mu=p - 1, epsilon=1, beta=beta)
 
 
@@ -338,9 +369,11 @@ def test_symbolic_residual_equals_the_residual_at_every_point(spec):
     polys = _residual_coords(spec, ring)(ring.variables(k))
     assert polys and all(all(0 < c < p for c in poly.values()) for poly in polys.values())
     points = list(itertools.product(range(p), repeat=k))
+    row = SEARCH_KINDS[spec.kind]
     for x in points:
         values = {key: sum(c * prod(x[u] for u in mono) for mono, c in poly.items()) % p for key, poly in polys.items()}
-        assert {key: v for key, v in values.items() if v} == _residual_coords(spec)(x), x
+        residual = row.residual(spec, spec.algebra, spec.beta, solution_to_object(spec, x))
+        assert {key: v for key, v in values.items() if v} == dict(_nonzero_coords(residual)), x
     assert enumerate_search(spec).solutions == [x for x in points if reverify(spec, x)]
 
 
