@@ -91,12 +91,32 @@ class Algebra:
         return cls(field, dim, zero_grid(field, dim))
 
     @classmethod
+    def from_flat(cls, field: Field, dim: int, coeffs: Sequence) -> "Algebra":
+        """Build from the flat table, coordinate t of e_i∘e_j at (i·dim + j)·dim
+        + t: the length is checked once, each coefficient coerced once, and
+        the cells are slices of the coerced table, which ``flat()`` returns."""
+        if len(coeffs) != dim**3:
+            raise DimMismatch(f"a dimension-{dim} table has {dim**3} coefficients, got {len(coeffs)}")
+        flat = tuple(map(field.coerce, coeffs))
+        nn = dim * dim
+        # row i starts at i·dim²; ``nn or 1`` because a dimension-0 table has no rows
+        mul = tuple([tuple([flat[c : c + dim] for c in range(r, r + nn, dim)]) for r in range(0, nn * dim, nn or 1)])
+        alg = object.__new__(cls)
+        alg.__dict__.update(field=field, dim=dim, mul=mul, labels=None, _flat=flat)
+        return alg
+
+    @classmethod
     def from_table(cls, field: Field, table: dict, dim: int) -> "Algebra":
         """Build from a sparse {(i, j): coords} table, zero elsewhere."""
         grid = [[list((field.zero(),) * dim) for _ in range(dim)] for _ in range(dim)]
         for (i, j), coords in table.items():
             grid[i][j] = [field.coerce(c) for c in coords]
         return cls(field, dim, tuple(tuple(tuple(c) for c in row) for row in grid))
+
+    def flat(self) -> tuple:
+        """The coefficients in row-major order: coordinate t of e_i∘e_j at
+        (i·dim + j)·dim + t."""
+        return self._flat
 
     def basis_star(self, i: int, j: int) -> tuple:
         f = self.field
@@ -125,6 +145,10 @@ class Algebra:
 
     # The instance is frozen, so these caches cannot go stale; they are not
     # fields, so equality, hashing and repr ignore them.
+    @cached_property
+    def _flat(self) -> tuple:
+        return tuple(chain.from_iterable(chain.from_iterable(self.mul)))
+
     @cached_property
     def _regular_bimodule(self) -> "Bimodule":
         """L(e_i) and R(e_i), read off the product grid: column j of L(e_i)
@@ -218,6 +242,9 @@ def _novikov_plan(n: int) -> tuple:
 _KEPT_PLAN_DIM = 8
 _kept_plan = cache(_novikov_plan)
 
+# the report of every table that satisfies both identities; a report is immutable
+_HOLDS = Residual("novikov")
+
 
 def novikov_residual(alg: Algebra) -> Residual:
     """Left-symmetry, (a∘b)∘c - a∘(b∘c) = (b∘a)∘c - b∘(a∘c), and
@@ -230,13 +257,13 @@ def novikov_residual(alg: Algebra) -> Residual:
     first index a, one pass of products over picks of the flat table; then
     every identity coordinate in one pass over four picks of those sums,
     reduced at once.  Only ``+``, ``-``, ``*`` and one ``reduce``, so it
-    runs over any field and over ``PolyRing``."""
+    runs over any field and over ``PolyRing``.  Every table that satisfies
+    both identities gets the same empty report."""
     f, n = alg.field, alg.dim
-    col = ResidualCollector(f, "novikov")
     if n < 2:  # no triple has i != j or j != k
-        return col.done()
+        return _HOLDS
     (left, right), (p, q, r, s), blocks = (_kept_plan if n <= _KEPT_PLAN_DIM else _novikov_plan)(n)
-    flat = tuple(chain.from_iterable(chain.from_iterable(alg.mul)))
+    flat = alg.flat()
     nn = n * n
     vals = []
     for at in range(0, nn * n, nn):  # row a starts at a·n²
@@ -245,9 +272,11 @@ def novikov_residual(alg: Algebra) -> Residual:
         vals += map(sum, zip(*[products] * n))  # sums of n consecutive products
     vals += [f.zero()] * n
     values = f.reduce(map(operator.sub, map(operator.add, p(vals), q(vals)), map(operator.add, r(vals), s(vals))))
-    if any(values):
-        for b, (identity, indices) in enumerate(blocks):
-            col.record(identity, indices, values[b * n : (b + 1) * n])
+    if not any(values):
+        return _HOLDS
+    col = ResidualCollector(f, "novikov")
+    for b, (identity, indices) in enumerate(blocks):
+        col.record(identity, indices, values[b * n : (b + 1) * n])
     return col.done()
 
 

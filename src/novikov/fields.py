@@ -338,5 +338,10 @@ def field_by_name(name: str) -> Field:
     if name in ("Q", "QQ"):
         return QQ
     if name.startswith("F") and name[1:].isdigit():
-        return GF(int(name[1:]))
+        try:
+            p = int(name[1:])
+        except ValueError:  # past the interpreter's digit limit, or a digit int() does not read
+            pass
+        else:
+            return GF(p)
     raise NovikovError(f"unknown field name {name!r}")

@@ -301,6 +301,8 @@ def loads(text: str) -> dict:
         raise DocumentError(f"invalid JSON: {exc}") from exc
     except RecursionError as exc:
         raise DocumentError("invalid JSON: nested too deeply") from exc
+    except ValueError as exc:  # the only other error json raises: an int past the interpreter's digit limit
+        raise DocumentError("invalid JSON: an integer literal has too many digits") from exc
 
 
 def load_path(path) -> dict:

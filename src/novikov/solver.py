@@ -61,11 +61,6 @@ def _tensor_residual(identity: str, t: Tensor3) -> Residual:
     return col.done()
 
 
-def _structure_constants(f: Field, n: int, coeffs: Sequence) -> Algebra:
-    grid = [[coeffs[b : b + n] for b in range(a, a + n * n, n)] for a in range(0, n**3, n * n)]
-    return Algebra(f, n, grid)
-
-
 def _tensor(f: Field, n: int, coeffs: Sequence) -> Tensor2:
     return Tensor2(f, tuple(tuple(coeffs[i * n + j] for j in range(n)) for i in range(n)))
 
@@ -101,7 +96,7 @@ _upper = lambda n: n * (n + 1) // 2
 # each search kind by the name a spec and its JSONL lines carry
 SEARCH_KINDS = {
     "novikov-algebra": _Kind(
-        "novikov", (), lambda n: n**3, _structure_constants, lambda spec, alg, beta, a: novikov_residual(a)
+        "novikov", (), lambda n: n**3, Algebra.from_flat, lambda spec, alg, beta, a: novikov_residual(a)
     ),
     "nybe-solution": _Kind(
         "nybe",
@@ -214,7 +209,11 @@ class SearchResult:
     spec: SearchSpec
     solutions: list
     candidate_count: int
-    check_hash: str
+
+    @property
+    def check_hash(self) -> str:
+        """The sha256 of the solutions as one JSON list, computed when read."""
+        return hashlib.sha256(json.dumps([list(s) for s in self.solutions]).encode()).hexdigest()
 
     def to_jsonl(self) -> str:
         lines = []
@@ -230,8 +229,7 @@ class SearchResult:
 
 
 def _alg_flat(alg: Algebra) -> list:
-    n = alg.dim
-    return [int(alg.mul[i][j][k]) for i in range(n) for j in range(n) for k in range(n)]
+    return list(map(int, alg.flat()))
 
 
 def enumerate_search(spec: SearchSpec, jobs: int = 1) -> SearchResult:
@@ -263,9 +261,7 @@ def enumerate_search(spec: SearchSpec, jobs: int = 1) -> SearchResult:
     else:
         solutions = _search(spec)
         count = len(range(spec.shard_index, total, spec.shard_count))
-    blob = json.dumps([list(s) for s in solutions]).encode()
-    h = hashlib.sha256(blob).hexdigest()
-    return SearchResult(spec, solutions, count, h)
+    return SearchResult(spec, solutions, count)
 
 
 # ---------------------------------------------------------------------------
@@ -389,8 +385,8 @@ def _search(spec: SearchSpec) -> list[tuple]:
     <= 2, from one evaluation over ``PolyRing``; each is checked at the depth
     where its last unknown is assigned, which gives the allowed values of
     that unknown as a bitmask.  Finished candidates are filtered by the
-    shard of their lexicographic index and by the kind's leaf test, and
-    sorted at the end.
+    shard of their lexicographic index (when there is more than one shard)
+    and by the kind's leaf test, and sorted at the end.
     """
     p, k = spec.p, spec.coeff_count()
     ring = PolyRing(p)
@@ -426,7 +422,7 @@ def _search(spec: SearchSpec) -> list[tuple]:
             x[y] = val
             if d < last:
                 visit(d + 1)
-            elif sum(map(mul, place, x)) % shard_count == shard_index:
+            elif shard_count == 1 or sum(map(mul, place, x)) % shard_count == shard_index:
                 coeffs = tuple(x[:k])
                 if row.leaf is None or row.leaf(row.decode(spec.field, spec.dim, coeffs)):
                     out.append(coeffs)

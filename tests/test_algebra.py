@@ -1,3 +1,7 @@
+import random
+from fractions import Fraction
+from itertools import chain
+
 import pytest
 
 from novikov.algebra import (
@@ -14,10 +18,10 @@ from novikov.algebra import (
     semidirect,
     star,
 )
-from novikov.errors import NotABimodule, NotNovikov
-from novikov.fields import QQ
+from novikov.errors import DimMismatch, NotABimodule, NotNovikov
+from novikov.fields import GF, QQ, PolyRing
 from novikov.linalg import Matrix
-from novikov.solver import trunc_poly_algebra
+from novikov.solver import SearchSpec, reverify, trunc_poly_algebra
 
 
 def test_example_algebra_is_novikov(a2):
@@ -165,3 +169,41 @@ def test_trunc_poly_regular_valid():
 def test_dual_context_is_valid(a2):
     ctx = dual_context(a2)
     assert bimodule_residual(ctx).is_zero
+
+
+def _flat_tables():
+    """(field, n, coefficients) at dimensions 0-4: raw ints over F_p, ints,
+    fractions and "p/q" strings over Q, and unknowns over a polynomial ring."""
+    rng = random.Random(23)
+    ring = PolyRing(3)
+    for n in range(5):
+        k = n**3
+        for p in (2, 3, 5, 7):
+            yield pytest.param(GF(p), n, [rng.randrange(-20, 20) for _ in range(k)], id=f"F{p}-dim{n}")
+        yield pytest.param(QQ, n, [rng.randrange(-9, 10) for _ in range(k)], id=f"Q-ints-dim{n}")
+        fractions = [Fraction(rng.randrange(-9, 10), rng.randrange(1, 4)) for _ in range(k)]
+        yield pytest.param(QQ, n, fractions, id=f"Q-fractions-dim{n}")
+        strings = [f"{rng.randrange(-9, 10)}/{rng.randrange(1, 4)}" for _ in range(k)]
+        yield pytest.param(QQ, n, strings, id=f"Q-strings-dim{n}")
+        yield pytest.param(ring, n, ring.variables(k), id=f"polyring-dim{n}")
+
+
+@pytest.mark.parametrize("field, n, coeffs", _flat_tables())
+def test_from_flat_equals_the_nested_grid(field, n, coeffs):
+    nested = Algebra(field, n, [[coeffs[(i * n + j) * n : (i * n + j + 1) * n] for j in range(n)] for i in range(n)])
+    alg = Algebra.from_flat(field, n, coeffs)
+    assert alg.mul == nested.mul and alg == nested  # nested tuples on both sides: a list never equals a tuple
+    if not isinstance(field, PolyRing):  # a Poly is unhashable
+        assert hash(alg) == hash(nested)
+    cells = tuple(chain.from_iterable(chain.from_iterable(nested.mul)))
+    for table in (alg, nested):
+        # over Q, Fraction(2, 2) == 1, so compare the scalar types too
+        assert [(type(c), c) for c in table.flat()] == [(type(c), c) for c in cells]
+
+
+@pytest.mark.parametrize("k", (0, 7, 9))
+def test_a_flat_table_of_the_wrong_length_is_refused(k):
+    with pytest.raises(DimMismatch):
+        Algebra.from_flat(GF(5), 2, (1,) * k)
+    with pytest.raises(DimMismatch):
+        reverify(SearchSpec("novikov-algebra", GF(5), 2), (1,) * k)

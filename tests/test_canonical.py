@@ -15,7 +15,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from novikov import tensors
+from novikov import algebra, tensors
 from novikov.algebra import Algebra, dual_context, grid_product, novikov_residual, regular, regular_bimodule, semidirect
 from novikov.errors import BadContraction
 from novikov.fields import GF, QQ, PolyRing
@@ -390,6 +390,29 @@ def test_novikov_residual_matches_the_reference_on_the_generic_table(n, p):
     diagonal |= {("right-commutativity", (i, j, j)) for i in range(n) for j in range(n)}
     assert not {(identity, indices) for identity, indices, _ in want} & diagonal
     assert len(want) == 2 * n * n * (n - 1)
+
+
+def test_the_residual_keeps_a_plan_per_dimension_up_to_8():
+    """A dimension's first call keeps its plan; above dimension 8 none is
+    kept.  Each plan picks 12n^4 - 8n^3 indices."""
+    algebra._kept_plan.cache_clear()
+    for n, kept in ((3, 1), (3, 1), (9, 1), (8, 2)):
+        assert novikov_residual(Algebra.zero(GF(5), n)).is_zero
+        assert algebra._kept_plan.cache_info().currsize == kept
+    for n in (2, 3, 8, 9):
+        (left, right), picks, _ = algebra._novikov_plan(n)
+        indices = sum(len(getter.__reduce__()[1]) for getter in (left, right, *picks))  # an itemgetter's items
+        assert indices == 12 * n**4 - 8 * n**3
+
+
+def test_novikov_tables_share_one_empty_report():
+    holds = novikov_residual(Algebra.zero(GF(5), 2))
+    for alg in (trunc_poly_algebra(QQ, 3), Algebra.zero(QQ, 1), Algebra.zero(GF(2), 0), *enumerated_dim2(GF(3))[:5]):
+        assert novikov_residual(alg) is holds
+    bad = Algebra.from_table(QQ, {(0, 0): (0, 1), (0, 1): (1, 0)}, 2)
+    got = [(fail.identity, fail.indices, fail.value) for fail in novikov_residual(bad).failures]
+    assert got == _six_product_novikov_residual(bad) and got
+    assert holds.failures == ()
 
 
 # ---------------------------------------------------------------------------

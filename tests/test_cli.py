@@ -431,6 +431,9 @@ _CORES = cli._processors()  # the most jobs a search accepts
         pytest.param(["solve", "novikov", "--field", "F2", "--shard", "a/2"], id="shard-not-a-number"),
         pytest.param(["solve", "novikov", "--field", "F2", "--shard", "3/2"], id="shard-out-of-range"),
         pytest.param(["solve", "novikov", "--field", "F11"], id="field-not-searchable"),
+        pytest.param(["solve", "novikov", "--dim", "2", "--field", "F" + "9" * 4301], id="field-digits-too-many"),
+        pytest.param(["prop", "P-SEMI", "--field", "F" + "9" * 4301], id="prop-field-digits-too-many"),
+        pytest.param(["solve", "novikov", "--dim", "2", "--field", "F²"], id="field-superscript-digit"),
         pytest.param(["solve", "novikov", "--field", "F2", "--dim", "0"], id="dim-zero"),
         pytest.param(["solve", "nybe", "--field", "F3"], id="missing-context"),
         pytest.param(["solve", "foo", "--field", "F3"], id="solve-unknown-kind"),
@@ -483,6 +486,7 @@ _CORES = cli._processors()  # the most jobs a search accepts
         ),
         pytest.param(["verify", "algebra", b"[" * 100000 + b"]" * 100000], id="json-nested-too-deeply"),
         pytest.param(["verify", "algebra", b"\xff\xfe{\x00"], id="file-not-utf8"),
+        pytest.param(["verify", "algebra", b'{"kind": "algebra", "mul": ' + b"9" * 4301 + b"}"], id="json-integer-too-long"),
         pytest.param(["verify", "algebra", _a2_with(_Q, "1e30")], id="scalar-exponent"),
         pytest.param(["verify", "algebra", _a2_with(_Q, "1_0")], id="scalar-digit-separator"),
         pytest.param(["verify", "algebra", _a2_with(_Q, "0.5")], id="scalar-decimal-point"),
@@ -612,6 +616,10 @@ _SAYS = {
     "form-larger-than-algebra": "tensor dimension does not match the algebra",
     "ext-o-zero-beta-other-field": "map is over QQ, context over GF(3)",
     "ext-o-zero-beta-2x2-on-dim-3": "map is 2x2, context wants 3x3",
+    "json-integer-too-long": "invalid JSON: an integer literal has too many digits",
+    "field-digits-too-many": "--field: unknown field name 'F999",
+    "prop-field-digits-too-many": "--field: unknown field name 'F999",
+    "field-superscript-digit": "--field: unknown field name 'F²'",
     "labels-too-few": "algebra labels must be 2 strings, one per basis vector",
     "labels-not-strings": "algebra labels must be 2 strings, one per basis vector",
     "field-p-float": "field modulus must be an integer, got 3.9",
