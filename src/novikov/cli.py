@@ -405,15 +405,20 @@ def _call(args) -> tuple:
     options = {}
     for name in row.options:
         value = getattr(args, name)
-        if name in _SCALARS and value is None:
-            value = 0
-        elif name in _SCALARS:
-            try:
-                fld.coerce(value)
-            except NovikovError as exc:
-                raise DocumentError(f"--{name} {value} has no value in {fld}: {exc}") from exc
+        if name in _SCALARS:
+            value = 0 if value is None else value
+            _in_field(fld, name, value)
         options[name] = value
     return row.resolve()(*loaded, **options), fld
+
+
+def _in_field(fld: Field, name: str, value):
+    """The scalar option ``--name value`` as an element of ``fld``; one
+    with no value there (1/3 in F_3) is an input error."""
+    try:
+        return fld.coerce(value)
+    except NovikovError as exc:
+        raise DocumentError(f"--{name} {value} has no value in {fld}: {exc}") from exc
 
 
 def cmd_check(args) -> int:
@@ -451,7 +456,7 @@ def cmd_prop(args) -> int:
     from .properties import PROPERTY_IDS, run_property  # imported here: only ``prop`` runs them
 
     if args.property not in PROPERTY_IDS:
-        raise DocumentError(f"unknown property id {args.property!r}")
+        raise DocumentError(f"unknown property id {args.property!r}: nova prop takes {', '.join(PROPERTY_IDS)}")
     if args.trials is not None and args.trials < 0:
         raise DocumentError(f"--trials must be at least 0, got {args.trials}")
     fld = _field(args.field) if args.field else None
@@ -502,19 +507,17 @@ def cmd_solve(args) -> int:
         except ValueError as exc:
             raise DocumentError(f"--shard wants i/k, got {args.shard!r}") from exc
     fld = _field(args.field)
+    scalars = {name: _in_field(fld, name, getattr(args, name) or 0) for name in _SCALARS}
     try:
         spec = SearchSpec(
             kind,
             fld,
             dim,
             algebra=alg,
-            weight=fld.coerce(args.weight or 0),
-            kappa=fld.coerce(args.kappa or 0),
-            mu=fld.coerce(args.mu or 0),
-            epsilon=fld.coerce(args.epsilon or 0),
             beta=beta,
             shard_index=shard_index,
             shard_count=shard_count,
+            **scalars,
         )
     except NovikovError as exc:
         raise DocumentError(f"bad search: {exc}") from exc

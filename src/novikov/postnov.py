@@ -30,7 +30,7 @@ from .errors import (
     SymPartNotInvariant,
 )
 from .fields import Field
-from .linalg import Matrix, column_space_pivots, inverse, kernel_basis, rank, solve_right, unit_vector, vadd, vsub
+from .linalg import Matrix, column_space_pivots, inverse, kernel_basis, solve_right, unit_vector, vadd, vsub
 from .operators import LinMap, hom_residual, o_operator_residual, rota_baxter_residual
 from .residual import Residual, ResidualCollector
 
@@ -292,20 +292,15 @@ def post_on_image(ctx: BimodNov, alpha: LinMap, weight) -> ImagePost:
     weight = f.coerce(weight)
     if not o_operator_residual(ctx, alpha, weight).is_zero:
         raise NotOOperator("alpha is not an operator of this weight")
+    # the kernel basis spans ker(alpha), so a product lies in its span
+    # exactly when alpha sends it to zero
     ker = kernel_basis(alpha.mat)
-    if ker:
-        kmat = Matrix.from_cols(f, ker)
-        base_rank = rank(kmat)
-        mb = [ctx.module_basis(i) for i in range(ctx.mdim)]
-        for k in ker:
-            for i in range(ctx.mdim):
-                for prod in (
-                    ctx.module_product(k, mb[i]),
-                    ctx.module_product(mb[i], k),
-                ):
-                    ext = Matrix.from_cols(f, [kmat.col(j) for j in range(kmat.cols)] + [prod])
-                    if rank(ext) != base_rank:
-                        raise KernelNotIdeal("kernel is not closed under the module product")
+    mb = [ctx.module_basis(i) for i in range(ctx.mdim)]
+    for k in ker:
+        for u in mb:
+            for prod in (ctx.module_product(k, u), ctx.module_product(u, k)):
+                if any(alpha(prod)):
+                    raise KernelNotIdeal("kernel is not closed under the module product")
 
     pivots = tuple(column_space_pivots(alpha.mat))
     d = len(pivots)

@@ -5,6 +5,11 @@ instances from the solver, and (c) seeded random instances, and reports
 the serialized counterexample on failure.  Equivalence properties check
 both directions by comparing exact boolean verdicts.  All counting goes
 through ``PropertyRun``'s methods.
+
+Each property is one registry row, ``@_register(id, default_field)``;
+``run_property`` hands its body the field (the default unless one is
+given), one ``random.Random(seed)`` and the trial count.  ``PROPERTY_IDS``
+lists the rows in the order they are registered.
 """
 
 from __future__ import annotations
@@ -101,37 +106,6 @@ from .ybe import (
     skew_nybe_operator_residual,
 )
 
-PROPERTY_IDS = (
-    "P-SEMI",
-    "P-DUAL",
-    "P-EXT-STAR",
-    "P-DELTA-PM",
-    "P-R-PM",
-    "P-COR-BAX",
-    "P-BAXTER",
-    "P-CONS",
-    "P-ASSOC",
-    "P-LRBIMOD",
-    "P-COMPAT",
-    "P-HOM",
-    "P-TRI",
-    "P-TENSOR-OP",
-    "P-ENYBE-EXT",
-    "P-COR-ENYBE",
-    "P-SKEW",
-    "P-LEM-R",
-    "P-QN",
-    "P-DUAL-EXO",
-    "P-LIFT-BAL",
-    "P-LIFT-EXT",
-    "P-COR-GN",
-    "P-CIRC-DELTA",
-    "P-GNYBE-PROD",
-    "P-GNYBE-EXT",
-    "P-GOPER",
-    "P-GOPER-COR",
-)
-
 
 @dataclass
 class PropertyRun:
@@ -197,22 +171,13 @@ def _tidy(v):
     return str(v)
 
 
-@dataclass(frozen=True)
-class Options:
-    trials: int = 25
-    seed: int = 7
-    field: Optional[Field] = None
-
-    def fld(self, default: Field) -> Field:
-        return self.field if self.field is not None else default
+# property id -> (default field, body(run, field, rng, trials))
+_REGISTRY: dict[str, tuple[Field, Callable]] = {}
 
 
-_REGISTRY: dict[str, Callable] = {}
-
-
-def _register(prop_id: str):
+def _register(prop_id: str, default_field: Field):
     def deco(fn):
-        _REGISTRY[prop_id] = fn
+        _REGISTRY[prop_id] = (default_field, fn)
         return fn
 
     return deco
@@ -222,10 +187,10 @@ def run_property(prop_id: str, trials: Optional[int] = None, seed: int = 7,
                  field: Optional[Field] = None) -> PropertyRun:
     if prop_id not in _REGISTRY:
         raise NovikovError(f"unknown property id {prop_id!r}")
-    opts = Options(trials=25 if trials is None else trials, seed=seed, field=field)
+    default_field, fn = _REGISTRY[prop_id]
     run = PropertyRun(prop_id)
     t0 = time.perf_counter()
-    _REGISTRY[prop_id](run, opts)
+    fn(run, default_field if field is None else field, random.Random(seed), 25 if trials is None else trials)
     run.elapsed_ms = int((time.perf_counter() - t0) * 1000)
     return run
 
@@ -266,11 +231,13 @@ def _random_tensor(field: Field, n: int, rng: random.Random) -> Tensor2:
     return Tensor2(field, tuple(tuple(field.sample(rng) for _ in range(n)) for _ in range(n)))
 
 
-def _invariant_plus_skew(alg: Algebra, rng: random.Random) -> Tensor2:
-    """Random tensor whose symmetric part is invariant (hypothesis builder)."""
+def _invariant_plus_skew(alg: Algebra, rng: random.Random) -> RTensor:
+    """A random tensor whose symmetric part is invariant (hypothesis
+    builder): its ``r_plus`` is the sampled element of the invariant space,
+    exactly, since the skew part's transpose is its negative."""
     sym = sample_from_basis(invariant_symmetric_basis(alg), rng, alg.field)
     skew = _skew_tensor(alg.field, alg.dim, rng)
-    return skew if sym is None else skew + sym
+    return RTensor.build(alg, skew if sym is None else skew + sym)
 
 
 def _field_elements(field: Field, rng: random.Random, count: int) -> list:
@@ -299,10 +266,8 @@ def _one_by_one(field: Field, *scalars) -> tuple:
 # section-2 properties
 
 
-@_register("P-SEMI")
-def _p_semi(run: PropertyRun, opts: Options) -> None:
-    field = opts.fld(GF(2))
-    rng = random.Random(opts.seed)
+@_register("P-SEMI", GF(2))
+def _p_semi(run: PropertyRun, field: Field, rng: random.Random, trials: int) -> None:
     # worked example: the regular context must pass both sides
     reg = regular(example_algebra(QQ))
     both = abnova_residual(reg).is_zero and novikov_residual(semidirect(reg)).is_zero
@@ -319,7 +284,7 @@ def _p_semi(run: PropertyRun, opts: Options) -> None:
                     actions=(l1, l2, r1, r2, c),
                 )
     # seeded random contexts over the requested field
-    for _ in range(opts.trials):
+    for _ in range(trials):
         alg = rng.choice(_algebra_pool(field, rng, 4))
         mdim = rng.choice((1, 2))
         b = BimodNov(
@@ -341,10 +306,8 @@ def _p_semi(run: PropertyRun, opts: Options) -> None:
         )
 
 
-@_register("P-DUAL")
-def _p_dual(run: PropertyRun, opts: Options) -> None:
-    field = opts.fld(GF(2))
-    rng = random.Random(opts.seed)
+@_register("P-DUAL", GF(2))
+def _p_dual(run: PropertyRun, field: Field, rng: random.Random, trials: int) -> None:
     pool = []
     for alg in _algebra_pool(field, rng, 4) + [example_algebra(QQ), trunc_poly_algebra(QQ, 3)]:
         pool.append(regular_bimodule(alg))
@@ -375,11 +338,8 @@ def _guaranteed_ext_instance(ctx: BimodNov, field: Field, lam, kappa):
     return ident, ident, MassParams(lam, kappa, mu)
 
 
-@_register("P-EXT-STAR")
-def _p_ext_star(run: PropertyRun, opts: Options) -> None:
-    field = opts.fld(GF(5))
-    rng = random.Random(opts.seed)
-
+@_register("P-EXT-STAR", GF(5))
+def _p_ext_star(run: PropertyRun, field: Field, rng: random.Random, trials: int) -> None:
     def check(ctx, alpha, beta, params, tag):
         extended = ext_o_residual(ctx, alpha, beta, params).is_zero
         run.count(checks=1, hits=extended)
@@ -395,28 +355,26 @@ def _p_ext_star(run: PropertyRun, opts: Options) -> None:
     for f in (QQ, field):
         reg = regular(example_algebra(f))
         check(reg, example_t(f), example_beta(f), MassParams(1, -2, 0), "worked example")
-    for alg in _algebra_pool(field, rng, 3 + opts.trials // 5):
+    for alg in _algebra_pool(field, rng, 3 + trials // 5):
         reg = regular(alg)
         lam = field.sample(rng)
         kappa = field.sample(rng)
         a, b, params = _guaranteed_ext_instance(reg, field, lam, kappa)
         check(reg, a, b, params, "identity family")
         basis = balanced_hom_equivalent_basis(reg)
-        for _ in range(max(1, opts.trials // 5)):
+        for _ in range(max(1, trials // 5)):
             beta = sample_from_basis(basis, rng, field)
             alpha = LinMap(random_matrix(field, alg.dim, alg.dim, rng))
             params = MassParams(field.sample(rng), field.sample(rng), field.sample(rng))
             check(reg, alpha, beta, params, "random")
 
 
-@_register("P-DELTA-PM")
-def _p_delta_pm(run: PropertyRun, opts: Options) -> None:
-    field = opts.fld(GF(5))
-    rng = random.Random(opts.seed)
+@_register("P-DELTA-PM", GF(5))
+def _p_delta_pm(run: PropertyRun, field: Field, rng: random.Random, trials: int) -> None:
     for alg in _algebra_pool(field, rng, 3):
         reg = regular(alg)
         homs = hom_map_basis(reg)
-        for case in range(max(3, opts.trials // 3)):
+        for case in range(max(3, trials // 3)):
             beta = sample_from_basis(homs, rng, field)
             if beta is None or not bimodule_hom_residual(reg, beta).is_zero:
                 continue
@@ -440,14 +398,12 @@ def _p_delta_pm(run: PropertyRun, opts: Options) -> None:
                 )
 
 
-@_register("P-R-PM")
-def _p_r_pm(run: PropertyRun, opts: Options) -> None:
-    field = opts.fld(GF(5))
-    rng = random.Random(opts.seed)
+@_register("P-R-PM", GF(5))
+def _p_r_pm(run: PropertyRun, field: Field, rng: random.Random, trials: int) -> None:
     for alg in _algebra_pool(field, rng, 3):
         reg = regular(alg)
         basis = balanced_hom_equivalent_basis(reg)
-        for _ in range(max(2, opts.trials // 3)):
+        for _ in range(max(2, trials // 3)):
             beta = sample_from_basis(basis, rng, field)
             if beta is None:
                 continue
@@ -481,14 +437,12 @@ def _p_r_pm(run: PropertyRun, opts: Options) -> None:
                 )
 
 
-@_register("P-COR-BAX")
-def _p_cor_bax(run: PropertyRun, opts: Options) -> None:
-    field = opts.fld(GF(5))
-    rng = random.Random(opts.seed)
+@_register("P-COR-BAX", GF(5))
+def _p_cor_bax(run: PropertyRun, field: Field, rng: random.Random, trials: int) -> None:
     lams = _field_elements(field, rng, 3)
     ident = LinMap.identity(field, 2)
-    for alg in _enumerated_pool(field, limit=None if opts.trials >= 200 else 40):
-        for _ in range(max(4, opts.trials // 4)):
+    for alg in _enumerated_pool(field, limit=None if trials >= 200 else 40):
+        for _ in range(max(4, trials // 4)):
             t = LinMap(random_matrix(field, 2, 2, rng))
             for lam in lams:
                 for sign in (1, -1):
@@ -508,14 +462,12 @@ def _p_cor_bax(run: PropertyRun, opts: Options) -> None:
                     )
 
 
-@_register("P-BAXTER")
-def _p_baxter(run: PropertyRun, opts: Options) -> None:
-    field = opts.fld(GF(5))
-    rng = random.Random(opts.seed)
+@_register("P-BAXTER", GF(5))
+def _p_baxter(run: PropertyRun, field: Field, rng: random.Random, trials: int) -> None:
     ident = LinMap.identity(field, 2)
     half = field.half()
     for alg in _enumerated_pool(field, limit=25):
-        for _ in range(max(4, opts.trials // 4)):
+        for _ in range(max(4, trials // 4)):
             t = LinMap(random_matrix(field, 2, 2, rng))
             bax = baxter_residual(alg, t).is_zero
             for sign in (1, -1):
@@ -529,10 +481,8 @@ def _p_baxter(run: PropertyRun, opts: Options) -> None:
                     run.expect(ok, "Baxter-derived triple not post-Novikov", algebra=alg, t=t)
 
 
-@_register("P-CONS")
-def _p_cons(run: PropertyRun, opts: Options) -> None:
-    field = opts.fld(GF(5))
-    rng = random.Random(opts.seed)
+@_register("P-CONS", GF(5))
+def _p_cons(run: PropertyRun, field: Field, rng: random.Random, trials: int) -> None:
     for alg in _algebra_pool(field, rng, 3):
         reg = regular(alg)
         basis = balanced_hom_basis(reg)
@@ -540,7 +490,7 @@ def _p_cons(run: PropertyRun, opts: Options) -> None:
         # identity family: T = beta = id with kappa = -1 - lam
         kap = field.reduce((-1 - lam,))[0]
         cand = [(LinMap.identity(field, alg.dim), LinMap.identity(field, alg.dim), lam, kap)]
-        for _ in range(max(2, opts.trials // 4)):
+        for _ in range(max(2, trials // 4)):
             beta = sample_from_basis(basis, rng, field)
             if beta is None:
                 continue
@@ -587,11 +537,9 @@ def _trialgebra_fixture(field: Field) -> CommTrialgebra:
     return CommTrialgebra(field, 2, dot, dot, deriv)
 
 
-@_register("P-ASSOC")
-def _p_assoc(run: PropertyRun, opts: Options) -> None:
-    field = opts.fld(GF(5))
-    rng = random.Random(opts.seed)
-    for p in _postnov_pool(field, rng, opts.trials):
+@_register("P-ASSOC", GF(5))
+def _p_assoc(run: PropertyRun, field: Field, rng: random.Random, trials: int) -> None:
+    for p in _postnov_pool(field, rng, trials):
         if post_residual(p).is_zero:
             run.expect(
                 novikov_residual(associated(p)).is_zero,
@@ -601,11 +549,9 @@ def _p_assoc(run: PropertyRun, opts: Options) -> None:
             )
 
 
-@_register("P-LRBIMOD")
-def _p_lrbimod(run: PropertyRun, opts: Options) -> None:
-    field = opts.fld(GF(5))
-    rng = random.Random(opts.seed)
-    for p in _postnov_pool(field, rng, opts.trials):
+@_register("P-LRBIMOD", GF(5))
+def _p_lrbimod(run: PropertyRun, field: Field, rng: random.Random, trials: int) -> None:
+    for p in _postnov_pool(field, rng, trials):
         if post_residual(p).is_zero:
             run.expect(
                 abnova_residual(lr_bimodule(p)).is_zero,
@@ -615,11 +561,9 @@ def _p_lrbimod(run: PropertyRun, opts: Options) -> None:
             )
 
 
-@_register("P-COMPAT")
-def _p_compat(run: PropertyRun, opts: Options) -> None:
-    field = opts.fld(GF(5))
-    rng = random.Random(opts.seed)
-    for p in _postnov_pool(field, rng, opts.trials):
+@_register("P-COMPAT", GF(5))
+def _p_compat(run: PropertyRun, field: Field, rng: random.Random, trials: int) -> None:
+    for p in _postnov_pool(field, rng, trials):
         if not post_residual(p).is_zero:
             continue
         ctx = lr_bimodule(p)
@@ -640,14 +584,12 @@ def _p_compat(run: PropertyRun, opts: Options) -> None:
             run.fail("round trip through the operator construction changed the products", dim=p.dim)
 
 
-@_register("P-HOM")
-def _p_hom(run: PropertyRun, opts: Options) -> None:
-    field = opts.fld(GF(5))
-    rng = random.Random(opts.seed)
+@_register("P-HOM", GF(5))
+def _p_hom(run: PropertyRun, field: Field, rng: random.Random, trials: int) -> None:
     for alg in _algebra_pool(field, rng, 4):
         reg = regular(alg)
         cands = [(LinMap.identity(field, alg.dim), field.coerce(-1))]
-        for _ in range(max(2, opts.trials // 4)):
+        for _ in range(max(2, trials // 4)):
             cands.append((LinMap(random_matrix(field, alg.dim, alg.dim, rng)), field.sample(rng)))
         for alpha, lam in cands:
             if o_operator_residual(reg, alpha, lam).is_zero:
@@ -661,10 +603,8 @@ def _p_hom(run: PropertyRun, opts: Options) -> None:
                 )
 
 
-@_register("P-TRI")
-def _p_tri(run: PropertyRun, opts: Options) -> None:
-    field = opts.fld(QQ)
-
+@_register("P-TRI", QQ)
+def _p_tri(run: PropertyRun, field: Field, rng: random.Random, trials: int) -> None:
     def construct(tri, rejected, invalid, **context):
         """One check of tri, a hit when it is a trialgebra with derivation;
         its construction must then be a post-Novikov triple."""
@@ -723,10 +663,8 @@ def tensor_op_verdicts(alg: Algebra) -> Callable[[Sequence], tuple[bool, bool]]:
     return verdicts
 
 
-@_register("P-TENSOR-OP")
-def _p_tensor_op(run: PropertyRun, opts: Options) -> None:
-    field = opts.fld(GF(2))
-    rng = random.Random(opts.seed)
+@_register("P-TENSOR-OP", GF(2))
+def _p_tensor_op(run: PropertyRun, field: Field, rng: random.Random, trials: int) -> None:
     if isinstance(field, PrimeField) and field.p <= 3:
         for alg in _enumerated_pool(field):
             verdicts = tensor_op_verdicts(alg)
@@ -741,7 +679,7 @@ def _p_tensor_op(run: PropertyRun, opts: Options) -> None:
                         algebra=alg,
                         r=Tensor2(field, (cells[:2], cells[2:])),
                     )
-    for _ in range(opts.trials):
+    for _ in range(trials):
         alg = rng.choice([example_algebra(QQ), trunc_poly_algebra(QQ, 2), trunc_poly_algebra(QQ, 3)])
         r = _random_tensor(QQ, alg.dim, rng)
         run.equivalent(
@@ -753,19 +691,15 @@ def _p_tensor_op(run: PropertyRun, opts: Options) -> None:
         )
 
 
-@_register("P-ENYBE-EXT")
-def _p_enybe_ext(run: PropertyRun, opts: Options) -> None:
-    field = opts.fld(GF(3))
-    rng = random.Random(opts.seed)
+@_register("P-ENYBE-EXT", GF(3))
+def _p_enybe_ext(run: PropertyRun, field: Field, rng: random.Random, trials: int) -> None:
     eps = _epsilon(field)
     kappas = _field_elements(field, rng, 4)
     for alg in _algebra_pool(field, rng, 4):
         ctx = dual_context(alg)
-        for _ in range(max(3, opts.trials // 4)):
-            r = _invariant_plus_skew(alg, rng)
-            rt = RTensor.build(alg, r)
-            if not invariance_residual(alg, rt.r_plus).is_zero:
-                continue
+        for _ in range(max(3, trials // 4)):
+            rt = _invariant_plus_skew(alg, rng)
+            r = rt.r
             for kap in kappas:
                 run.equivalent(
                     enybe_residual(alg, r, eps(kap)).is_zero(),
@@ -777,17 +711,13 @@ def _p_enybe_ext(run: PropertyRun, opts: Options) -> None:
                 )
 
 
-@_register("P-COR-ENYBE")
-def _p_cor_enybe(run: PropertyRun, opts: Options) -> None:
-    field = opts.fld(GF(3))
-    rng = random.Random(opts.seed)
+@_register("P-COR-ENYBE", GF(3))
+def _p_cor_enybe(run: PropertyRun, field: Field, rng: random.Random, trials: int) -> None:
     for alg in _algebra_pool(field, rng, 4):
         ctx0 = dual_context(alg)
-        for _ in range(max(3, opts.trials // 3)):
-            r = _invariant_plus_skew(alg, rng)
-            rt = RTensor.build(alg, r)
-            if not invariance_residual(alg, rt.r_plus).is_zero:
-                continue
+        for _ in range(max(3, trials // 3)):
+            rt = _invariant_plus_skew(alg, rng)
+            r = rt.r
             s1 = nybe_residual(alg, r).is_zero()
             plus_grid, minus_grid = dual_pm_products(alg, rt)
             hat_map = LinMap(rt.hat)
@@ -817,12 +747,10 @@ def _p_cor_enybe(run: PropertyRun, opts: Options) -> None:
             )
 
 
-@_register("P-SKEW")
-def _p_skew(run: PropertyRun, opts: Options) -> None:
-    field = opts.fld(GF(3))
-    rng = random.Random(opts.seed)
+@_register("P-SKEW", GF(3))
+def _p_skew(run: PropertyRun, field: Field, rng: random.Random, trials: int) -> None:
     for alg in _algebra_pool(field, rng, 4) + [example_algebra(QQ)]:
-        for _ in range(max(3, opts.trials // 3)):
+        for _ in range(max(3, trials // 3)):
             r = _skew_tensor(alg.field, alg.dim, rng)
             run.equivalent(
                 nybe_residual(alg, r).is_zero(),
@@ -833,15 +761,13 @@ def _p_skew(run: PropertyRun, opts: Options) -> None:
             )
 
 
-@_register("P-LEM-R")
-def _p_lem_r(run: PropertyRun, opts: Options) -> None:
-    field = opts.fld(GF(3))
-    rng = random.Random(opts.seed)
+@_register("P-LEM-R", GF(3))
+def _p_lem_r(run: PropertyRun, field: Field, rng: random.Random, trials: int) -> None:
     for alg in _algebra_pool(field, rng, 4):
         f = alg.field
         n = alg.dim
         samples = list(invariant_symmetric_basis(alg))
-        for _ in range(max(3, opts.trials // 2)):
+        for _ in range(max(3, trials // 2)):
             grid = [[f.zero()] * n for _ in range(n)]
             for i in range(n):
                 for j in range(i, n):
@@ -868,20 +794,16 @@ def _p_lem_r(run: PropertyRun, opts: Options) -> None:
             )
 
 
-@_register("P-QN")
-def _p_qn(run: PropertyRun, opts: Options) -> None:
-    field = opts.fld(GF(5))
-    rng = random.Random(opts.seed)
+@_register("P-QN", GF(5))
+def _p_qn(run: PropertyRun, field: Field, rng: random.Random, trials: int) -> None:
     eps = _epsilon(field)
     kappas = _field_elements(field, rng, 4)
     for alg, form in _quadratic_pool(field, rng, 6):
         reg = regular(alg, validate=False)
         phi = form.phi()
-        for _ in range(max(2, opts.trials // 4)):
-            r = _invariant_plus_skew(alg, rng)
-            rt = RTensor.build(alg, r)
-            if not invariance_residual(alg, rt.r_plus).is_zero:
-                continue
+        for _ in range(max(2, trials // 4)):
+            rt = _invariant_plus_skew(alg, rng)
+            r = rt.r
             run.count(hits=1)
             abar = LinMap(rt.alpha.mat @ phi)
             bbar = LinMap(rt.beta.mat @ phi)
@@ -914,10 +836,8 @@ def _quadratic_pool(field: Field, rng: random.Random, count: int):
     return out
 
 
-@_register("P-DUAL-EXO")
-def _p_dual_exo(run: PropertyRun, opts: Options) -> None:
-    field = opts.fld(GF(5))
-    rng = random.Random(opts.seed)
+@_register("P-DUAL-EXO", GF(5))
+def _p_dual_exo(run: PropertyRun, field: Field, rng: random.Random, trials: int) -> None:
     eps = _epsilon(field)
     kappas = _field_elements(field, rng, 3)
     for alg, form in _quadratic_pool(field, rng, 4):
@@ -930,7 +850,7 @@ def _p_dual_exo(run: PropertyRun, opts: Options) -> None:
         selfadj_coords = residual_space(field, homs, lambda x: adjoint_residual(form, x, +1))
         selfadj_homs = [b for b in (linear_combination(homs, c) for c in selfadj_coords) if not b.is_zero()]
         skewadj = map_space(field, n, n, lambda x: adjoint_residual(form, x, -1))
-        for _ in range(max(2, opts.trials // 4)):
+        for _ in range(max(2, trials // 4)):
             beta = sample_from_basis(selfadj_homs, rng, field)
             if beta is None or not adjoint_residual(form, beta, +1).is_zero:
                 continue
@@ -981,17 +901,15 @@ def _lifted_hat(d, gamma: LinMap, sign: int) -> LinMap:
     return LinMap(hat_matrices(lifted.tensor_plus if sign == 1 else lifted.tensor_minus)[0])
 
 
-@_register("P-LIFT-BAL")
-def _p_lift_bal(run: PropertyRun, opts: Options) -> None:
-    field = opts.fld(GF(3))
-    rng = random.Random(opts.seed)
+@_register("P-LIFT-BAL", GF(3))
+def _p_lift_bal(run: PropertyRun, field: Field, rng: random.Random, trials: int) -> None:
     for bim in _bimodule_pool(field, rng, 4):
         alg = bim.alg
         d = double(alg, bim, validate=False)
         ctx_v = bim.trivial()
         ctx_hat = dual_context(d.algebra)
         cands = [sample_from_basis(balanced_hom_basis(ctx_v), rng, field)]
-        for _ in range(max(2, opts.trials // 4)):
+        for _ in range(max(2, trials // 4)):
             cands.append(LinMap(random_matrix(field, alg.dim, bim.mdim, rng)))
         for beta in cands:
             if beta is None:
@@ -1005,10 +923,8 @@ def _p_lift_bal(run: PropertyRun, opts: Options) -> None:
             )
 
 
-@_register("P-LIFT-EXT")
-def _p_lift_ext(run: PropertyRun, opts: Options) -> None:
-    field = opts.fld(GF(3))
-    rng = random.Random(opts.seed)
+@_register("P-LIFT-EXT", GF(3))
+def _p_lift_ext(run: PropertyRun, field: Field, rng: random.Random, trials: int) -> None:
     kappas = _field_elements(field, rng, 3)
     for bim in _bimodule_pool(field, rng, 3):
         alg = bim.alg
@@ -1020,7 +936,7 @@ def _p_lift_ext(run: PropertyRun, opts: Options) -> None:
             if beta is None or not is_balanced_hom(ctx_v, beta):
                 continue
             q_plus = _lifted_hat(d, beta, +1)
-            for case in range(max(3, opts.trials // 4)):
+            for case in range(max(3, trials // 4)):
                 # alpha = beta satisfies the mass (-1, 0) equation outright
                 alpha = beta if case == 0 else LinMap(random_matrix(field, alg.dim, bim.mdim, rng))
                 p_minus = _lifted_hat(d, alpha, -1)
@@ -1036,10 +952,8 @@ def _p_lift_ext(run: PropertyRun, opts: Options) -> None:
                     )
 
 
-@_register("P-COR-GN")
-def _p_cor_gn(run: PropertyRun, opts: Options) -> None:
-    field = opts.fld(GF(3))
-    rng = random.Random(opts.seed)
+@_register("P-COR-GN", GF(3))
+def _p_cor_gn(run: PropertyRun, field: Field, rng: random.Random, trials: int) -> None:
     eps = _epsilon(field)
     for bim in _bimodule_pool(field, rng, 3):
         alg = bim.alg
@@ -1052,7 +966,7 @@ def _p_cor_gn(run: PropertyRun, opts: Options) -> None:
             q = lift_map(d, beta)
             cands = [beta] + [
                 LinMap(random_matrix(field, alg.dim, bim.mdim, rng))
-                for _ in range(max(2, opts.trials // 6))
+                for _ in range(max(2, trials // 6))
             ]
             for alpha in cands:
                 p = lift_map(d, alpha)
@@ -1087,7 +1001,7 @@ def _p_cor_gn(run: PropertyRun, opts: Options) -> None:
         bim = regular_bimodule(alg)
         d = double(alg, bim, validate=False)
         ident = LinMap.identity(field, alg.dim)
-        for _ in range(max(3, opts.trials // 3)):
+        for _ in range(max(3, trials // 3)):
             t = LinMap(random_matrix(field, alg.dim, alg.dim, rng))
             lam = field.sample(rng)
             if not lam:
@@ -1107,10 +1021,8 @@ def _p_cor_gn(run: PropertyRun, opts: Options) -> None:
                 run.fail("Rota-Baxter vs lifted pair mismatch", algebra=alg, t=t, weight=lam)
 
 
-@_register("P-CIRC-DELTA")
-def _p_circ_delta(run: PropertyRun, opts: Options) -> None:
-    field = opts.fld(GF(5))
-    rng = random.Random(opts.seed)
+@_register("P-CIRC-DELTA", GF(5))
+def _p_circ_delta(run: PropertyRun, field: Field, rng: random.Random, trials: int) -> None:
     # worked value: on the example algebra with r = e2⊗e2 the dual square of
     # the second dual vector is 3 times the first dual vector
     alg = example_algebra(QQ)
@@ -1119,7 +1031,7 @@ def _p_circ_delta(run: PropertyRun, opts: Options) -> None:
     worked = tuple(grid[1][1]) == (QQ.coerce(3), QQ.coerce(0))
     run.expect(worked, "worked dual-product value wrong", got=grid[1][1])
     for a in _algebra_pool(field, rng, 4) + [alg]:
-        for _ in range(max(3, opts.trials // 3)):
+        for _ in range(max(3, trials // 3)):
             rr = _random_tensor(a.field, a.dim, rng)
             closed = circ_delta(a, rr)
             paired = circ_delta_pairing(a, rr)
@@ -1127,13 +1039,11 @@ def _p_circ_delta(run: PropertyRun, opts: Options) -> None:
             run.expect(agree, "closed form and pairing disagree", hit=True, algebra=a, r=rr)
 
 
-@_register("P-GNYBE-PROD")
-def _p_gnybe_prod(run: PropertyRun, opts: Options) -> None:
-    field = opts.fld(GF(3))
-    rng = random.Random(opts.seed)
+@_register("P-GNYBE-PROD", GF(3))
+def _p_gnybe_prod(run: PropertyRun, field: Field, rng: random.Random, trials: int) -> None:
     for alg in _algebra_pool(field, rng, 4) + [example_algebra(QQ)]:
         f = alg.field
-        samples = [_skew_tensor(f, alg.dim, rng) for _ in range(max(3, opts.trials // 3))]
+        samples = [_skew_tensor(f, alg.dim, rng) for _ in range(max(3, trials // 3))]
         if isinstance(f, PrimeField) and alg.dim == 2:
             samples = [Tensor2(f, ((0, c), (-c, 0))) for c in range(f.p)]
         for r in samples:
@@ -1146,18 +1056,14 @@ def _p_gnybe_prod(run: PropertyRun, opts: Options) -> None:
             )
 
 
-@_register("P-GNYBE-EXT")
-def _p_gnybe_ext(run: PropertyRun, opts: Options) -> None:
-    field = opts.fld(GF(3))
-    rng = random.Random(opts.seed)
+@_register("P-GNYBE-EXT", GF(3))
+def _p_gnybe_ext(run: PropertyRun, field: Field, rng: random.Random, trials: int) -> None:
     kappas = _field_elements(field, rng, 3)
     for alg in _algebra_pool(field, rng, 4):
         ctx = dual_context(alg)
-        for _ in range(max(3, opts.trials // 3)):
-            r = _invariant_plus_skew(alg, rng)
-            rt = RTensor.build(alg, r)
-            if not invariance_residual(alg, rt.r_plus).is_zero:
-                continue
+        for _ in range(max(3, trials // 3)):
+            rt = _invariant_plus_skew(alg, rng)
+            r = rt.r
             # the extension equation for some mass, or (the corollary route)
             # the extended tensor equation for some epsilon
             if any(
@@ -1172,16 +1078,14 @@ def _p_gnybe_ext(run: PropertyRun, opts: Options) -> None:
                 )
 
 
-@_register("P-GOPER")
-def _p_goper(run: PropertyRun, opts: Options) -> None:
-    field = opts.fld(GF(2))
-    rng = random.Random(opts.seed)
+@_register("P-GOPER", GF(2))
+def _p_goper(run: PropertyRun, field: Field, rng: random.Random, trials: int) -> None:
     if isinstance(field, PrimeField) and field.p == 2:
         # exhaustive: all 16 maps on the dim-2 algebras, the first entry varying fastest
         every = [LinMap(Matrix(field, 2, 2, bits[::-1])) for bits in product((0, 1), repeat=4)]
         cases = ((alg, every) for alg in _enumerated_pool(field))
     else:
-        draws = max(4, opts.trials // 3)
+        draws = max(4, trials // 3)
         cases = (
             (alg, [LinMap(random_matrix(field, alg.dim, alg.dim, rng)) for _ in range(draws)])
             for alg in _algebra_pool(field, rng, 3)
@@ -1209,10 +1113,8 @@ def cor_a_residual(ctx: BimodNov, alpha: LinMap, weight) -> Residual:
     return closure_residual(ctx, b)
 
 
-@_register("P-GOPER-COR")
-def _p_goper_cor(run: PropertyRun, opts: Options) -> None:
-    field = opts.fld(GF(3))
-    rng = random.Random(opts.seed)
+@_register("P-GOPER-COR", GF(3))
+def _p_goper_cor(run: PropertyRun, field: Field, rng: random.Random, trials: int) -> None:
     for alg in _algebra_pool(field, rng, 3):
         reg = regular(alg, validate=False)
         if not novikov_residual(alg).is_zero:
@@ -1238,3 +1140,6 @@ def _p_goper_cor(run: PropertyRun, opts: Options) -> None:
             )
             if not field.coerce(params.weight) and not lhs:
                 run.fail("weight-0 extended operator must lift to a solution", algebra=alg, alpha=alpha)
+
+
+PROPERTY_IDS = tuple(_REGISTRY)

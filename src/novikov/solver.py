@@ -22,7 +22,7 @@ from operator import mul
 from typing import Callable, Iterator, Optional, Sequence
 
 from .algebra import Algebra, BimodNov, novikov_residual, regular
-from .errors import NovikovError, SpaceTooLarge
+from .errors import DimMismatch, NovikovError, SpaceTooLarge
 from .fields import Field, PolyRing, PrimeField
 from .linalg import Matrix, kernel_basis
 from .operators import (
@@ -433,8 +433,13 @@ def _search(spec: SearchSpec) -> list[tuple]:
 
 
 def solution_to_object(spec: SearchSpec, coeffs: Sequence):
-    """Interpret a flat solution vector back into a domain object over the spec's field."""
-    return SEARCH_KINDS[spec.kind].decode(spec.field, spec.dim, coeffs)
+    """Interpret a flat solution vector back into a domain object over the
+    spec's field; a vector of the wrong length raises ``DimMismatch``."""
+    row = SEARCH_KINDS[spec.kind]
+    count = row.count(spec.dim)
+    if len(coeffs) != count:
+        raise DimMismatch(f"a dimension-{spec.dim} {spec.kind} has {count} coefficients, got {len(coeffs)}")
+    return row.decode(spec.field, spec.dim, coeffs)
 
 
 def reverify(spec: SearchSpec, coeffs: Sequence) -> bool:

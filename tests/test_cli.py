@@ -443,6 +443,8 @@ _CORES = cli._processors()  # the most jobs a search accepts
         pytest.param(["check", "nybe", "a2.json", "r_e2e2.json", "t2.json"], id="surplus-check-input"),
         pytest.param([], id="no-command"),
         pytest.param(["check", "rota-baxter", "--weight", "1/3", "a2_f3.json", _document("linmap", 3)], id="scalar-not-in-field"),
+        pytest.param(["solve", "ext-o", "a2_f3.json", "--field", "F3", "--weight", "1/3"], id="solve-scalar-not-in-field"),
+        pytest.param(["prop", "P-NOPE"], id="prop-unknown-id"),
         pytest.param(["verify", "algebra", _document("algebra", 4)], id="field-p-4"),
         pytest.param(["verify", "algebra", _document("algebra", 9)], id="field-p-9"),
         pytest.param(["verify", "algebra", _a2_with({"kind": "prime", "p": 3.9}, 1)], id="field-p-float"),
@@ -599,6 +601,15 @@ _SAYS = {
     "solve-unknown-kind": (
         "unknown search kind 'foo': nova solve takes "
         "novikov, nybe, enybe, ext-o, rota-baxter, invariant-symmetric, quadratic-form"
+    ),
+    "scalar-not-in-field": "--weight 1/3 has no value in GF(3): denominator divisible by 3",
+    "solve-scalar-not-in-field": "--weight 1/3 has no value in GF(3): denominator divisible by 3",
+    "prop-unknown-id": (
+        "unknown property id 'P-NOPE': nova prop takes "
+        "P-SEMI, P-DUAL, P-EXT-STAR, P-DELTA-PM, P-R-PM, P-COR-BAX, P-BAXTER, P-CONS, P-ASSOC, "
+        "P-LRBIMOD, P-COMPAT, P-HOM, P-TRI, P-TENSOR-OP, P-ENYBE-EXT, P-COR-ENYBE, P-SKEW, P-LEM-R, "
+        "P-QN, P-DUAL-EXO, P-LIFT-BAL, P-LIFT-EXT, P-COR-GN, P-CIRC-DELTA, P-GNYBE-PROD, P-GNYBE-EXT, "
+        "P-GOPER, P-GOPER-COR"
     ),
     "enybe-tensor-dim-0": "tensor dimension does not match the algebra",
     "gnybe-tensor-dim-0": "tensor dimension does not match the algebra",

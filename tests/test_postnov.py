@@ -183,7 +183,7 @@ def test_post_on_image_rank_one_over_f3():
     # rank-1 with non-ideal kernel must be rejected: diag(0, 1) kernel span{e1}
     other = LinMap(Matrix(field, 2, 2, (0, 0, 0, 1)))
     assert (0, 0, 0, 1) in sols
-    with pytest.raises(KernelNotIdeal):
+    with pytest.raises(KernelNotIdeal, match="kernel is not closed under the module product"):
         post_on_image(ctx, other, -1)
 
 

@@ -5,6 +5,7 @@ from itertools import product
 from types import SimpleNamespace
 
 import pytest
+from conftest import REPO
 
 from novikov import properties
 from novikov.cli import main
@@ -30,6 +31,21 @@ def test_property_passes(prop_id):
     assert res.checked > 0
     if prop_id in EXPECT_HITS:
         assert res.hypothesis_hits > 0, "vacuous run"
+
+
+def test_counts_match_the_benchmark_pins():
+    # the properties workload's pins: every (checked, hypothesis_hits) at
+    # trials 1, seed 7, over QQ and F_3, so a refactor that moves a count
+    # fails here before the benchmark sees it
+    pins = json.loads((REPO / "perfbench" / "pins.json").read_text(encoding="utf-8"))
+    got, want = {}, {}
+    for name, field in (("QQ", QQ), ("F3", GF(3))):
+        for prop_id in PROPERTY_IDS:
+            key = f"{prop_id}/{name}/seed7"
+            res = run_property(prop_id, trials=1, seed=7, field=field)
+            assert res.passed, (key, res.failures[:1])
+            got[key], want[key] = [res.checked, res.hypothesis_hits], pins[key]
+    assert got == want
 
 
 def test_seeds_are_reproducible():

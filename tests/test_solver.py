@@ -10,7 +10,7 @@ from conftest import commuting_novikov_tables, golden_counts
 
 from novikov._kernels import pure
 from novikov.algebra import Algebra, dual_context, novikov_residual, regular
-from novikov.errors import NovikovError, SpaceTooLarge
+from novikov.errors import DimMismatch, NovikovError, SpaceTooLarge
 from novikov.fields import GF, QQ, Poly, PolyRing
 from novikov.fixtures import example_algebra
 from novikov.linalg import Matrix
@@ -62,6 +62,18 @@ def test_solutions_reverify_object_path():
     spec = SearchSpec("novikov-algebra", GF(3), 2)
     res = enumerate_search(spec)
     assert all(reverify(spec, s) for s in res.solutions)
+
+
+@pytest.mark.parametrize("kind", SEARCH_KINDS)
+def test_a_flat_vector_of_the_wrong_length_is_rejected(a2_f3, kind):
+    # every kind reads exactly count(n) coefficients: a shorter or longer
+    # vector is a dimension mismatch, not a wrong verdict or a traceback
+    spec = SearchSpec(kind, GF(3), 2, algebra=a2_f3 if "algebra" in SEARCH_KINDS[kind].inputs else None)
+    k = spec.coeff_count()
+    solution_to_object(spec, (0,) * k)
+    for coeffs in ((1,) * (k - 1), (0,) * (k + 1)):
+        with pytest.raises(DimMismatch, match=f"has {k} coefficients, got {len(coeffs)}"):
+            reverify(spec, coeffs)
 
 
 def test_deterministic_and_sharded():
