@@ -125,10 +125,6 @@ class Algebra:
     def product(self, u: Sequence, v: Sequence) -> tuple:
         return grid_product(self.field, self.mul, u, v)
 
-    def star(self, u: Sequence, v: Sequence) -> tuple:
-        f = self.field
-        return vadd(f, self.product(u, v), self.product(v, u))
-
     def basis_vec(self, i: int) -> tuple:
         return unit_vector(self.field, self.dim, i)
 
@@ -151,12 +147,8 @@ class Algebra:
 
     @cached_property
     def _regular_bimodule(self) -> "Bimodule":
-        """L(e_i) and R(e_i), read off the product grid: column j of L(e_i)
-        is e_i∘e_j, column j of R(e_i) is e_j∘e_i."""
-        n, f, mul = self.dim, self.field, self.mul
-        l_mats = tuple(Matrix.from_cols(f, [mul[i][j] for j in range(n)]) for i in range(n))
-        r_mats = tuple(Matrix.from_cols(f, [mul[j][i] for j in range(n)]) for i in range(n))
-        return Bimodule(self, n, l_mats, r_mats)
+        """L(e_i) and R(e_i), read off the product grid on both sides."""
+        return Bimodule.from_grids(self, self.mul, self.mul)
 
     @cached_property
     def _regular_context(self) -> "BimodNov":
@@ -302,6 +294,16 @@ class Bimodule:
     @property
     def field(self) -> Field:
         return self.alg.field
+
+    @classmethod
+    def from_grids(cls, alg: Algebra, left: Grid, right: Grid) -> "Bimodule":
+        """The actions read off two product grids, algebra basis times module
+        basis and back: column j of l(e_i) is left[i][j], column j of r(e_i)
+        is right[j][i]."""
+        f, n, m = alg.field, alg.dim, len(right)
+        l_mats = tuple(Matrix.from_cols(f, [left[i][j] for j in range(m)]) for i in range(n))
+        r_mats = tuple(Matrix.from_cols(f, [right[j][i] for j in range(m)]) for i in range(n))
+        return cls(alg, m, l_mats, r_mats)
 
     def l_of(self, a: Sequence) -> Matrix:
         return combine_mats(self.field, self.l_mats, a, self.mdim)

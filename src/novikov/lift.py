@@ -18,7 +18,7 @@ from .algebra import (
     novikov_residual,
     semidirect,
 )
-from .errors import DimMismatch, NotABimodule
+from .errors import DimMismatch, FieldMismatch, NotABimodule
 from .linalg import Matrix, vadd, vsub
 from .operators import LinMap, equation_grid, induced_product
 from .residual import Residual, ResidualCollector
@@ -77,26 +77,17 @@ def lift_map(d: DoubleAlg, gamma: LinMap) -> LiftedMap:
     lifted matrix has gamma in the V -> A block and zeros elsewhere, and its
     tensor is the V*⊗A placement of gamma's tensor.
     """
+    from .ybe import tensor_of_map
+
     n, m = d.n, d.m
+    f = d.base.field
+    if gamma.field != f:
+        raise FieldMismatch(f"map is over {gamma.field}, algebra over {f}")
     if gamma.mat.rows != n or gamma.mat.cols != m:
         raise DimMismatch(f"expected a {n}x{m} map into the base algebra")
-    f = d.base.field
-    dim = n + m
-    z = f.zero()
-    rows = []
-    for i in range(dim):
-        row = [z] * dim
-        if i < n:
-            for k in range(m):
-                row[n + k] = gamma.mat[i, k]
-        rows.append(row)
-    mat = Matrix.from_rows(f, rows)
-    grid = [[z] * dim for _ in range(dim)]
-    for k in range(m):
-        img = gamma.mat.col(k)
-        for j in range(n):
-            grid[n + k][j] = img[j]
-    tensor = Tensor2(f, tuple(tuple(r) for r in grid))
+    z = (f.zero(),)
+    mat = Matrix.from_rows(f, [z * n + gamma.mat.row(i) for i in range(n)] + [z * (n + m)] * m)
+    tensor = tensor_of_map(mat)
     return LiftedMap(gamma, mat, tensor, tensor - flip(tensor), tensor + flip(tensor))
 
 

@@ -11,7 +11,7 @@ from .algebra import Algebra, BimodNov, Grid, regular
 from .errors import DimMismatch, FieldMismatch, NoHalf
 from .fields import Field
 from .linalg import Matrix, vsub
-from .residual import Residual, ResidualCollector
+from .residual import Residual, ResidualCollector, grid_residual
 
 
 @dataclass(frozen=True)
@@ -81,19 +81,9 @@ def _check_ctx_map(ctx: BimodNov, m: LinMap) -> None:
 
 
 def balanced_residual(ctx: BimodNov, beta: LinMap) -> Residual:
-    """l(beta(u))v - r(beta(v))u on module basis pairs."""
-    _check_ctx_map(ctx, beta)
-    f = ctx.field
-    m = ctx.mdim
-    col = ResidualCollector(f, "balanced")
-    imgs = [beta(ctx.module_basis(i)) for i in range(m)]
-    r_imgs = [ctx.r_of(img) for img in imgs]
-    for u in range(m):
-        lu = ctx.l_of(imgs[u])
-        for v in range(m):
-            val = vsub(f, lu.col(v), r_imgs[v].col(u))
-            col.record("balanced", (u, v), val)
-    return col.done()
+    """l(beta(u))v - r(beta(v))u on module basis pairs: the product beta
+    and -beta induce on M, which vanishes exactly when beta is balanced."""
+    return grid_residual(ctx.field, "balanced", induced_product(ctx, beta, -beta, 0))
 
 
 def invariant_residual(ctx: BimodNov, beta: LinMap, kappa) -> Residual:

@@ -9,6 +9,7 @@ from typing import Sequence
 from .algebra import (
     Algebra,
     BimodNov,
+    Bimodule,
     Grid,
     coerce_grid,
     dual_context,
@@ -31,7 +32,7 @@ from .errors import (
 )
 from .fields import Field
 from .linalg import Matrix, column_space_pivots, inverse, kernel_basis, solve_right, unit_vector, vadd, vsub
-from .operators import LinMap, hom_residual, o_operator_residual, rota_baxter_residual
+from .operators import LinMap, hom_residual, induced_product, o_operator_residual, rota_baxter_residual
 from .residual import Residual, ResidualCollector
 
 
@@ -142,12 +143,7 @@ def post_residual(p: PostNov) -> Residual:
 def lr_bimodule(p: PostNov) -> BimodNov:
     """(A, ∘, L_▷, R_◁) as a bimodule Novikov algebra over the associated
     algebra; ``p`` is not checked to be post-Novikov."""
-    base = associated(p)
-    n = p.dim
-    f = p.field
-    l_mats = tuple(Matrix.from_cols(f, [p.tri_r[i][j] for j in range(n)]) for i in range(n))
-    r_mats = tuple(Matrix.from_cols(f, [p.tri_l[j][i] for j in range(n)]) for i in range(n))
-    return BimodNov(base, n, l_mats, r_mats, p.circ)
+    return Bimodule.from_grids(associated(p), p.tri_r, p.tri_l).with_product(p.circ)
 
 
 @dataclass(frozen=True)
@@ -251,21 +247,16 @@ def post_from_trialgebra(t: CommTrialgebra) -> PostNov:
 
 
 def post_from_o(ctx: BimodNov, alpha: LinMap, weight, validate: bool = True) -> PostNov:
-    """Post-Novikov structure on the module of a weight-lambda operator:
-    base product = weight·(module product), x▷y = l(alpha(x))y, x◁y = r(alpha(y))x."""
+    """Post-Novikov structure on the module of a weight-lambda operator: the
+    three parts of the product alpha induces on M, base product
+    weight·(module product), x◁y = r(alpha(y))x and x▷y = l(alpha(x))y."""
     f = ctx.field
     weight = f.coerce(weight)
     if validate and not o_operator_residual(ctx, alpha, weight).is_zero:
         raise NotOOperator("alpha is not an operator of this weight")
-    m = ctx.mdim
-    mb = [ctx.module_basis(i) for i in range(m)]
-    imgs = [alpha(mb[i]) for i in range(m)]
-    circ = tuple(tuple(f.reduce([weight * c for c in ctx.mul[u][v]]) for v in range(m)) for u in range(m))
-    l_imgs = [ctx.l_of(img) for img in imgs]
-    r_imgs = [ctx.r_of(img) for img in imgs]
-    tri_r = tuple(tuple(l_imgs[u].col(v) for v in range(m)) for u in range(m))
-    tri_l = tuple(tuple(r_imgs[v].col(u) for v in range(m)) for u in range(m))
-    p = PostNov(f, m, circ, tri_l, tri_r)
+    zero = LinMap.zero(f, ctx.alg.dim, ctx.mdim)
+    parts = ((zero, zero, weight), (zero, alpha, 0), (alpha, zero, 0))
+    p = PostNov(f, ctx.mdim, *(induced_product(ctx, left, right, w) for left, right, w in parts))
     if validate:
         hom = hom_residual(associated(p), ctx.alg, alpha)
         if not hom.is_zero:
@@ -303,45 +294,25 @@ def post_on_image(ctx: BimodNov, alpha: LinMap, weight) -> ImagePost:
                     raise KernelNotIdeal("kernel is not closed under the module product")
 
     pivots = tuple(column_space_pivots(alpha.mat))
-    d = len(pivots)
-    if d == 0:
+    if not pivots:
         return ImagePost(PostNov.zero(f, 0), pivots)
     img_mat = Matrix.from_cols(f, [alpha.mat.col(j) for j in pivots])
 
-    def in_image_coords(vec) -> tuple:
-        sol = solve_right(img_mat, vec)
+    def image_coords(vec) -> tuple:  # alpha(vec) in the pivot basis
+        sol = solve_right(img_mat, alpha(vec))
         if sol is None:
             raise NovikovError("product left the image; operator identity violated")
         return sol
 
-    def build(preimages) -> tuple[Grid, Grid, Grid]:
-        a_imgs = [alpha(u) for u in preimages]
-        circ_rows, l_rows, r_rows = [], [], []
-        for s in range(d):
-            crow, lrow, rrow = [], [], []
-            for t in range(d):
-                uv = ctx.module_product(preimages[s], preimages[t])
-                crow.append(in_image_coords(f.reduce([weight * c for c in alpha(uv)])))
-                lrow.append(in_image_coords(alpha(ctx.r_of(a_imgs[t]).apply(preimages[s]))))
-                rrow.append(in_image_coords(alpha(ctx.l_of(a_imgs[s]).apply(preimages[t]))))
-            circ_rows.append(tuple(crow))
-            l_rows.append(tuple(lrow))
-            r_rows.append(tuple(rrow))
-        return tuple(circ_rows), tuple(l_rows), tuple(r_rows)
-
+    # x ⋄ y on the image is alpha(u ⋄ v) for preimages u, v of x, y
+    on_module = post_from_o(ctx, alpha, weight, validate=False)
     primary = [ctx.module_basis(j) for j in pivots]
-    circ, tri_l, tri_r = build(primary)
+    grids = _pushed(on_module, primary, image_coords)
     if ker:
-        shift = ker[0]
-        shifted = [vadd(f, u, shift) for u in primary]
-        circ2, tri_l2, tri_r2 = build(shifted)
-        if not (
-            grids_equal(f, circ, circ2)
-            and grids_equal(f, tri_l, tri_l2)
-            and grids_equal(f, tri_r, tri_r2)
-        ):
+        shifted = _pushed(on_module, [vadd(f, u, ker[0]) for u in primary], image_coords)
+        if not all(grids_equal(f, g, h) for g, h in zip(grids, shifted)):
             raise KernelNotIdeal("products depend on the preimage choice")
-    return ImagePost(PostNov(f, d, circ, tri_l, tri_r), pivots)
+    return ImagePost(PostNov(f, len(pivots), *grids), pivots)
 
 
 def post_from_rb(alg: Algebra, t: LinMap, weight) -> PostNov:
@@ -352,19 +323,22 @@ def post_from_rb(alg: Algebra, t: LinMap, weight) -> PostNov:
     return post_from_o(regular(alg, validate=False), t, weight, validate=False)
 
 
+def _pushed(p: PostNov, pre: Sequence, out) -> tuple[Grid, Grid, Grid]:
+    """The three products of p at the vectors ``pre``, sent along ``out``:
+    x ⋄' y = out(pre_x ⋄ pre_y) for x, y indexing ``pre``."""
+    f, d = p.field, range(len(pre))
+    return tuple(
+        tuple(tuple(out(grid_product(f, grid, pre[i], pre[j])) for j in d) for i in d)
+        for grid in (p.circ, p.tri_l, p.tri_r)
+    )
+
+
 def transport(p: PostNov, m: Matrix) -> PostNov:
     """The structure pushed forward along an invertible map m: each product
     becomes x ⋄' y = m(m^{-1}(x) ⋄ m^{-1}(y)).  Raises SingularT when m is
     singular."""
-    f = p.field
-    n = p.dim
     m_inv = inverse(m)
-    pre = [m_inv.col(i) for i in range(n)]
-
-    def push(grid: Grid) -> Grid:
-        return tuple(tuple(m.apply(grid_product(f, grid, pre[i], pre[j])) for j in range(n)) for i in range(n))
-
-    return PostNov(f, n, push(p.circ), push(p.tri_l), push(p.tri_r))
+    return PostNov(p.field, p.dim, *_pushed(p, [m_inv.col(i) for i in range(p.dim)], m.apply))
 
 
 def compatible_from_rb(alg: Algebra, t: LinMap, weight) -> PostNov:

@@ -60,3 +60,13 @@ class ResidualCollector:
 
     def done(self) -> Residual:
         return Residual(self.check, tuple(self.failures))
+
+
+def grid_residual(fld, identity: str, grid) -> Residual:
+    """A grid of reduced values as the report ``identity``: one failure,
+    keyed (i, j), per nonzero cell grid[i][j]."""
+    col = ResidualCollector(fld, identity)
+    for i, row in enumerate(grid):
+        for j, cell in enumerate(row):
+            col.record(identity, (i, j), cell)
+    return col.done()

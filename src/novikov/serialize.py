@@ -285,6 +285,8 @@ def bundle_to_trialgebra(parts: dict):
     mat = deriv.mat if isinstance(deriv, LinMap) else deriv
     if not isinstance(mat, Matrix):
         raise DocumentError("trialgebra bundle needs a linmap derivation")
+    if not dot.field == circ.field == mat.field:
+        raise DocumentError("trialgebra bundle members live over different fields")
     if dot.dim != circ.dim or mat.rows != dot.dim or mat.cols != dot.dim:
         raise DocumentError("trialgebra bundle dimensions disagree")
     return CommTrialgebra(dot.field, dot.dim, dot.mul, circ.mul, mat)

@@ -34,7 +34,7 @@ from .operators import (
     ext_o_equation_residual,
     rota_baxter_residual,
 )
-from .residual import Residual, ResidualCollector
+from .residual import Residual, grid_residual
 from .tensors import Tensor2, Tensor3
 from .ybe import enybe_residual, invariance_residual, invariant_form_residual, nybe_residual, BilForm
 
@@ -53,12 +53,9 @@ def _sym_grid(coeffs: Sequence, n: int) -> tuple:
 
 
 def _tensor_residual(identity: str, t: Tensor3) -> Residual:
-    """A tensor-valued residual as a report: one failure per nonzero row t[i][j]."""
-    col = ResidualCollector(t.field, identity)
-    for i, plane in enumerate(t.grid):
-        for j, row in enumerate(plane):
-            col.record(identity, (i, j), row)
-    return col.done()
+    """A tensor-valued residual as a report over the tensor's own field:
+    one failure per nonzero row t[i][j]."""
+    return grid_residual(t.field, identity, t.grid)
 
 
 def _tensor(f: Field, n: int, coeffs: Sequence) -> Tensor2:

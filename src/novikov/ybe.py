@@ -10,9 +10,9 @@ from typing import Sequence
 from .algebra import Algebra, Grid, dual_context, regular_bimodule
 from .errors import BetaNotSelfAdjoint, DegenerateForm, DimMismatch, NoHalf, SymPartNotInvariant
 from .fields import Field
-from .linalg import Matrix, inverse
+from .linalg import Matrix, inverse, rank
 from .operators import LinMap, equation_grid, induced_product, o_operator_residual, pm_products
-from .residual import Residual, ResidualCollector
+from .residual import Residual, ResidualCollector, grid_residual
 from .tensors import Tensor2, Tensor3, flip, tensor3_sum
 
 
@@ -121,11 +121,7 @@ def o_nybe_residual(alg: Algebra, r: Tensor2) -> Residual:
     ctx = dual_context(alg)  # l = Lstar*, r = -R*
     alpha = LinMap(hat)
     eq = equation_grid(ctx, alpha, induced_product(ctx, alpha, LinMap(-hat_t), 0))
-    col = ResidualCollector(alg.field, "o-nybe")
-    for i in range(alg.dim):
-        for j in range(alg.dim):
-            col.record("o-nybe", (i, j), eq[i][j])
-    return col.done()
+    return grid_residual(alg.field, "o-nybe", eq)
 
 
 def dual_pm_products(alg: Algebra, rt: RTensor) -> tuple[Grid, Grid]:
@@ -156,8 +152,6 @@ class BilForm(Tensor2):
         return Matrix.from_rows(self.field, self.grid)
 
     def is_nondegenerate(self) -> bool:
-        from .linalg import rank
-
         return rank(self.phi()) == self.dim
 
 

@@ -391,6 +391,19 @@ def _a2_with(field: dict, coefficient) -> dict:
 
 _Q, _F3 = {"kind": "rational"}, {"kind": "prime", "p": 3}
 
+# the bundled trialgebra's products over F_3 with the derivation diag(1, 5) over Q
+_TRI_PRODUCT = {"dim": 2, "mul": [[[0, 1], [0, 0]], [[0, 0], [0, 0]]]}
+_MIXED_TRIALGEBRA = _rational(
+    "doc-bundle",
+    {
+        "documents": {
+            "dot": {**_rational("algebra", _TRI_PRODUCT), "field": _F3},
+            "circ": {**_rational("algebra", _TRI_PRODUCT), "field": _F3},
+            "derivation": _rational("linmap", {"rows": 2, "cols": 2, "entries": [[1, 0], [0, 5]]}),
+        }
+    },
+)
+
 
 def _a2_sized(dim) -> dict:
     """The worked 2-dim algebra over Q with its "dim" replaced."""
@@ -464,6 +477,17 @@ _CORES = cli._processors()  # the most jobs a search accepts
         ),
         pytest.param(["check", "ext-o", _TRUNC3, "regular", _map(3), _ZERO2], id="ext-o-zero-beta-2x2-on-dim-3"),
         pytest.param(["derive", "circ-t", "a2.json", _map(3)], id="circ-t-map-3x3"),
+        pytest.param(
+            [
+                "derive", "lift-map", "a2_f3.json", "regular",
+                _rational("linmap", {"rows": 2, "cols": 2, "entries": [["1/2", 0], [0, 1]]}),
+            ],
+            id="lift-map-gamma-over-other-field",
+        ),
+        pytest.param(["verify", "trialgebra", _MIXED_TRIALGEBRA], id="trialgebra-members-over-other-fields"),
+        pytest.param(
+            ["derive", "post-from-trialgebra", _MIXED_TRIALGEBRA], id="post-from-trialgebra-members-over-other-fields"
+        ),
         pytest.param(["check", "nybe", "a2.json", _rational("tensor2", {"dim": 3, "entries": _identity(3)})], id="tensor-dim-3"),
         pytest.param(["check", "nybe", "a2.json", _TENSOR0], id="nybe-tensor-dim-0"),
         pytest.param(["check", "enybe", "--epsilon", "1", "a2.json", _TENSOR0], id="enybe-tensor-dim-0"),
@@ -627,6 +651,9 @@ _SAYS = {
     "form-larger-than-algebra": "tensor dimension does not match the algebra",
     "ext-o-zero-beta-other-field": "map is over QQ, context over GF(3)",
     "ext-o-zero-beta-2x2-on-dim-3": "map is 2x2, context wants 3x3",
+    "lift-map-gamma-over-other-field": "map is over QQ, algebra over GF(3)",
+    "trialgebra-members-over-other-fields": "trialgebra bundle members live over different fields",
+    "post-from-trialgebra-members-over-other-fields": "trialgebra bundle members live over different fields",
     "json-integer-too-long": "invalid JSON: an integer literal has too many digits",
     "field-digits-too-many": "--field: unknown field name 'F999",
     "prop-field-digits-too-many": "--field: unknown field name 'F999",

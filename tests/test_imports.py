@@ -317,3 +317,36 @@ def test_no_module_imports_a_name_it_never_reads():
             if names:
                 unused[str(path.relative_to(REPO))] = names
     assert unused == {}
+
+
+
+def _modules(node: ast.AST) -> set:
+    """The modules an import statement loads, relative ones with their dots."""
+    if isinstance(node, ast.ImportFrom):
+        return {"." * node.level + (node.module or "")}
+    return {alias.name for alias in node.names}
+
+
+def _redundant_lazy_imports(tree: ast.Module) -> list:
+    """Function-body imports of a module the file imports at top level:
+    deferring them saves nothing, since the module is loaded already."""
+    imports = (ast.Import, ast.ImportFrom)
+    top = set().union(*(_modules(node) for node in tree.body if isinstance(node, imports)))
+    functions = [node for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    return sorted(
+        f"{fn.name}: {module} (line {node.lineno})"
+        for fn in functions
+        for node in ast.walk(fn)
+        if isinstance(node, imports)
+        for module in _modules(node) & top
+    )
+
+
+def test_no_function_imports_a_module_its_file_imports_at_top_level():
+    package = REPO / "src" / "novikov"
+    redundant = {}
+    for path in sorted(package.rglob("*.py")):
+        found = _redundant_lazy_imports(ast.parse(path.read_text(encoding="utf-8")))
+        if found:
+            redundant[str(path.relative_to(REPO))] = found
+    assert redundant == {}

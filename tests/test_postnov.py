@@ -1,9 +1,14 @@
+import hashlib
+import itertools
+import json
+
 import pytest
 
-from novikov.algebra import Algebra, abnova_residual, grids_equal, regular
+from novikov.algebra import Algebra, abnova_residual, dual_context, grids_equal, regular
 from novikov.errors import (
     KernelNotIdeal,
     NotDerivation,
+    NovikovError,
     NotOOperator,
     NotRotaBaxter,
     NotTrialgebra,
@@ -12,7 +17,7 @@ from novikov.errors import (
 from novikov.fields import GF, QQ
 from novikov.fixtures import example_algebra
 from novikov.linalg import Matrix
-from novikov.operators import LinMap, hom_residual
+from novikov.operators import LinMap, balanced_residual, hom_residual
 from novikov.postnov import (
     CommTrialgebra,
     PostNov,
@@ -27,8 +32,10 @@ from novikov.postnov import (
     post_on_image,
     post_residual,
     trialgebra_residual,
+    transport,
 )
-from novikov.solver import SearchSpec, enumerate_search
+from novikov.serialize import to_document
+from novikov.solver import SearchSpec, enumerate_search, enumerated_dim2
 from novikov.tensors import Tensor2
 
 
@@ -218,3 +225,54 @@ def test_post_from_nybe_skew_solution_from_solver():
     alg, r = found
     dual_post, _compat = post_from_nybe(alg, r)
     assert post_residual(dual_post).is_zero
+
+
+def _outcome(call, *args):
+    """A call's result as plain JSON data, or its refusal as [type, message]."""
+    try:
+        out = call(*args)
+    except NovikovError as exc:
+        return [type(exc).__name__, str(exc)]
+    if hasattr(out, "failures"):
+        return [fail.to_json(args[0].field) for fail in out.failures]
+    if hasattr(out, "pivot_cols"):
+        return [to_document(out.post), list(out.pivot_cols)]
+    return to_document(out)
+
+
+def _sweep(field, step: int = 1) -> tuple:
+    """Every ``step``-th dim-2 Novikov table over ``field``, on its regular
+    and dual contexts, with every 2x2 map and every weight: the sha256 of
+    the outcomes of ``post_from_o``, ``post_on_image``, ``transport`` (of
+    the unvalidated structure, along the map) and ``balanced_residual``,
+    with the number of image structures and of image refusals."""
+    digest = hashlib.sha256()
+    made = refused = 0
+    maps = [LinMap(Matrix(field, 2, 2, e)) for e in itertools.product(range(field.p), repeat=4)]
+    for alg in enumerated_dim2(field)[::step]:
+        for ctx in (regular(alg, validate=False), dual_context(alg)):
+            for alpha in maps:
+                outcomes = [_outcome(balanced_residual, ctx, alpha)]
+                for weight in range(field.p):
+                    image = _outcome(post_on_image, ctx, alpha, weight)
+                    made, refused = (made + 1, refused) if isinstance(image[0], dict) else (made, refused + 1)
+                    outcomes += [
+                        _outcome(post_from_o, ctx, alpha, weight),
+                        image,
+                        _outcome(transport, post_from_o(ctx, alpha, weight, validate=False), alpha.mat),
+                    ]
+                digest.update(json.dumps(outcomes, sort_keys=True).encode())
+    return digest.hexdigest()[:16], made, refused
+
+
+@pytest.mark.parametrize(
+    "p, step, pinned",
+    [(2, 1, ("5fd841f4682f2d33", 808, 2520)), (3, 20, ("1588f4960f901a16", 732, 3642))],
+    ids=["F2-every-table", "F3-every-20th-table"],
+)
+def test_induced_structures_match_their_pinned_hash(p, step, pinned):
+    """post_from_o, post_on_image, transport and balanced_residual, which all
+    read the product a map induces on the module: the outcomes hash as they
+    did before those functions shared ``induced_product``.  Over F_2 a sign
+    is invisible, so a slice of the F_3 tables rides along."""
+    assert _sweep(GF(p), step) == pinned
