@@ -295,6 +295,18 @@ class Bimodule:
     def field(self) -> Field:
         return self.alg.field
 
+    # The instance is frozen, so these caches cannot go stale; they are not
+    # fields, so equality, hashing and repr ignore them.
+    @cached_property
+    def l_cols(self) -> tuple:
+        """Column v of l(e_i) at l_cols[i][v]."""
+        return tuple(tuple(lm.col(v) for v in range(self.mdim)) for lm in self.l_mats)
+
+    @cached_property
+    def r_cols(self) -> tuple:
+        """Column v of r(e_i) at r_cols[i][v]."""
+        return tuple(tuple(rm.col(v) for v in range(self.mdim)) for rm in self.r_mats)
+
     @classmethod
     def from_grids(cls, alg: Algebra, left: Grid, right: Grid) -> "Bimodule":
         """The actions read off two product grids, algebra basis times module

@@ -163,16 +163,14 @@ def induced_product(ctx: BimodNov, left: LinMap, right: LinMap, weight) -> Grid:
     With left = right = alpha this is the product a weight-lambda operator
     induces on M; the star, diamond, ± and shifted products and the dual
     product of a tensor are all instances.  Each cell is one pass over the
-    action-matrix columns, reduced once."""
+    action-matrix columns, which the context keeps, reduced once."""
     _check_ctx_map(ctx, left)
     _check_ctx_map(ctx, right)
     f = ctx.field
     weight = f.coerce(weight)
     m = ctx.mdim
     z = f.zero()
-    # column v of l(e_i) and of r(e_i)
-    l_cols = [[lm.col(v) for v in range(m)] for lm in ctx.l_mats]
-    r_cols = [[rm.col(v) for v in range(m)] for rm in ctx.r_mats]
+    l_cols, r_cols = ctx.l_cols, ctx.r_cols
     # the nonzero coordinates of left(u) and right(v)
     lefts = [[(i, c) for i, c in enumerate(left.mat.col(u)) if c] for u in range(m)]
     rights = [[(i, c) for i, c in enumerate(right.mat.col(v)) if c] for v in range(m)]

@@ -8,6 +8,7 @@ from math import prod
 import pytest
 from conftest import commuting_novikov_tables, golden_counts
 
+from novikov import solver
 from novikov._kernels import pure
 from novikov.algebra import Algebra, dual_context, novikov_residual, regular
 from novikov.errors import DimMismatch, NovikovError, SpaceTooLarge
@@ -19,8 +20,8 @@ from novikov.residual import Failure, Residual
 from novikov.solver import (
     SEARCH_KINDS,
     SearchSpec,
+    _constraints,
     _nonzero_coords,
-    _residual_coords,
     _variable_order,
     balanced_hom_basis,
     balanced_hom_equivalent_basis,
@@ -35,7 +36,7 @@ from novikov.solver import (
     trunc_poly_algebra,
 )
 from novikov.tensors import Tensor2
-from novikov.ybe import BilForm, bilform_invariance, invariance_residual
+from novikov.ybe import BilForm, bilform_invariance, invariance_residual, nybe_residual
 
 
 # the kinds whose residual reads a context algebra
@@ -323,9 +324,7 @@ def _order_specs():
 
 
 def _derived_order(spec: SearchSpec) -> list:
-    p, k = spec.p, spec.coeff_count()
-    ring = PolyRing(p)
-    return _variable_order(list(_residual_coords(spec, ring)(ring.variables(k)).values()), k)
+    return _variable_order(list(_constraints(spec).values()), spec.coeff_count())
 
 
 @pytest.mark.parametrize(
@@ -377,8 +376,7 @@ def test_symbolic_residual_equals_the_residual_at_every_point(spec):
     F_p^k, are the object-path residual's coordinates there, and the search
     keeps exactly the points that reverify."""
     p, k = spec.p, spec.coeff_count()
-    ring = PolyRing(p)
-    polys = _residual_coords(spec, ring)(ring.variables(k))
+    polys = _constraints(spec)
     assert polys and all(all(0 < c < p for c in poly.values()) for poly in polys.values())
     points = list(itertools.product(range(p), repeat=k))
     row = SEARCH_KINDS[spec.kind]
@@ -395,6 +393,7 @@ def test_symbolic_residual_equals_the_residual_at_every_point(spec):
     ids=["x0*x3*x6", "x6^3"],
 )
 def test_search_evaluates_its_residual_once_and_rejects_a_cubic(monkeypatch, cubic):
+    monkeypatch.setattr("novikov.solver._SYSTEMS", {})  # no system built before this test
     calls = []
 
     def counted(alg):
@@ -409,9 +408,96 @@ def test_search_evaluates_its_residual_once_and_rejects_a_cubic(monkeypatch, cub
         value = alg.field.reduce((cubic(alg.mul),))
         return Residual("cubic", (Failure("cubic", (), value),) if any(value) else ())
 
+    monkeypatch.setattr("novikov.solver._SYSTEMS", {})
     monkeypatch.setattr("novikov.solver.novikov_residual", cubic_residual)
     with pytest.raises(AssertionError, match="degree"):
         enumerate_search(SearchSpec("novikov-algebra", GF(3), 2))
+
+
+def test_a_sweep_evaluates_its_residual_once_and_reverify_reads_no_system(monkeypatch):
+    """A nybe-solution search on every dim-2 table over F_3 evaluates the
+    ring residual once in all; reverify, with the systems made unreachable,
+    accepts exactly the solutions the searches found."""
+    monkeypatch.setattr("novikov.solver._SYSTEMS", {})
+    calls = []
+
+    def counted(alg, r):
+        calls.append(alg.field)
+        return nybe_residual(alg, r)
+
+    monkeypatch.setattr("novikov.solver.nybe_residual", counted)
+    f = GF(3)
+    specs = [SearchSpec("nybe-solution", f, 2, algebra=alg) for alg in enumerated_dim2(f)]
+    found = [enumerate_search(spec).solutions for spec in specs]
+    assert len(specs) == 177 and calls == [PolyRing(3)]
+    monkeypatch.setattr("novikov.solver._SYSTEMS", None)  # any read of a system raises
+    candidates = list(itertools.product(range(3), repeat=4))
+    for spec, solutions in zip(specs, found):
+        assert [x for x in candidates if reverify(spec, x)] == solutions
+    assert set(calls[1:]) == {f}  # every reverify evaluated over the field itself
+
+
+def _lifted_constraints(spec: SearchSpec) -> dict:
+    """The constraints as the search derived them before the parametric
+    system: the kind's residual with the spec's own context lifted into the
+    ring, evaluated once per spec."""
+    ring, row = PolyRing(spec.p), SEARCH_KINDS[spec.kind]
+    alg = Algebra(ring, spec.dim, spec.algebra.mul)
+    beta = spec.beta and LinMap(Matrix(ring, spec.dim, spec.dim, spec.beta.mat.entries))
+    unknowns = row.decode(ring, spec.dim, ring.variables(spec.coeff_count()))
+    return dict(_nonzero_coords(row.residual(spec, alg, beta, unknowns)))
+
+
+@pytest.mark.parametrize(
+    "kind, beta",
+    [*((kind, None) for kind in CONTEXT_KINDS), ("ext-o-operator", (1, 1, 0, 2))],
+    ids=lambda x: "beta" if isinstance(x, tuple) else None,
+)
+def test_the_specialized_system_equals_the_lifted_evaluation_on_every_table(kind, beta):
+    """On every dim-2 Novikov table over F_3, the parametric system
+    specialized to the table gives the per-table evaluation's polynomials,
+    keys and order, every scalar option nonzero."""
+    f = GF(3)
+    beta = beta and LinMap(Matrix(f, 2, 2, beta))
+    for alg in enumerated_dim2(f):
+        spec = SearchSpec(kind, f, 2, algebra=alg, weight=1, kappa=1, mu=2, epsilon=1, beta=beta)
+        assert list(_constraints(spec).items()) == list(_lifted_constraints(spec).items()), alg.flat()
+
+
+def test_a_residual_above_degree_1_in_the_context_is_refused(monkeypatch):
+    def squared(alg, s):  # e_0∘e_0's first coordinate squared, times s_00
+        value = alg.field.reduce((alg.mul[0][0][0] * alg.mul[0][0][0] * s.grid[0][0],))
+        return Residual("squared", (Failure("squared", (), value),))
+
+    monkeypatch.setattr("novikov.solver._SYSTEMS", {})
+    monkeypatch.setattr("novikov.solver.invariance_residual", squared)
+    spec = SearchSpec("invariant-symmetric-tensor", GF(3), 2, algebra=example_algebra(GF(3)))
+    with pytest.raises(AssertionError, match="not linear in its constants"):
+        _constraints(spec)
+
+
+@pytest.mark.parametrize("field, dim", [(GF(3), 3), (GF(5), 2)], ids=["dimension", "field"])
+def test_a_context_of_another_dimension_or_field_is_refused(a2_f3, field, dim):
+    with pytest.raises(NovikovError, match="context algebra does not match the search spec"):
+        SearchSpec("nybe-solution", field, dim, algebra=a2_f3)
+
+
+def test_the_systems_kept_are_bounded_in_dimension_and_number(monkeypatch):
+    systems = {}
+    monkeypatch.setattr("novikov.solver._SYSTEMS", systems)
+    monkeypatch.setattr("novikov.solver._KEPT_SYSTEMS", 2)
+    n = solver._KEPT_SYSTEM_DIM + 1
+    f = GF(2)
+    large = SearchSpec("invariant-symmetric-tensor", f, n, algebra=Algebra.zero(f, n))
+    assert _constraints(large) == {} and systems == {}  # the zero algebra: every constraint vanishes
+    specs = [SearchSpec("rota-baxter", f, 2, algebra=example_algebra(f), weight=w) for w in (0, 1)]
+    specs.append(SearchSpec("rota-baxter", f, 2, algebra=example_algebra(f), weight=2))  # weight 2 = 0 in F_2
+    for spec in specs:
+        _constraints(spec)
+    assert [key[-1] for key in systems] == [0, 1]  # weight 2 found the weight-0 system
+    _constraints(SearchSpec("nybe-solution", f, 2, algebra=example_algebra(f)))
+    # the weight-0 system, the oldest, went
+    assert [(key[0], key[4:]) for key in systems] == [("rota-baxter", (1,)), ("nybe-solution", ())]
 
 
 def _mat_mul(a, b):
