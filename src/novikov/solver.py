@@ -2,14 +2,14 @@
 instance families: the oracle behind the property sweeps.
 
 Every search kind is one depth-first search whose constraints are the kind's
-object-path residual, evaluated over a polynomial ring in the unknowns and
-the context's structure constants once per (kind, n, p, scalars, beta), then
-specialized to each search's context; the linear spaces come from the same
-residuals, probed on unit inputs (exact for a linear residual).  No identity
-is written here a second time.  The ring (``fields.PolyRing``) keeps the
-scalar contract of every other field, ``+``, ``-``, ``*``, truthiness and
-one ``reduce`` per output, so the residuals run on it unchanged; it needs
-only ``coerce``, ``reduce``, ``inv`` (which raises) and ``variables``."""
+object-path residual, evaluated once over a polynomial ring in the unknowns
+(and kept per context for small n, so a search repeated in one process
+reads it back); the linear spaces come from the same residuals, probed on
+unit inputs (exact for a linear residual).  No identity is written here a
+second time.  The ring (``fields.PolyRing``) keeps the scalar contract of
+every other field, ``+``, ``-``, ``*``, truthiness and one ``reduce`` per
+output, so the residuals run on it unchanged; it needs only ``coerce``,
+``reduce``, ``inv`` (which raises) and ``variables``."""
 
 from __future__ import annotations
 
@@ -35,7 +35,6 @@ from .operators import (
     ext_o_equation_residual,
     rota_baxter_residual,
 )
-from .parametric import ParametricSystem
 from .residual import Residual, grid_residual
 from .tensors import Tensor2, Tensor3
 from .ybe import enybe_residual, invariance_residual, invariant_form_residual, nybe_residual, BilForm
@@ -78,9 +77,8 @@ class _Kind:
     """One search kind.  The search's unknowns are the flat coefficients
     ``decode(field, n, coeffs)`` reads; ``residual(spec, alg, beta, obj)`` is
     the kind's object-path residual, with ``alg`` and ``beta`` (the spec's
-    context, or a generic algebra and the spec's beta over a ring) in place
-    of the spec's.  A solution is a zero of the residual that ``leaf``, if
-    given, accepts."""
+    context, or that context lifted into a ring) in place of the spec's.  A
+    solution is a zero of the residual that ``leaf``, if given, accepts."""
 
     solve: str  # the name ``nova solve`` takes besides the kind's own
     inputs: tuple  # the context fields of ``SearchSpec`` the residual reads
@@ -278,38 +276,55 @@ def _nonzero_coords(report: Residual) -> Iterator[tuple]:
                 yield (fail.identity, fail.indices, k), c
 
 
-# systems of dimension at most this are kept, the oldest dropped past the
-# limit: one dimension-3 system takes 5-20 kB
-_KEPT_SYSTEM_DIM = 3
-_KEPT_SYSTEMS = 16
-_SYSTEMS: dict = {}
+def _residual_coords(spec: SearchSpec, ring: PolyRing) -> Callable[[Sequence], dict]:
+    """The kind's residual over ``ring``, with the spec's context lifted
+    into it, as a function from a flat candidate to its nonzero residual
+    coordinates (the search's constraints)."""
+    row = SEARCH_KINDS[spec.kind]
+    alg, beta = spec.algebra, spec.beta
+    alg = alg and Algebra(ring, alg.dim, alg.mul)
+    beta = beta and LinMap(Matrix(ring, beta.dim, beta.mdim, beta.mat.entries))
+    return lambda coeffs: dict(_nonzero_coords(row.residual(spec, alg, beta, row.decode(ring, spec.dim, coeffs))))
+
+
+# the constraints of searches of dimension at most this are kept, keyed by
+# the whole context, the oldest dropped past the limit
+_KEPT_CONSTRAINTS_DIM = 3
+_KEPT_CONSTRAINTS = 16
+_CONSTRAINTS: dict = {}
+
+
+def _context_key(spec: SearchSpec) -> tuple:
+    """What a search's constraints depend on: the kind, n, p and the
+    context fields its residual reads, the table as ``flat()``, beta as its
+    entries and the scalars coerced into the field."""
+    key = [spec.kind, spec.dim, spec.p]
+    for name in SEARCH_KINDS[spec.kind].inputs:
+        value = getattr(spec, name)
+        if name == "algebra":
+            key.append(value.flat())
+        elif name == "beta":
+            key.append(None if value is None else value.mat.entries)
+        else:
+            key.append(spec.field.coerce(value))
+    return tuple(key)
 
 
 def _constraints(spec: SearchSpec) -> dict:
     """The search's constraints, {(identity, indices, coordinate): nonzero
-    polynomial in the unknowns} in report order: the kind's residual over
-    ``PolyRing``, on the unknowns and a generic context algebra whose n³
-    structure constants are ring variables, evaluated once per (kind, n, p,
-    scalars, beta) and specialized to the spec's table."""
-    row = SEARCH_KINDS[spec.kind]
-    n, k, p = spec.dim, spec.coeff_count(), spec.p
-    m = n**3 if "algebra" in row.inputs else 0
-    scalars = [spec.field.coerce(getattr(spec, name)) for name in row.inputs if name not in ("algebra", "beta")]
-    beta = spec.beta if "beta" in row.inputs else None
-    key = (spec.kind, n, p, beta and beta.mat.entries, *scalars)
-    system = _SYSTEMS.get(key)
-    if system is None:
-        ring = PolyRing(p)
-        xs = ring.variables(k + m)
-        alg = Algebra.from_flat(ring, n, xs[k:]) if m else None
-        beta = beta and LinMap(Matrix(ring, n, n, beta.mat.entries))
-        report = row.residual(spec, alg, beta, row.decode(ring, n, xs[:k]))
-        system = ParametricSystem.split(_nonzero_coords(report), k, m, p)
-        if n <= _KEPT_SYSTEM_DIM:
-            if len(_SYSTEMS) >= _KEPT_SYSTEMS:
-                del _SYSTEMS[next(iter(_SYSTEMS))]  # the oldest
-            _SYSTEMS[key] = system
-    return system.specialize(spec.algebra.flat() if m else ())
+    polynomial in the unknowns} in report order, from one evaluation of
+    ``_residual_coords`` per context; a later search on the same context
+    reads the kept dict, which no caller changes."""
+    key = _context_key(spec)
+    polys = _CONSTRAINTS.get(key)
+    if polys is None:
+        ring = PolyRing(spec.p)
+        polys = _residual_coords(spec, ring)(ring.variables(spec.coeff_count()))
+        if spec.dim <= _KEPT_CONSTRAINTS_DIM:
+            if len(_CONSTRAINTS) >= _KEPT_CONSTRAINTS:
+                del _CONSTRAINTS[next(iter(_CONSTRAINTS))]  # the oldest
+            _CONSTRAINTS[key] = polys
+    return polys
 
 
 def _variable_order(polys, k: int) -> list[int]:
@@ -405,12 +420,12 @@ def _search(spec: SearchSpec) -> list[tuple]:
     derives from the constraints, each tried 0..p-1 in ascending order.
 
     The constraints are the residual's coordinates as polynomials of degree
-    <= 2, evaluated over ``PolyRing`` once per (kind, n, p, scalars, beta)
-    and specialized to the spec's context (``_constraints``); each is
-    checked at the depth where its last unknown is assigned, which gives the
-    allowed values of that unknown as a bitmask.  Finished candidates are
-    filtered by the shard of their lexicographic index (when there is more
-    than one shard) and by the kind's leaf test, and sorted at the end.
+    <= 2, from one evaluation over ``PolyRing`` per context (``_constraints``
+    keeps it for n <= 3); each is checked at the depth where its last
+    unknown is assigned, which gives the allowed values of that unknown as a
+    bitmask.  Finished candidates are filtered by the shard of their
+    lexicographic index (when there is more than one shard) and by the
+    kind's leaf test, and sorted at the end.
     """
     p, k = spec.p, spec.coeff_count()
     polys = list(_constraints(spec).values())
@@ -467,7 +482,7 @@ def solution_to_object(spec: SearchSpec, coeffs: Sequence):
 
 def reverify(spec: SearchSpec, coeffs: Sequence) -> bool:
     """Re-check one solution through the generic object-path residual ops
-    (the independent route; never the kernels, nor the search's systems)."""
+    (the independent route; never the kernels, nor the kept constraints)."""
     row = SEARCH_KINDS[spec.kind]
     obj = solution_to_object(spec, coeffs)
     return row.residual(spec, spec.algebra, spec.beta, obj).is_zero and (row.leaf is None or row.leaf(obj))

@@ -148,7 +148,7 @@ COLD_COMMANDS = {
     ),
     "solve-nybe": (
         ["solve", "nybe", "fixtures/a2_f3.json", "--field", "F3", "--count-only"],
-        _BASE | {"operators", "tensors", "ybe", "solver", "parametric"},
+        _BASE | {"operators", "tensors", "ybe", "solver"},
     ),
 }
 

@@ -22,6 +22,7 @@ from novikov.solver import (
     SearchSpec,
     _constraints,
     _nonzero_coords,
+    _residual_coords,
     _variable_order,
     balanced_hom_basis,
     balanced_hom_equivalent_basis,
@@ -393,7 +394,7 @@ def test_symbolic_residual_equals_the_residual_at_every_point(spec):
     ids=["x0*x3*x6", "x6^3"],
 )
 def test_search_evaluates_its_residual_once_and_rejects_a_cubic(monkeypatch, cubic):
-    monkeypatch.setattr("novikov.solver._SYSTEMS", {})  # no system built before this test
+    monkeypatch.setattr("novikov.solver._CONSTRAINTS", {})  # nothing kept before this test
     calls = []
 
     def counted(alg):
@@ -401,24 +402,27 @@ def test_search_evaluates_its_residual_once_and_rejects_a_cubic(monkeypatch, cub
         return novikov_residual(alg)
 
     monkeypatch.setattr("novikov.solver.novikov_residual", counted)
-    assert len(enumerate_search(SearchSpec("novikov-algebra", GF(3), 2)).solutions) == 177
+    for _ in range(2):  # the second search reads the constraints the first kept
+        assert len(enumerate_search(SearchSpec("novikov-algebra", GF(3), 2)).solutions) == 177
     assert calls == [PolyRing(3)]
 
     def cubic_residual(alg):  # one coordinate of degree 3 in the structure constants
         value = alg.field.reduce((cubic(alg.mul),))
         return Residual("cubic", (Failure("cubic", (), value),) if any(value) else ())
 
-    monkeypatch.setattr("novikov.solver._SYSTEMS", {})
+    monkeypatch.setattr("novikov.solver._CONSTRAINTS", {})
     monkeypatch.setattr("novikov.solver.novikov_residual", cubic_residual)
     with pytest.raises(AssertionError, match="degree"):
         enumerate_search(SearchSpec("novikov-algebra", GF(3), 2))
 
 
-def test_a_sweep_evaluates_its_residual_once_and_reverify_reads_no_system(monkeypatch):
-    """A nybe-solution search on every dim-2 table over F_3 evaluates the
-    ring residual once in all; reverify, with the systems made unreachable,
-    accepts exactly the solutions the searches found."""
-    monkeypatch.setattr("novikov.solver._SYSTEMS", {})
+def test_a_repeated_sweep_evaluates_each_context_once_and_reverify_reads_nothing_kept(monkeypatch):
+    """Two nybe-solution sweeps over every dim-2 table over F_3, with room
+    for every table kept, evaluate the ring residual once per table, all in
+    the first sweep, and find the same solutions; reverify, with the kept
+    constraints made unreachable, accepts exactly those."""
+    monkeypatch.setattr("novikov.solver._CONSTRAINTS", {})
+    monkeypatch.setattr("novikov.solver._KEPT_CONSTRAINTS", 177)
     calls = []
 
     def counted(alg, r):
@@ -429,51 +433,38 @@ def test_a_sweep_evaluates_its_residual_once_and_reverify_reads_no_system(monkey
     f = GF(3)
     specs = [SearchSpec("nybe-solution", f, 2, algebra=alg) for alg in enumerated_dim2(f)]
     found = [enumerate_search(spec).solutions for spec in specs]
-    assert len(specs) == 177 and calls == [PolyRing(3)]
-    monkeypatch.setattr("novikov.solver._SYSTEMS", None)  # any read of a system raises
+    assert len(specs) == 177 and calls == [PolyRing(3)] * 177
+    assert [enumerate_search(spec).solutions for spec in specs] == found and len(calls) == 177
+    monkeypatch.setattr("novikov.solver._CONSTRAINTS", None)  # any read of a kept dict raises
     candidates = list(itertools.product(range(3), repeat=4))
     for spec, solutions in zip(specs, found):
         assert [x for x in candidates if reverify(spec, x)] == solutions
-    assert set(calls[1:]) == {f}  # every reverify evaluated over the field itself
+    assert set(calls[177:]) == {f}  # every reverify evaluated over the field itself
 
 
-def _lifted_constraints(spec: SearchSpec) -> dict:
-    """The constraints as the search derived them before the parametric
-    system: the kind's residual with the spec's own context lifted into the
-    ring, evaluated once per spec."""
-    ring, row = PolyRing(spec.p), SEARCH_KINDS[spec.kind]
-    alg = Algebra(ring, spec.dim, spec.algebra.mul)
-    beta = spec.beta and LinMap(Matrix(ring, spec.dim, spec.dim, spec.beta.mat.entries))
-    unknowns = row.decode(ring, spec.dim, ring.variables(spec.coeff_count()))
-    return dict(_nonzero_coords(row.residual(spec, alg, beta, unknowns)))
-
-
-@pytest.mark.parametrize(
-    "kind, beta",
-    [*((kind, None) for kind in CONTEXT_KINDS), ("ext-o-operator", (1, 1, 0, 2))],
-    ids=lambda x: "beta" if isinstance(x, tuple) else None,
-)
-def test_the_specialized_system_equals_the_lifted_evaluation_on_every_table(kind, beta):
-    """On every dim-2 Novikov table over F_3, the parametric system
-    specialized to the table gives the per-table evaluation's polynomials,
-    keys and order, every scalar option nonzero."""
-    f = GF(3)
-    beta = beta and LinMap(Matrix(f, 2, 2, beta))
-    for alg in enumerated_dim2(f):
-        spec = SearchSpec(kind, f, 2, algebra=alg, weight=1, kappa=1, mu=2, epsilon=1, beta=beta)
-        assert list(_constraints(spec).items()) == list(_lifted_constraints(spec).items()), alg.flat()
-
-
-def test_a_residual_above_degree_1_in_the_context_is_refused(monkeypatch):
-    def squared(alg, s):  # e_0∘e_0's first coordinate squared, times s_00
-        value = alg.field.reduce((alg.mul[0][0][0] * alg.mul[0][0][0] * s.grid[0][0],))
-        return Residual("squared", (Failure("squared", (), value),))
-
-    monkeypatch.setattr("novikov.solver._SYSTEMS", {})
-    monkeypatch.setattr("novikov.solver.invariance_residual", squared)
-    spec = SearchSpec("invariant-symmetric-tensor", GF(3), 2, algebra=example_algebra(GF(3)))
-    with pytest.raises(AssertionError, match="not linear in its constants"):
+def test_each_context_keeps_its_own_constraints(monkeypatch):
+    """Every dim-2 table over F_3, for each context kind and for ext-o with
+    beta = None and beta nonzero, every scalar option nonzero: each context
+    is kept under its own key, and a later read gives a fresh evaluation's
+    polynomials, keys and order."""
+    kept = {}
+    monkeypatch.setattr("novikov.solver._CONSTRAINTS", kept)
+    monkeypatch.setattr("novikov.solver._KEPT_CONSTRAINTS", 10**4)
+    f, ring = GF(3), PolyRing(3)
+    betas = {kind: [None] for kind in CONTEXT_KINDS}
+    betas["ext-o-operator"].append(LinMap(Matrix(f, 2, 2, (1, 1, 0, 2))))
+    specs = [
+        SearchSpec(kind, f, 2, algebra=alg, weight=1, kappa=1, mu=2, epsilon=1, beta=beta)
+        for kind in CONTEXT_KINDS
+        for beta in betas[kind]
+        for alg in enumerated_dim2(f)
+    ]
+    for spec in specs:
         _constraints(spec)
+    assert len(kept) == len(specs) == 7 * 177
+    for spec in reversed(specs):
+        fresh = _residual_coords(spec, ring)(ring.variables(spec.coeff_count()))
+        assert list(_constraints(spec).items()) == list(fresh.items()), (spec.kind, spec.algebra.flat())
 
 
 @pytest.mark.parametrize("field, dim", [(GF(3), 3), (GF(5), 2)], ids=["dimension", "field"])
@@ -482,22 +473,22 @@ def test_a_context_of_another_dimension_or_field_is_refused(a2_f3, field, dim):
         SearchSpec("nybe-solution", field, dim, algebra=a2_f3)
 
 
-def test_the_systems_kept_are_bounded_in_dimension_and_number(monkeypatch):
-    systems = {}
-    monkeypatch.setattr("novikov.solver._SYSTEMS", systems)
-    monkeypatch.setattr("novikov.solver._KEPT_SYSTEMS", 2)
-    n = solver._KEPT_SYSTEM_DIM + 1
+def test_the_constraints_kept_are_bounded_in_dimension_and_number(monkeypatch):
+    kept = {}
+    monkeypatch.setattr("novikov.solver._CONSTRAINTS", kept)
+    monkeypatch.setattr("novikov.solver._KEPT_CONSTRAINTS", 2)
+    n = solver._KEPT_CONSTRAINTS_DIM + 1
     f = GF(2)
     large = SearchSpec("invariant-symmetric-tensor", f, n, algebra=Algebra.zero(f, n))
-    assert _constraints(large) == {} and systems == {}  # the zero algebra: every constraint vanishes
+    assert _constraints(large) == {} and kept == {}  # the zero algebra: every constraint vanishes
     specs = [SearchSpec("rota-baxter", f, 2, algebra=example_algebra(f), weight=w) for w in (0, 1)]
     specs.append(SearchSpec("rota-baxter", f, 2, algebra=example_algebra(f), weight=2))  # weight 2 = 0 in F_2
     for spec in specs:
         _constraints(spec)
-    assert [key[-1] for key in systems] == [0, 1]  # weight 2 found the weight-0 system
+    assert [key[-1] for key in kept] == [0, 1]  # weight 2 found the weight-0 constraints
     _constraints(SearchSpec("nybe-solution", f, 2, algebra=example_algebra(f)))
-    # the weight-0 system, the oldest, went
-    assert [(key[0], key[4:]) for key in systems] == [("rota-baxter", (1,)), ("nybe-solution", ())]
+    # the weight-0 entry, the oldest, went
+    assert [(key[0], key[4:]) for key in kept] == [("rota-baxter", (1,)), ("nybe-solution", ())]
 
 
 def _mat_mul(a, b):
