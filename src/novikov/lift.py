@@ -47,16 +47,18 @@ class DoubleAlg:
 
 
 def double(alg: Algebra, b: Bimodule, validate: bool = True) -> DoubleAlg:
-    """A ⋉ V* built from the dual actions, with a verified product."""
+    """A ⋉ V* built from the dual actions.  With ``validate`` A must be
+    Novikov and b a bimodule; the dual of b is then one too (P-DUAL), so the
+    product is Novikov (P-SEMI).  A is a subalgebra of the double, so a
+    non-Novikov A is refused with the message of a non-Novikov double."""
     if b.alg is not alg and b.alg != alg:
         raise DimMismatch("bimodule is not over the given algebra")
     if validate and not bimodule_residual(b).is_zero:
         raise NotABimodule("double construction needs a valid bimodule")
-    dual = dual_bimodule(b, validate=False)
-    big = semidirect(dual.trivial())
-    if validate and not novikov_residual(big).is_zero:
+    if validate and not novikov_residual(alg).is_zero:
         raise NotABimodule("double product failed the Novikov identities")
-    return DoubleAlg(alg, b, big)
+    dual = dual_bimodule(b, validate=False)
+    return DoubleAlg(alg, b, semidirect(dual.trivial()))
 
 
 @dataclass(frozen=True)

@@ -40,9 +40,6 @@ class Residual:
     def witness(self) -> Optional[Failure]:
         return self.failures[0] if self.failures else None
 
-    def __bool__(self) -> bool:  # truthy == identity holds
-        return self.is_zero
-
 
 class ResidualCollector:
     """Accumulates failing tuples while an identity is evaluated."""

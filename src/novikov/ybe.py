@@ -9,7 +9,6 @@ from typing import Sequence
 
 from .algebra import Algebra, Grid, dual_context, regular_bimodule
 from .errors import BetaNotSelfAdjoint, DegenerateForm, DimMismatch, NoHalf, SymPartNotInvariant
-from .fields import Field
 from .linalg import Matrix, inverse, rank
 from .operators import LinMap, equation_grid, induced_product, o_operator_residual, pm_products
 from .residual import Residual, ResidualCollector, grid_residual
@@ -63,10 +62,6 @@ class RTensor:
         alpha = LinMap((hat - hat_t).scale(half))
         beta = LinMap((hat + hat_t).scale(half))
         return cls(alg, r, hat, hat_t, r_minus, r_plus, alpha, beta)
-
-    @property
-    def field(self) -> Field:
-        return self.alg.field
 
 
 def invariance_residual(alg: Algebra, s: Tensor2, cross_check: bool = False) -> Residual:

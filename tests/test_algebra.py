@@ -18,7 +18,7 @@ from novikov.algebra import (
     semidirect,
     star,
 )
-from novikov.errors import DimMismatch, NotABimodule, NotNovikov
+from novikov.errors import DimMismatch, FieldMismatch, NotABimodule, NotNovikov
 from novikov.fields import GF, QQ, PolyRing
 from novikov.linalg import Matrix
 from novikov.solver import SearchSpec, reverify, trunc_poly_algebra
@@ -68,6 +68,12 @@ def test_zero_actions_bimodule(a2):
     z = Matrix.zeros(QQ, 3, 3)
     b = Bimodule(a2, 3, (z, z), (z, z))
     assert bimodule_residual(b).is_zero
+    with pytest.raises(DimMismatch, match="one action matrix per algebra basis element"):
+        Bimodule(a2, 3, (z,), (z, z))
+    with pytest.raises(FieldMismatch, match="action matrices over the wrong field"):
+        Bimodule(a2, 3, (z, z), (z, Matrix.zeros(GF(3), 3, 3)))
+    with pytest.raises(DimMismatch, match="action matrices must be mdim x mdim"):
+        Bimodule(a2, 2, (z, z), (z, z))
 
 
 def test_regular_l_with_zero_r_fails(a2):

@@ -9,10 +9,11 @@ import sys
 
 import pytest
 
-from novikov.algebra import Algebra, regular, regular_bimodule
+from novikov.algebra import Algebra, Bimodule, dual_bimodule, regular, regular_bimodule, star_algebra
 from novikov import cli
 from novikov.cli import main
 from novikov.fields import GF, QQ
+from novikov.fixtures import example_algebra
 from novikov.linalg import Matrix
 from novikov.operators import LinMap
 from novikov.serialize import dumps, from_document, loads, to_document
@@ -86,7 +87,9 @@ def test_check_nybe_exit_codes(capsys, fixture_path):
     assert got == {(0, 1, 1): "2", (1, 0, 1): "-4", (1, 1, 0): "2"}
 
 
-def test_check_kind_dispatch(capsys, fixture_path):
+def test_check_kind_dispatch(capsys, fixture_path, tmp_path):
+    form = tmp_path / "identity-form"
+    form.write_text(json.dumps(_rational("bilform", {"dim": 2, "entries": _identity(2)})))
     for kind, extra, files, expect in (
         ("balanced", [], ["a2.json", "regular", "beta2.json"], 0),
         ("invariant", ["--kappa", "1"], ["a2.json", "regular", "beta2.json"], 0),
@@ -101,6 +104,9 @@ def test_check_kind_dispatch(capsys, fixture_path):
         # is a generalized operator on it; t2 is not
         ("generalized-o", [], ["a2.json", "regular", "id2.json"], 0),
         ("generalized-o", [], ["a2.json", "regular", "t2.json"], 1),
+        # the identity map is self-adjoint for the identity form, not skew
+        ("adjoint", [], [str(form), "id2.json"], 0),
+        ("adjoint", ["--sign", "minus"], [str(form), "id2.json"], 1),
     ):
         argv = ["check", kind, *extra]
         for f in files:
@@ -160,14 +166,53 @@ def test_derive_post_from_rb_and_verify(capsys, fixture_path, tmp_path):
     assert code2 == 0 and json.loads(out2)["flag"] is True
 
 
-def test_derive_precondition_failure(capsys, fixture_path):
-    # t2 is not Rota-Baxter of weight 1, so the construction must refuse
-    code, _, err = run(
-        capsys, "derive", "post-from-rb", "--weight", "1",
-        fixture_path("a2.json"), fixture_path("t2.json"),
-    )
-    assert code == 1
-    assert "precondition" in err
+# e2∘e1 = e2 is not Novikov, and the zero bimodule on a line over it is a
+# bimodule: its double holds the base as a subalgebra, so it is not Novikov
+_NOT_NOVIKOV_ALG = Algebra.from_flat(QQ, 2, (0, 0, 0, 0, 0, 1, 0, 0))
+_NOT_NOVIKOV = to_document(_NOT_NOVIKOV_ALG)
+_ZERO_LINE = to_document(Bimodule(_NOT_NOVIKOV_ALG, 1, (Matrix.zeros(QQ, 1, 1),) * 2, (Matrix.zeros(QQ, 1, 1),) * 2))
+_ZERO_LINE_MAP = to_document(LinMap(Matrix.zeros(QQ, 2, 1)))
+
+
+@pytest.mark.parametrize(
+    "argv, says",
+    [
+        # t2 is not Rota-Baxter of weight 1
+        (
+            ["post-from-rb", "--weight", "1", "a2.json", "t2.json"],
+            "T fails the Rota-Baxter identity at this weight",
+        ),
+        (
+            ["star-product", "a2.json", "regular", "t2.json", "--weight", "0"],
+            "closure identities fail; the product is not Novikov",
+        ),
+        (["post-from-nybe", "a2.json", "r_skew.json"], "tensor does not solve the Yang-Baxter equation"),
+        # a valid bimodule over a base that is not Novikov
+        (["double", _NOT_NOVIKOV, _ZERO_LINE], "double product failed the Novikov identities"),
+        (["lift-map", _NOT_NOVIKOV, _ZERO_LINE, _ZERO_LINE_MAP], "double product failed the Novikov identities"),
+    ],
+    ids=[
+        "post-from-rb-not-rota-baxter",
+        "star-product-not-closed",
+        "post-from-nybe-not-a-solution",
+        "double-base-not-novikov",
+        "lift-map-base-not-novikov",
+    ],
+)
+def test_derive_precondition_failure(capsys, fixture_path, tmp_path, argv, says):
+    # the inputs are well formed but fail the construction's hypothesis; a
+    # dict argument is a document, written to a file first
+    paths = []
+    for n, arg in enumerate(argv):
+        if isinstance(arg, dict):
+            path = tmp_path / f"doc{n}.json"
+            path.write_text(json.dumps(arg))
+            arg = str(path)
+        elif arg.endswith(".json"):
+            arg = fixture_path(arg)
+        paths.append(arg)
+    code, out, err = run(capsys, "derive", *paths)
+    assert (code, out, err) == (1, "", f"precondition failed: {says}\n")
 
 
 def test_prop_command(capsys):
@@ -405,6 +450,35 @@ _MIXED_TRIALGEBRA = _rational(
 )
 
 
+def _trialgebra_with(**members) -> dict:
+    """The bundled trialgebra's products and the derivation diag(1, 5), all
+    over Q, with the given members replaced."""
+    product = _rational("algebra", _TRI_PRODUCT)
+    derivation = _rational("linmap", {"rows": 2, "cols": 2, "entries": [[1, 0], [0, 5]]})
+    documents = {"dot": product, "circ": product, "derivation": derivation, **members}
+    return _rational("doc-bundle", {"documents": documents})
+
+
+def _a2_mul(mul) -> dict:
+    """The worked 2-dim algebra over Q with its product grid replaced."""
+    doc = _a2_with(_Q, 1)
+    doc["payload"]["mul"] = mul
+    return doc
+
+
+def _a2_regular_with(**payload) -> dict:
+    """The regular bimodule of the worked 2-dim algebra over Q with entries
+    of its payload replaced."""
+    doc = to_document(regular_bimodule(example_algebra(QQ)))
+    doc["payload"].update(payload)
+    return doc
+
+
+# the dual bimodule of the worked algebra's star algebra: a bimodule over
+# another algebra of the same field and dimension
+_STAR_DUAL = to_document(dual_bimodule(regular_bimodule(star_algebra(example_algebra(QQ)))))
+
+
 def _a2_sized(dim) -> dict:
     """The worked 2-dim algebra over Q with its "dim" replaced."""
     doc = _a2_with(_Q, 1)
@@ -461,6 +535,7 @@ _CORES = cli._processors()  # the most jobs a search accepts
         pytest.param(["verify", "algebra", _document("algebra", 4)], id="field-p-4"),
         pytest.param(["verify", "algebra", _document("algebra", 9)], id="field-p-9"),
         pytest.param(["verify", "algebra", _a2_with({"kind": "prime", "p": 3.9}, 1)], id="field-p-float"),
+        pytest.param(["verify", "algebra", _a2_with({"kind": "complex"}, 1)], id="field-kind-unknown"),
         pytest.param(["verify", "algebra", _a2_sized(2.7)], id="dim-float"),
         pytest.param(["verify", "algebra", _a2_sized("2")], id="dim-string"),
         pytest.param(["verify", "bimodule", _bimodule_mdim(True)], id="mdim-bool"),
@@ -583,6 +658,31 @@ _CORES = cli._processors()  # the most jobs a search accepts
             ["derive", "circ-t", "--weight", "1", "a2.json", "t2.json", "--out", TMP_DIR], id="derive-out-a-directory"
         ),
         pytest.param(["solve", "nybe", "a2_f3.json", "--field", "F3", "--out", TMP_DIR], id="solve-out-a-directory"),
+        pytest.param(["verify", "algebra", _a2_mul([[[1, 0], [0, 1]], [[0, 1]]])], id="algebra-row-too-short"),
+        pytest.param(["verify", "algebra", _a2_mul([[[1, 0], [0, 1]], [[0, 1], [0]]])], id="algebra-cell-too-short"),
+        pytest.param(["derive", "double", "a2.json", _STAR_DUAL], id="double-bimodule-over-another-algebra"),
+        pytest.param(["verify", "bimodule", _a2_regular_with(l=[_map(2)["payload"]])], id="bimodule-one-left-action"),
+        pytest.param(["verify", "bimodule", _a2_regular_with(mdim=3)], id="bimodule-actions-not-mdim-square"),
+        pytest.param(
+            ["verify", "bilform", _rational("doc-bundle", {"documents": {"algebra": _rational("algebra", _TRI_PRODUCT)}})],
+            id="bilform-bundle-without-form",
+        ),
+        pytest.param(["check", "rota-baxter", "a2.json", _rational("linmap", {"rows": 2})], id="map-without-entries"),
+        pytest.param(["check", "rota-baxter", "a2.json", _map_shaped(rows=3)], id="map-rows-disagree-with-entries"),
+        pytest.param(
+            ["check", "rota-baxter", "a2.json", _rational("linmap", {"entries": [[1, 0], [0]]})], id="map-rows-ragged"
+        ),
+        pytest.param(["check", "nybe", "a2.json", _rational("tensor2", {"entries": [[1, 0], [0]]})], id="tensor-ragged"),
+        pytest.param(
+            ["verify", "algebra", {k: v for k, v in _a2_with(_Q, 1).items() if k != "payload"}],
+            id="document-without-payload",
+        ),
+        pytest.param(["verify", "trialgebra", _trialgebra_with(dot=_map(2))], id="trialgebra-dot-not-an-algebra"),
+        pytest.param(
+            ["verify", "trialgebra", _trialgebra_with(derivation=_rational("algebra", _TRI_PRODUCT))],
+            id="trialgebra-derivation-not-a-map",
+        ),
+        pytest.param(["verify", "trialgebra", _trialgebra_with(derivation=_map(3))], id="trialgebra-derivation-3x3"),
     ],
 )
 def test_input_errors_exit_2_with_one_line(capsys, fixture_path, tmp_path, request, monkeypatch, argv):
@@ -661,6 +761,7 @@ _SAYS = {
     "labels-too-few": "algebra labels must be 2 strings, one per basis vector",
     "labels-not-strings": "algebra labels must be 2 strings, one per basis vector",
     "field-p-float": "field modulus must be an integer, got 3.9",
+    "field-kind-unknown": "bad field {'kind': 'complex'}: unknown field descriptor {'kind': 'complex'}",
     "dim-float": "dim must be an integer, got 2.7",
     "dim-string": "dim must be an integer, got '2'",
     "mdim-bool": "mdim must be an integer, got True",
@@ -668,6 +769,22 @@ _SAYS = {
     "cols-bool": "cols must be an integer, got True",
     "tensor-dim-float": "dim must be an integer, got 2.0",
     "jobs-above-the-processor-count": f"--jobs must be at most {_CORES}, the processors this process may run on, got {_CORES + 1}",
+    "algebra-row-too-short": "bad algebra payload: grid has wrong number of columns",
+    "algebra-cell-too-short": "bad algebra payload: grid cell has wrong length",
+    "double-bimodule-over-another-algebra": "bimodule is not over the given algebra",
+    "bimodule-one-left-action": "bad bimodule payload: one action matrix per algebra basis element",
+    "bimodule-actions-not-mdim-square": "bad bimodule payload: action matrices must be mdim x mdim",
+    "bilform-bundle-without-form": (
+        "a bilform bundle holds an algebra document 'algebra' and a bilform document 'form'"
+    ),
+    "map-without-entries": "bad matrix payload: 'entries'",
+    "map-rows-disagree-with-entries": "matrix shape disagrees with its entries",
+    "map-rows-ragged": "bad linmap payload: ragged rows",
+    "tensor-ragged": "bad tensor2 payload: Tensor2 grid must be square",
+    "document-without-payload": "missing envelope key 'payload'",
+    "trialgebra-dot-not-an-algebra": "trialgebra bundle needs algebra members for both products",
+    "trialgebra-derivation-not-a-map": "trialgebra bundle needs a linmap derivation",
+    "trialgebra-derivation-3x3": "trialgebra bundle dimensions disagree",
 }
 
 

@@ -16,6 +16,10 @@ def test_rational_coercion_lowest_terms():
     assert x == Fraction(3, 2)
     assert x.denominator == 2 and x.denominator > 0
     assert QQ.coerce(-3) == Fraction(-3)
+    with pytest.raises(NovikovError, match="cannot coerce 0.5 into Q"):
+        QQ.coerce(0.5)
+    with pytest.raises(ZeroDivisionError, match="inverse of 0"):
+        QQ.inv(0)
 
 
 def _canonical_q(c) -> bool:
@@ -62,6 +66,10 @@ def test_prime_field_canonical_range():
     assert f5.coerce(12) == 2
     assert f5.inv(2) == 3
     assert f5.coerce(Fraction(1, 2)) == 3
+    with pytest.raises(NovikovError, match="cannot coerce None into F_5"):
+        f5.coerce(None)
+    with pytest.raises(ZeroDivisionError, match="inverse of 0"):
+        f5.inv(10)
 
 
 @pytest.mark.parametrize("text, value", [("7", 7), (" -3/4 ", Fraction(-3, 4)), ("+6/4", Fraction(3, 2)), ("0/5", 0)])

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -6,6 +7,7 @@ from conftest import tensor2_from_pairs
 from novikov.algebra import (
     Algebra,
     Bimodule,
+    bimodule_residual,
     grids_equal,
     novikov_residual,
     regular_bimodule,
@@ -28,6 +30,7 @@ from novikov.lift import (
 )
 from novikov.linalg import Matrix
 from novikov.operators import LinMap
+from novikov.solver import enumerated_dim2
 from novikov.tensors import Tensor2
 
 
@@ -48,6 +51,44 @@ def test_double_trivial():
     d = double(triv, b)
     assert d.dim == 5
     assert novikov_residual(d.algebra).is_zero
+
+
+def _line_bimodules(alg) -> list:
+    """Every bimodule of ``alg`` on a one-dimensional module."""
+    f = alg.field
+    found = []
+    for acts in itertools.product(range(f.p), repeat=2 * alg.dim):
+        mats = [Matrix(f, 1, 1, (c,)) for c in acts]
+        b = Bimodule(alg, 1, tuple(mats[: alg.dim]), tuple(mats[alg.dim :]))
+        if bimodule_residual(b).is_zero:
+            found.append(b)
+    return found
+
+
+def test_double_of_a_bimodule_is_novikov():
+    # the dual of a bimodule is a bimodule (P-DUAL), so each double over a
+    # Novikov algebra is Novikov: on every dim-2 table over F_2 and F_3 with
+    # its regular bimodule, and over F_2 with each of the 118 bimodules on a
+    # line (over F_3 there are 729, which would cost 3 s)
+    bimodules = 0
+    for p in (2, 3):
+        for alg in enumerated_dim2(GF(p)):
+            for b in (regular_bimodule(alg), *(_line_bimodules(alg) if p == 2 else ())):
+                bimodules += 1
+                assert novikov_residual(double(alg, b).algebra).is_zero
+    assert bimodules == 52 + 118 + 177
+
+
+def test_double_needs_a_novikov_base():
+    # e2∘e1 = e2 is not Novikov; the zero bimodule on a line over it passes
+    # the bimodule identities, yet A sits in its double as a subalgebra
+    alg = Algebra.from_flat(QQ, 2, (0, 0, 0, 0, 0, 1, 0, 0))
+    z = Matrix.zeros(QQ, 1, 1)
+    b = Bimodule(alg, 1, (z, z), (z, z))
+    assert bimodule_residual(b).is_zero
+    assert not novikov_residual(double(alg, b, validate=False).algebra).is_zero
+    with pytest.raises(NotABimodule, match="double product failed the Novikov identities"):
+        double(alg, b)
 
 
 def test_double_rejects_invalid(a2):

@@ -54,6 +54,20 @@ def test_shape_checks():
         Matrix(QQ, 2, 2, (1, 2, 3))
     with pytest.raises(DimMismatch):
         Matrix.identity(QQ, 2) @ Matrix.identity(QQ, 3)
+    with pytest.raises(DimMismatch, match="ragged rows"):
+        Matrix.from_rows(QQ, [(1, 2), (3,)])
+    wide = Matrix.from_rows(QQ, [(1, 0, 0), (0, 1, 0)])
+    with pytest.raises(IndexError, match="column 3 of a 2x3 matrix"):
+        wide.col(3)
+    with pytest.raises(IndexError, match="column -1 of a 2x3 matrix"):
+        wide.col(-1)
+    with pytest.raises(DimMismatch, match="matrix has 3 columns, vector has 2"):
+        wide.apply((1, 1))
+    with pytest.raises(DimMismatch, match="shape mismatch"):
+        wide + wide.transpose()
+    # a wide matrix of full row rank has pivots 0..rows-1 but no inverse
+    with pytest.raises(DimMismatch, match="only square matrices invert"):
+        inverse(wide)
 
 
 @settings(max_examples=40, deadline=None)

@@ -16,11 +16,12 @@ from novikov.errors import (
 )
 from novikov.fields import GF, QQ
 from novikov.fixtures import example_algebra
-from novikov.linalg import Matrix
+from novikov.linalg import Matrix, column_space_pivots, kernel_basis, solve_right, vadd
 from novikov.operators import LinMap, balanced_residual, hom_residual
 from novikov.postnov import (
     CommTrialgebra,
     PostNov,
+    _pushed,
     associated,
     compatible_from_rb,
     derivation_residual,
@@ -227,17 +228,30 @@ def test_post_from_nybe_skew_solution_from_solver():
     assert post_residual(dual_post).is_zero
 
 
-def _outcome(call, *args):
-    """A call's result as plain JSON data, or its refusal as [type, message]."""
+def _outcome(call, *args) -> tuple:
+    """A call's result (None when it refuses) and its outcome as plain JSON
+    data: the result's document, or the refusal as [type, message]."""
     try:
         out = call(*args)
     except NovikovError as exc:
-        return [type(exc).__name__, str(exc)]
+        return None, [type(exc).__name__, str(exc)]
     if hasattr(out, "failures"):
-        return [fail.to_json(args[0].field) for fail in out.failures]
+        return out, [fail.to_json(args[0].field) for fail in out.failures]
     if hasattr(out, "pivot_cols"):
-        return [to_document(out.post), list(out.pivot_cols)]
-    return to_document(out)
+        return out, [to_document(out.post), list(out.pivot_cols)]
+    return out, to_document(out)
+
+
+def _shifted_image(ctx, alpha, on_module) -> tuple:
+    """The three products of alpha's image structure, pushed from the
+    structure ``on_module`` on the pivot preimages shifted by the first
+    kernel basis vector."""
+    f = ctx.field
+    pivots = column_space_pivots(alpha.mat)
+    ker = kernel_basis(alpha.mat) or [(f.zero(),) * ctx.mdim]
+    img_mat = Matrix.from_cols(f, [alpha.mat.col(j) for j in pivots])
+    pre = [vadd(f, ctx.module_basis(j), ker[0]) for j in pivots]
+    return _pushed(on_module, pre, lambda v: solve_right(img_mat, alpha(v)))
 
 
 def _sweep(field, step: int = 1) -> tuple:
@@ -245,22 +259,32 @@ def _sweep(field, step: int = 1) -> tuple:
     and dual contexts, with every 2x2 map and every weight: the sha256 of
     the outcomes of ``post_from_o``, ``post_on_image``, ``transport`` (of
     the unvalidated structure, along the map) and ``balanced_residual``,
-    with the number of image structures and of image refusals."""
+    with the number of image structures and of image refusals.
+
+    On the way it asserts two claims the constructions do not check at run
+    time: alpha is a homomorphism from the associated algebra of each
+    structure ``post_from_o`` accepts, and each structure ``post_on_image``
+    accepts comes out the same from kernel-shifted preimages."""
     digest = hashlib.sha256()
     made = refused = 0
     maps = [LinMap(Matrix(field, 2, 2, e)) for e in itertools.product(range(field.p), repeat=4)]
     for alg in enumerated_dim2(field)[::step]:
         for ctx in (regular(alg, validate=False), dual_context(alg)):
             for alpha in maps:
-                outcomes = [_outcome(balanced_residual, ctx, alpha)]
+                outcomes = [_outcome(balanced_residual, ctx, alpha)[1]]
                 for weight in range(field.p):
-                    image = _outcome(post_on_image, ctx, alpha, weight)
-                    made, refused = (made + 1, refused) if isinstance(image[0], dict) else (made, refused + 1)
-                    outcomes += [
-                        _outcome(post_from_o, ctx, alpha, weight),
-                        image,
-                        _outcome(transport, post_from_o(ctx, alpha, weight, validate=False), alpha.mat),
-                    ]
+                    post, post_out = _outcome(post_from_o, ctx, alpha, weight)
+                    if post is not None:
+                        assert hom_residual(associated(post), ctx.alg, alpha).is_zero
+                    image, image_out = _outcome(post_on_image, ctx, alpha, weight)
+                    if image is None:
+                        refused += 1
+                    else:
+                        made += 1
+                        assert (image.post.circ, image.post.tri_l, image.post.tri_r) == _shifted_image(ctx, alpha, post)
+                    unchecked = post if post is not None else post_from_o(ctx, alpha, weight, validate=False)
+                    moved = _outcome(transport, unchecked, alpha.mat)[1]
+                    outcomes += [post_out, image_out, moved]
                 digest.update(json.dumps(outcomes, sort_keys=True).encode())
     return digest.hexdigest()[:16], made, refused
 

@@ -18,6 +18,7 @@ from novikov.serialize import (
     bundle_to_trialgebra,
     dumps,
     from_document,
+    load_path,
     loads,
     to_document,
 )
@@ -69,11 +70,13 @@ def test_postnov_roundtrip(a2):
 
 
 def test_bundle_and_trialgebra(fixture_path):
-    from novikov.serialize import load_path
-
     parts = from_document(load_path(fixture_path("trialgebra.json")))
     tri = bundle_to_trialgebra(parts)
     assert tri.dim == 2
+    # a trialgebra is written as a bundle of its two products and its derivation
+    doc = to_document(tri)
+    assert doc["kind"] == "doc-bundle" and sorted(doc["payload"]["documents"]) == ["circ", "derivation", "dot"]
+    assert bundle_to_trialgebra(roundtrip(tri)) == tri
     bad = dict(parts)
     del bad["derivation"]
     with pytest.raises(DocumentError):
@@ -111,6 +114,8 @@ def test_document_errors():
     with pytest.raises(DocumentError):
         bundle_document({})
     assert bundle_document({}, GF(3))["field"] == GF(3).to_json()
+    with pytest.raises(DocumentError, match="cannot serialize object"):
+        to_document(object())
 
 
 def test_prime_scalars_reduced():

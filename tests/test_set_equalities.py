@@ -1,5 +1,7 @@
 """The paper's bijections between solution sets, as exact set equalities over
-every dim-2 Novikov algebra of F_3 (and of F_2, for the tensor form).
+every dim-2 Novikov algebra of F_3 (and of F_2, for the tensor form), and
+what the compatible post-Novikov structure of each invertible Rota-Baxter
+solution sums to.
 
 Each side is enumerated by ``enumerate_search``, whose verdicts come from the
 object-path residuals, or checked point by point on the object path; the
@@ -12,7 +14,9 @@ from itertools import product
 import pytest
 
 from novikov.fields import GF
+from novikov.linalg import Matrix, rank
 from novikov.operators import LinMap
+from novikov.postnov import associated, compatible_from_rb
 from novikov.solver import SearchSpec, enumerate_search, enumerated_dim2
 from novikov.tensors import Tensor2
 from novikov.ybe import o_nybe_residual
@@ -27,14 +31,22 @@ def _shifted(solutions, c: int) -> set:
     return {tuple((v + c * (k in DIAGONAL)) % P for k, v in enumerate(sol)) for sol in solutions}
 
 
-def _solutions(alg, kind: str, **masses) -> list:
-    return enumerate_search(SearchSpec(kind, F3, N, algebra=alg, **masses)).solutions
+def _solutions(alg, kind: str, field=F3, **masses) -> list:
+    return enumerate_search(SearchSpec(kind, field, N, algebra=alg, **masses)).solutions
+
+
+def _rota_baxter(field) -> list:
+    """Per dim-2 table over ``field``, its Rota-Baxter solution set of each weight."""
+    return [
+        (alg, {w: _solutions(alg, "rota-baxter", field, weight=w) for w in range(field.p)})
+        for alg in enumerated_dim2(field)
+    ]
 
 
 @pytest.fixture(scope="module")
 def rota_baxter():
     """Per dim-2 F_3 table, its Rota-Baxter solution set of each weight."""
-    return [(alg, {w: _solutions(alg, "rota-baxter", weight=w) for w in range(P)}) for alg in enumerated_dim2(F3)]
+    return _rota_baxter(F3)
 
 
 def test_ext_o_with_identity_beta_is_shifted_rota_baxter(rota_baxter):
@@ -63,6 +75,22 @@ def test_rota_baxter_weight_minus_two_shifts_to_weight_two(rota_baxter):
         solutions += len(by_weight[2])
         mismatches += len(shifted.symmetric_difference(by_weight[2]))
     assert (solutions, mismatches) == (1185, 0)
+
+
+@pytest.mark.parametrize("p, count", [(2, 78), (3, 864)], ids=["F2", "F3"])
+def test_compatible_structure_recovers_the_product(rota_baxter, p, count):
+    # pushed forward along an invertible Rota-Baxter operator T, the
+    # structure T induces sums back to the original product
+    f = GF(p)
+    invertible = 0
+    for alg, by_weight in rota_baxter if p == P else _rota_baxter(f):
+        for w, sols in by_weight.items():
+            for sol in sols:
+                t = LinMap(Matrix(f, N, N, sol))
+                if rank(t.mat) == N:
+                    invertible += 1
+                    assert associated(compatible_from_rb(alg, t, w)).mul == alg.mul
+    assert invertible == count
 
 
 @pytest.mark.parametrize("p, count", [(2, 232), (3, 849)], ids=["F2", "F3"])

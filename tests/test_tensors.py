@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from conftest import tensor2_from_pairs
 
-from novikov.errors import BadContraction, DimMismatch
+from novikov.errors import BadContraction, DimMismatch, FieldMismatch
 from novikov.fields import GF, QQ
 from novikov.tensors import CONTRACTION_KINDS, Tensor2, Tensor3, flip, tensor3_combine
 
@@ -62,6 +62,17 @@ def test_bad_contraction(a2):
 def test_dim_mismatch(a2):
     with pytest.raises(DimMismatch):
         tensor3_combine(a2, Tensor2.zeros(QQ, 3), Tensor2.zeros(QQ, 3), "13o23")
+    with pytest.raises(DimMismatch, match="Tensor2 grid must be square"):
+        Tensor2(QQ, ((1, 2), (3,)))
+    with pytest.raises(DimMismatch, match="Tensor3 grid must be cubical"):
+        Tensor3(QQ, (((1, 0), (0, 0)), ((0, 0),)))
+    r, r3 = Tensor2.zeros(QQ, 2), Tensor2.zeros(QQ, 3)
+    with pytest.raises(FieldMismatch, match="QQ vs GF"):
+        r + Tensor2.zeros(GF(3), 2)
+    with pytest.raises(DimMismatch, match="2 vs 3"):
+        r - r3
+    with pytest.raises(DimMismatch):
+        r + Tensor3.zeros(QQ, 2)  # same dimension, other order
 
 
 def test_combine_bilinear(a2):
@@ -88,3 +99,11 @@ def test_slot_operations():
     swap = Matrix.from_rows(f, [(0, 1), (1, 0)])
     assert t.apply_slot(0, swap) == Tensor2.basis(f, 2, 1, 1)
     assert t.apply_slot(1, swap) == Tensor2.basis(f, 2, 0, 0)
+    with pytest.raises(DimMismatch, match="Tensor2 has slots 0 and 1"):
+        t.apply_slot(2, swap)
+    with pytest.raises(DimMismatch, match="Tensor3 has slots 0, 1 and 2"):
+        Tensor3.zeros(f, 2).apply_slot(-1, swap)
+    with pytest.raises(FieldMismatch, match="map over QQ, tensor over GF"):
+        t.apply_slot(0, Matrix.identity(QQ, 2))
+    with pytest.raises(DimMismatch, match="3x3 map on a dimension-2 slot"):
+        t.apply_slot(0, Matrix.identity(f, 3))

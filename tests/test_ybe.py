@@ -4,7 +4,7 @@ import pytest
 from conftest import tensor2_from_pairs
 
 from novikov.algebra import Algebra
-from novikov.errors import BetaNotSelfAdjoint, DegenerateForm, NoHalf
+from novikov.errors import BetaNotSelfAdjoint, DegenerateForm, DimMismatch, NoHalf
 from novikov.fields import GF, QQ
 from novikov.fixtures import example_algebra
 from novikov.linalg import Matrix
@@ -43,6 +43,8 @@ def test_hat_of_flip_is_transpose_partner():
     # tensor_of_map inverts the identification
     r = Tensor2(QQ, ((1, 2), (3, 4)))
     assert tensor_of_map(hat_matrices(r)[0]) == r
+    with pytest.raises(DimMismatch, match="only square maps"):
+        tensor_of_map(Matrix.from_rows(QQ, [(1, 0, 0), (0, 1, 0)]))
 
 
 def test_rtensor_parts(a2):
@@ -160,6 +162,8 @@ def test_adjoint_examples():
     diag_b = BilForm(QQ, ((2, 0), (0, 3)))
     diag_t = LinMap(Matrix.from_rows(QQ, [(5, 0), (0, 7)]))
     assert adjoint_residual(diag_b, diag_t, +1).is_zero
+    with pytest.raises(ValueError, match="sign must be"):
+        adjoint_residual(b, ident, 0)
 
 
 def test_quad_transport_trivial_algebra():
@@ -178,6 +182,8 @@ def test_quad_transport_trivial_algebra():
 def test_quad_transport_rejections(a2):
     degenerate = BilForm(QQ, ((1, 0), (0, 0)))
     z = LinMap.zero(QQ, 2, 2)
+    with pytest.raises(DegenerateForm, match="form must be symmetric"):
+        quad_transport(Algebra.zero(QQ, 2), BilForm(QQ, ((1, 1), (0, 1))), z, z)
     with pytest.raises(DegenerateForm):
         quad_transport(Algebra.zero(QQ, 2), degenerate, z, z)
     ident_form = BilForm(QQ, ((1, 0), (0, 1)))
