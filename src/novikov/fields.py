@@ -21,10 +21,12 @@ hash alike, so the two forms never disagree on a value.  ``PolyRing``, over
 which the search evaluates each residual once, symbolically, keeps the same
 contract: its scalars overload these operators and are falsy exactly when
 zero (bare tuples, on which ``+`` concatenates, would not qualify).
-P-TENSOR-OP also evaluates its two routes once per table over ``PolyRing``
-and decides each tensor of the table by ``Poly.at``, the unreduced value at
-the tensor's coefficients, reduced mod p by the caller: evaluation at a
-point is a ring homomorphism onto F_p.
+P-TENSOR-OP also evaluates its two routes over ``PolyRing``, once per
+(dimension, p) with the table's entries unknowns too; each table
+substitutes its entries, and each tensor of the table is decided by
+``Poly.at``, the unreduced value at the tensor's coefficients, reduced mod
+p by the caller: substitution and evaluation at a point are ring
+homomorphisms onto F_p.
 """
 
 from __future__ import annotations

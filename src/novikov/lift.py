@@ -51,7 +51,7 @@ def double(alg: Algebra, b: Bimodule, validate: bool = True) -> DoubleAlg:
     Novikov and b a bimodule; the dual of b is then one too (P-DUAL), so the
     product is Novikov (P-SEMI).  A is a subalgebra of the double, so a
     non-Novikov A is refused with the message of a non-Novikov double."""
-    if b.alg is not alg and b.alg != alg:
+    if (b.alg.field, b.alg.dim, b.alg.mul) != (alg.field, alg.dim, alg.mul):  # basis labels aside
         raise DimMismatch("bimodule is not over the given algebra")
     if validate and not bimodule_residual(b).is_zero:
         raise NotABimodule("double construction needs a valid bimodule")

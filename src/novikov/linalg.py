@@ -211,11 +211,6 @@ def rank(m: Matrix) -> int:
     return len(rref(m)[1])
 
 
-def column_space_pivots(m: Matrix) -> list[int]:
-    """Indices of the leftmost-pivot column basis of the column space."""
-    return rref(m)[1]
-
-
 def inverse(m: Matrix) -> Matrix:
     """Exact inverse; raises SingularT if the matrix is not invertible."""
     if m.rows != m.cols:

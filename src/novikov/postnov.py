@@ -28,7 +28,7 @@ from .errors import (
     SingularT,
 )
 from .fields import Field
-from .linalg import Matrix, column_space_pivots, inverse, kernel_basis, solve_right, unit_vector, vadd, vsub
+from .linalg import Matrix, inverse, kernel_basis, rref, unit_vector, vadd, vsub
 from .operators import LinMap, induced_product, o_operator_residual, rota_baxter_residual
 from .residual import Residual, ResidualCollector
 
@@ -287,13 +287,14 @@ def post_on_image(ctx: BimodNov, alpha: LinMap, weight) -> ImagePost:
                 if any(alpha(prod)):
                     raise KernelNotIdeal("kernel is not closed under the module product")
 
-    pivots = tuple(column_space_pivots(alpha.mat))
+    red, pivots = rref(alpha.mat)
+    pivots = tuple(pivots)
     if not pivots:
         return ImagePost(PostNov.zero(f, 0), pivots)
-    img_mat = Matrix.from_cols(f, [alpha.mat.col(j) for j in pivots])
-
-    def image_coords(vec) -> tuple:  # alpha(vec) in the pivot basis, which spans the image
-        return solve_right(img_mat, alpha(vec))
+    # row operations keep the column relations, so column j of alpha is
+    # Σ_r red[r, j]·alpha(e_{pivot r}): the nonzero rows send a vector to the
+    # coordinates of its image in the pivot basis
+    image_coords = Matrix.from_rows(f, [red.row(i) for i in range(len(pivots))]).apply
 
     # x ⋄ y on the image is alpha(u ⋄ v) for preimages u, v of x, y
     on_module = post_from_o(ctx, alpha, weight, validate=False)

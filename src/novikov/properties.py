@@ -17,6 +17,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field as dc_field
+from functools import cache
 from itertools import product
 from typing import Callable, Optional, Sequence
 
@@ -35,7 +36,7 @@ from .algebra import (
     semidirect,
 )
 from .errors import NovikovError
-from .fields import Field, GF, PolyRing, PrimeField, QQ
+from .fields import Field, GF, Poly, PolyRing, PrimeField, QQ
 from .fixtures import example_algebra, example_beta, example_t
 from .linalg import Matrix, inverse
 from .operators import (
@@ -641,21 +642,63 @@ def _p_tri(run: PropertyRun, field: Field, rng: random.Random, trials: int) -> N
 # tensor-form properties
 
 
+@cache
+def _tensor_op_system(n: int, p: int) -> tuple[tuple, tuple]:
+    """Both routes of P-TENSOR-OP evaluated once over ``PolyRing(p)``, on the
+    dimension-n table of unknowns x_0..x_{n³-1} (``Algebra.flat`` order) and
+    the tensor of the n² unknowns after them (row-major).  Each nonzero
+    coordinate is filed as {r-monomial: [(table factors, coefficient)]},
+    r's unknowns renumbered from 0."""
+    k = n**3
+    ring = PolyRing(p)
+    x = ring.variables(k + n * n)
+    lifted = Algebra.from_flat(ring, n, x[:k])
+    r = Tensor2(ring, tuple(tuple(x[k + i * n:k + i * n + n]) for i in range(n)))
+
+    def filed(c) -> tuple:
+        terms: dict = {}  # its r-monomial -> [(table factors, coefficient)]
+        for m, coeff in c.items():
+            split = sum(u < k for u in m)  # a monomial is sorted: table factors first
+            terms.setdefault(tuple(u - k for u in m[split:]), []).append((m[:split], coeff))
+        return tuple(terms.items())
+
+    tensor = tuple(filed(c) for c in nybe_residual(lifted, r).flat() if c)
+    operator = tuple(filed(c) for fail in o_nybe_residual(lifted, r).failures for c in fail.value if c)
+    return tensor, operator
+
+
+def _specialise(system: tuple, table: tuple, p: int) -> list:
+    """The nonzero coordinates of ``system`` at the table's entries, as
+    polynomials in r's unknowns with coefficients reduced mod p."""
+    out = []
+    for coord in system:
+        poly = Poly()
+        for mono, terms in coord:
+            total = 0
+            for factors, c in terms:
+                for u in factors:
+                    c *= table[u]
+                total += c
+            if total % p:
+                poly[mono] = total % p
+        if poly:
+            out.append(poly)
+    return out
+
+
 def tensor_op_verdicts(alg: Algebra) -> Callable[[Sequence], tuple[bool, bool]]:
     """P-TENSOR-OP's two verdicts on a table over F_p, ``nybe_residual`` is
     zero and ``o_nybe_residual`` is zero, as a function of r's coefficients
-    in row-major order.  Each route runs once, over ``PolyRing(p)`` on the
-    tensor of unknowns; a point's verdict is whether every nonzero coordinate
-    vanishes there.  Evaluating at a point is a ring homomorphism, and the
-    routes branch only to skip terms that are zero as polynomials, which are
-    zero at every point, so these are the concrete routes' verdicts."""
+    in row-major order.  Each route runs once per (n, p), over
+    ``PolyRing(p)`` with the table's entries unknowns too
+    (``_tensor_op_system``); a table substitutes its entries into that
+    system, and a point's verdict is whether every nonzero coordinate
+    vanishes there.  Substituting the table and evaluating at a point are
+    both ring homomorphisms, and the routes branch only to skip terms that
+    are zero as polynomials, which are zero under every substitution, so
+    these are the concrete routes' verdicts."""
     p, n = alg.field.p, alg.dim
-    ring = PolyRing(p)
-    x = ring.variables(n * n)
-    lifted = Algebra(ring, n, alg.mul)
-    r = Tensor2(ring, tuple(tuple(x[i * n:i * n + n]) for i in range(n)))
-    tensor = [c for c in nybe_residual(lifted, r).flat() if c]
-    operator = [c for fail in o_nybe_residual(lifted, r).failures for c in fail.value if c]
+    tensor, operator = (_specialise(s, alg.flat(), p) for s in _tensor_op_system(n, p))
 
     def verdicts(point: Sequence) -> tuple[bool, bool]:
         return not any(c.at(point) % p for c in tensor), not any(c.at(point) % p for c in operator)

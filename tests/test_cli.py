@@ -286,6 +286,19 @@ def test_verify_bilform_bundle(capsys, tmp_path):
     assert rep["flag"] is True and rep["quadratic"] is True
 
 
+def test_double_takes_a_bimodule_over_the_same_product_with_basis_labels(capsys, fixture_path, tmp_path):
+    """``double`` and ``lift-map`` compare the bimodule's algebra by field,
+    dimension and product, as a context slot does: basis labels aside."""
+    a2 = fixture_path("a2.json")
+    alg = from_document(loads(pathlib.Path(a2).read_text()))
+    path = tmp_path / "labelled_bimodule.json"
+    path.write_text(dumps(to_document(regular_bimodule(Algebra(alg.field, alg.dim, alg.mul, labels=("x", "y"))))))
+    code, out, _ = run(capsys, "derive", "double", a2, str(path))
+    assert code == 0 and from_document(loads(out)).dim == 4
+    code, out, _ = run(capsys, "derive", "lift-map", a2, str(path), fixture_path("t2.json"))
+    assert code == 0 and from_document(loads(out))["map"].mat.rows == 4
+
+
 def test_derive_remaining_constructions(capsys, fixture_path, tmp_path):
     """Drive every remaining construction once and validate outputs."""
     a2 = fixture_path("a2.json")

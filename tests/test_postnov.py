@@ -16,7 +16,7 @@ from novikov.errors import (
 )
 from novikov.fields import GF, QQ
 from novikov.fixtures import example_algebra
-from novikov.linalg import Matrix, column_space_pivots, kernel_basis, solve_right, vadd
+from novikov.linalg import Matrix, kernel_basis, rref, solve_right, vadd
 from novikov.operators import LinMap, balanced_residual, hom_residual
 from novikov.postnov import (
     CommTrialgebra,
@@ -247,7 +247,7 @@ def _shifted_image(ctx, alpha, on_module) -> tuple:
     structure ``on_module`` on the pivot preimages shifted by the first
     kernel basis vector."""
     f = ctx.field
-    pivots = column_space_pivots(alpha.mat)
+    pivots = rref(alpha.mat)[1]  # the leftmost-pivot column basis of the image
     ker = kernel_basis(alpha.mat) or [(f.zero(),) * ctx.mdim]
     img_mat = Matrix.from_cols(f, [alpha.mat.col(j) for j in pivots])
     pre = [vadd(f, ctx.module_basis(j), ker[0]) for j in pivots]

@@ -1,15 +1,16 @@
 """Every named property must pass with genuine (non-vacuous) coverage."""
 
 import json
-from itertools import product
+from itertools import islice, product
 from types import SimpleNamespace
 
 import pytest
 from conftest import REPO
 
 from novikov import properties
+from novikov.algebra import Algebra
 from novikov.cli import main
-from novikov.fields import GF, QQ
+from novikov.fields import GF, QQ, PolyRing
 from novikov.fixtures import example_algebra
 from novikov.linalg import Matrix
 from novikov.operators import LinMap
@@ -124,28 +125,65 @@ def _concrete_verdicts(alg, cells) -> tuple:
     return nybe_residual(alg, r).is_zero(), o_nybe_residual(alg, r).is_zero
 
 
+def _lifted_routes(alg) -> list:
+    """The nonzero coordinates of both routes on the table itself, lifted
+    into ``PolyRing(p)`` with r's coefficients unknown."""
+    ring, n = PolyRing(alg.field.p), alg.dim
+    x = ring.variables(n * n)
+    lifted, r = Algebra(ring, n, alg.mul), Tensor2(ring, tuple(tuple(x[i * n:i * n + n]) for i in range(n)))
+    tensor = [c for c in nybe_residual(lifted, r).flat() if c]
+    return [tensor, [c for fail in o_nybe_residual(lifted, r).failures for c in fail.value if c]]
+
+
 @pytest.mark.parametrize(
-    "algebras, counts",
+    "algebras, stride, counts",
     [
-        (lambda: enumerated_dim2(GF(2)), (832, 232)),
-        (lambda: enumerated_dim2(GF(3))[::11], (1377, 145)),
-        (lambda: [trunc_poly_algebra(GF(2), 3)], (512, 18)),
+        (lambda: enumerated_dim2(GF(2)), 1, (832, 232)),
+        (lambda: enumerated_dim2(GF(3))[::11], 1, (1377, 145)),
+        (lambda: [trunc_poly_algebra(GF(2), 3)], 1, (512, 18)),
+        (lambda: enumerated_dim2(GF(5))[::120], 1, (7500, 720)),
+        (lambda: [trunc_poly_algebra(GF(3), 3)], 29, (679, 2)),
     ],
-    ids=["F2-every-table", "F3-every-11th-table", "F2-trunc3"],
+    ids=["F2-every-table", "F3-every-11th-table", "F2-trunc3", "F5-every-120th-table", "F3-trunc3-every-29th-point"],
 )
-def test_specialised_tensor_op_verdicts_are_the_concrete_verdicts(algebras, counts):
+def test_specialised_tensor_op_verdicts_are_the_concrete_verdicts(algebras, stride, counts):
     """P-TENSOR-OP decides its exhaustive instances from one symbolic
-    evaluation of each route per table; on every point the specialised pair
-    must be the concrete routes' pair."""
+    evaluation of each route per (n, p), specialised to each table: the
+    specialised coordinates must be the table's own symbolic evaluation, and
+    on every point (every ``stride``-th) the specialised pair must be the
+    concrete routes' pair."""
     instances = solutions = 0
     for alg in algebras():
+        system = properties._tensor_op_system(alg.dim, alg.field.p)
+        assert [properties._specialise(s, alg.flat(), alg.field.p) for s in system] == _lifted_routes(alg), alg
         verdicts = tensor_op_verdicts(alg)
-        for cells in product(range(alg.field.p), repeat=alg.dim**2):
+        for cells in islice(product(range(alg.field.p), repeat=alg.dim**2), 0, None, stride):
             got = verdicts(cells)
             assert got == _concrete_verdicts(alg, cells), (alg, cells)
             instances += 1
             solutions += got[0]
     assert (instances, solutions) == counts
+
+
+def test_tensor_op_evaluates_each_route_symbolically_once_per_dimension_and_prime(monkeypatch):
+    """A P-TENSOR-OP run over F_3 evaluates each route over ``PolyRing``
+    once, for all 177 tables, and a second run reuses that evaluation."""
+    symbolic = []
+    for name in ("nybe_residual", "o_nybe_residual"):
+        route = getattr(properties, name)
+
+        def counted(alg, r, name=name, route=route):
+            if isinstance(alg.field, PolyRing):
+                symbolic.append(name)
+            return route(alg, r)
+
+        monkeypatch.setattr(properties, name, counted)
+    properties._tensor_op_system.cache_clear()
+    first = run_property("P-TENSOR-OP", trials=1, seed=7, field=GF(3))
+    assert sorted(symbolic) == ["nybe_residual", "o_nybe_residual"]
+    second = run_property("P-TENSOR-OP", trials=1, seed=7, field=GF(3))
+    assert len(symbolic) == 2
+    assert [first.checked, first.hypothesis_hits] == [second.checked, second.hypothesis_hits] == [14338, 849]
 
 
 def test_a_split_invariance_lemma_is_a_failure_record_not_a_traceback(monkeypatch, capsys):
