@@ -55,20 +55,6 @@ def grid_product(field: Field, grid: Grid, u: Sequence, v: Sequence) -> tuple:
     return field.reduce(out)
 
 
-def grids_equal(field: Field, g1: Grid, g2: Grid) -> bool:
-    if len(g1) != len(g2):
-        return False
-    for r1, r2 in zip(g1, g2):
-        if len(r1) != len(r2):
-            return False
-        for c1, c2 in zip(r1, r2):
-            if len(c1) != len(c2):
-                return False
-            if any(field.reduce([a - b for a, b in zip(c1, c2)])):
-                return False
-    return True
-
-
 @dataclass(frozen=True)
 class Algebra:
     """Bilinear product on k^dim given by mul[i][j] = coordinates of e_i∘e_j.

@@ -18,15 +18,15 @@ the unreduced value is exactly what a reduction after every operation
 gives; over Q ``reduce`` replaces a denominator-1 ``Fraction`` (say, 1/2 +
 1/2) by its numerator, and an equal ``int`` and ``Fraction`` compare and
 hash alike, so the two forms never disagree on a value.  ``PolyRing``, over
-which the search evaluates each residual once, symbolically, keeps the same
-contract: its scalars overload these operators and are falsy exactly when
-zero (bare tuples, on which ``+`` concatenates, would not qualify).
-P-TENSOR-OP also evaluates its two routes over ``PolyRing``, once per
-(dimension, p) with the table's entries unknowns too; each table
-substitutes its entries, and each tensor of the table is decided by
-``Poly.at``, the unreduced value at the tensor's coefficients, reduced mod
-p by the caller: substitution and evaluation at a point are ring
-homomorphisms onto F_p.
+which the search evaluates each kind's residual once per (kind, dimension,
+p), symbolically, with the context's table, beta and scalars unknowns too,
+keeps the same contract: its scalars overload these operators and are falsy
+exactly when zero (bare tuples, on which ``+`` concatenates, would not
+qualify).  Each search substitutes its context's values into that system,
+and P-TENSOR-OP, whose two routes are such systems, decides each tensor of
+a table by ``Poly.at``, the unreduced value at the tensor's coefficients,
+reduced mod p by the caller: substitution and evaluation at a point are
+ring homomorphisms onto F_p.
 """
 
 from __future__ import annotations

@@ -10,14 +10,18 @@ Each property is one registry row, ``@_register(id, default_field)``;
 ``run_property`` hands its body the field (the default unless one is
 given), one ``random.Random(seed)`` and the trial count.  ``PROPERTY_IDS``
 lists the rows in the order they are registered.
+
+P-TENSOR-OP decides its exhaustive instances from the search's constraint
+systems, one per route and (n, p), specialised to each table
+(``tensor_op_verdicts``).  ``PropertyRun.to_json`` is the same on every run;
+``elapsed_ms`` is for the caller's human summary.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field as dc_field
-from functools import cache
+from dataclasses import dataclass, field as dc_field, replace
 from itertools import product
 from typing import Callable, Optional, Sequence
 
@@ -29,14 +33,13 @@ from .algebra import (
     bimodule_residual,
     dual_bimodule,
     dual_context,
-    grids_equal,
     novikov_residual,
     regular,
     regular_bimodule,
     semidirect,
 )
 from .errors import NovikovError
-from .fields import Field, GF, Poly, PolyRing, PrimeField, QQ
+from .fields import Field, GF, PrimeField, QQ
 from .fixtures import example_algebra, example_beta, example_t
 from .linalg import Matrix, inverse
 from .operators import (
@@ -80,6 +83,8 @@ from .lift import (
 )
 from .residual import Residual
 from .solver import (
+    SEARCH_KINDS,
+    _specialise,
     balanced_hom_basis,
     balanced_hom_equivalent_basis,
     enumerated_dim2,
@@ -154,7 +159,6 @@ class PropertyRun:
             "checked": self.checked,
             "hypothesis_hits": self.hypothesis_hits,
             "failures": self.failures[:10],
-            "elapsed_ms": self.elapsed_ms,
         }
 
 
@@ -577,11 +581,7 @@ def _p_compat(run: PropertyRun, field: Field, rng: random.Random, trials: int) -
         ):
             continue
         back = post_from_o(ctx, ident, 1, validate=False)
-        if not (
-            grids_equal(field, back.circ, p.circ)
-            and grids_equal(field, back.tri_l, p.tri_l)
-            and grids_equal(field, back.tri_r, p.tri_r)
-        ):
+        if (back.circ, back.tri_l, back.tri_r) != (p.circ, p.tri_l, p.tri_r):
             run.fail("round trip through the operator construction changed the products", dim=p.dim)
 
 
@@ -642,63 +642,25 @@ def _p_tri(run: PropertyRun, field: Field, rng: random.Random, trials: int) -> N
 # tensor-form properties
 
 
-@cache
-def _tensor_op_system(n: int, p: int) -> tuple[tuple, tuple]:
-    """Both routes of P-TENSOR-OP evaluated once over ``PolyRing(p)``, on the
-    dimension-n table of unknowns x_0..x_{n³-1} (``Algebra.flat`` order) and
-    the tensor of the n² unknowns after them (row-major).  Each nonzero
-    coordinate is filed as {r-monomial: [(table factors, coefficient)]},
-    r's unknowns renumbered from 0."""
-    k = n**3
-    ring = PolyRing(p)
-    x = ring.variables(k + n * n)
-    lifted = Algebra.from_flat(ring, n, x[:k])
-    r = Tensor2(ring, tuple(tuple(x[k + i * n:k + i * n + n]) for i in range(n)))
-
-    def filed(c) -> tuple:
-        terms: dict = {}  # its r-monomial -> [(table factors, coefficient)]
-        for m, coeff in c.items():
-            split = sum(u < k for u in m)  # a monomial is sorted: table factors first
-            terms.setdefault(tuple(u - k for u in m[split:]), []).append((m[:split], coeff))
-        return tuple(terms.items())
-
-    tensor = tuple(filed(c) for c in nybe_residual(lifted, r).flat() if c)
-    operator = tuple(filed(c) for fail in o_nybe_residual(lifted, r).failures for c in fail.value if c)
-    return tensor, operator
-
-
-def _specialise(system: tuple, table: tuple, p: int) -> list:
-    """The nonzero coordinates of ``system`` at the table's entries, as
-    polynomials in r's unknowns with coefficients reduced mod p."""
-    out = []
-    for coord in system:
-        poly = Poly()
-        for mono, terms in coord:
-            total = 0
-            for factors, c in terms:
-                for u in factors:
-                    c *= table[u]
-                total += c
-            if total % p:
-                poly[mono] = total % p
-        if poly:
-            out.append(poly)
-    return out
+# P-TENSOR-OP's two routes as search rows: the tensor route is the
+# nybe-solution row itself, the operator route the same row on o_nybe_residual
+_TENSOR_OP_ROUTES = (
+    SEARCH_KINDS["nybe-solution"],
+    replace(SEARCH_KINDS["nybe-solution"], residual=lambda r, alg: o_nybe_residual(alg, r)),
+)
 
 
 def tensor_op_verdicts(alg: Algebra) -> Callable[[Sequence], tuple[bool, bool]]:
     """P-TENSOR-OP's two verdicts on a table over F_p, ``nybe_residual`` is
     zero and ``o_nybe_residual`` is zero, as a function of r's coefficients
-    in row-major order.  Each route runs once per (n, p), over
-    ``PolyRing(p)`` with the table's entries unknowns too
-    (``_tensor_op_system``); a table substitutes its entries into that
-    system, and a point's verdict is whether every nonzero coordinate
-    vanishes there.  Substituting the table and evaluating at a point are
-    both ring homomorphisms, and the routes branch only to skip terms that
-    are zero as polynomials, which are zero under every substitution, so
-    these are the concrete routes' verdicts."""
-    p, n = alg.field.p, alg.dim
-    tensor, operator = (_specialise(s, alg.flat(), p) for s in _tensor_op_system(n, p))
+    in row-major order.  Each route is the search's constraint system for
+    (n, p), evaluated once with the table's entries unknowns too and
+    specialised to the table (``solver._specialise``); a point's verdict is
+    whether every nonzero coordinate vanishes there.  Evaluating at a point
+    is a ring homomorphism onto F_p, so these are the concrete routes'
+    verdicts."""
+    p = alg.field.p
+    tensor, operator = (list(_specialise(row, alg.field, alg.dim, alg).values()) for row in _TENSOR_OP_ROUTES)
 
     def verdicts(point: Sequence) -> tuple[bool, bool]:
         return not any(c.at(point) % p for c in tensor), not any(c.at(point) % p for c in operator)
@@ -1078,7 +1040,7 @@ def _p_circ_delta(run: PropertyRun, field: Field, rng: random.Random, trials: in
             rr = _random_tensor(a.field, a.dim, rng)
             closed = circ_delta(a, rr)
             paired = circ_delta_pairing(a, rr)
-            agree = grids_equal(a.field, closed, paired)
+            agree = closed == paired
             run.expect(agree, "closed form and pairing disagree", hit=True, algebra=a, r=rr)
 
 

@@ -2,14 +2,16 @@
 instance families: the oracle behind the property sweeps.
 
 Every search kind is one depth-first search whose constraints are the kind's
-object-path residual, evaluated once over a polynomial ring in the unknowns
-(and kept per context for small n, so a search repeated in one process
-reads it back); the linear spaces come from the same residuals, probed on
-unit inputs (exact for a linear residual).  No identity is written here a
-second time.  The ring (``fields.PolyRing``) keeps the scalar contract of
-every other field, ``+``, ``-``, ``*``, truthiness and one ``reduce`` per
-output, so the residuals run on it unchanged; it needs only ``coerce``,
-``reduce``, ``inv`` (which raises) and ``variables``."""
+object-path residual, evaluated once per (kind, n, p) over a polynomial ring
+whose unknowns are the search's and the context's (its table, beta and
+scalars), and specialised to each search's context; the linear spaces come
+from the same residuals, probed on unit inputs (exact for a linear
+residual).  No identity is written here a second time.  The ring
+(``fields.PolyRing``) keeps the scalar contract of every other field, ``+``,
+``-``, ``*``, truthiness and one ``reduce`` per output, so the residuals run
+on it unchanged; it needs only ``coerce``, ``reduce``, ``inv`` (which
+raises) and ``variables``.  P-TENSOR-OP decides its routes from the same
+systems (``properties.tensor_op_verdicts``)."""
 
 from __future__ import annotations
 
@@ -24,7 +26,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 from .algebra import Algebra, BimodNov, novikov_residual, regular
 from .errors import DimMismatch, NovikovError, SpaceTooLarge
-from .fields import Field, PolyRing, PrimeField
+from .fields import Field, Poly, PolyRing, PrimeField
 from .linalg import Matrix, kernel_basis
 from .operators import (
     LinMap,
@@ -67,18 +69,18 @@ def _map(f: Field, n: int, coeffs: Sequence) -> LinMap:
     return LinMap(Matrix(f, n, n, tuple(coeffs)))
 
 
-def _ext_o_residual(spec: SearchSpec, alg: Algebra, beta: LinMap, t: LinMap) -> Residual:
-    params = MassParams(spec.weight, spec.kappa, spec.mu)
-    return ext_o_equation_residual(regular(alg, validate=False), t, beta, params)
+def _ext_o_residual(t: LinMap, alg: Algebra, weight, kappa, mu, beta: Optional[LinMap]) -> Residual:
+    return ext_o_equation_residual(regular(alg, validate=False), t, beta, MassParams(weight, kappa, mu))
 
 
 @dataclass(frozen=True)
 class _Kind:
     """One search kind.  The search's unknowns are the flat coefficients
-    ``decode(field, n, coeffs)`` reads; ``residual(spec, alg, beta, obj)`` is
-    the kind's object-path residual, with ``alg`` and ``beta`` (the spec's
-    context, or that context lifted into a ring) in place of the spec's.  A
-    solution is a zero of the residual that ``leaf``, if given, accepts."""
+    ``decode(field, n, coeffs)`` reads; ``residual(obj, *values)`` is the
+    kind's object-path residual, given the values of its context inputs in
+    ``inputs`` order: the spec's own (``reverify``), or unknowns of a
+    polynomial ring (``_system``).  A solution is a zero of the residual
+    that ``leaf``, if given, accepts."""
 
     solve: str  # the name ``nova solve`` takes besides the kind's own
     inputs: tuple  # the context fields of ``SearchSpec`` the residual reads
@@ -93,22 +95,20 @@ _upper = lambda n: n * (n + 1) // 2
 
 # each search kind by the name a spec and its JSONL lines carry
 SEARCH_KINDS = {
-    "novikov-algebra": _Kind(
-        "novikov", (), lambda n: n**3, Algebra.from_flat, lambda spec, alg, beta, a: novikov_residual(a)
-    ),
+    "novikov-algebra": _Kind("novikov", (), lambda n: n**3, Algebra.from_flat, lambda a: novikov_residual(a)),
     "nybe-solution": _Kind(
         "nybe",
         ("algebra",),
         _square,
         _tensor,
-        lambda spec, alg, beta, r: _tensor_residual("nybe", nybe_residual(alg, r)),
+        lambda r, alg: _tensor_residual("nybe", nybe_residual(alg, r)),
     ),
     "enybe-solution": _Kind(
         "enybe",
         ("algebra", "epsilon"),
         _square,
         _tensor,
-        lambda spec, alg, beta, r: _tensor_residual("enybe", enybe_residual(alg, r, spec.epsilon)),
+        lambda r, alg, epsilon: _tensor_residual("enybe", enybe_residual(alg, r, epsilon)),
     ),
     "ext-o-operator": _Kind("ext-o", ("algebra", "weight", "kappa", "mu", "beta"), _square, _map, _ext_o_residual),
     "rota-baxter": _Kind(
@@ -116,21 +116,21 @@ SEARCH_KINDS = {
         ("algebra", "weight"),
         _square,
         _map,
-        lambda spec, alg, beta, t: rota_baxter_residual(alg, t, spec.weight),
+        lambda t, alg, weight: rota_baxter_residual(alg, t, weight),
     ),
     "invariant-symmetric-tensor": _Kind(
         "invariant-symmetric",
         ("algebra",),
         _upper,
         lambda f, n, coeffs: Tensor2(f, _sym_grid(coeffs, n)),
-        lambda spec, alg, beta, s: invariance_residual(alg, s),
+        lambda s, alg: invariance_residual(alg, s),
     ),
     "quadratic-form": _Kind(
         "quadratic-form",
         ("algebra",),
         _upper,
         lambda f, n, coeffs: BilForm(f, _sym_grid(coeffs, n)),
-        lambda spec, alg, beta, form: invariant_form_residual(alg, form),
+        lambda form, alg: invariant_form_residual(alg, form),
         lambda form: form.is_nondegenerate(),
     ),
 }
@@ -276,55 +276,95 @@ def _nonzero_coords(report: Residual) -> Iterator[tuple]:
                 yield (fail.identity, fail.indices, k), c
 
 
-def _residual_coords(spec: SearchSpec, ring: PolyRing) -> Callable[[Sequence], dict]:
-    """The kind's residual over ``ring``, with the spec's context lifted
-    into it, as a function from a flat candidate to its nonzero residual
-    coordinates (the search's constraints)."""
-    row = SEARCH_KINDS[spec.kind]
-    alg, beta = spec.algebra, spec.beta
-    alg = alg and Algebra(ring, alg.dim, alg.mul)
-    beta = beta and LinMap(Matrix(ring, beta.dim, beta.mdim, beta.mat.entries))
-    return lambda coeffs: dict(_nonzero_coords(row.residual(spec, alg, beta, row.decode(ring, spec.dim, coeffs))))
+@cache
+def _system(row: _Kind, n: int, p: int) -> tuple[tuple, tuple]:
+    """The row's residual, evaluated once over ``PolyRing(p)``.  The k search
+    unknowns are x_0..x_{k-1}; every context input the row reads follows as
+    unknowns, in ``inputs`` order: the table in ``Algebra.flat`` order, beta
+    row-major, a scalar one unknown (``_specialise`` lists a context's values
+    in the same order).
 
-
-# the constraints of searches of dimension at most this are kept, keyed by
-# the whole context, the oldest dropped past the limit
-_KEPT_CONSTRAINTS_DIM = 3
-_KEPT_CONSTRAINTS = 16
-_CONSTRAINTS: dict = {}
-
-
-def _context_key(spec: SearchSpec) -> tuple:
-    """What a search's constraints depend on: the kind, n, p and the
-    context fields its residual reads, the table as ``flat()``, beta as its
-    entries and the scalars coerced into the field."""
-    key = [spec.kind, spec.dim, spec.p]
-    for name in SEARCH_KINDS[spec.kind].inputs:
-        value = getattr(spec, name)
+    Returns (keys, filed): the keys of the residual's nonzero coordinates,
+    in report order, and the terms (key index, monomial in the search
+    unknowns, coefficient) filed by parameter monomial, the monomial in the
+    context unknowns (renumbered from 0) they multiply.  Parameter monomials
+    are grouped by their first unknown (None for the constant monomial), as
+    (first, ((rest of the monomial, terms), ...)), so a context skips each
+    group whose first unknown is zero at once."""
+    ring = PolyRing(p)
+    k = at = row.count(n)
+    inputs = []
+    for name in row.inputs:
+        size = n**3 if name == "algebra" else n * n if name == "beta" else 1
+        unknowns = [Poly({(u,): 1}) for u in range(at, at + size)]
+        at += size
         if name == "algebra":
-            key.append(value.flat())
+            inputs.append(Algebra.from_flat(ring, n, unknowns))
         elif name == "beta":
-            key.append(None if value is None else value.mat.entries)
+            inputs.append(_map(ring, n, unknowns))
         else:
-            key.append(spec.field.coerce(value))
-    return tuple(key)
+            inputs.append(unknowns[0])
+    coords = dict(_nonzero_coords(row.residual(row.decode(ring, n, ring.variables(k)), *inputs)))
+    filed: dict = {}  # first unknown -> rest of the parameter monomial -> terms
+    for i, poly in enumerate(coords.values()):
+        for mono, c in poly.items():
+            split = sum(u < k for u in mono)  # a monomial is sorted: search unknowns first
+            params = [u - k for u in mono[split:]] or [None]
+            filed.setdefault(params[0], {}).setdefault(tuple(params[1:]), []).append((i, mono[:split], c))
+    groups = (
+        (first, tuple((rest, tuple(terms)) for rest, terms in group.items())) for first, group in filed.items()
+    )
+    return tuple(coords), tuple(groups)
+
+
+def _specialise(row: _Kind, field: PrimeField, n: int, *values) -> dict:
+    """The row's constraints at one context, given as the values of its
+    inputs in ``inputs`` order (as ``row.residual`` takes them; a beta of
+    None is zeros): {(identity, indices, coordinate): nonzero polynomial in
+    the search unknowns} in report order, from the row's cached ``_system``.
+
+    Substituting the context is a ring homomorphism onto F_p[x], and the
+    residuals branch only to skip terms that are zero as polynomials, which
+    every substitution keeps zero, so these are the polynomials of the
+    residual evaluated on the context itself lifted into the ring.  A
+    parameter monomial that vanishes at the context is skipped."""
+    p = field.p
+    context = []
+    for name, given in zip(row.inputs, values):
+        if name == "algebra":
+            context += given.flat()
+        elif name == "beta":
+            context += given.mat.entries if given is not None else (0,) * n * n
+        else:
+            context.append(field.coerce(given))
+    keys, filed = _system(row, n, p)
+    sums = [Poly() for _ in keys]
+    for first, group in filed:
+        head = 1 if first is None else context[first]
+        if not head:
+            continue
+        for rest, terms in group:
+            value = head
+            for u in rest:
+                value *= context[u]
+            if value % p:
+                for i, m, c in terms:
+                    poly = sums[i]
+                    poly[m] = (poly.get(m, 0) + value * c) % p
+    out = {}
+    for key, poly in zip(keys, sums):
+        if 0 in poly.values():  # terms that cancelled mod p
+            poly = Poly({m: c for m, c in poly.items() if c})
+        if poly:
+            out[key] = poly
+    return out
 
 
 def _constraints(spec: SearchSpec) -> dict:
-    """The search's constraints, {(identity, indices, coordinate): nonzero
-    polynomial in the unknowns} in report order, from one evaluation of
-    ``_residual_coords`` per context; a later search on the same context
-    reads the kept dict, which no caller changes."""
-    key = _context_key(spec)
-    polys = _CONSTRAINTS.get(key)
-    if polys is None:
-        ring = PolyRing(spec.p)
-        polys = _residual_coords(spec, ring)(ring.variables(spec.coeff_count()))
-        if spec.dim <= _KEPT_CONSTRAINTS_DIM:
-            if len(_CONSTRAINTS) >= _KEPT_CONSTRAINTS:
-                del _CONSTRAINTS[next(iter(_CONSTRAINTS))]  # the oldest
-            _CONSTRAINTS[key] = polys
-    return polys
+    """The search's constraints: its kind's system for (n, p), built on
+    first use and cached, specialised to the spec's context."""
+    row = SEARCH_KINDS[spec.kind]
+    return _specialise(row, spec.field, spec.dim, *(getattr(spec, name) for name in row.inputs))
 
 
 def _variable_order(polys, k: int) -> list[int]:
@@ -420,8 +460,8 @@ def _search(spec: SearchSpec) -> list[tuple]:
     derives from the constraints, each tried 0..p-1 in ascending order.
 
     The constraints are the residual's coordinates as polynomials of degree
-    <= 2, from one evaluation over ``PolyRing`` per context (``_constraints``
-    keeps it for n <= 3); each is checked at the depth where its last
+    <= 2: one evaluation over ``PolyRing`` per (kind, n, p), specialised to
+    the context (``_constraints``); each is checked at the depth where its last
     unknown is assigned, which gives the allowed values of that unknown as a
     bitmask.  Finished candidates are filtered by the shard of their
     lexicographic index (when there is more than one shard) and by the
@@ -482,10 +522,10 @@ def solution_to_object(spec: SearchSpec, coeffs: Sequence):
 
 def reverify(spec: SearchSpec, coeffs: Sequence) -> bool:
     """Re-check one solution through the generic object-path residual ops
-    (the independent route; never the kernels, nor the kept constraints)."""
+    (the independent route; never the kernels, nor the constraint system)."""
     row = SEARCH_KINDS[spec.kind]
     obj = solution_to_object(spec, coeffs)
-    return row.residual(spec, spec.algebra, spec.beta, obj).is_zero and (row.leaf is None or row.leaf(obj))
+    return row.residual(obj, *(getattr(spec, name) for name in row.inputs)).is_zero and (row.leaf is None or row.leaf(obj))
 
 
 # ---------------------------------------------------------------------------

@@ -261,6 +261,29 @@ def test_solve_stdout_matches_its_pinned_bytes(capsys, fixture_path, tmp_path, a
     assert (hashlib.sha256(out.encode()).hexdigest()[:16], len(out.splitlines())) == (digest, lines)
 
 
+# the first 16 hex digits of the sha256 of stdout, and the exit code
+_PINNED_REPORTS = [
+    (["verify", "algebra", "a2.json"], "fbca19686ec1223c", 0),
+    (["check", "ext-o", "--weight", "1", "--kappa", "-2", "--mu", "0", "a2.json", "regular", "t2.json", "beta2.json"],
+     "06763d415808c4c4", 0),
+    (["check", "nybe", "a2.json", "r_skew.json", "--verbose"], "75a27a2e90ba7dab", 1),
+    (["check", "gnybe", "a2.json", "r_skew.json"], "276997f0d1f4fa8a", 1),
+    (["prop", "P-CIRC-DELTA", "--trials", "5", "--seed", "1"], "18159abcc77a2549", 0),
+    (["prop", "P-TENSOR-OP", "--field", "F3", "--trials", "1"], "ef572a40b8e25c81", 0),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, digest, exit_code", _PINNED_REPORTS, ids=["-".join(argv[:2]) for argv, _, _ in _PINNED_REPORTS]
+)
+def test_report_stdout_matches_its_pinned_bytes(capsys, fixture_path, argv, digest, exit_code):
+    """A ``verify``, ``check`` or ``prop`` report on stdout is the same bytes
+    on every run; its elapsed time is on the stderr line only."""
+    code, out, err = run(capsys, *(fixture_path(a) if a.endswith(".json") else a for a in argv))
+    assert (code, hashlib.sha256(out.encode()).hexdigest()[:16]) == (exit_code, digest)
+    assert "elapsed_ms" not in out and err.endswith(" ms)\n")
+
+
 def test_solve_shard_flag(capsys):
     full_code, full_out, _ = run(capsys, "solve", "novikov", "--dim", "2", "--field", "F2")
     parts = []

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import pytest
 from conftest import REPO
 
-from novikov import properties
+from novikov import properties, solver
 from novikov.algebra import Algebra
 from novikov.cli import main
 from novikov.fields import GF, QQ, PolyRing
@@ -154,8 +154,9 @@ def test_specialised_tensor_op_verdicts_are_the_concrete_verdicts(algebras, stri
     concrete routes' pair."""
     instances = solutions = 0
     for alg in algebras():
-        system = properties._tensor_op_system(alg.dim, alg.field.p)
-        assert [properties._specialise(s, alg.flat(), alg.field.p) for s in system] == _lifted_routes(alg), alg
+        routes = properties._TENSOR_OP_ROUTES
+        specialised = [list(solver._specialise(row, alg.field, alg.dim, alg).values()) for row in routes]
+        assert specialised == _lifted_routes(alg), alg
         verdicts = tensor_op_verdicts(alg)
         for cells in islice(product(range(alg.field.p), repeat=alg.dim**2), 0, None, stride):
             got = verdicts(cells)
@@ -167,18 +168,20 @@ def test_specialised_tensor_op_verdicts_are_the_concrete_verdicts(algebras, stri
 
 def test_tensor_op_evaluates_each_route_symbolically_once_per_dimension_and_prime(monkeypatch):
     """A P-TENSOR-OP run over F_3 evaluates each route over ``PolyRing``
-    once, for all 177 tables, and a second run reuses that evaluation."""
+    once, for all 177 tables, and a second run reuses that evaluation; the
+    tensor route is the nybe-solution search's, the operator route
+    ``properties``' own."""
     symbolic = []
-    for name in ("nybe_residual", "o_nybe_residual"):
-        route = getattr(properties, name)
+    for module, name in ((solver, "nybe_residual"), (properties, "o_nybe_residual")):
+        route = getattr(module, name)
 
         def counted(alg, r, name=name, route=route):
             if isinstance(alg.field, PolyRing):
                 symbolic.append(name)
             return route(alg, r)
 
-        monkeypatch.setattr(properties, name, counted)
-    properties._tensor_op_system.cache_clear()
+        monkeypatch.setattr(module, name, counted)
+    solver._system.cache_clear()
     first = run_property("P-TENSOR-OP", trials=1, seed=7, field=GF(3))
     assert sorted(symbolic) == ["nybe_residual", "o_nybe_residual"]
     second = run_property("P-TENSOR-OP", trials=1, seed=7, field=GF(3))

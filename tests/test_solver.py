@@ -3,6 +3,7 @@ import itertools
 import json
 import random
 from dataclasses import replace
+from fractions import Fraction
 from math import prod
 
 import pytest
@@ -22,7 +23,6 @@ from novikov.solver import (
     SearchSpec,
     _constraints,
     _nonzero_coords,
-    _residual_coords,
     _variable_order,
     balanced_hom_basis,
     balanced_hom_equivalent_basis,
@@ -37,7 +37,7 @@ from novikov.solver import (
     trunc_poly_algebra,
 )
 from novikov.tensors import Tensor2
-from novikov.ybe import BilForm, bilform_invariance, invariance_residual, nybe_residual
+from novikov.ybe import BilForm, bilform_invariance, invariance_residual
 
 
 # the kinds whose residual reads a context algebra
@@ -383,9 +383,19 @@ def test_symbolic_residual_equals_the_residual_at_every_point(spec):
     row = SEARCH_KINDS[spec.kind]
     for x in points:
         values = {key: sum(c * prod(x[u] for u in mono) for mono, c in poly.items()) % p for key, poly in polys.items()}
-        residual = row.residual(spec, spec.algebra, spec.beta, solution_to_object(spec, x))
+        residual = row.residual(solution_to_object(spec, x), *(getattr(spec, name) for name in row.inputs))
         assert {key: v for key, v in values.items() if v} == dict(_nonzero_coords(residual)), x
     assert enumerate_search(spec).solutions == [x for x in points if reverify(spec, x)]
+
+
+@pytest.fixture
+def fresh_systems():
+    """No constraint system built before the test, and none it built left
+    behind for later tests."""
+    clear = solver._system.cache_clear  # taken before a test replaces ``_system``
+    clear()
+    yield
+    clear()
 
 
 @pytest.mark.parametrize(
@@ -393,8 +403,7 @@ def test_symbolic_residual_equals_the_residual_at_every_point(spec):
     [lambda m: m[0][0][0] * m[0][1][1] * m[1][1][0], lambda m: m[1][1][0] * m[1][1][0] * m[1][1][0]],
     ids=["x0*x3*x6", "x6^3"],
 )
-def test_search_evaluates_its_residual_once_and_rejects_a_cubic(monkeypatch, cubic):
-    monkeypatch.setattr("novikov.solver._CONSTRAINTS", {})  # nothing kept before this test
+def test_search_evaluates_its_residual_once_and_rejects_a_cubic(monkeypatch, fresh_systems, cubic):
     calls = []
 
     def counted(alg):
@@ -402,7 +411,7 @@ def test_search_evaluates_its_residual_once_and_rejects_a_cubic(monkeypatch, cub
         return novikov_residual(alg)
 
     monkeypatch.setattr("novikov.solver.novikov_residual", counted)
-    for _ in range(2):  # the second search reads the constraints the first kept
+    for _ in range(2):  # the second search specialises the system the first built
         assert len(enumerate_search(SearchSpec("novikov-algebra", GF(3), 2)).solutions) == 177
     assert calls == [PolyRing(3)]
 
@@ -410,85 +419,143 @@ def test_search_evaluates_its_residual_once_and_rejects_a_cubic(monkeypatch, cub
         value = alg.field.reduce((cubic(alg.mul),))
         return Residual("cubic", (Failure("cubic", (), value),) if any(value) else ())
 
-    monkeypatch.setattr("novikov.solver._CONSTRAINTS", {})
+    solver._system.cache_clear()
     monkeypatch.setattr("novikov.solver.novikov_residual", cubic_residual)
     with pytest.raises(AssertionError, match="degree"):
         enumerate_search(SearchSpec("novikov-algebra", GF(3), 2))
 
 
-def test_a_repeated_sweep_evaluates_each_context_once_and_reverify_reads_nothing_kept(monkeypatch):
-    """Two nybe-solution sweeps over every dim-2 table over F_3, with room
-    for every table kept, evaluate the ring residual once per table, all in
-    the first sweep, and find the same solutions; reverify, with the kept
-    constraints made unreachable, accepts exactly those."""
-    monkeypatch.setattr("novikov.solver._CONSTRAINTS", {})
-    monkeypatch.setattr("novikov.solver._KEPT_CONSTRAINTS", 177)
+def test_a_sweep_evaluates_each_kind_once_and_reverify_reads_no_system(monkeypatch, fresh_systems):
+    """A sweep over every dim-2 table over F_3, for each context kind,
+    evaluates each kind's residual over ``PolyRing`` once, and a second
+    sweep not at all.  ``reverify``, with ``_system`` made to raise,
+    evaluates over F_3 and accepts exactly the solutions found."""
     calls = []
 
-    def counted(alg, r):
-        calls.append(alg.field)
-        return nybe_residual(alg, r)
+    def counted(kind, residual):
+        def inner(obj, *values):
+            calls.append((kind, obj.field))
+            return residual(obj, *values)
 
-    monkeypatch.setattr("novikov.solver.nybe_residual", counted)
+        return inner
+
+    for kind in CONTEXT_KINDS:
+        row = SEARCH_KINDS[kind]
+        monkeypatch.setitem(SEARCH_KINDS, kind, replace(row, residual=counted(kind, row.residual)))
     f = GF(3)
-    specs = [SearchSpec("nybe-solution", f, 2, algebra=alg) for alg in enumerated_dim2(f)]
-    found = [enumerate_search(spec).solutions for spec in specs]
-    assert len(specs) == 177 and calls == [PolyRing(3)] * 177
-    assert [enumerate_search(spec).solutions for spec in specs] == found and len(calls) == 177
-    monkeypatch.setattr("novikov.solver._CONSTRAINTS", None)  # any read of a kept dict raises
-    candidates = list(itertools.product(range(3), repeat=4))
-    for spec, solutions in zip(specs, found):
-        assert [x for x in candidates if reverify(spec, x)] == solutions
-    assert set(calls[177:]) == {f}  # every reverify evaluated over the field itself
-
-
-def test_each_context_keeps_its_own_constraints(monkeypatch):
-    """Every dim-2 table over F_3, for each context kind and for ext-o with
-    beta = None and beta nonzero, every scalar option nonzero: each context
-    is kept under its own key, and a later read gives a fresh evaluation's
-    polynomials, keys and order."""
-    kept = {}
-    monkeypatch.setattr("novikov.solver._CONSTRAINTS", kept)
-    monkeypatch.setattr("novikov.solver._KEPT_CONSTRAINTS", 10**4)
-    f, ring = GF(3), PolyRing(3)
-    betas = {kind: [None] for kind in CONTEXT_KINDS}
-    betas["ext-o-operator"].append(LinMap(Matrix(f, 2, 2, (1, 1, 0, 2))))
     specs = [
-        SearchSpec(kind, f, 2, algebra=alg, weight=1, kappa=1, mu=2, epsilon=1, beta=beta)
+        SearchSpec(kind, f, 2, algebra=alg, weight=1, kappa=1, mu=2, epsilon=1)
         for kind in CONTEXT_KINDS
-        for beta in betas[kind]
         for alg in enumerated_dim2(f)
     ]
+    found = [enumerate_search(spec).solutions for spec in specs]
+    assert len(specs) == 6 * 177 and calls == [(kind, PolyRing(3)) for kind in CONTEXT_KINDS]
+    assert [enumerate_search(spec).solutions for spec in specs] == found and len(calls) == 6
+    calls.clear()
+
+    def unreachable(*args):
+        raise AssertionError("reverify read the constraint system")
+
+    monkeypatch.setattr("novikov.solver._system", unreachable)
+    for spec, solutions in zip(specs, found):
+        k = spec.coeff_count()
+        candidates = itertools.product(range(3), repeat=k) if spec.kind == "nybe-solution" else solutions
+        assert [x for x in candidates if reverify(spec, x)] == solutions, spec
+    assert {field for _, field in calls} == {f}
+
+
+def _lifted_constraints(spec: SearchSpec) -> dict:
+    """The oracle: the kind's residual over ``PolyRing(p)`` on the spec's
+    own context lifted into the ring, its unknowns the search's alone."""
+    row, ring, n = SEARCH_KINDS[spec.kind], PolyRing(spec.p), spec.dim
+    lifted = []
+    for name in row.inputs:
+        value = getattr(spec, name)
+        if name == "algebra":
+            value = Algebra(ring, n, value.mul)
+        elif name == "beta" and value is not None:
+            value = LinMap(Matrix(ring, n, n, value.mat.entries))
+        lifted.append(value)
+    return dict(_nonzero_coords(row.residual(row.decode(ring, n, ring.variables(spec.coeff_count())), *lifted)))
+
+
+def _rescaled_trunc3() -> Algebra:
+    """trunc_poly_algebra(F_3, 3) in the basis e'_i = d_i e_i, d = (2, 1, 2),
+    as the ``enumerate`` benchmark rescales it."""
+    f, d = GF(3), (2, 1, 2)
+    base = trunc_poly_algebra(f, 3).flat()
+    # d_t is its own inverse in F_3
+    table = [d[i] * d[j] * d[t] * base[(i * 3 + j) * 3 + t] for i in range(3) for j in range(3) for t in range(3)]
+    return Algebra.from_flat(f, 3, table)
+
+
+def _oracle_specs(group: str, dim3_f2_tables) -> list:
+    """The specs of one group of ``test_specialised_constraints_equal_the_per_context_lifting``."""
+    rng = random.Random(29)
+    if group == "dim2-F3-every-table":  # beta None, and beta nonzero for ext-o
+        f = GF(3)
+        beta = LinMap(Matrix(f, 2, 2, (1, 1, 0, 2)))
+        return [SearchSpec("novikov-algebra", f, 2)] + [
+            SearchSpec(kind, f, 2, algebra=alg, weight=1, kappa=1, mu=2, epsilon=1, beta=b)
+            for kind in CONTEXT_KINDS
+            for b in ([None, beta] if kind == "ext-o-operator" else [None])
+            for alg in enumerated_dim2(f)
+        ]
+    if group == "trunc3-rescaled-F3":  # the enumerate benchmark's six searches
+        f, alg = GF(3), _rescaled_trunc3()
+        shift = LinMap(Matrix(f, 3, 3, (0, 0, 0, 2, 0, 0, 0, 2, 0)))  # multiplication by x, rescaled
+        scalars = {
+            "enybe-solution": {"epsilon": 1},
+            "rota-baxter": {"weight": -1},
+            "ext-o-operator": {"weight": 1, "kappa": 1, "mu": 0, "beta": shift},
+        }
+        return [SearchSpec(kind, f, 3, algebra=alg, **scalars.get(kind, {})) for kind in CONTEXT_KINDS]
+    if group == "dim3-F2-tables":
+        f = GF(2)
+        algebras = [Algebra.from_flat(f, 3, table) for table in dim3_f2_tables[::997]]
+        specs = [SearchSpec(kind, f, 3, algebra=alg, weight=1, epsilon=1) for kind in CONTEXT_KINDS for alg in algebras]
+        return [SearchSpec("novikov-algebra", f, 3), *specs]
+    if group == "dim1":
+        specs = [SearchSpec("novikov-algebra", GF(5), 1)]
+        for kind in CONTEXT_KINDS:
+            f = GF(rng.choice((2, 3, 5, 7)))
+            alg = Algebra.from_flat(f, 1, [rng.randrange(1, f.p)])
+            scalars = {name: rng.randrange(f.p) for name in ("weight", "kappa", "mu", "epsilon")}
+            specs.append(SearchSpec(kind, f, 1, algebra=alg, **scalars))
+        return specs
+    # ext-o with beta None, zero and nonzero, the masses all zero and all
+    # nonzero, and masses given as a fraction, a string and a negative int
+    f = GF(5)
+    specs = [
+        SearchSpec("ext-o-operator", f, 2, algebra=example_algebra(f), weight=Fraction(1, 2), kappa="2/3", mu=-1, beta=b)
+        for b in (None, LinMap(Matrix(f, 2, 2, (1, 1, 0, 2))))
+    ]
+    for alg in [example_algebra(f), *rng.sample(enumerated_dim2(f), 3)]:
+        beta = LinMap(Matrix(f, 2, 2, tuple(rng.randrange(1, 5) for _ in range(4))))
+        for b in (None, LinMap.zero(f, 2, 2), beta):
+            for masses in ((0, 0, 0), tuple(rng.randrange(1, 5) for _ in range(3))):
+                weight, kappa, mu = masses
+                specs.append(SearchSpec("ext-o-operator", f, 2, algebra=alg, beta=b, weight=weight, kappa=kappa, mu=mu))
+    return specs
+
+
+@pytest.mark.parametrize(
+    "group", ["dim2-F3-every-table", "trunc3-rescaled-F3", "dim3-F2-tables", "dim1", "ext-o-masses-and-beta"]
+)
+def test_specialised_constraints_equal_the_per_context_lifting(fresh_systems, novikov_dim3_f2, group):
+    """Each search's constraints, its kind's system for (n, p) specialised to
+    its context, have the keys, order and polynomials of the residual
+    evaluated on that context lifted into the ring."""
+    specs = _oracle_specs(group, novikov_dim3_f2[1])
+    assert specs
     for spec in specs:
-        _constraints(spec)
-    assert len(kept) == len(specs) == 7 * 177
-    for spec in reversed(specs):
-        fresh = _residual_coords(spec, ring)(ring.variables(spec.coeff_count()))
-        assert list(_constraints(spec).items()) == list(fresh.items()), (spec.kind, spec.algebra.flat())
+        assert list(_constraints(spec).items()) == list(_lifted_constraints(spec).items()), spec
 
 
 @pytest.mark.parametrize("field, dim", [(GF(3), 3), (GF(5), 2)], ids=["dimension", "field"])
 def test_a_context_of_another_dimension_or_field_is_refused(a2_f3, field, dim):
     with pytest.raises(NovikovError, match="context algebra does not match the search spec"):
         SearchSpec("nybe-solution", field, dim, algebra=a2_f3)
-
-
-def test_the_constraints_kept_are_bounded_in_dimension_and_number(monkeypatch):
-    kept = {}
-    monkeypatch.setattr("novikov.solver._CONSTRAINTS", kept)
-    monkeypatch.setattr("novikov.solver._KEPT_CONSTRAINTS", 2)
-    n = solver._KEPT_CONSTRAINTS_DIM + 1
-    f = GF(2)
-    large = SearchSpec("invariant-symmetric-tensor", f, n, algebra=Algebra.zero(f, n))
-    assert _constraints(large) == {} and kept == {}  # the zero algebra: every constraint vanishes
-    specs = [SearchSpec("rota-baxter", f, 2, algebra=example_algebra(f), weight=w) for w in (0, 1)]
-    specs.append(SearchSpec("rota-baxter", f, 2, algebra=example_algebra(f), weight=2))  # weight 2 = 0 in F_2
-    for spec in specs:
-        _constraints(spec)
-    assert [key[-1] for key in kept] == [0, 1]  # weight 2 found the weight-0 constraints
-    _constraints(SearchSpec("nybe-solution", f, 2, algebra=example_algebra(f)))
-    # the weight-0 entry, the oldest, went
-    assert [(key[0], key[4:]) for key in kept] == [("rota-baxter", (1,)), ("nybe-solution", ())]
 
 
 def _mat_mul(a, b):
