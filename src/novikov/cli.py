@@ -457,26 +457,10 @@ def cmd_prop(args) -> int:
     return 0 if res.passed else 1
 
 
-def _processors() -> int:
-    """The processors this process may run on: its CPU affinity where the
-    platform reports one, else the host's count."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
 def cmd_solve(args) -> int:
     from .solver import SEARCH_KINDS, SearchSpec, enumerate_search  # imported here: only ``solve`` searches
 
     # an option the search would ignore is an input error, not a no-op
-    if args.jobs < 1:
-        raise DocumentError(f"--jobs must be at least 1, got {args.jobs}")
-    cores = _processors()
-    if args.jobs > cores:  # each worker is an interpreter walking the whole tree
-        raise DocumentError(f"--jobs must be at most {cores}, the processors this process may run on, got {args.jobs}")
-    if args.jobs > 1 and args.shard:
-        raise DocumentError("--jobs splits an unsharded search and cannot be combined with --shard")
     if args.out and args.count_only:
         raise DocumentError("--count-only writes no solutions, so it cannot be combined with --out")
     kind = next((name for name, row in SEARCH_KINDS.items() if args.kind in (row.solve, name)), None)
@@ -509,7 +493,7 @@ def cmd_solve(args) -> int:
         )
     except NovikovError as exc:
         raise DocumentError(f"bad search: {exc}") from exc
-    res = enumerate_search(spec, jobs=args.jobs)
+    res = enumerate_search(spec)
     if args.count_only:
         print(json.dumps({"kind": kind, "count": len(res.solutions), "hash": res.check_hash}, sort_keys=True))
         _human(f"{kind}: {len(res.solutions)} solutions out of {res.candidate_count} candidates")
@@ -617,7 +601,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p_solve.add_argument("--beta")
     p_solve.add_argument("--count-only", action="store_true")
     p_solve.add_argument("--shard")
-    p_solve.add_argument("--jobs", type=int, default=1)
     p_solve.add_argument("--out")
 
     return ap, commands

@@ -71,8 +71,19 @@ def _is_prime(n: int) -> bool:
 
 class Field:
     """Abstract field descriptor; scalars are plain values canonical for it.
-    A field supplies ``coerce``, ``reduce``, ``zero``, ``one``, ``inv`` and
-    ``half``; the arithmetic itself is Python's operators on its scalars."""
+    The arithmetic itself is Python's operators on its scalars.  A subclass
+    supplies:
+
+    - ``coerce(x)``: an int, string or exact value as a canonical scalar;
+    - ``reduce(values)``: canonical scalars for values that ``+``, ``-`` and
+      ``*`` made from canonical (or integer) scalars;
+    - ``inv(a)``: the inverse, raising ZeroDivisionError on zero;
+    - ``scalar_to_json(a)``, ``scalar_from_json(obj)`` and ``to_json()``:
+      the document forms of a scalar and of the field;
+    - ``sample(rng)``: a scalar drawn uniformly (F_p) or a small rational (Q).
+
+    ``zero``, ``one`` and ``half`` follow from these.  ``PolyRing``, never a
+    document's field, supplies only the first three."""
 
     char: int
 
@@ -90,36 +101,11 @@ class Field:
     def mul(self, a, b):
         return self.reduce((a * b,))[0]
 
-    def inv(self, a):
-        raise NotImplementedError
-
-    def coerce(self, x):
-        """Turn an int / string / exact value into a canonical scalar."""
-        raise NotImplementedError
-
-    def reduce(self, values) -> tuple:
-        """Canonical scalars for values that ``+``, ``-`` and ``*`` made from
-        canonical (or integer) scalars."""
-        raise NotImplementedError
-
     def half(self):
         """Return 1/2, raising NoHalf in characteristic 2."""
         if self.char == 2:
             raise NoHalf(f"1/2 does not exist in {self}")
         return self.inv(self.coerce(2))
-
-    def scalar_to_json(self, a):
-        raise NotImplementedError
-
-    def scalar_from_json(self, obj):
-        raise NotImplementedError
-
-    def to_json(self) -> dict:
-        raise NotImplementedError
-
-    def sample(self, rng):
-        """Draw a scalar uniformly (F_p) or a small rational (Q)."""
-        raise NotImplementedError
 
 
 class Rationals(Field):

@@ -18,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache, partial
 from math import lcm
 from operator import mul
@@ -167,6 +167,10 @@ class SearchSpec:
             raise NovikovError(f"dimension must be at least 1, got {self.dim}")
         if not (0 <= self.shard_index < self.shard_count):
             raise NovikovError("bad shard layout")
+        # one canonical value per scalar (-1 and 2 are one weight over F_3),
+        # so the context id, the constraints and ``reverify`` agree
+        for name in ("weight", "kappa", "mu", "epsilon"):
+            object.__setattr__(self, name, self.field.coerce(getattr(self, name)))
         if "algebra" in row.inputs:
             if self.algebra is None:
                 raise NovikovError(f"search kind {self.kind!r} needs a context algebra")
@@ -230,36 +234,22 @@ def _alg_flat(alg: Algebra) -> list:
     return list(map(int, alg.flat()))
 
 
-def enumerate_search(spec: SearchSpec, jobs: int = 1) -> SearchResult:
+def enumerate_search(spec: SearchSpec) -> SearchResult:
     """Every solution of the spec, in lexicographic coefficient order.
 
     The coefficient space is searched depth first, in an order derived from
     its constraints, and the solutions are sorted (see ``_search``).  A shard
     keeps the candidates whose lexicographic index is ``shard_index`` modulo
     ``shard_count``; ``candidate_count`` is the size of that share of the
-    space.  With ``jobs`` > 1 an unsharded search is split into that many
-    shards, each searched in its own worker process, and the shards are
-    merged back.
+    space.
     """
     # p >= 2, so an exponent past the bound's is too large before p^k is
     # computed (or printed: 2^970299 has 292,089 digits)
     k = spec.coeff_count()
     if k > BOUND_EXPONENT or spec.p**k > CANDIDATE_BOUND:
         raise SpaceTooLarge(f"{spec.p}^{k} candidates exceed the 2^{BOUND_EXPONENT} bound")
-    total = spec.candidate_total()
-    if jobs > 1 and spec.shard_count == 1:
-        import multiprocessing  # imported here: it adds ~10% to every cold start
-
-        shards = [replace(spec, shard_index=i, shard_count=jobs) for i in range(jobs)]
-        with multiprocessing.get_context("spawn").Pool(jobs) as pool:
-            parts = pool.map(enumerate_search, shards)
-        # lexicographic coefficient order equals candidate-index order
-        solutions = sorted(sol for part in parts for sol in part.solutions)
-        count = sum(part.candidate_count for part in parts)
-    else:
-        solutions = _search(spec)
-        count = len(range(spec.shard_index, total, spec.shard_count))
-    return SearchResult(spec, solutions, count)
+    count = len(range(spec.shard_index, spec.candidate_total(), spec.shard_count))
+    return SearchResult(spec, _search(spec), count)
 
 
 # ---------------------------------------------------------------------------
@@ -319,9 +309,10 @@ def _system(row: _Kind, n: int, p: int) -> tuple[tuple, tuple]:
 
 def _specialise(row: _Kind, field: PrimeField, n: int, *values) -> dict:
     """The row's constraints at one context, given as the values of its
-    inputs in ``inputs`` order (as ``row.residual`` takes them; a beta of
-    None is zeros): {(identity, indices, coordinate): nonzero polynomial in
-    the search unknowns} in report order, from the row's cached ``_system``.
+    inputs in ``inputs`` order (as ``row.residual`` takes them, scalars
+    canonical in F_p; a beta of None is zeros): {(identity, indices,
+    coordinate): nonzero polynomial in the search unknowns} in report
+    order, from the row's cached ``_system``.
 
     Substituting the context is a ring homomorphism onto F_p[x], and the
     residuals branch only to skip terms that are zero as polynomials, which
@@ -336,7 +327,7 @@ def _specialise(row: _Kind, field: PrimeField, n: int, *values) -> dict:
         elif name == "beta":
             context += given.mat.entries if given is not None else (0,) * n * n
         else:
-            context.append(field.coerce(given))
+            context.append(given)
     keys, filed = _system(row, n, p)
     sums = [Poly() for _ in keys]
     for first, group in filed:
@@ -545,16 +536,11 @@ def trunc_poly_algebra(field: Field, n: int) -> Algebra:
     return Algebra.from_table(field, table, n)
 
 
-_ENUM_CACHE: dict[int, list] = {}
-
-
+@cache
 def enumerated_dim2(field: PrimeField) -> list[Algebra]:
     """All dim-2 Novikov algebras over F_p, lexicographic, cached."""
-    if field.p not in _ENUM_CACHE:
-        spec = SearchSpec("novikov-algebra", field, 2)
-        res = enumerate_search(spec)
-        _ENUM_CACHE[field.p] = [solution_to_object(spec, s) for s in res.solutions]
-    return _ENUM_CACHE[field.p]
+    spec = SearchSpec("novikov-algebra", field, 2)
+    return [solution_to_object(spec, s) for s in enumerate_search(spec).solutions]
 
 
 def random_matrix(field: Field, rows: int, cols: int, rng: random.Random) -> Matrix:

@@ -10,7 +10,6 @@ import sys
 import pytest
 
 from novikov.algebra import Algebra, Bimodule, dual_bimodule, regular, regular_bimodule, star_algebra
-from novikov import cli
 from novikov.cli import main
 from novikov.fields import GF, QQ
 from novikov.fixtures import example_algebra
@@ -404,18 +403,6 @@ def test_derive_remaining_constructions(capsys, fixture_path, tmp_path):
     assert qt["delta_plus"].is_zero()
 
 
-def test_solve_jobs_pool(capsys, fixture_path, monkeypatch):
-    monkeypatch.setattr(cli, "_processors", lambda: 2)  # the pool runs on a one-processor host too
-    _, seq, _ = run(capsys, "solve", "nybe", fixture_path("a2_f3.json"), "--field", "F3")
-    _, par, _ = run(capsys, "solve", "nybe", fixture_path("a2_f3.json"), "--field", "F3", "--jobs", "2")
-    assert seq == par
-    counts = [
-        json.loads(run(capsys, "solve", "nybe", fixture_path("a2_f3.json"), "--field", "F3", "--count-only", *jobs)[1])
-        for jobs in ([], ["--jobs", "2"])
-    ]
-    assert counts[0] == counts[1] and counts[0]["count"] > 0
-
-
 def _document(kind: str, p: int) -> dict:
     """A 2x2 identity map or a one-dimensional zero algebra over field.p = p."""
     payload = {"rows": 2, "cols": 2, "entries": [[1, 0], [0, 1]]} if kind == "linmap" else {"dim": 1, "mul": [[[0]]]}
@@ -544,7 +531,6 @@ def _zero_context(module: bool = False) -> dict:
 
 
 TMP_DIR = object()
-_CORES = cli._processors()  # the most jobs a search accepts
 
 
 @pytest.mark.parametrize(
@@ -636,13 +622,7 @@ _CORES = cli._processors()  # the most jobs a search accepts
         pytest.param(["check", "rota-baxter", "--weight", "0.5", "a2.json", "t2.json"], id="weight-decimal-point"),
         pytest.param(["solve", "novikov", "--dim", "99", "--field", "F2", "--count-only"], id="space-exponent-too-large"),
         pytest.param(["solve", "novikov", "--dim", "1000", "--field", "F3", "--count-only"], id="space-exponent-huge"),
-        pytest.param(["solve", "novikov", "--dim", "2", "--field", "F2", "--jobs", "0"], id="jobs-zero"),
-        pytest.param(["solve", "novikov", "--dim", "2", "--field", "F2", "--jobs", "-3"], id="jobs-negative"),
-        pytest.param(["solve", "novikov", "--dim", "2", "--field", "F2", "--jobs", "2", "--shard", "0/2"], id="jobs-with-shard"),
-        pytest.param(
-            ["solve", "novikov", "--dim", "2", "--field", "F5", "--jobs", str(_CORES + 1)],
-            id="jobs-above-the-processor-count",
-        ),
+        pytest.param(["solve", "novikov", "--dim", "2", "--field", "F2", "--jobs", "2"], id="jobs-not-an-option"),
         pytest.param(["solve", "novikov", "--dim", "2", "--field", "F2", "--count-only", "--out", "sols.jsonl"], id="out-with-count-only"),
         pytest.param(
             ["solve", "novikov", "--dim", "2", "--field", "F2", "--count-only", "--out", "no/such/dir/sols.jsonl"],
@@ -721,14 +701,9 @@ _CORES = cli._processors()  # the most jobs a search accepts
         pytest.param(["verify", "trialgebra", _trialgebra_with(derivation=_map(3))], id="trialgebra-derivation-3x3"),
     ],
 )
-def test_input_errors_exit_2_with_one_line(capsys, fixture_path, tmp_path, request, monkeypatch, argv):
+def test_input_errors_exit_2_with_one_line(capsys, fixture_path, tmp_path, request, argv):
     # a dict argument is a document and a bytes argument a file's raw
-    # contents, written to a file first; TMP_DIR is a directory.  No input
-    # error may start a worker process.
-    def no_pool(*args):
-        raise AssertionError("an input error reached the process pool")
-
-    monkeypatch.setattr("multiprocessing.get_context", no_pool)
+    # contents, written to a file first; TMP_DIR is a directory
     paths = []
     for n, arg in enumerate(argv):
         if arg is TMP_DIR:
@@ -804,7 +779,7 @@ _SAYS = {
     "rows-float": "rows must be an integer, got 2.0",
     "cols-bool": "cols must be an integer, got True",
     "tensor-dim-float": "dim must be an integer, got 2.0",
-    "jobs-above-the-processor-count": f"--jobs must be at most {_CORES}, the processors this process may run on, got {_CORES + 1}",
+    "jobs-not-an-option": "unrecognized arguments: --jobs 2",
     "algebra-row-too-short": "bad algebra payload: grid has wrong number of columns",
     "algebra-cell-too-short": "bad algebra payload: grid cell has wrong length",
     "double-bimodule-over-another-algebra": "bimodule is not over the given algebra",

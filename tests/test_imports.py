@@ -63,7 +63,6 @@ OPTIONS = {
     "novikov.properties.run_property.seed",
     "novikov.properties.run_property.trials",
     "novikov.serialize.bundle_document.field",
-    "novikov.solver.enumerate_search.jobs",
     "novikov.ybe.invariance_residual.cross_check",
 }
 

@@ -105,6 +105,15 @@ def test_rota_baxter_search_contains_identity(a2_f3):
     assert all(reverify(spec, s) for s in res.solutions)
 
 
+def test_one_context_has_one_id(a2_f3):
+    # -1 and 2 are one weight over F_3, and 1/2 is 2 there too
+    specs = [SearchSpec("rota-baxter", GF(3), 2, algebra=a2_f3, weight=w) for w in (-1, 2, Fraction(1, 2), "5")]
+    assert {spec.weight for spec in specs} == {2}
+    assert len({spec.context_hash() for spec in specs}) == 1
+    with pytest.raises(NovikovError, match="denominator divisible by 3"):
+        SearchSpec("rota-baxter", GF(3), 2, algebra=a2_f3, weight=Fraction(1, 3))
+
+
 def test_search_guards():
     with pytest.raises(NovikovError):
         SearchSpec("novikov-algebra", GF(11), 2)

@@ -18,10 +18,9 @@ pytest only, and pytest does not collect it (its name does not start with
 What it cannot see:
 
 - Subprocess children are not traced: the cold ``nova`` runs of
-  ``test_cli.py`` and ``test_imports.py`` and the workers of a ``--jobs``
-  search.  Code reached only there is listed as unreached; that is why the
-  package's ``__getattr__`` and ``__dir__``, which only a cold import
-  calls, are on the list.
+  ``test_cli.py`` and ``test_imports.py``.  Code reached only there is
+  listed as unreached; that is why the package's ``__getattr__`` and
+  ``__dir__``, which only a cold import calls, are on the list.
 - Only ``raise`` statements inside functions are judged.  Module-level
   code runs under the tracer (it starts before ``conftest.py`` imports the
   package), so a function called only at import counts as entered.
