@@ -22,11 +22,8 @@ which the search evaluates each kind's residual once per (kind, dimension,
 p), symbolically, with the context's table, beta and scalars unknowns too,
 keeps the same contract: its scalars overload these operators and are falsy
 exactly when zero (bare tuples, on which ``+`` concatenates, would not
-qualify).  Each search substitutes its context's values into that system,
-and P-TENSOR-OP, whose two routes are such systems, decides each tensor of
-a table by ``Poly.at``, the unreduced value at the tensor's coefficients,
-reduced mod p by the caller: substitution and evaluation at a point are
-ring homomorphisms onto F_p.
+qualify).  Each search substitutes its context's values into that system:
+substitution is a ring homomorphism onto F_p[x].
 """
 
 from __future__ import annotations
@@ -261,15 +258,6 @@ class Poly(dict):
         return Poly({m: c for m, c in acc.items() if c})
 
     __rmul__ = __mul__
-
-    def at(self, point) -> int:
-        """The value at x_u = ``point[u]``, unreduced: the caller reduces it."""
-        total = 0
-        for m, c in self.items():
-            for u in m:
-                c *= point[u]
-            total += c
-        return total
 
 
 def _terms(x) -> dict:

@@ -11,10 +11,10 @@ Each property is one registry row, ``@_register(id, default_field)``;
 given), one ``random.Random(seed)`` and the trial count.  ``PROPERTY_IDS``
 lists the rows in the order they are registered.
 
-P-TENSOR-OP decides its exhaustive instances from the search's constraint
-systems, one per route and (n, p), specialised to each table
-(``tensor_op_verdicts``).  ``PropertyRun.to_json`` is the same on every run;
-``elapsed_ms`` is for the caller's human summary.
+An equivalence checked on every candidate of a small space (P-TENSOR-OP,
+P-GOPER, P-SEMI; P-DUAL's pool) is decided as the solution sets of two
+search rows on each table (``_same_solutions``).  ``PropertyRun.to_json``
+is the same on every run; ``elapsed_ms`` is for the caller's human summary.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field as dc_field, replace
-from itertools import product
 from typing import Callable, Optional, Sequence
 
 from .algebra import (
@@ -79,12 +78,15 @@ from .lift import (
     double,
     generalized_o_residual,
     gnybe_flag,
+    gnybe_residuals,
     lift_map,
 )
-from .residual import Residual
+from .residual import Residual, grid_residual
 from .solver import (
     SEARCH_KINDS,
-    _specialise,
+    _Kind,
+    _map,
+    _search,
     balanced_hom_basis,
     balanced_hom_equivalent_basis,
     enumerated_dim2,
@@ -262,9 +264,46 @@ def _epsilon(field: Field) -> Callable:
     return lambda kappa: field.reduce(((kappa + 1) * half * half,))[0]
 
 
-def _one_by_one(field: Field, *scalars) -> tuple:
-    """The 1 x 1 action matrices with these entries."""
-    return tuple(Matrix(field, 1, 1, (c,)) for c in scalars)
+# ---------------------------------------------------------------------------
+# exhaustive equivalences as two searched sets
+
+
+def _same_solutions(run: PropertyRun, routes: tuple, algebras: Sequence[Algebra], description: str, name: str) -> None:
+    """Two rows' residuals vanish together on every candidate of each table:
+    decided as their searched solution sets, with ``run.equivalent``'s books
+    on each candidate; failures (the decoded candidate as ``name``) come in
+    coefficient order."""
+    for alg in algebras:
+        f, n = alg.field, alg.dim
+        lhs, rhs = (set(_search(row, f, n, alg, shard=(0, 1))) for row in routes)
+        run.count(f.p ** routes[0].count(n), len(lhs))
+        for coeffs in sorted(lhs ^ rhs):
+            run.fail(description, algebra=alg, **{name: routes[0].decode(f, n, coeffs)})
+
+
+def _line_bimodule(alg: Algebra, coeffs: Sequence) -> Bimodule:
+    """The actions on a line: l(e_i) = coeffs[i], r(e_i) = coeffs[n + i]."""
+    n, ones = alg.dim, [Matrix(alg.field, 1, 1, (c,)) for c in coeffs]
+    return Bimodule(alg, 1, tuple(ones[:n]), tuple(ones[n : 2 * n]))
+
+
+def _line_context(alg: Algebra, coeffs: Sequence) -> BimodNov:
+    """The line's actions with the module product coeffs[2n]."""
+    return _line_bimodule(alg, coeffs).with_product((((coeffs[2 * alg.dim],),),))
+
+
+def _route(count: Callable[[int], int], decode: Callable, residual: Callable[..., Residual]) -> _Kind:
+    """A search row over a context table, private to the properties."""
+    return _Kind("", ("algebra",), count, decode, residual)
+
+
+_coeffs = lambda f, n, coeffs: tuple(coeffs)
+_LINE_BIMODULE = _route(lambda n: 2 * n, _coeffs, lambda c, alg: bimodule_residual(_line_bimodule(alg, c)))
+# P-SEMI's two sides on a line with the module product c[2n]: the module identities, a Novikov semidirect product
+_SEMI_ROUTES = (
+    _route(lambda n: 2 * n + 1, _coeffs, lambda c, alg: abnova_residual(_line_context(alg, c))),
+    _route(lambda n: 2 * n + 1, _coeffs, lambda c, alg: novikov_residual(semidirect(_line_context(alg, c)))),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -278,16 +317,8 @@ def _p_semi(run: PropertyRun, field: Field, rng: random.Random, trials: int) -> 
     both = abnova_residual(reg).is_zero and novikov_residual(semidirect(reg)).is_zero
     run.expect(both, "regular worked example failed", algebra=example_algebra(QQ))
     if isinstance(field, PrimeField) and field.p == 2:
-        for alg in _enumerated_pool(field):
-            for l1, l2, r1, r2, c in product(range(field.p), repeat=5):
-                b = BimodNov(alg, 1, _one_by_one(field, l1, l2), _one_by_one(field, r1, r2), (((c,),),))
-                run.equivalent(
-                    abnova_residual(b).is_zero,
-                    novikov_residual(semidirect(b)).is_zero,
-                    "module residual and semidirect verdicts disagree",
-                    algebra=alg,
-                    actions=(l1, l2, r1, r2, c),
-                )
+        disagree = "module residual and semidirect verdicts disagree"
+        _same_solutions(run, _SEMI_ROUTES, _enumerated_pool(field), disagree, "actions")
     # seeded random contexts over the requested field
     for _ in range(trials):
         alg = rng.choice(_algebra_pool(field, rng, 4))
@@ -318,12 +349,9 @@ def _p_dual(run: PropertyRun, field: Field, rng: random.Random, trials: int) -> 
         pool.append(regular_bimodule(alg))
         pool.append(dual_bimodule(regular_bimodule(alg), validate=False))
     if isinstance(field, PrimeField) and field.p == 2:
-        # exhaustive mdim-1 action pairs over every enumerated algebra
+        # every bimodule on a line over every enumerated algebra
         for alg in _enumerated_pool(field):
-            for l1, l2, r1, r2 in product(range(2), repeat=4):
-                b = Bimodule(alg, 1, _one_by_one(field, l1, l2), _one_by_one(field, r1, r2))
-                if bimodule_residual(b).is_zero:
-                    pool.append(b)
+            pool += [_line_bimodule(alg, c) for c in _search(_LINE_BIMODULE, field, alg.dim, alg, shard=(0, 1))]
     for b in pool:
         if bimodule_residual(b).is_zero:
             run.expect(
@@ -650,40 +678,10 @@ _TENSOR_OP_ROUTES = (
 )
 
 
-def tensor_op_verdicts(alg: Algebra) -> Callable[[Sequence], tuple[bool, bool]]:
-    """P-TENSOR-OP's two verdicts on a table over F_p, ``nybe_residual`` is
-    zero and ``o_nybe_residual`` is zero, as a function of r's coefficients
-    in row-major order.  Each route is the search's constraint system for
-    (n, p), evaluated once with the table's entries unknowns too and
-    specialised to the table (``solver._specialise``); a point's verdict is
-    whether every nonzero coordinate vanishes there.  Evaluating at a point
-    is a ring homomorphism onto F_p, so these are the concrete routes'
-    verdicts."""
-    p = alg.field.p
-    tensor, operator = (list(_specialise(row, alg.field, alg.dim, alg).values()) for row in _TENSOR_OP_ROUTES)
-
-    def verdicts(point: Sequence) -> tuple[bool, bool]:
-        return not any(c.at(point) % p for c in tensor), not any(c.at(point) % p for c in operator)
-
-    return verdicts
-
-
 @_register("P-TENSOR-OP", GF(2))
 def _p_tensor_op(run: PropertyRun, field: Field, rng: random.Random, trials: int) -> None:
     if isinstance(field, PrimeField) and field.p <= 3:
-        for alg in _enumerated_pool(field):
-            verdicts = tensor_op_verdicts(alg)
-            for digits in product(range(field.p), repeat=4):
-                cells = digits[::-1]  # the first cell varies fastest
-                lhs, rhs = verdicts(cells)
-                # ``equivalent`` without building the failure context up front
-                run.count(1, lhs)
-                if lhs != rhs:
-                    run.fail(
-                        "tensor and operator verdicts disagree",
-                        algebra=alg,
-                        r=Tensor2(field, (cells[:2], cells[2:])),
-                    )
+        _same_solutions(run, _TENSOR_OP_ROUTES, _enumerated_pool(field), "tensor and operator verdicts disagree", "r")
     for _ in range(trials):
         alg = rng.choice([example_algebra(QQ), trunc_poly_algebra(QQ, 2), trunc_poly_algebra(QQ, 3)])
         r = _random_tensor(QQ, alg.dim, rng)
@@ -1083,22 +1081,34 @@ def _p_gnybe_ext(run: PropertyRun, field: Field, rng: random.Random, trials: int
                 )
 
 
+def _lifted_gnybe_residual(t: LinMap, alg: Algebra) -> Residual:
+    """``gnybe_flag``'s coordinates on t's lifted skew tensor in the double
+    of A's regular bimodule, one identity per family and basis element."""
+    d = double(alg, regular_bimodule(alg), validate=False)
+    families = gnybe_residuals(d.algebra, lift_map(d, t).tensor_minus)
+    grids = [(f"gnybe-{w}-{s}", x.grid) for w, family in enumerate(families) for s, x in enumerate(family)]
+    return Residual("gnybe", sum((grid_residual(alg.field, *grid).failures for grid in grids), ()))
+
+
+# P-GOPER's two sides: the generalized operator identities, and the lifted tensor's equations
+_GOPER_ROUTES = (
+    _route(lambda n: n * n, _map, lambda t, alg: generalized_o_residual(regular_bimodule(alg), t)),
+    _route(lambda n: n * n, _map, _lifted_gnybe_residual),
+)
+
+
 @_register("P-GOPER", GF(2))
 def _p_goper(run: PropertyRun, field: Field, rng: random.Random, trials: int) -> None:
     if isinstance(field, PrimeField) and field.p == 2:
-        # exhaustive: all 16 maps on the dim-2 algebras, the first entry varying fastest
-        every = [LinMap(Matrix(field, 2, 2, bits[::-1])) for bits in product((0, 1), repeat=4)]
-        cases = ((alg, every) for alg in _enumerated_pool(field))
-    else:
-        draws = max(4, trials // 3)
-        cases = (
-            (alg, [LinMap(random_matrix(field, alg.dim, alg.dim, rng)) for _ in range(draws)])
-            for alg in _algebra_pool(field, rng, 3)
+        _same_solutions(
+            run, _GOPER_ROUTES, _enumerated_pool(field), "generalized operator vs lifted verdict mismatch", "alpha"
         )
-    for alg, alphas in cases:
+        return
+    for alg in _algebra_pool(field, rng, 3):
         bim = regular_bimodule(alg)
         d = double(alg, bim, validate=False)
-        for alpha in alphas:
+        for _ in range(max(4, trials // 3)):
+            alpha = LinMap(random_matrix(field, alg.dim, alg.dim, rng))
             run.equivalent(
                 generalized_o_residual(bim, alpha).is_zero,
                 gnybe_flag(d.algebra, lift_map(d, alpha).tensor_minus),

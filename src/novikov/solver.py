@@ -10,8 +10,8 @@ residual).  No identity is written here a second time.  The ring
 (``fields.PolyRing``) keeps the scalar contract of every other field, ``+``,
 ``-``, ``*``, truthiness and one ``reduce`` per output, so the residuals run
 on it unchanged; it needs only ``coerce``, ``reduce``, ``inv`` (which
-raises) and ``variables``.  P-TENSOR-OP decides its routes from the same
-systems (``properties.tensor_op_verdicts``)."""
+raises) and ``variables``.  The exhaustive property equivalences compare
+two rows' searched solution sets (``properties``)."""
 
 from __future__ import annotations
 
@@ -249,7 +249,10 @@ def enumerate_search(spec: SearchSpec) -> SearchResult:
     if k > BOUND_EXPONENT or spec.p**k > CANDIDATE_BOUND:
         raise SpaceTooLarge(f"{spec.p}^{k} candidates exceed the 2^{BOUND_EXPONENT} bound")
     count = len(range(spec.shard_index, spec.candidate_total(), spec.shard_count))
-    return SearchResult(spec, _search(spec), count)
+    row = SEARCH_KINDS[spec.kind]
+    values = (getattr(spec, name) for name in row.inputs)
+    shard = (spec.shard_index, spec.shard_count)
+    return SearchResult(spec, _search(row, spec.field, spec.dim, *values, shard=shard), count)
 
 
 # ---------------------------------------------------------------------------
@@ -351,13 +354,6 @@ def _specialise(row: _Kind, field: PrimeField, n: int, *values) -> dict:
     return out
 
 
-def _constraints(spec: SearchSpec) -> dict:
-    """The search's constraints: its kind's system for (n, p), built on
-    first use and cached, specialised to the spec's context."""
-    row = SEARCH_KINDS[spec.kind]
-    return _specialise(row, spec.field, spec.dim, *(getattr(spec, name) for name in row.inputs))
-
-
 def _variable_order(polys, k: int) -> list[int]:
     """The unknowns in the order ``_search`` assigns them, derived from its
     constraints by the fail-first rule (Haralick & Elliott, Artificial
@@ -445,31 +441,32 @@ def _constraint_levels(polys, k: int, p: int, pos: Sequence[int]) -> list[list]:
     return levels
 
 
-def _search(spec: SearchSpec) -> list[tuple]:
-    """Every solution, in lexicographic coefficient order, by a depth-first
-    search that assigns the coefficients in the order ``_variable_order``
-    derives from the constraints, each tried 0..p-1 in ascending order.
+def _search(row: _Kind, field: PrimeField, n: int, *values, shard: tuple) -> list[tuple]:
+    """Every solution of ``row`` at dimension n over F_p, its context the
+    ``values`` of its inputs (as ``_specialise`` takes them), in
+    lexicographic coefficient order, by a depth-first search that assigns
+    the coefficients in the order ``_variable_order`` derives from the
+    constraints, each tried 0..p-1 in ascending order.
 
     The constraints are the residual's coordinates as polynomials of degree
-    <= 2: one evaluation over ``PolyRing`` per (kind, n, p), specialised to
-    the context (``_constraints``); each is checked at the depth where its last
-    unknown is assigned, which gives the allowed values of that unknown as a
-    bitmask.  Finished candidates are filtered by the shard of their
+    <= 2: one evaluation over ``PolyRing`` per (row, n, p), specialised to
+    the context; each is checked at the depth where its last unknown is
+    assigned, which gives the allowed values of that unknown as a bitmask.
+    Finished candidates are filtered by the shard (index, count) of their
     lexicographic index (when there is more than one shard) and by the
-    kind's leaf test, and sorted at the end.
+    row's leaf test, and sorted at the end.
     """
-    p, k = spec.p, spec.coeff_count()
-    polys = list(_constraints(spec).values())
+    p, k = field.p, row.count(n)
+    polys = list(_specialise(row, field, n, *values).values())
     order = _variable_order(polys, k)
     pos = [0] * k  # pos[u]: the depth at which x_u is assigned
     for d, u in enumerate(order):
         pos[u] = d
     levels = _constraint_levels(polys, k, p, pos)
-    values = _root_tables(p)[1]
+    allowed = _root_tables(p)[1]  # allowed[mask]: the values in a mask
     full = (1 << p) - 1
     last = k - 1
-    shard_index, shard_count = spec.shard_index, spec.shard_count
-    row = SEARCH_KINDS[spec.kind]
+    shard_index, shard_count = shard
     place = [p ** (last - u) for u in range(k)]  # the lexicographic index of x[:k] is sum(place[u] * x[u])
     x = [0] * k + [1]  # x[k] = 1 carries the constant and linear terms
     out = []
@@ -487,13 +484,13 @@ def _search(spec: SearchSpec) -> list[tuple]:
             if not mask:
                 return
         y = order[d]
-        for val in values[mask]:
+        for val in allowed[mask]:
             x[y] = val
             if d < last:
                 visit(d + 1)
             elif shard_count == 1 or sum(map(mul, place, x)) % shard_count == shard_index:
                 coeffs = tuple(x[:k])
-                if row.leaf is None or row.leaf(row.decode(spec.field, spec.dim, coeffs)):
+                if row.leaf is None or row.leaf(row.decode(field, n, coeffs)):
                     out.append(coeffs)
 
     visit(0)

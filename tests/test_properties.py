@@ -1,6 +1,7 @@
 """Every named property must pass with genuine (non-vacuous) coverage."""
 
 import json
+from dataclasses import replace
 from itertools import islice, product
 from types import SimpleNamespace
 
@@ -8,14 +9,23 @@ import pytest
 from conftest import REPO
 
 from novikov import properties, solver
-from novikov.algebra import Algebra
+from novikov.algebra import (
+    Algebra,
+    Bimodule,
+    abnova_residual,
+    bimodule_residual,
+    novikov_residual,
+    regular_bimodule,
+    semidirect,
+)
 from novikov.cli import main
 from novikov.fields import GF, QQ, PolyRing
 from novikov.fixtures import example_algebra
+from novikov.lift import double, generalized_o_residual, gnybe_flag, lift_map
 from novikov.linalg import Matrix
 from novikov.operators import LinMap
-from novikov.properties import PROPERTY_IDS, PropertyRun, run_property, tensor_op_verdicts
-from novikov.residual import ResidualCollector
+from novikov.properties import PROPERTY_IDS, PropertyRun, run_property
+from novikov.residual import Failure, Residual, ResidualCollector
 from novikov.solver import SEARCH_KINDS, SearchSpec, enumerate_search, enumerated_dim2, reverify, trunc_poly_algebra
 from novikov.tensors import Tensor2
 from novikov.ybe import nybe_residual, o_nybe_residual
@@ -119,48 +129,78 @@ def test_residuals_are_recorded_reduced(monkeypatch):
         assert all(reverify(spec, s) for s in res.solutions[:20])
 
 
-def _concrete_verdicts(alg, cells) -> tuple:
+def _tensor_op_verdicts(alg, cells) -> tuple:
     n = alg.dim
     r = Tensor2(alg.field, tuple(tuple(cells[i * n:i * n + n]) for i in range(n)))
     return nybe_residual(alg, r).is_zero(), o_nybe_residual(alg, r).is_zero
 
 
-def _lifted_routes(alg) -> list:
-    """The nonzero coordinates of both routes on the table itself, lifted
-    into ``PolyRing(p)`` with r's coefficients unknown."""
+def _goper_verdicts(alg, cells) -> tuple:
+    alpha, bim = LinMap(Matrix(alg.field, alg.dim, alg.dim, cells)), regular_bimodule(alg)
+    d = double(alg, bim, validate=False)
+    return generalized_o_residual(bim, alpha).is_zero, gnybe_flag(d.algebra, lift_map(d, alpha).tensor_minus)
+
+
+def _line(alg, cells) -> Bimodule:
+    n, ones = alg.dim, [Matrix(alg.field, 1, 1, (c,)) for c in cells]
+    return Bimodule(alg, 1, tuple(ones[:n]), tuple(ones[n:2 * n]))
+
+
+def _semi_verdicts(alg, cells) -> tuple:
+    b = _line(alg, cells).with_product((((cells[-1],),),))
+    return abnova_residual(b).is_zero, novikov_residual(semidirect(b)).is_zero
+
+
+def _dual_verdicts(alg, cells) -> tuple:
+    return (bimodule_residual(_line(alg, cells)).is_zero,)
+
+
+def _lifted(row, alg) -> list:
+    """The row's nonzero coordinates on the table itself, lifted into
+    ``PolyRing(p)`` with the search's coefficients unknown."""
     ring, n = PolyRing(alg.field.p), alg.dim
-    x = ring.variables(n * n)
-    lifted, r = Algebra(ring, n, alg.mul), Tensor2(ring, tuple(tuple(x[i * n:i * n + n]) for i in range(n)))
-    tensor = [c for c in nybe_residual(lifted, r).flat() if c]
-    return [tensor, [c for fail in o_nybe_residual(lifted, r).failures for c in fail.value if c]]
+    obj = row.decode(ring, n, ring.variables(row.count(n)))
+    return [c for _, c in solver._nonzero_coords(row.residual(obj, Algebra(ring, n, alg.mul)))]
+
+
+_F2 = lambda: enumerated_dim2(GF(2))
 
 
 @pytest.mark.parametrize(
-    "algebras, stride, counts",
+    "routes, verdicts, algebras, stride, counts",
     [
-        (lambda: enumerated_dim2(GF(2)), 1, (832, 232)),
-        (lambda: enumerated_dim2(GF(3))[::11], 1, (1377, 145)),
-        (lambda: [trunc_poly_algebra(GF(2), 3)], 1, (512, 18)),
-        (lambda: enumerated_dim2(GF(5))[::120], 1, (7500, 720)),
-        (lambda: [trunc_poly_algebra(GF(3), 3)], 29, (679, 2)),
+        ("_TENSOR_OP_ROUTES", _tensor_op_verdicts, _F2, 1, (832, 232)),
+        ("_TENSOR_OP_ROUTES", _tensor_op_verdicts, lambda: enumerated_dim2(GF(3))[::11], 1, (1377, 145)),
+        ("_TENSOR_OP_ROUTES", _tensor_op_verdicts, lambda: [trunc_poly_algebra(GF(2), 3)], 1, (512, 18)),
+        ("_TENSOR_OP_ROUTES", _tensor_op_verdicts, lambda: enumerated_dim2(GF(5))[::120], 1, (7500, 720)),
+        ("_TENSOR_OP_ROUTES", _tensor_op_verdicts, lambda: [trunc_poly_algebra(GF(3), 3)], 29, (679, 2)),
+        ("_GOPER_ROUTES", _goper_verdicts, lambda: _F2()[4::8], 1, (96, 32)),
+        ("_SEMI_ROUTES", _semi_verdicts, lambda: _F2()[::4], 1, (416, 51)),
+        ("_LINE_BIMODULE", _dual_verdicts, lambda: _F2()[::4], 1, (208, 32)),
     ],
-    ids=["F2-every-table", "F3-every-11th-table", "F2-trunc3", "F5-every-120th-table", "F3-trunc3-every-29th-point"],
+    ids=[
+        "F2-every-table", "F3-every-11th-table", "F2-trunc3", "F5-every-120th-table", "F3-trunc3-every-29th-point",
+        "goper-F2-every-8th-table", "semi-F2-every-4th-table", "dual-F2-every-4th-table",
+    ],
 )
-def test_specialised_tensor_op_verdicts_are_the_concrete_verdicts(algebras, stride, counts):
-    """P-TENSOR-OP decides its exhaustive instances from one symbolic
-    evaluation of each route per (n, p), specialised to each table: the
+def test_specialised_tensor_op_verdicts_are_the_concrete_verdicts(routes, verdicts, algebras, stride, counts):
+    """Each exhaustive equivalence is decided as the searched solution sets
+    of its rows (P-TENSOR-OP, P-GOPER, P-SEMI; P-DUAL's one row), each row's
+    system evaluated once per (n, p) and specialised to the table: the
     specialised coordinates must be the table's own symbolic evaluation, and
-    on every point (every ``stride``-th) the specialised pair must be the
-    concrete routes' pair."""
+    on every point (every ``stride``-th) membership in the searched sets
+    must be the object path's verdicts, as the per-candidate loops read them."""
+    routes = getattr(properties, routes)
+    routes = routes if isinstance(routes, tuple) else (routes,)
     instances = solutions = 0
     for alg in algebras():
-        routes = properties._TENSOR_OP_ROUTES
-        specialised = [list(solver._specialise(row, alg.field, alg.dim, alg).values()) for row in routes]
-        assert specialised == _lifted_routes(alg), alg
-        verdicts = tensor_op_verdicts(alg)
-        for cells in islice(product(range(alg.field.p), repeat=alg.dim**2), 0, None, stride):
-            got = verdicts(cells)
-            assert got == _concrete_verdicts(alg, cells), (alg, cells)
+        f, n = alg.field, alg.dim
+        for row in routes:
+            assert list(solver._specialise(row, f, n, alg).values()) == _lifted(row, alg), alg
+        searched = [set(solver._search(row, f, n, alg, shard=(0, 1))) for row in routes]
+        for cells in islice(product(range(f.p), repeat=routes[0].count(n)), 0, None, stride):
+            got = tuple(cells in found for found in searched)
+            assert got == verdicts(alg, cells), (alg, cells)
             instances += 1
             solutions += got[0]
     assert (instances, solutions) == counts
@@ -189,6 +229,25 @@ def test_tensor_op_evaluates_each_route_symbolically_once_per_dimension_and_prim
     assert [first.checked, first.hypothesis_hits] == [second.checked, second.hypothesis_hits] == [14338, 849]
 
 
+def test_goper_evaluates_each_route_symbolically_once(monkeypatch):
+    """Two P-GOPER runs over F_2 evaluate each of its routes over
+    ``PolyRing`` once, for all 52 tables."""
+    symbolic = []
+    for name in ("generalized_o_residual", "gnybe_residuals"):
+        route = getattr(properties, name)
+
+        def counted(alg_or_ctx, t, name=name, route=route):
+            if isinstance(alg_or_ctx.field, PolyRing):
+                symbolic.append(name)
+            return route(alg_or_ctx, t)
+
+        monkeypatch.setattr(properties, name, counted)
+    solver._system.cache_clear()
+    runs = [run_property("P-GOPER", trials=0, seed=1) for _ in range(2)]
+    assert sorted(symbolic) == ["generalized_o_residual", "gnybe_residuals"]
+    assert [[run.checked, run.hypothesis_hits] for run in runs] == [[832, 292]] * 2
+
+
 def test_a_split_invariance_lemma_is_a_failure_record_not_a_traceback(monkeypatch, capsys):
     """P-LEM-R compares the three invariance characterizations itself: with
     the balanced verdict negated, ``nova prop P-LEM-R`` reports the
@@ -203,27 +262,26 @@ def test_a_split_invariance_lemma_is_a_failure_record_not_a_traceback(monkeypatc
 
 
 def test_a_split_tensor_op_verdict_carries_its_algebra_and_tensor(monkeypatch):
-    """P-TENSOR-OP builds the F_p tensor of an exhaustive instance only when
-    its verdicts split; the run's books and failure records are those of
-    ``run.equivalent`` with the context built for every instance."""
-    honest = tensor_op_verdicts
+    """With the operator route also asking r[0][0]·(1 - r[0][1]) = 0, the two
+    searched sets split on every NYBE solution whose first row is (1, 0): the
+    run's books and failure records are those of ``run.equivalent`` on every
+    candidate, in coefficient order."""
 
-    def split_some(alg):
-        verdicts = honest(alg)
-        # a disagreement on every tensor whose first two cells are 1, 0
-        return lambda cells: (verdicts(cells)[0], verdicts(cells)[1] != (tuple(cells[:2]) == (1, 0)))
+    def split(r, alg):
+        honest = o_nybe_residual(alg, r)
+        extra = alg.field.reduce((r.grid[0][0] * (1 - r.grid[0][1]),))
+        return Residual(honest.check, honest.failures + ((Failure("split", (), extra),) if any(extra) else ()))
 
-    monkeypatch.setattr(properties, "tensor_op_verdicts", split_some)
+    tensor, operator = properties._TENSOR_OP_ROUTES
+    monkeypatch.setattr(properties, "_TENSOR_OP_ROUTES", (tensor, replace(operator, residual=split)))
     f = GF(2)
     got = run_property("P-TENSOR-OP", trials=0, field=f)
     want = PropertyRun("P-TENSOR-OP")
     for alg in enumerated_dim2(f):
-        verdicts = split_some(alg)
-        for digits in product(range(2), repeat=4):
-            cells = digits[::-1]
-            want.equivalent(*verdicts(cells), "tensor and operator verdicts disagree",
-                            algebra=alg, r=Tensor2(f, (cells[:2], cells[2:])))
-    assert len(got.failures) == 52 * 4
+        for cells in product(range(2), repeat=4):
+            r = Tensor2(f, (cells[:2], cells[2:]))
+            want.equivalent(nybe_residual(alg, r).is_zero(), split(r, alg).is_zero,
+                            "tensor and operator verdicts disagree", algebra=alg, r=r)
+    assert got.failures and all(fail["r"]["tensor"][0] == ["1", "0"] for fail in got.failures)
     assert (got.checked, got.hypothesis_hits, got.failures) == (want.checked, want.hypothesis_hits, want.failures)
     assert set(got.failures[0]) == {"what", "algebra", "r"}
-    assert got.failures[0]["r"] == {"tensor": [["1", "0"], ["0", "0"]]}

@@ -21,8 +21,8 @@ from novikov.residual import Failure, Residual
 from novikov.solver import (
     SEARCH_KINDS,
     SearchSpec,
-    _constraints,
     _nonzero_coords,
+    _specialise,
     _variable_order,
     balanced_hom_basis,
     balanced_hom_equivalent_basis,
@@ -331,6 +331,12 @@ def _order_specs():
     beta = LinMap(Matrix(f, 2, 2, (1, 1, 0, 2)))
     for kind in CONTEXT_KINDS:
         yield SearchSpec(kind, f, 2, algebra=example_algebra(f), weight=1, kappa=1, mu=2, epsilon=1, beta=beta), (1, 2)
+
+
+def _constraints(spec: SearchSpec) -> dict:
+    """The search's constraints: its kind's system specialised to the spec's context."""
+    row = SEARCH_KINDS[spec.kind]
+    return _specialise(row, spec.field, spec.dim, *(getattr(spec, name) for name in row.inputs))
 
 
 def _derived_order(spec: SearchSpec) -> list:
