@@ -350,7 +350,8 @@ def post_from_nybe(alg: Algebra, r):
         raise NotNYBESolution("tensor does not solve the Yang-Baxter equation")
     plus_grid, _ = dual_pm_products(alg, rt)  # refuses a symmetric part that is not invariant
     ctx_plus = dual_context(alg).with_product(plus_grid)
-    dual_post = post_from_o(ctx_plus, LinMap(rt.hat), 1)
+    # NYBE and an invariant symmetric part make hat a weight-1 operator here
+    dual_post = post_from_o(ctx_plus, LinMap(rt.hat), 1, validate=False)
     try:
         compat = transport(dual_post, rt.hat)
     except SingularT:

@@ -357,23 +357,21 @@ def _specialise(row: _Kind, field: PrimeField, n: int, *values) -> dict:
 def _variable_order(polys, k: int) -> list[int]:
     """The unknowns in the order ``_search`` assigns them, derived from its
     constraints by the fail-first rule (Haralick & Elliott, Artificial
-    Intelligence 14 (1980) 263-313): next is the unknown that completes the
-    most constraints, then the one with the largest sum of 1/(unknowns still
-    open) over its open constraints, then the lowest index.  Each polynomial
-    is one constraint, repeats included.
+    Intelligence 14 (1980) 263-313): next is the unknown with the largest
+    sum of 1/m^2 over its open constraints, m the number of that
+    constraint's unknowns still open (itself included), then the lowest
+    index.  Each polynomial is one constraint, repeats included.
 
-    Both counts live in one integer score per unknown, updated after each
-    pick: ``done`` per constraint it completes plus ``scale // n`` per open
-    constraint with n unknowns open.  ``scale`` is the lcm of 1..(largest
-    constraint size), so every such term is exact, and ``done`` exceeds any
-    sum of them, so scores compare as (completes, sum) pairs."""
+    The score is an integer, ``scale // m**2`` per open constraint, updated
+    after each pick; ``scale`` is lcm(1..largest constraint size)^2, so
+    every term is exact.  A constraint the unknown would complete adds
+    ``scale``, the largest term there is."""
     supports = [s for s in ({u for mono in poly for u in mono} for poly in polys) if s]  # the open unknowns
-    scale = lcm(*range(1, max(map(len, supports), default=1) + 1))
-    done = scale * len(supports) + 1
+    scale = lcm(*range(1, max(map(len, supports), default=1) + 1)) ** 2
     holding = [[] for _ in range(k)]  # the constraints of each unknown
     score = [0] * k
     for c, support in enumerate(supports):
-        gain = scale // len(support) + (len(support) == 1) * done
+        gain = scale // len(support) ** 2
         for u in support:
             holding[u].append(c)
             score[u] += gain
@@ -387,7 +385,7 @@ def _variable_order(polys, k: int) -> list[int]:
             support.remove(pick)
             n = len(support)
             if n:
-                step = scale // n - scale // (n + 1) + (n == 1) * done
+                step = scale // n**2 - scale // (n + 1) ** 2
                 for u in support:
                     score[u] += step
     return order

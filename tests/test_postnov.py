@@ -36,8 +36,9 @@ from novikov.postnov import (
     transport,
 )
 from novikov.serialize import to_document
-from novikov.solver import SearchSpec, enumerate_search, enumerated_dim2
+from novikov.solver import SearchSpec, enumerate_search, enumerated_dim2, solution_to_object
 from novikov.tensors import Tensor2
+from novikov.ybe import RTensor, dual_pm_products, invariance_residual
 
 
 def tri_fixture(field=QQ):
@@ -226,6 +227,25 @@ def test_post_from_nybe_skew_solution_from_solver():
     alg, r = found
     dual_post, _compat = post_from_nybe(alg, r)
     assert post_residual(dual_post).is_zero
+
+
+def test_post_from_nybe_takes_a_proven_operator_on_every_dim2_f3_solution():
+    # NYBE and an invariant symmetric part make hat a weight-1 operator on the
+    # plus context, so post_from_nybe does not re-check it: here it is checked
+    # (post_from_o validates) on every such solution of every dim-2 table
+    field = GF(3)
+    found = 0
+    for alg in enumerated_dim2(field):
+        spec = SearchSpec("nybe-solution", field, 2, algebra=alg)
+        for coeffs in enumerate_search(spec).solutions:
+            rt = RTensor.build(alg, solution_to_object(spec, coeffs))
+            if not invariance_residual(alg, rt.r_plus).is_zero:
+                continue
+            found += 1
+            plus = dual_context(alg).with_product(dual_pm_products(alg, rt)[0])
+            dual_post, _compat = post_from_nybe(alg, rt.r)
+            assert dual_post == post_from_o(plus, LinMap(rt.hat), 1), (alg, rt.r)
+    assert found == 561
 
 
 def _outcome(call, *args) -> tuple:

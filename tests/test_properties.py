@@ -175,21 +175,24 @@ _F2 = lambda: enumerated_dim2(GF(2))
         ("_TENSOR_OP_ROUTES", _tensor_op_verdicts, lambda: enumerated_dim2(GF(5))[::120], 1, (7500, 720)),
         ("_TENSOR_OP_ROUTES", _tensor_op_verdicts, lambda: [trunc_poly_algebra(GF(3), 3)], 29, (679, 2)),
         ("_GOPER_ROUTES", _goper_verdicts, lambda: _F2()[4::8], 1, (96, 32)),
+        ("_GOPER_ROUTES", _goper_verdicts, lambda: [trunc_poly_algebra(GF(2), 3)], 7, (74, 6)),
         ("_SEMI_ROUTES", _semi_verdicts, lambda: _F2()[::4], 1, (416, 51)),
         ("_LINE_BIMODULE", _dual_verdicts, lambda: _F2()[::4], 1, (208, 32)),
     ],
     ids=[
         "F2-every-table", "F3-every-11th-table", "F2-trunc3", "F5-every-120th-table", "F3-trunc3-every-29th-point",
-        "goper-F2-every-8th-table", "semi-F2-every-4th-table", "dual-F2-every-4th-table",
+        "goper-F2-every-8th-table", "goper-F2-trunc3-every-7th-point", "semi-F2-every-4th-table",
+        "dual-F2-every-4th-table",
     ],
 )
 def test_specialised_tensor_op_verdicts_are_the_concrete_verdicts(routes, verdicts, algebras, stride, counts):
     """Each exhaustive equivalence is decided as the searched solution sets
     of its rows (P-TENSOR-OP, P-GOPER, P-SEMI; P-DUAL's one row), each row's
     system evaluated once per (n, p) and specialised to the table: the
-    specialised coordinates must be the table's own symbolic evaluation, and
-    on every point (every ``stride``-th) membership in the searched sets
-    must be the object path's verdicts, as the per-candidate loops read them."""
+    specialised coordinates must be the table's own symbolic evaluation, two
+    routes must search the same set, and on every point (every
+    ``stride``-th) membership in the searched sets must be the object path's
+    verdicts, as the per-candidate loops read them."""
     routes = getattr(properties, routes)
     routes = routes if isinstance(routes, tuple) else (routes,)
     instances = solutions = 0
@@ -198,6 +201,7 @@ def test_specialised_tensor_op_verdicts_are_the_concrete_verdicts(routes, verdic
         for row in routes:
             assert list(solver._specialise(row, f, n, alg).values()) == _lifted(row, alg), alg
         searched = [set(solver._search(row, f, n, alg, shard=(0, 1))) for row in routes]
+        assert searched[0] == searched[-1], alg  # two routes, one set (one row: trivially)
         for cells in islice(product(range(f.p), repeat=routes[0].count(n)), 0, None, stride):
             got = tuple(cells in found for found in searched)
             assert got == verdicts(alg, cells), (alg, cells)

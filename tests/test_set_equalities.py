@@ -1,23 +1,28 @@
 """The paper's bijections between solution sets, as exact set equalities over
-every dim-2 Novikov algebra of F_3 (and of F_2, for the tensor form), and
-what the compatible post-Novikov structure of each invertible Rota-Baxter
-solution sums to.
+every dim-2 Novikov algebra of F_3 (and of F_2, for the tensor form), what
+the compatible post-Novikov structure of each invertible Rota-Baxter
+solution sums to, and the post-Novikov structures of dim 1 and 2 as their
+two halves.
 
-Each side is enumerated by ``enumerate_search``, whose verdicts come from the
-object-path residuals, or checked point by point on the object path; the
-mod-p kernels are not used.  Solutions are row-major matrix coefficients, so
-shifting by c·id adds c to the diagonal.
+Each side is enumerated by the search (``enumerate_search``, or ``_search``
+on a private row), whose verdicts come from the object-path residuals, or
+checked point by point on the object path; the mod-p kernels are not used.
+Solutions are row-major matrix coefficients, so shifting by c·id adds c to
+the diagonal.
 """
 
+from dataclasses import replace
 from itertools import product
 
 import pytest
 
+from novikov.algebra import Algebra, abnova_residual, novikov_residual
 from novikov.fields import GF
 from novikov.linalg import Matrix, rank
 from novikov.operators import LinMap
-from novikov.postnov import associated, compatible_from_rb
-from novikov.solver import SearchSpec, enumerate_search, enumerated_dim2
+from novikov.postnov import PostNov, associated, compatible_from_rb, lr_bimodule, post_residual
+from novikov.residual import Residual
+from novikov.solver import SearchSpec, _Kind, _search, enumerate_search, enumerated_dim2
 from novikov.tensors import Tensor2
 from novikov.ybe import o_nybe_residual
 
@@ -107,3 +112,36 @@ def test_operator_form_solutions_are_the_nybe_solutions(p, count):
         searched.update((t, sol) for sol in enumerate_search(SearchSpec("nybe-solution", f, N, algebra=alg)).solutions)
     assert len(operator) == count
     assert operator == searched
+
+
+def _post_novikov(f, n: int, coeffs) -> PostNov:
+    """(circ, ◁, ▷), each a flat table in ``Algebra.from_flat`` order."""
+    k = n**3
+    return PostNov(f, n, *(Algebra.from_flat(f, n, coeffs[i * k : (i + 1) * k]).mul for i in range(3)))
+
+
+def _halves(p: PostNov) -> Residual:
+    """The associated algebra's Novikov identities, then (A, ∘, L_▷, R_◁) as a
+    bimodule Novikov algebra over it.  The first are renamed: the module
+    product's own Novikov identities carry the same keys."""
+    assoc = tuple(replace(x, identity=f"associated {x.identity}") for x in novikov_residual(associated(p)).failures)
+    return Residual("halves", assoc + abnova_residual(lr_bimodule(p)).failures)
+
+
+_POST_NOVIKOV = _Kind("", (), lambda n: 3 * n**3, _post_novikov, post_residual)
+_HALVES = _Kind("", (), lambda n: 3 * n**3, _post_novikov, _halves)
+
+
+@pytest.mark.parametrize(
+    "p, n, count",
+    [(2, 1, 4), (3, 1, 7), (5, 1, 13), (2, 2, 358), (3, 2, 1929)],
+    ids=["F2-dim1", "F3-dim1", "F5-dim1", "F2-dim2", "F3-dim2"],
+)
+def test_post_novikov_structures_are_their_two_halves(p, n, count):
+    # P is post-Novikov exactly when its associated algebra is Novikov
+    # (P-ASSOC) and (A, ∘, L_▷, R_◁) is a bimodule Novikov algebra over it
+    # (P-LRBIMOD): both directions, on every structure
+    f = GF(p)
+    structures = _search(_POST_NOVIKOV, f, n, shard=(0, 1))
+    assert len(structures) == count
+    assert _search(_HALVES, f, n, shard=(0, 1)) == structures

@@ -8,6 +8,7 @@ from math import prod
 
 import pytest
 from conftest import commuting_novikov_tables, golden_counts
+from tools.nodes import count_nodes
 
 from novikov import solver
 from novikov._kernels import pure
@@ -369,6 +370,27 @@ def test_the_variable_order_changes_nothing_but_speed(monkeypatch):
         plain = enumerate_search(spec)
         assert plain.solutions == res.solutions, spec
         assert (plain.candidate_count, plain.check_hash) == (res.candidate_count, res.check_hash), spec
+
+
+def _node_pins():
+    """(spec, nodes): the exact node counts of searches under the derived
+    order.  trunc3 is ``trunc_poly_algebra(GF(3), 3)`` in its own basis,
+    beta multiplication by x."""
+    f3 = GF(3)
+    trunc3 = trunc_poly_algebra(f3, 3)
+    shift = LinMap(Matrix(f3, 3, 3, (0, 0, 0, 1, 0, 0, 0, 1, 0)))
+    yield pytest.param(SearchSpec("novikov-algebra", f3, 2), 856, id="novikov-dim2-F3")
+    yield pytest.param(SearchSpec("novikov-algebra", GF(5), 2), 9_176, id="novikov-dim2-F5")
+    yield pytest.param(SearchSpec("novikov-algebra", GF(2), 3), 225_777, id="novikov-dim3-F2")
+    yield pytest.param(SearchSpec("rota-baxter", f3, 3, algebra=trunc3, weight=-1), 95, id="rota-baxter-trunc3-F3")
+    ext_o = SearchSpec("ext-o-operator", f3, 3, algebra=trunc3, weight=1, kappa=1, beta=shift)
+    yield pytest.param(ext_o, 95, id="ext-o-trunc3-F3")
+
+
+@pytest.mark.parametrize(("spec", "nodes"), _node_pins())
+def test_the_search_visits_the_pinned_number_of_nodes(spec, nodes):
+    # an order change that adds nodes fails here; one that removes them re-pins
+    assert count_nodes(enumerate_search, spec)[0] == nodes, spec
 
 
 def test_novikov_dim2_f5_search_matches_the_kernel_scan(novikov_dim2_f5):
